@@ -95,8 +95,8 @@ func NewMailboxes[M any](net *Network, size func(M) int64) *Mailboxes[M] {
 // NewMailboxesLegacy creates mailboxes on the seed's per-message path: Send
 // takes a per-destination mutex and meters each message on the network
 // individually. It exists as the contention baseline for the staged
-// substrate (cmd/benchcomms, BenchmarkSendLegacy) and for callers that need
-// multiple goroutines sharing one sender rank.
+// substrate (BenchmarkSendLegacy, TestStagedLegacyStatsEquivalence) and for
+// callers that need multiple goroutines sharing one sender rank.
 func NewMailboxesLegacy[M any](net *Network, size func(M) int64) *Mailboxes[M] {
 	n := net.n
 	if size == nil {

@@ -316,40 +316,40 @@ func init() {
 	})
 
 	registerClaims("serve-sweep", func() []hypo.Hypothesis {
-		params := hypo.DefaultServingParams()
-		// rows are policy-major over serve.Policies × params.Lambdas
+		params := defaultServingParams()
+		// rows are policy-major over serve.Policies × params.lambdas
 		row := func(pol serve.Policy, li int) int {
 			for pi, p := range serve.Policies {
 				if p == pol {
-					return pi*len(params.Lambdas) + li
+					return pi*len(params.lambdas) + li
 				}
 			}
 			return -1
 		}
-		last := len(params.Lambdas) - 1
+		last := len(params.lambdas) - 1
 		const colCompleted, colRejected, colP50, colGoodput = 2, 3, 5, 7
 		return []hypo.Hypothesis{
 			tableClaim("serve-sweep/overload-discipline",
 				"below saturation goodput tracks offered load within 10%; beyond it every policy sheds (rejections > 0) and holds goodput ≥ half its sweep peak", ServeSweep,
 				func(c *checker) {
 					for pi, pol := range serve.Policies {
-						for li, lambda := range params.Lambdas[:2] { // λ=0.2, 0.4: well below saturation
-							good, offered := c.num(pi*len(params.Lambdas)+li, colGoodput), lambda*1000
+						for li, lambda := range params.lambdas[:2] { // λ=0.2, 0.4: well below saturation
+							good, offered := c.num(pi*len(params.lambdas)+li, colGoodput), lambda*1000
 							c.expect(fmt.Sprintf("%s λ=%.1f tracks offered", pol, lambda),
 								good >= 0.9*offered && good <= 1.1*offered,
 								"goodput %.1f vs offered %.1f per kilotick", good, offered)
 						}
 						var peak float64
-						for li := range params.Lambdas {
-							if g := c.num(pi*len(params.Lambdas)+li, colGoodput); g > peak {
+						for li := range params.lambdas {
+							if g := c.num(pi*len(params.lambdas)+li, colGoodput); g > peak {
 								peak = g
 							}
 						}
-						r := pi*len(params.Lambdas) + last
+						r := pi*len(params.lambdas) + last
 						rej, good := c.num(r, colRejected), c.num(r, colGoodput)
-						c.expect(fmt.Sprintf("%s sheds at λ=%.1f", pol, params.OverloadLambda()),
+						c.expect(fmt.Sprintf("%s sheds at λ=%.1f", pol, params.overloadLambda()),
 							rej > 0, "%.0f rejections", rej)
-						c.expect(fmt.Sprintf("%s goodput holds at λ=%.1f", pol, params.OverloadLambda()),
+						c.expect(fmt.Sprintf("%s goodput holds at λ=%.1f", pol, params.overloadLambda()),
 							good >= peak/2, "goodput %.1f vs sweep peak %.1f", good, peak)
 					}
 				}),
@@ -360,7 +360,7 @@ func init() {
 					srwGood := c.num(row(serve.ShortestRemaining, last), colGoodput)
 					c.expect("overload goodput", srwGood >= 1.2*fifoGood,
 						"srw %.1f vs fifo %.1f (%.2fx)", srwGood, fifoGood, srwGood/fifoGood)
-					for li, lambda := range params.Lambdas {
+					for li, lambda := range params.lambdas {
 						fp, sp := c.num(row(serve.FIFO, li), colP50), c.num(row(serve.ShortestRemaining, li), colP50)
 						c.expect(fmt.Sprintf("p50 at λ=%.1f", lambda), sp <= fp,
 							"srw %.0f vs fifo %.0f ticks", sp, fp)
@@ -368,7 +368,7 @@ func init() {
 					fifoDone := c.num(row(serve.FIFO, last), colCompleted)
 					srwDone := c.num(row(serve.ShortestRemaining, last), colCompleted)
 					c.expect("overload completions", srwDone > fifoDone,
-						"srw %.0f vs fifo %.0f of %d offered", srwDone, fifoDone, params.Queries)
+						"srw %.0f vs fifo %.0f of %d offered", srwDone, fifoDone, params.queries)
 				}),
 			{
 				ID: "serve-sweep/srw-goodput-seeds",
@@ -378,16 +378,16 @@ func init() {
 				MinEffect: 1.2,
 				Unit:      "completions/kilotick",
 				Measure: func(seed int64) (hypo.Sample, error) {
-					lambda := params.OverloadLambda()
-					fifo, err := hypo.MeasureServingPoint(params, serve.FIFO, lambda, seed)
+					lambda := params.overloadLambda()
+					fifo, err := measureServingPoint(params, serve.FIFO, lambda, seed)
 					if err != nil {
 						return hypo.Sample{}, err
 					}
-					srw, err := hypo.MeasureServingPoint(params, serve.ShortestRemaining, lambda, seed)
+					srw, err := measureServingPoint(params, serve.ShortestRemaining, lambda, seed)
 					if err != nil {
 						return hypo.Sample{}, err
 					}
-					return hypo.Sample{Baseline: fifo.Goodput, Treatment: srw.Goodput}, nil
+					return hypo.Sample{Baseline: fifo.goodput, Treatment: srw.goodput}, nil
 				},
 			},
 		}

@@ -185,6 +185,58 @@ func TestTrainFullGraphDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestKernelAllocs pins the kernels' allocation contracts exactly. Unlike
+// -benchmem, testing.AllocsPerRun does not depend on the iteration count: it
+// runs each function once as a warm-up (so one-time buffers such as Adam's
+// moment state land outside the count) and then averages. AllocsPerRun pins
+// GOMAXPROCS to 1, so the default leg resolves to serial execution too.
+func TestKernelAllocs(t *testing.T) {
+	defer tensor.SetParallelism(0)
+	a, b, c := tensor.Xavier(256, 256, 1), tensor.Xavier(256, 256, 2), tensor.New(256, 256)
+	g := gen.RMAT(12, 16, 1)
+	adj := NewNormAdj(g)
+	h, agg := tensor.Xavier(g.NumVertices(), 32, 3), tensor.New(g.NumVertices(), 32)
+	task := SyntheticCommunityTask(300, 3, 2, 0.3, 17)
+	m := NewModel(task.G, GCN, []int{task.X.Cols, 16, task.NumClasses}, 1)
+	opt := nn.NewAdam(0.01)
+	masked := maskedLabels(task)
+	kernels := []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"MatMulInto 256³", 1, func() { tensor.MatMulInto(a, b, c) }},
+		{"NormAdj.ApplyInto RMAT(12,16)", 0, func() { adj.ApplyInto(h, agg) }},
+		{"GCN epoch", 17, func() {
+			_, dLogits := nn.SoftmaxCrossEntropy(m.Forward(task.X), masked)
+			m.Backward(dLogits)
+			opt.Step(m.Params())
+		}},
+	}
+	for _, p := range []int{1, 0} {
+		tensor.SetParallelism(p)
+		for _, k := range kernels {
+			if got := testing.AllocsPerRun(10, k.fn); got > k.max {
+				t.Errorf("parallelism %d: %s allocates %.1f times per run, want ≤%.0f", p, k.name, got, k.max)
+			}
+		}
+	}
+}
+
+// maskedLabels returns the task's labels with every non-training vertex set
+// to -1, the form SoftmaxCrossEntropy ignores.
+func maskedLabels(task *Task) []int {
+	masked := make([]int, len(task.Labels))
+	for i, l := range task.Labels {
+		if !task.TrainMask[i] {
+			masked[i] = -1
+		} else {
+			masked[i] = l
+		}
+	}
+	return masked
+}
+
 func benchmarkAggNormAdj(b *testing.B, p int) {
 	tensor.SetParallelism(p)
 	defer tensor.SetParallelism(0)
@@ -209,14 +261,7 @@ func BenchmarkTrainEpochGCN(b *testing.B) {
 	task := SyntheticCommunityTask(300, 3, 2, 0.3, 17)
 	m := NewModel(task.G, GCN, []int{task.X.Cols, 16, task.NumClasses}, 1)
 	opt := nn.NewAdam(0.01)
-	masked := make([]int, len(task.Labels))
-	for i, l := range task.Labels {
-		if !task.TrainMask[i] {
-			masked[i] = -1
-		} else {
-			masked[i] = l
-		}
-	}
+	masked := maskedLabels(task)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -86,7 +86,8 @@ func TestBlockPageRankMatchesEdgeFile(t *testing.T) {
 	}
 }
 
-// TestOpenBlocksReopens covers the open-existing path used by benchstorage.
+// TestOpenBlocksReopens covers the open-existing path: a block file written
+// once and reopened by a later run.
 func TestOpenBlocksReopens(t *testing.T) {
 	g := gen.Grid(8, 8)
 	path := filepath.Join(t.TempDir(), "grid.gsb")

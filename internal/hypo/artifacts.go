@@ -15,9 +15,10 @@ import (
 //	dir/results.csv  — one row per finding, for spreadsheet/pandas analysis
 //
 // The layout mirrors the run_all → validate → analyze artifact convention
-// (SNIPPETS.md Snippet 1): the JSON is what gates re-read, the CSV is what
-// analysis consumes. Writing is deterministic for a deterministic report —
-// no timestamps, no host metadata — so artifact diffs show real changes.
+// (SNIPPETS.md Snippet 1): the JSON is the machine-readable verdict, the CSV
+// is what analysis consumes. Writing is deterministic for a deterministic
+// report — no timestamps, no host metadata — so artifact diffs show real
+// changes.
 func (r *Report) WriteDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -1,7 +1,7 @@
 // Package hypo is the repo's hypothesis-driven experiment harness: every
-// quantitative claim an experiment or benchmark makes is declared as a typed
-// hypothesis and machine-checked, instead of living as a prose note nobody
-// re-reads. The taxonomy follows the BLIS experiment standards the survey's
+// quantitative claim an experiment makes is declared as a typed hypothesis
+// and machine-checked, instead of living as a prose note nobody re-reads.
+// The taxonomy follows the BLIS experiment standards the survey's
 // evaluation-methodology discussion calls for (see DESIGN.md §3.10):
 //
 //   - Type 1 (deterministic): exact invariants — bitwise equality,

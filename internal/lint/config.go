@@ -113,8 +113,8 @@ func Default() *Config {
 
 		// The declared zero-alloc hot paths, mirroring the dynamic gates:
 		// the Gang dispatch + worker loop and the dense combiner send feed
-		// TestSteadyStateAllocsPerRound (PR 8), the cache-hit path feeds the
-		// BENCH_storage 0 allocs/op gate (PR 9), and the serve pick paths are
+		// TestSteadyStateAllocsPerRound, the cache-hit path feeds
+		// TestHitPathZeroAllocs, and the serve pick paths are
 		// the per-task scheduler inner loops. The pregel superstep closures
 		// (computePhase/demuxPhase) are rooted in-source via //lint:hotpath.
 		HotPathRoots: []string{

@@ -51,7 +51,7 @@ type Config struct {
 
 	// Comms selects the engine's communication path. The zero value
 	// CommsDense is the production path; the others exist as benchmark
-	// baselines and equivalence oracles (cmd/benchengine). All three paths
+	// baselines and equivalence oracles (equivalence_test.go). All three paths
 	// produce bitwise-identical results; CommsDense and CommsMap also
 	// produce identical network Stats.
 	Comms CommsPath

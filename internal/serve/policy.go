@@ -4,8 +4,8 @@ import "fmt"
 
 // Policy is the scheduling discipline an engine applies across in-flight
 // queries. The same four policies drive the live engines (Pool task draws,
-// Batcher batch ordering) and the discrete-event simulator behind
-// BENCH_serving.json, so a policy's measured curve and its serving
+// Batcher batch ordering) and the discrete-event simulator behind the
+// serve-sweep experiment, so a policy's measured curve and its serving
 // behaviour are the same code path ordering the same way.
 type Policy int
 

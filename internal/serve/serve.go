@@ -28,7 +28,7 @@
 // batches — the Quegel shape). The package also carries the measurement
 // half of the serving tier: an open-loop load generator (loadgen.go) and a
 // deterministic discrete-event simulator (sim.go) that turn the policies
-// into the p50/p99-vs-offered-load curves of BENCH_serving.json.
+// into the p50/p99-vs-offered-load curves of the serve-sweep experiment.
 package serve
 
 import (

@@ -11,7 +11,7 @@ import (
 // discrete-event simulation of the Engine contract (admission control,
 // deadlines, the four scheduling policies) over metered work, in the same
 // spirit as the experiment tables — logical ticks are the only clock, so
-// BENCH_serving.json is byte-identical run to run and machine to machine.
+// the serve-sweep table is byte-identical run to run and machine to machine.
 // One tick retires Workers work units, split across the in-flight queries
 // by the policy exactly as the live Pool splits task draws.
 

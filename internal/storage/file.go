@@ -232,7 +232,7 @@ func (bf *File) Degree(v graph.V) int { return int(bf.degs[v]) }
 
 // blockOf returns the index of the block containing v.
 func (bf *File) blockOf(v graph.V) int {
-	//lint:allow hotalloc sort.Search does not retain its predicate; the closure stays on the stack (BENCH_storage pins 0 allocs/op on cache hits)
+	//lint:allow hotalloc sort.Search does not retain its predicate; the closure stays on the stack (TestHitPathZeroAllocs pins 0 allocs/op on cache hits)
 	return sort.Search(len(bf.idx), func(b int) bool {
 		return bf.idx[b].First+graph.V(bf.idx[b].Count) > v
 	})

@@ -493,11 +493,11 @@ func TestSpillBudgetTyped(t *testing.T) {
 
 func TestCompressionRatio(t *testing.T) {
 	// R-MAT neighbor ids cluster low, so gap coding should beat raw 4-byte
-	// ids comfortably; the bench gate pins ≥1.5, this test a looser 1.2.
+	// ids comfortably (this graph measures ≈3.3×); the floor is 1.5.
 	g := gen.RMAT(12, 16, 13)
 	_, info := writeTemp(t, g, Options{})
-	if r := info.CompressionRatio(); r < 1.2 {
-		t.Fatalf("compression ratio %.2f below 1.2 (file %d B, raw %d B)",
+	if r := info.CompressionRatio(); r < 1.5 {
+		t.Fatalf("compression ratio %.2f below 1.5 (file %d B, raw %d B)",
 			r, info.FileBytes, info.RawCSRBytes)
 	}
 }
