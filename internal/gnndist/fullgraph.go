@@ -133,6 +133,12 @@ type DistGNNResult struct {
 // updates: layer-2 aggregation uses a snapshot of layer-1 activations for
 // cross-partition edges, refreshed (and metered) every RefreshEvery epochs.
 func TrainDistGNN(task *gnn.Task, cfg DistGNNConfig) DistGNNResult {
+	res, _ := trainDistGNN(task, cfg)
+	return res
+}
+
+// trainDistGNN is TrainDistGNN that also returns the final epoch's logits.
+func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Matrix) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -201,7 +207,7 @@ func TrainDistGNN(task *gnn.Task, cfg DistGNNConfig) DistGNNResult {
 	}
 	res.TestAcc = nn.Accuracy(lastLogits, task.Labels, task.TestMask)
 	res.Net = clst.Network().Stats()
-	return res
+	return res, lastLogits
 }
 
 // ---- HongTu: CPU-offloaded full-graph training ----
