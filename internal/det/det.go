@@ -10,7 +10,7 @@ package det
 
 import (
 	"cmp"
-	"sort"
+	"slices"
 )
 
 // SortedKeys returns the keys of m in ascending order. The extra O(k log k)
@@ -21,6 +21,6 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks) // keys are unique, so any correct sort gives this order
 	return ks
 }

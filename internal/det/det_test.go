@@ -90,3 +90,12 @@ func TestSortedKeysSingleton(t *testing.T) {
 		t.Fatalf("cap=%d, want exactly the key count (no over-allocation)", cap(ks))
 	}
 }
+
+// TestSortedKeysAllocs: the key slice is the only allocation (no reflection
+// swapper, no comparison closure).
+func TestSortedKeysAllocs(t *testing.T) {
+	m := map[int32]int{7: 0, 3: 0, 11: 0, 5: 0, 2: 0, 13: 0}
+	if a := testing.AllocsPerRun(100, func() { SortedKeys(m) }); a != 1 {
+		t.Fatalf("SortedKeys allocates %v per call, want 1", a)
+	}
+}

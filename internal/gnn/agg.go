@@ -194,15 +194,13 @@ func NewNormAdj(g *graph.Graph) *NormAdj {
 	return &NormAdj{n: n, adj: c}
 }
 
-// NeighborsOf exposes row v's column indices (neighbors plus self-loop),
-// for external chunked executors (internal/gnndist's HongTu offloading).
-func (a *NormAdj) NeighborsOf(v int) []graph.V {
-	return a.adj.col[a.adj.rowPtr[v]:a.adj.rowPtr[v+1]]
-}
-
-// WeightsOf exposes row v's normalised weights, aligned with NeighborsOf.
-func (a *NormAdj) WeightsOf(v int) []float32 {
-	return a.adj.wts[a.adj.rowPtr[v]:a.adj.rowPtr[v+1]]
+// CSR exposes Â's entries for external kernels (internal/gnndist's delayed
+// aggregation and HongTu offloading): row v's entries are
+// col[rowPtr[v]:rowPtr[v+1]] with weights aligned, in g.Neighbors(v) order
+// with the self-loop last. The slices are shared with a; callers must not
+// write them.
+func (a *NormAdj) CSR() (rowPtr []int32, col []graph.V, wts []float32) {
+	return a.adj.rowPtr, a.adj.col, a.adj.wts
 }
 
 // Apply computes Â·H.

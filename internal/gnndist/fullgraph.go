@@ -1,8 +1,6 @@
 package gnndist
 
 import (
-	"math"
-
 	"graphsys/internal/cluster"
 	"graphsys/internal/gnn"
 	"graphsys/internal/graph"
@@ -14,86 +12,104 @@ import (
 // ---- DistGNN: full-graph training with delayed remote aggregates ----
 
 // delayedAdj is a GCN normalised adjacency split by a vertex partition:
-// Apply combines FRESH activations over same-partition edges with a STALE
+// apply combines FRESH activations over same-partition edges with a STALE
 // snapshot over cross-partition edges — DistGNN's delayed-update
 // communication avoidance, where remote partial aggregates are refreshed
 // only every few epochs.
+//
+// The entries are gnn.NewNormAdj's CSR (neighbors in graph order, self-loop
+// last) with a per-entry remote flag beside them. The backward pass gathers
+// over a transpose of the local entries only, whose row u lists its sources
+// v in ascending order: the order in which a serial scatter over v would
+// have accumulated into row u. Both kernels own their output rows, so they
+// run in parallel with results bitwise identical at any worker count.
 type delayedAdj struct {
 	n      int
-	nnz    int64 // total adjacency entries, for the parallel-kernel work gate
-	nbrs   [][]graph.V
-	wts    [][]float32
-	remote [][]bool // aligned with nbrs: true if the edge crosses partitions
+	rowPtr []int32
+	col    []graph.V
+	wts    []float32
+	remote []bool // aligned with col: true if the edge crosses partitions
+
+	// local-edge transpose: tCol[tPtr[u]:tPtr[u+1]] are the v with a local
+	// entry (v, u), ascending, and tWts their weights
+	tPtr []int32
+	tCol []graph.V
+	tWts []float32
 }
 
 func newDelayedAdj(g *graph.Graph, part *partition.Partition) *delayedAdj {
 	n := g.NumVertices()
-	a := &delayedAdj{n: n, nbrs: make([][]graph.V, n), wts: make([][]float32, n), remote: make([][]bool, n)}
-	invSqrt := make([]float64, n)
+	a := &delayedAdj{n: n, tPtr: make([]int32, n+1)}
+	a.rowPtr, a.col, a.wts = gnn.NewNormAdj(g).CSR()
+	a.remote = make([]bool, len(a.col))
 	for v := 0; v < n; v++ {
-		invSqrt[v] = 1 / math.Sqrt(float64(g.Degree(graph.V(v))+1))
-	}
-	for v := 0; v < n; v++ {
-		ns := g.Neighbors(graph.V(v))
-		a.nbrs[v] = append(append([]graph.V(nil), ns...), graph.V(v))
-		w := make([]float32, len(ns)+1)
-		r := make([]bool, len(ns)+1)
-		for i, u := range ns {
-			w[i] = float32(invSqrt[v] * invSqrt[u])
-			r[i] = part.Assign[u] != part.Assign[v]
+		for idx := a.rowPtr[v]; idx < a.rowPtr[v+1]; idx++ {
+			u := a.col[idx]
+			a.remote[idx] = part.Assign[u] != part.Assign[v]
+			if !a.remote[idx] {
+				a.tPtr[u+1]++
+			}
 		}
-		w[len(ns)] = float32(invSqrt[v] * invSqrt[v])
-		a.wts[v] = w
-		a.remote[v] = r
-		a.nnz += int64(len(ns) + 1)
+	}
+	for u := 0; u < n; u++ {
+		a.tPtr[u+1] += a.tPtr[u]
+	}
+	a.tCol = make([]graph.V, a.tPtr[n])
+	a.tWts = make([]float32, a.tPtr[n])
+	next := append([]int32(nil), a.tPtr[:n]...)
+	for v := 0; v < n; v++ {
+		for idx := a.rowPtr[v]; idx < a.rowPtr[v+1]; idx++ {
+			if a.remote[idx] {
+				continue
+			}
+			u := a.col[idx]
+			a.tCol[next[u]] = graph.V(v)
+			a.tWts[next[u]] = a.wts[idx]
+			next[u]++
+		}
 	}
 	return a
 }
 
-// apply computes Â·H using fresh rows for local edges and stale rows for
-// remote edges. The gather is row-owned, so it parallelises over destination
-// vertices with bitwise-identical results at any worker count; the scatter in
-// applyLocalT is not row-owned and stays serial.
-func (a *delayedAdj) apply(fresh, stale *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(a.n, fresh.Cols)
-	tensor.ParallelFor(a.n, a.nnz*int64(fresh.Cols), func(lo, hi int) {
+// apply computes out = Â·H (fully overwritten) using fresh rows for local
+// edges and stale rows for remote edges.
+func (a *delayedAdj) apply(fresh, stale, out *tensor.Matrix) {
+	tensor.ParallelFor(a.n, int64(len(a.col))*int64(fresh.Cols), func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			or := out.Row(v)
-			for i, u := range a.nbrs[v] {
+			clear(or)
+			for idx := a.rowPtr[v]; idx < a.rowPtr[v+1]; idx++ {
 				src := fresh
-				if a.remote[v][i] {
+				if a.remote[idx] {
 					src = stale
 				}
-				w := a.wts[v][i]
-				hr := src.Row(int(u))
+				w := a.wts[idx]
+				hr := src.Row(int(a.col[idx]))
 				for j := range or {
 					or[j] += w * hr[j]
 				}
 			}
 		}
 	})
-	return out
 }
 
-// applyLocalT is the transpose action restricted to local edges (gradients
-// do not flow through the stale snapshot — exactly the approximation delayed
-// updates make).
-func (a *delayedAdj) applyLocalT(dy *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(a.n, dy.Cols)
-	for v := 0; v < a.n; v++ {
-		dr := dy.Row(v)
-		for i, u := range a.nbrs[v] {
-			if a.remote[v][i] {
-				continue
-			}
-			w := a.wts[v][i]
-			or := out.Row(int(u))
-			for j := range dr {
-				or[j] += w * dr[j]
+// applyLocalT computes out = Âᵀ·dY (fully overwritten) restricted to local
+// edges: gradients do not flow through the stale snapshot — exactly the
+// approximation delayed updates make.
+func (a *delayedAdj) applyLocalT(dy, out *tensor.Matrix) {
+	tensor.ParallelFor(a.n, int64(len(a.tCol))*int64(dy.Cols), func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			or := out.Row(u)
+			clear(or)
+			for idx := a.tPtr[u]; idx < a.tPtr[u+1]; idx++ {
+				w := a.tWts[idx]
+				dr := dy.Row(int(a.tCol[idx]))
+				for j := range or {
+					or[j] += w * dr[j]
+				}
 			}
 		}
-	}
-	return out
+	})
 }
 
 // boundaryVertices returns the vertices having at least one cross-partition
@@ -175,15 +191,29 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 			masked[i] = l
 		}
 	}
+	// X is static, so layer 1's aggregation (and its exchange) happens once.
+	n := task.G.NumVertices()
+	agg0 := tensor.New(n, task.X.Cols)
+	adj.apply(task.X, task.X, agg0)
+	// agg1 also holds dH1: lin2.Backward has read agg1 before dH1 is written.
+	agg1 := tensor.New(n, cfg.Hidden)
+	// At RefreshEvery 1 the snapshot is h1 itself; otherwise an owned copy.
+	var snapshot *tensor.Matrix
+	if cfg.RefreshEvery > 1 {
+		snapshot = tensor.New(n, cfg.Hidden)
+	}
 	var res DistGNNResult
-	var staleH1 *tensor.Matrix
-	var lastLogits *tensor.Matrix
+	var logits *tensor.Matrix
 	for ep := 0; ep < cfg.Epochs; ep++ {
-		// layer 1: X is static, so its exchange happens once (epoch 0)
-		agg0 := adj.apply(task.X, task.X)
 		h1 := relu.Forward(lin1.Forward(agg0))
-		if staleH1 == nil || ep%cfg.RefreshEvery == 0 {
-			staleH1 = h1.Clone()
+		staleH1 := h1
+		if snapshot != nil {
+			staleH1 = snapshot
+		}
+		if ep%cfg.RefreshEvery == 0 {
+			if snapshot != nil {
+				copy(snapshot.Data, h1.Data)
+			}
 			res.Refreshes++
 			// ship boundary activations between partitions
 			for _, v := range boundary {
@@ -195,19 +225,18 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 				}
 			}
 		}
-		agg1 := adj.apply(h1, staleH1)
-		logits := lin2.Forward(agg1)
-		lastLogits = logits
+		adj.apply(h1, staleH1, agg1)
+		logits = lin2.Forward(agg1)
 		_, dLogits := nn.SoftmaxCrossEntropy(logits, masked)
 		dAgg1 := lin2.Backward(dLogits)
-		dH1 := adj.applyLocalT(dAgg1)
-		dZ1 := relu.Backward(dH1)
-		lin1.Backward(dZ1)
+		dH1 := agg1
+		adj.applyLocalT(dAgg1, dH1)
+		lin1.BackwardParams(relu.Backward(dH1))
 		opt.Step(params)
 	}
-	res.TestAcc = nn.Accuracy(lastLogits, task.Labels, task.TestMask)
+	res.TestAcc = nn.Accuracy(logits, task.Labels, task.TestMask)
 	res.Net = clst.Network().Stats()
-	return res, lastLogits
+	return res, logits
 }
 
 // ---- HongTu: CPU-offloaded full-graph training ----
@@ -228,7 +257,7 @@ type OffloadStats struct {
 // expose HongTu's trade: bounded device memory for extra host traffic.
 func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, lin2B *tensor.Matrix, chunkRows int) (*tensor.Matrix, OffloadStats) {
 	n := g.NumVertices()
-	adj := gnn.NewNormAdj(g)
+	rowPtr, col, wts := gnn.NewNormAdj(g).CSR()
 	var st OffloadStats
 	hidden := lin1W.Cols
 	classes := lin2W.Cols
@@ -236,6 +265,7 @@ func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, 
 
 	layer := func(input *tensor.Matrix, w, b *tensor.Matrix, activate bool) *tensor.Matrix {
 		out := tensor.New(n, w.Cols)
+		aggRow := make([]float32, input.Cols)
 		for lo := 0; lo < n; lo += chunkRows {
 			hi := lo + chunkRows
 			if hi > n {
@@ -250,10 +280,10 @@ func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, 
 			st.HostTransferred += int64(hi-lo) * int64(input.Cols)
 			for v := lo; v < hi; v++ {
 				// aggregate row v on device
-				aggRow := make([]float32, input.Cols)
-				for i, u := range adj.NeighborsOf(v) {
-					wgt := adj.WeightsOf(v)[i]
-					ur := input.Row(int(u))
+				clear(aggRow)
+				for idx := rowPtr[v]; idx < rowPtr[v+1]; idx++ {
+					wgt := wts[idx]
+					ur := input.Row(int(col[idx]))
 					for j := range aggRow {
 						aggRow[j] += wgt * ur[j]
 					}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"graphsys/internal/gnn"
+	"graphsys/internal/partition"
 	"graphsys/internal/tensor"
 )
 
@@ -58,6 +59,32 @@ func TestDistGNNBitsPinned(t *testing.T) {
 					t.Errorf("parallelism %d refresh %d workers %d: got %#v, want %#v", par, refresh, workers, got, w)
 				}
 			}
+		}
+	}
+}
+
+// TestDistGNNEpochAllocs: an epoch's buffers are owned by the trainer, so
+// each extra epoch allocates only SoftmaxCrossEntropy's n×classes gradient
+// plus small change (kernel fan-out closures at parallelism 2).
+func TestDistGNNEpochAllocs(t *testing.T) {
+	task := gnn.SyntheticCommunityTask(3000, 4, 8, 0.3, 5)
+	part := partition.Metis(task.G, 4)
+	allocated := func(epochs int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		TrainDistGNN(task, DistGNNConfig{Workers: 4, Part: part, Epochs: epochs, Seed: 9})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	limit := uint64(task.G.NumVertices()*task.NumClasses*4 + 8<<10)
+	defer tensor.SetParallelism(0)
+	for _, par := range []int{1, 2} {
+		tensor.SetParallelism(par)
+		allocated(2) // warm the kernel pool and the optimiser's code paths
+		short, long := allocated(2), allocated(6)
+		t.Logf("parallelism %d: %d B per extra epoch (limit %d)", par, int64(long-short)/4, limit)
+		if long < short || (long-short)/4 > limit {
+			t.Errorf("parallelism %d: %d B per extra epoch (2 epochs %d B, 6 epochs %d B), want ≤ %d", par, int64(long-short)/4, short, long, limit)
 		}
 	}
 }

@@ -38,6 +38,7 @@ type Dense struct {
 	x  *tensor.Matrix // cached input
 	y  *tensor.Matrix // reused Forward output
 	dx *tensor.Matrix // reused Backward output
+	gw *tensor.Matrix // reused dW scratch
 }
 
 // NewDense creates a Dense layer with Xavier-initialised weights.
@@ -59,13 +60,22 @@ func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward accumulates dW, dB and returns dX.
 func (d *Dense) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	// dW goes through pooled scratch, not straight into Grad: the kernel
+	d.BackwardParams(dy)
+	d.dx = tensor.Reuse(d.dx, dy.Rows, d.W.W.Rows)
+	tensor.MatMulT2Into(dy, d.W.W, d.dx)
+	return d.dx
+}
+
+// BackwardParams accumulates dW and dB exactly as Backward does but skips
+// dX = dY·Wᵀ, for a first layer whose input is data and whose input gradient
+// would be discarded.
+func (d *Dense) BackwardParams(dy *tensor.Matrix) {
+	// dW goes through owned scratch, not straight into Grad: the kernel
 	// owns the full accumulation of XᵀdY, and the single AddInPlace keeps
 	// the same order as the old MatMulT1-then-add when Grad is nonzero.
-	gw := tensor.Get(d.W.W.Rows, d.W.W.Cols)
-	tensor.MatMulT1Into(d.x, dy, gw)
-	d.W.Grad.AddInPlace(gw)
-	tensor.Put(gw)
+	d.gw = tensor.Reuse(d.gw, d.W.W.Rows, d.W.W.Cols)
+	tensor.MatMulT1Into(d.x, dy, d.gw)
+	d.W.Grad.AddInPlace(d.gw)
 	bg := d.B.Grad.Row(0)
 	for i := 0; i < dy.Rows; i++ {
 		r := dy.Row(i)
@@ -73,9 +83,6 @@ func (d *Dense) Backward(dy *tensor.Matrix) *tensor.Matrix {
 			bg[j] += r[j]
 		}
 	}
-	d.dx = tensor.Reuse(d.dx, dy.Rows, d.W.W.Rows)
-	tensor.MatMulT2Into(dy, d.W.W, d.dx)
-	return d.dx
 }
 
 // Params returns the layer's trainable parameters.

@@ -32,6 +32,37 @@ func TestDenseBackwardShapes(t *testing.T) {
 	}
 }
 
+// TestDenseBackwardParams: BackwardParams accumulates exactly Backward's dW
+// and dB (over two steps, so the add into a nonzero Grad is covered too),
+// never builds dX, and once its scratch exists allocates nothing beyond what
+// its dW kernel call does on its own (the kernel's range closure).
+func TestDenseBackwardParams(t *testing.T) {
+	x := tensor.Xavier(300, 24, 2)
+	dy := tensor.Xavier(300, 10, 3)
+	ref, d := NewDense(24, 10, 1), NewDense(24, 10, 1)
+	for step := 0; step < 2; step++ {
+		ref.Forward(x)
+		ref.Backward(dy)
+		d.Forward(x)
+		d.BackwardParams(dy)
+	}
+	for name, pair := range map[string][2]*tensor.Matrix{"W": {ref.W.Grad, d.W.Grad}, "B": {ref.B.Grad, d.B.Grad}} {
+		for i, v := range pair[0].Data {
+			if math.Float32bits(v) != math.Float32bits(pair[1].Data[i]) {
+				t.Fatalf("%s.Grad[%d] = %v, Backward gives %v", name, i, pair[1].Data[i], v)
+			}
+		}
+	}
+	if d.dx != nil {
+		t.Fatal("BackwardParams built the dX buffer")
+	}
+	gw := tensor.New(24, 10)
+	kernel := testing.AllocsPerRun(10, func() { tensor.MatMulT1Into(x, dy, gw) })
+	if a := testing.AllocsPerRun(10, func() { d.BackwardParams(dy) }); a != kernel {
+		t.Fatalf("BackwardParams allocates %v per call, its dW kernel alone %v", a, kernel)
+	}
+}
+
 func TestReLU(t *testing.T) {
 	r := &ReLU{}
 	x := tensor.FromRows([][]float32{{-1, 2}})
