@@ -1,6 +1,9 @@
 package gnn
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"runtime"
 	"testing"
 
@@ -152,21 +155,49 @@ func TestMeanAggIsolatedVerticesZeroRows(t *testing.T) {
 	}
 }
 
+// lossesHash is the FNV-64a of the losses' float64 bit patterns, in order.
+func lossesHash(losses []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, l := range losses {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(l))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
 // TestTrainFullGraphDeterministicAcrossParallelism is the end-to-end
 // determinism gate: the entire training loop (aggregation, matmul, dropout,
 // Adam) must produce the exact same float64 loss sequence at any kernel
 // parallelism — the property the gnndist crash-recovery tests rely on.
+//
+// The serial run of each kind is also pinned bit for bit (train and test
+// accuracy plus a hash of the losses) to values recorded with a ReLU that
+// wrote into buffers of its own, so reworking the layers' buffer ownership
+// cannot move a result. Float bits depend on the instruction set (FMA
+// fusion), hence the pins are checked on amd64 only.
 func TestTrainFullGraphDeterministicAcrossParallelism(t *testing.T) {
 	oldProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(oldProcs)
 	defer tensor.SetParallelism(0)
 
+	type pin struct{ trainAcc, testAcc, losses uint64 }
+	pinned := map[ModelKind]pin{
+		GCN:  {0x3fe2aaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0xae635e956e7ad806},
+		SAGE: {0x3ff0000000000000, 0x3ff0000000000000, 0xe79d60a7dd023cd7},
+		GAT:  {0x3fe6aaaaaaaaaaab, 0x3fe471c71c71c71c, 0x56d3a941211f1bd6},
+		GIN:  {0x3fe6aaaaaaaaaaab, 0x3fe471c71c71c71c, 0x688b60519e87a39e},
+	}
 	task := SyntheticCommunityTask(120, 3, 2, 0.3, 17)
 	cfg := TrainConfig{Epochs: 8, LR: 0.01, Seed: 1}
 	for _, kind := range []ModelKind{GCN, SAGE, GAT, GIN} {
 		tensor.SetParallelism(1)
 		m := NewModel(task.G, kind, []int{task.X.Cols, 16, task.NumClasses}, 1)
 		want := TrainFullGraph(m, task.X, task.Labels, task.TrainMask, task.TestMask, cfg)
+		got := pin{math.Float64bits(want.TrainAcc), math.Float64bits(want.TestAcc), lossesHash(want.Losses)}
+		if runtime.GOARCH == "amd64" && got != pinned[kind] {
+			t.Errorf("%v: serial run gives %#v, pinned %#v", kind, got, pinned[kind])
+		}
 		for _, p := range []int{2, 8} {
 			tensor.SetParallelism(p)
 			m := NewModel(task.G, kind, []int{task.X.Cols, 16, task.NumClasses}, 1)
