@@ -13,6 +13,12 @@ import (
 // Layers own their output buffers and reuse them across training steps
 // (shapes are stable), so steady-state epochs allocate nothing; a returned
 // matrix is valid until the next call of the same method on the same layer.
+//
+// A hidden layer's activation (nn.ReLU) works in place: Forward rectifies
+// the layer's own dense or attention output and returns it, and Backward
+// gates dy in place before using it. So Backward may overwrite the dy it is
+// given; Model.Backward passes each layer the gradient matrix the layer
+// above returned, which that layer rewrites before reading it again.
 type Layer interface {
 	Forward(h *tensor.Matrix) *tensor.Matrix
 	Backward(dy *tensor.Matrix) *tensor.Matrix

@@ -88,45 +88,40 @@ func (d *Dense) BackwardParams(dy *tensor.Matrix) {
 // Params returns the layer's trainable parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// ReLU activation. Output buffers (and the mask) are layer-owned and reused
-// across steps; every element is written on both branches, so stale contents
-// never leak.
+// ReLU activation, applied in place: it owns no buffers. Forward rectifies
+// its argument and Backward gates its argument, each returning the matrix it
+// was given, so a caller passes only a buffer it owns and does not read
+// again (other than through the result) before rewriting it. Forward's
+// output is Backward's mask and must stay unchanged until then: y is 0
+// exactly where the input was <= 0, so passing the gradient where y != 0
+// treats -0, denormals, ±Inf and NaN exactly as a mask of x > 0 would.
 type ReLU struct {
-	mask      []bool
-	out, dout *tensor.Matrix
+	y *tensor.Matrix // the last Forward's output, which is its mask
 }
 
-// Forward applies max(0, x). The result is valid until the next Forward.
+// Forward sets every x <= 0 to +0 and returns x.
+//
+//lint:hotpath activation of every hidden GNN layer and of gnndist's trainer
 func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
-	r.out = tensor.Reuse(r.out, x.Rows, x.Cols)
 	for i, v := range x.Data {
 		if v <= 0 {
-			r.out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.out.Data[i] = v
-			r.mask[i] = true
+			x.Data[i] = 0
 		}
 	}
-	return r.out
+	r.y = x
+	return x
 }
 
-// Backward gates the upstream gradient. The result is valid until the next
-// Backward.
+// Backward zeroes dy wherever the last Forward's output is 0 and returns dy.
+//
+//lint:hotpath activation gradient of every hidden GNN layer and of gnndist's trainer
 func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	r.dout = tensor.Reuse(r.dout, dy.Rows, dy.Cols)
-	for i, v := range dy.Data {
-		if r.mask[i] {
-			r.dout.Data[i] = v
-		} else {
-			r.dout.Data[i] = 0
+	for i := range dy.Data {
+		if r.y.Data[i] == 0 {
+			dy.Data[i] = 0
 		}
 	}
-	return r.dout
+	return dy
 }
 
 // SoftmaxCrossEntropy computes mean cross-entropy loss over rows given

@@ -63,17 +63,49 @@ func TestDenseBackwardParams(t *testing.T) {
 	}
 }
 
+// TestReLU pins the in-place contract bit for bit against the buffered
+// definition (v <= 0 gives +0 and a false mask, anything else passes through
+// with a true mask): the edge values -0, the smallest denormal, ±Inf and NaN
+// included, over two shapes in successive calls. Forward and Backward return
+// their argument and allocate nothing.
 func TestReLU(t *testing.T) {
+	inf := float32(math.Inf(1))
+	edges := []float32{-1, float32(math.Copysign(0, -1)), 0, math.SmallestNonzeroFloat32, 2, inf, -inf, float32(math.NaN())}
 	r := &ReLU{}
-	x := tensor.FromRows([][]float32{{-1, 2}})
-	y := r.Forward(x)
-	if y.At(0, 0) != 0 || y.At(0, 1) != 2 {
-		t.Fatal("relu forward")
-	}
-	dy := tensor.FromRows([][]float32{{5, 7}})
-	dx := r.Backward(dy)
-	if dx.At(0, 0) != 0 || dx.At(0, 1) != 7 {
-		t.Fatal("relu backward")
+	for _, shape := range [][2]int{{2, 4}, {4, 6}} {
+		x, dy := tensor.New(shape[0], shape[1]), tensor.New(shape[0], shape[1])
+		for i := range x.Data {
+			x.Data[i] = edges[i%len(edges)]
+			dy.Data[i] = edges[(i/len(edges)+i)%len(edges)] + 1
+		}
+		wantY, wantDX := make([]float32, len(x.Data)), make([]float32, len(x.Data))
+		for i, v := range x.Data {
+			if v <= 0 {
+				wantY[i], wantDX[i] = 0, 0
+			} else {
+				wantY[i], wantDX[i] = v, dy.Data[i]
+			}
+		}
+		if y := r.Forward(x); y != x {
+			t.Fatalf("%v: Forward returned a new matrix", shape)
+		}
+		if dx := r.Backward(dy); dx != dy {
+			t.Fatalf("%v: Backward returned a new matrix", shape)
+		}
+		for i := range wantY {
+			if math.Float32bits(x.Data[i]) != math.Float32bits(wantY[i]) {
+				t.Errorf("%v: Forward(%v)[%d] = %v, want %v", shape, edges[i%len(edges)], i, x.Data[i], wantY[i])
+			}
+			if math.Float32bits(dy.Data[i]) != math.Float32bits(wantDX[i]) {
+				t.Errorf("%v: Backward at input %v [%d] = %v, want %v", shape, edges[i%len(edges)], i, dy.Data[i], wantDX[i])
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() { r.Forward(x) }); a != 0 {
+			t.Errorf("%v: Forward allocates %v per call", shape, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { r.Backward(dy) }); a != 0 {
+			t.Errorf("%v: Backward allocates %v per call", shape, a)
+		}
 	}
 }
 
