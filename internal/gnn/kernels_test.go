@@ -2,8 +2,10 @@ package gnn
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -81,7 +83,7 @@ func mustBitwiseEqual(t *testing.T, name string, got, want *tensor.Matrix) {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 			t.Fatalf("%s: element %d = %x, want %x (not bitwise equal)", name, i, got.Data[i], want.Data[i])
 		}
 	}
@@ -131,6 +133,85 @@ func TestAggregatorsBitwiseDeterministic(t *testing.T) {
 			mustBitwiseEqual(t, gname+"/sumT", sum.ApplyT(h), wantSumT)
 		}
 		tensor.SetParallelism(0)
+	}
+}
+
+// mixedDegreeGraph has vertices of degree 0, 1, 2 and 3, two hubs of
+// degree above 8 and a random remainder, so its CSR rows (degree plus the
+// self-loop) take every length modulo four, short and long.
+func mixedDegreeGraph() *graph.Graph {
+	const n = 90
+	var edges [][2]graph.V
+	for v := 10; v < 40; v++ {
+		edges = append(edges, [2]graph.V{1, graph.V(v)})
+	}
+	for v := 20; v < 31; v++ {
+		edges = append(edges, [2]graph.V{2, graph.V(v)})
+	}
+	edges = append(edges, [2]graph.V{3, 4}, [2]graph.V{5, 6}, [2]graph.V{5, 7}, [2]graph.V{8, 6}, [2]graph.V{8, 7}, [2]graph.V{8, 9})
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 80; i++ {
+		if u, v := 40+rng.Intn(n-40), 40+rng.Intn(n-40); u != v {
+			edges = append(edges, [2]graph.V{graph.V(u), graph.V(v)})
+		}
+	}
+	return graph.FromEdges(n, edges)
+}
+
+// naiveNormAdjApply is an independent per-entry reference for NormAdj.Apply:
+// row v adds w·h[u] over g.Neighbors(v) and then the self-loop, with w the
+// float32 of 1/sqrt((deg v + 1)(deg u + 1)) in float64, one rounded product
+// at a time into a zeroed row.
+func naiveNormAdjApply(g *graph.Graph, h *tensor.Matrix) *tensor.Matrix {
+	inv := func(v graph.V) float64 { return 1 / math.Sqrt(float64(g.Degree(v)+1)) }
+	out := tensor.New(g.NumVertices(), h.Cols)
+	for v := 0; v < g.NumVertices(); v++ {
+		or := out.Row(v)
+		for _, u := range append(append([]graph.V(nil), g.Neighbors(graph.V(v))...), graph.V(v)) {
+			w := float32(inv(graph.V(v)) * inv(u))
+			for j, hv := range h.Row(int(u)) {
+				or[j] += float32(w * hv)
+			}
+		}
+	}
+	return out
+}
+
+// TestNormAdjMatchesNaiveReference holds the weighted SpMM kernel to the
+// per-entry reference bit for bit, over rows of every length class, narrow
+// and wide feature widths, at parallelism 1, 2 and 8, into a buffer with
+// stale contents.
+func TestNormAdjMatchesNaiveReference(t *testing.T) {
+	oldProcs := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(oldProcs)
+	defer tensor.SetParallelism(0)
+
+	g := mixedDegreeGraph()
+	seen := map[int]bool{}
+	for v := 0; v < g.NumVertices(); v++ {
+		d := g.Degree(graph.V(v))
+		seen[min(d, 9)] = true
+		seen[10+(d+1)%4] = true
+	}
+	for _, want := range []int{0, 1, 2, 3, 9, 10, 11, 12, 13} {
+		if !seen[want] {
+			t.Fatalf("test graph lacks degree class %d", want)
+		}
+	}
+	adj := NewNormAdj(g)
+	for _, cols := range []int{1, 7, 8, 200} {
+		h := tensor.Xavier(g.NumVertices(), cols, int64(cols))
+		h.Row(5)[0] = 0
+		want := naiveNormAdjApply(g, h)
+		for _, p := range []int{1, 2, 8} {
+			tensor.SetParallelism(p)
+			out := tensor.New(g.NumVertices(), cols)
+			for i := range out.Data {
+				out.Data[i] = float32(i)
+			}
+			adj.ApplyInto(h, out)
+			mustBitwiseEqual(t, fmt.Sprintf("cols %d p=%d", cols, p), out, want)
+		}
 	}
 }
 

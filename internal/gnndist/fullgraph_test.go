@@ -2,12 +2,15 @@ package gnndist
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"graphsys/internal/gnn"
+	"graphsys/internal/graph"
 	"graphsys/internal/partition"
 	"graphsys/internal/tensor"
 )
@@ -59,6 +62,100 @@ func TestDistGNNBitsPinned(t *testing.T) {
 					t.Errorf("parallelism %d refresh %d workers %d: got %#v, want %#v", par, refresh, workers, got, w)
 				}
 			}
+		}
+	}
+}
+
+// mixedDegreeGraph has vertices of degree 0, 1, 2 and 3, two hubs of
+// degree above 8 and a random remainder, so its CSR rows (degree plus the
+// self-loop) take every length modulo four, short and long.
+func mixedDegreeGraph() *graph.Graph {
+	const n = 90
+	var edges [][2]graph.V
+	for v := 10; v < 40; v++ {
+		edges = append(edges, [2]graph.V{1, graph.V(v)})
+	}
+	for v := 20; v < 31; v++ {
+		edges = append(edges, [2]graph.V{2, graph.V(v)})
+	}
+	edges = append(edges, [2]graph.V{3, 4}, [2]graph.V{5, 6}, [2]graph.V{5, 7}, [2]graph.V{8, 6}, [2]graph.V{8, 7}, [2]graph.V{8, 9})
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 80; i++ {
+		if u, v := 40+rng.Intn(n-40), 40+rng.Intn(n-40); u != v {
+			edges = append(edges, [2]graph.V{graph.V(u), graph.V(v)})
+		}
+	}
+	return graph.FromEdges(n, edges)
+}
+
+// naiveDelayed is an independent per-entry reference for delayedAdj. Row v
+// of the forward product adds w·src[u] over g.Neighbors(v) and then the
+// self-loop, src being stale for a cross-partition edge and fresh otherwise;
+// the backward product scatters w·dy[v] into row u over the same local
+// entries, v ascending. w is the float32 of 1/sqrt((deg v + 1)(deg u + 1))
+// in float64, and each product is rounded before it is added.
+func naiveDelayed(g *graph.Graph, part *partition.Partition, fresh, stale, dy *tensor.Matrix) (fwd, bwdT *tensor.Matrix) {
+	n := g.NumVertices()
+	inv := func(v graph.V) float64 { return 1 / math.Sqrt(float64(g.Degree(v)+1)) }
+	fwd, bwdT = tensor.New(n, fresh.Cols), tensor.New(n, dy.Cols)
+	for v := 0; v < n; v++ {
+		for _, u := range append(append([]graph.V(nil), g.Neighbors(graph.V(v))...), graph.V(v)) {
+			w := float32(inv(graph.V(v)) * inv(u))
+			src, local := fresh, part.Assign[u] == part.Assign[v]
+			if !local {
+				src = stale
+			}
+			or := fwd.Row(v)
+			for j, hv := range src.Row(int(u)) {
+				or[j] += float32(w * hv)
+			}
+			if local {
+				or := bwdT.Row(int(u))
+				for j, dv := range dy.Row(v) {
+					or[j] += float32(w * dv)
+				}
+			}
+		}
+	}
+	return fwd, bwdT
+}
+
+// TestDelayedAdjMatchesNaiveReference holds apply and applyLocalT to the
+// per-entry reference bit for bit, over rows of every length class, narrow
+// and wide widths, at parallelism 1, 2 and 8, into buffers with stale
+// contents.
+func TestDelayedAdjMatchesNaiveReference(t *testing.T) {
+	oldProcs := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(oldProcs)
+	defer tensor.SetParallelism(0)
+
+	g := mixedDegreeGraph()
+	part := partition.Hash(g, 3)
+	adj := newDelayedAdj(g, part)
+	for _, cols := range []int{1, 7, 8, 200} {
+		fresh := tensor.Xavier(g.NumVertices(), cols, int64(cols))
+		stale := tensor.Xavier(g.NumVertices(), cols, int64(cols)+1)
+		dy := tensor.Xavier(g.NumVertices(), cols, int64(cols)+2)
+		wantFwd, wantBwdT := naiveDelayed(g, part, fresh, stale, dy)
+		for _, p := range []int{1, 2, 8} {
+			tensor.SetParallelism(p)
+			out := tensor.New(g.NumVertices(), cols)
+			for i := range out.Data {
+				out.Data[i] = float32(i)
+			}
+			adj.apply(fresh, stale, out)
+			mustBitwiseEqual(t, fmt.Sprintf("apply cols %d p=%d", cols, p), out, wantFwd)
+			adj.applyLocalT(dy, out)
+			mustBitwiseEqual(t, fmt.Sprintf("applyLocalT cols %d p=%d", cols, p), out, wantBwdT)
+		}
+	}
+}
+
+func mustBitwiseEqual(t *testing.T, name string, got, want *tensor.Matrix) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s: element %d = %x, want %x (not bitwise equal)", name, i, got.Data[i], want.Data[i])
 		}
 	}
 }

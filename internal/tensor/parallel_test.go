@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -9,7 +10,8 @@ import (
 )
 
 // naiveMatMul is an independent reference: the classic i-k-j loop the
-// parallel blocked kernel must reproduce bit for bit.
+// parallel blocked kernel must reproduce bit for bit. Each product is rounded
+// to float32 before it is added, so no target may fuse the two.
 func naiveMatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -19,7 +21,7 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 				continue
 			}
 			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += av * b.At(k, j)
+				out.Data[i*out.Cols+j] += float32(av * b.At(k, j))
 			}
 		}
 	}
@@ -35,7 +37,7 @@ func naiveMatMulT1(a, b *Matrix) *Matrix {
 				continue
 			}
 			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += av * b.At(r, j)
+				out.Data[i*out.Cols+j] += float32(av * b.At(r, j))
 			}
 		}
 	}
@@ -48,7 +50,7 @@ func naiveMatMulT2(a, b *Matrix) *Matrix {
 		for j := 0; j < b.Rows; j++ {
 			var s float32
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(j, k)
+				s += float32(a.At(i, k) * b.At(j, k))
 			}
 			out.Set(i, j, s)
 		}
@@ -68,13 +70,21 @@ func randMat(rows, cols int, rng *rand.Rand) *Matrix {
 	return m
 }
 
+// zeroRow sets row i of m (if it has one) to zeros and returns m.
+func zeroRow(m *Matrix, i int) *Matrix {
+	if i < m.Rows {
+		clear(m.Row(i))
+	}
+	return m
+}
+
 func bitwiseEqual(t *testing.T, name string, got, want *Matrix) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 			t.Fatalf("%s: element %d = %x, want %x (not bitwise equal)", name, i, got.Data[i], want.Data[i])
 		}
 	}
@@ -83,7 +93,11 @@ func bitwiseEqual(t *testing.T, name string, got, want *Matrix) {
 // TestMatMulBitwiseDeterminism is the dedicated determinism test the kernel
 // layer's contract requires: parallel results at any worker count are bitwise
 // identical to an independent serial reference, across odd sizes, zero
-// dimensions, and shapes large enough to cross SerialWorkThreshold.
+// dimensions, and shapes large enough to cross SerialWorkThreshold. The
+// kernels take the contraction four terms at a time, so the shapes include
+// contractions of 4k, 4k+1, 4k+2 and 4k+3 terms (within and across a
+// kBlock panel), outputs narrow and wide, and every operand has one row
+// that is entirely zero.
 func TestMatMulBitwiseDeterminism(t *testing.T) {
 	oldProcs := runtime.GOMAXPROCS(8) // give the pool real concurrency even on small machines
 	defer runtime.GOMAXPROCS(oldProcs)
@@ -94,18 +108,20 @@ func TestMatMulBitwiseDeterminism(t *testing.T) {
 		{64, 64, 64}, {65, 129, 65}, {129, 64, 129}, {128, 128, 128},
 		{96, 700, 96}, {257, 33, 61},
 		{0, 5, 7}, {5, 0, 7}, {5, 7, 0},
+		{1001, 32, 64}, {1003, 64, 8}, {1002, 30, 8}, {1000, 33, 3},
+		{37, 9, 8}, {38, 10, 5}, {39, 11, 64}, {13, 131, 7}, {14, 130, 9}, {6, 5, 1},
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
-		a := randMat(m, k, rng)
-		b := randMat(k, n, rng)
+		a := zeroRow(randMat(m, k, rng), m/2)
+		b := zeroRow(randMat(k, n, rng), k/2)
 		wantMM := naiveMatMul(a, b)
-		a2 := randMat(m, k, rng)
-		b2 := randMat(m, n, rng)
+		a2 := zeroRow(randMat(m, k, rng), m/2)
+		b2 := zeroRow(randMat(m, n, rng), m/3)
 		wantT1 := naiveMatMulT1(a2, b2)
-		a3 := randMat(m, k, rng)
-		b3 := randMat(n, k, rng)
+		a3 := zeroRow(randMat(m, k, rng), m/2)
+		b3 := zeroRow(randMat(n, k, rng), n/2)
 		wantT2 := naiveMatMulT2(a3, b3)
 		for _, p := range []int{1, 2, 8} {
 			SetParallelism(p)
