@@ -83,6 +83,49 @@ func (m *Matrix) Zero() {
 // naive kernels are bitwise identical.
 const kBlock = 128
 
+// narrowCols is the widest output whose row matMulRange accumulates in
+// registers: lin2 of a GCN (hidden × classes) is this narrow.
+const narrowCols = 8
+
+// Axpy adds w·x[j] into y[j] for every j (x at least as long as y). Each
+// product is rounded to float32 before it is added, so no target fuses the
+// two.
+func Axpy(y []float32, w float32, x []float32) {
+	x = x[:len(y)]
+	for j, xv := range x {
+		y[j] += float32(w * xv)
+	}
+}
+
+// Axpy4 adds w0·x0[j], w1·x1[j], w2·x2[j] and w3·x3[j] into y[j], in that
+// order, loading and storing y[j] once for the four terms: bitwise the same
+// as four Axpy calls in a row, with a quarter of their loads and stores of y.
+// This is the inner step of every dense and sparse kernel here and in
+// internal/gnn. Each product is rounded to float32 before it is added.
+//
+// It is kept out of line: inlined into a kernel's loop nest it competes
+// with the caller's live values for registers and spills its own index,
+// which costs more than the call.
+//
+//go:noinline
+func Axpy4(y []float32, w0, w1, w2, w3 float32, x0, x1, x2, x3 []float32) {
+	x0, x1, x2, x3 = x0[:len(y)], x1[:len(y)], x2[:len(y)], x3[:len(y)]
+	for j, s := range y {
+		s += float32(w0 * x0[j])
+		s += float32(w1 * x1[j])
+		s += float32(w2 * x2[j])
+		s += float32(w3 * x3[j])
+		y[j] = s
+	}
+}
+
+// axpyNonzero is Axpy skipping a zero w, as every matmul kernel here does.
+func axpyNonzero(y []float32, w float32, x []float32) {
+	if w != 0 {
+		Axpy(y, w, x)
+	}
+}
+
 // MatMul returns a×b. The kernel is cache-blocked and runs on the worker
 // pool above SerialWorkThreshold; results are bitwise identical at any
 // parallelism level (see the determinism contract in parallel.go).
@@ -106,33 +149,76 @@ func MatMulInto(a, b, out *Matrix) {
 
 // matMulRange computes output rows [lo, hi) of a×b: the serial kernel every
 // parallelism level reproduces exactly. For each element the contraction
-// index k increases monotonically (across and within k-panels), matching the
-// naive i-k-j loop bit for bit.
+// index k increases monotonically (across and within k-panels) and terms
+// with a zero a-entry are skipped, matching the naive i-k-j loop bit for
+// bit. Terms go four at a time through Axpy4; a group of four holding a zero
+// a-entry goes one term at a time instead.
 func matMulRange(a, b, out *Matrix, lo, hi int) {
+	if b.Cols <= narrowCols {
+		matMulNarrow(a, b, out, lo, hi)
+		return
+	}
 	for i := lo; i < hi; i++ {
-		or := out.Row(i)
-		for j := range or {
-			or[j] = 0
-		}
+		clear(out.Row(i))
 	}
 	for k0 := 0; k0 < a.Cols; k0 += kBlock {
-		k1 := k0 + kBlock
-		if k1 > a.Cols {
-			k1 = a.Cols
+		k1 := min(k0+kBlock, a.Cols)
+		for i := lo; i < hi; i++ {
+			ar := a.Row(i)[:k1]
+			or := out.Row(i)
+			k := k0
+			for ; k+4 <= k1; k += 4 {
+				a0, a1, a2, a3 := ar[k], ar[k+1], ar[k+2], ar[k+3]
+				if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+					for d := k; d < k+4; d++ {
+						axpyNonzero(or, ar[d], b.Row(d))
+					}
+					continue
+				}
+				Axpy4(or, a0, a1, a2, a3, b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
+			}
+			for ; k < k1; k++ {
+				axpyNonzero(or, ar[k], b.Row(k))
+			}
+		}
+	}
+}
+
+// matMulNarrow is matMulRange for b of at most narrowCols columns: each
+// output row is accumulated in eight locals over a whole k-panel, read from
+// a zero-padded copy of b's panel, and stored once per panel. The columns
+// past b.Cols are computed and dropped.
+func matMulNarrow(a, b, out *Matrix, lo, hi int) {
+	var panel [kBlock * narrowCols]float32
+	for i := lo; i < hi; i++ {
+		clear(out.Row(i))
+	}
+	for k0 := 0; k0 < a.Cols; k0 += kBlock {
+		k1 := min(k0+kBlock, a.Cols)
+		for k := k0; k < k1; k++ {
+			copy(panel[(k-k0)*narrowCols:(k-k0+1)*narrowCols], b.Row(k))
 		}
 		for i := lo; i < hi; i++ {
-			ar := a.Row(i)
+			var c [narrowCols]float32
 			or := out.Row(i)
-			for k := k0; k < k1; k++ {
-				av := ar[k]
+			copy(c[:], or)
+			c0, c1, c2, c3, c4, c5, c6, c7 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+			for d, av := range a.Row(i)[k0:k1] {
 				if av == 0 {
 					continue
 				}
-				br := b.Row(k)
-				for j, bv := range br {
-					or[j] += av * bv
-				}
+				br := panel[d*narrowCols : d*narrowCols+narrowCols]
+				c0 += float32(av * br[0])
+				c1 += float32(av * br[1])
+				c2 += float32(av * br[2])
+				c3 += float32(av * br[3])
+				c4 += float32(av * br[4])
+				c5 += float32(av * br[5])
+				c6 += float32(av * br[6])
+				c7 += float32(av * br[7])
 			}
+			c = [narrowCols]float32{c0, c1, c2, c3, c4, c5, c6, c7}
+			copy(or, c[:])
 		}
 	}
 }
@@ -147,7 +233,9 @@ func MatMulT1(a, b *Matrix) *Matrix {
 // MatMulT1Into computes aᵀ×b into out (which it zeroes first). out must have
 // shape a.Cols×b.Cols and alias neither input. Parallel goroutines own
 // disjoint output-row blocks (columns of a); each accumulates over the shared
-// contraction rows r in the same increasing order as the serial kernel.
+// contraction rows r in the same increasing order as the serial kernel,
+// skipping terms whose a-entry is zero. Rows go four at a time through Axpy4;
+// for an output row whose four a-entries hold a zero, one row at a time.
 func MatMulT1Into(a, b, out *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulT1 shape mismatch %dx%dᵀ × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -155,22 +243,29 @@ func MatMulT1Into(a, b, out *Matrix) {
 	checkInto("matmulT1", out, a.Cols, b.Cols, a, b)
 	ParallelFor(a.Cols, int64(a.Rows)*int64(a.Cols)*int64(b.Cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			or := out.Row(i)
-			for j := range or {
-				or[j] = 0
-			}
+			clear(out.Row(i))
 		}
-		for r := 0; r < a.Rows; r++ {
-			ar, br := a.Row(r), b.Row(r)
+		r := 0
+		for ; r+4 <= a.Rows; r += 4 {
+			ar0, ar1, ar2, ar3 := a.Row(r)[:hi], a.Row(r + 1)[:hi], a.Row(r + 2)[:hi], a.Row(r + 3)[:hi]
+			br0, br1, br2, br3 := b.Row(r), b.Row(r+1), b.Row(r+2), b.Row(r+3)
 			for i := lo; i < hi; i++ {
-				av := ar[i]
-				if av == 0 {
+				a0, a1, a2, a3 := ar0[i], ar1[i], ar2[i], ar3[i]
+				or := out.Row(i)
+				if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+					axpyNonzero(or, a0, br0)
+					axpyNonzero(or, a1, br1)
+					axpyNonzero(or, a2, br2)
+					axpyNonzero(or, a3, br3)
 					continue
 				}
-				or := out.Row(i)
-				for j, bv := range br {
-					or[j] += av * bv
-				}
+				Axpy4(or, a0, a1, a2, a3, br0, br1, br2, br3)
+			}
+		}
+		for ; r < a.Rows; r++ {
+			ar, br := a.Row(r), b.Row(r)
+			for i := lo; i < hi; i++ {
+				axpyNonzero(out.Row(i), ar[i], br)
 			}
 		}
 	})
