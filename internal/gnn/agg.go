@@ -65,26 +65,12 @@ func (c *csr) apply(h, out *tensor.Matrix, rowScale []float32) {
 func (c *csr) applyRange(h, out *tensor.Matrix, rowScale []float32, lo, hi int) {
 	for v := lo; v < hi; v++ {
 		or := out.Row(v)
-		for j := range or {
-			or[j] = 0
-		}
 		s, e := c.rowPtr[v], c.rowPtr[v+1]
-		if c.wts == nil {
-			for idx := s; idx < e; idx++ {
-				hr := h.Row(int(c.col[idx]))
-				for j, hv := range hr {
-					or[j] += hv
-				}
-			}
-		} else {
-			for idx := s; idx < e; idx++ {
-				w := c.wts[idx]
-				hr := h.Row(int(c.col[idx]))
-				for j, hv := range hr {
-					or[j] += w * hv
-				}
-			}
+		var wts []float32
+		if c.wts != nil {
+			wts = c.wts[s:e]
 		}
+		SpMMRow(or, c.col[s:e], wts, h, nil, nil)
 		if rowScale != nil {
 			inv := rowScale[v]
 			for j := range or {
@@ -92,6 +78,41 @@ func (c *csr) applyRange(h, out *tensor.Matrix, rowScale []float32, lo, hi int) 
 			}
 		}
 	}
+}
+
+// SpMMRow overwrites or with one row of a sparse-dense product: the sum over
+// the row's entries k, in order, of wts[k]·src.Row(col[k]), where src is alt
+// if useAlt[k] is set and h otherwise. wts nil means unit weights and useAlt
+// nil means h throughout. Entries go four at a time through tensor.Axpy4, so
+// each element of or is loaded and stored once per four entries while its
+// terms are added in entry order, bitwise as one entry at a time would. This
+// is the row kernel of every CSR aggregation here and in internal/gnndist.
+func SpMMRow(or []float32, col []graph.V, wts []float32, h, alt *tensor.Matrix, useAlt []bool) {
+	clear(or)
+	k := 0
+	for ; k+4 <= len(col); k += 4 {
+		w0, x0 := spmmTerm(k, col, wts, h, alt, useAlt)
+		w1, x1 := spmmTerm(k+1, col, wts, h, alt, useAlt)
+		w2, x2 := spmmTerm(k+2, col, wts, h, alt, useAlt)
+		w3, x3 := spmmTerm(k+3, col, wts, h, alt, useAlt)
+		tensor.Axpy4(or, w0, w1, w2, w3, x0, x1, x2, x3)
+	}
+	for ; k < len(col); k++ {
+		w, x := spmmTerm(k, col, wts, h, alt, useAlt)
+		tensor.Axpy(or, w, x)
+	}
+}
+
+// spmmTerm returns SpMMRow's weight and source row for entry k.
+func spmmTerm(k int, col []graph.V, wts []float32, h, alt *tensor.Matrix, useAlt []bool) (float32, []float32) {
+	w := float32(1)
+	if wts != nil {
+		w = wts[k]
+	}
+	if useAlt != nil && useAlt[k] {
+		return w, alt.Row(int(col[k]))
+	}
+	return w, h.Row(int(col[k]))
 }
 
 // transpose returns the CSR of the adjoint operator. Entry weights are the

@@ -76,19 +76,8 @@ func newDelayedAdj(g *graph.Graph, part *partition.Partition) *delayedAdj {
 func (a *delayedAdj) apply(fresh, stale, out *tensor.Matrix) {
 	tensor.ParallelFor(a.n, int64(len(a.col))*int64(fresh.Cols), func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			or := out.Row(v)
-			clear(or)
-			for idx := a.rowPtr[v]; idx < a.rowPtr[v+1]; idx++ {
-				src := fresh
-				if a.remote[idx] {
-					src = stale
-				}
-				w := a.wts[idx]
-				hr := src.Row(int(a.col[idx]))
-				for j := range or {
-					or[j] += w * hr[j]
-				}
-			}
+			s, e := a.rowPtr[v], a.rowPtr[v+1]
+			gnn.SpMMRow(out.Row(v), a.col[s:e], a.wts[s:e], fresh, stale, a.remote[s:e])
 		}
 	})
 }
@@ -99,15 +88,8 @@ func (a *delayedAdj) apply(fresh, stale, out *tensor.Matrix) {
 func (a *delayedAdj) applyLocalT(dy, out *tensor.Matrix) {
 	tensor.ParallelFor(a.n, int64(len(a.tCol))*int64(dy.Cols), func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			or := out.Row(u)
-			clear(or)
-			for idx := a.tPtr[u]; idx < a.tPtr[u+1]; idx++ {
-				w := a.tWts[idx]
-				dr := dy.Row(int(a.tCol[idx]))
-				for j := range or {
-					or[j] += w * dr[j]
-				}
-			}
+			s, e := a.tPtr[u], a.tPtr[u+1]
+			gnn.SpMMRow(out.Row(u), a.tCol[s:e], a.tWts[s:e], dy, nil, nil)
 		}
 	})
 }
@@ -280,14 +262,8 @@ func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, 
 			st.HostTransferred += int64(hi-lo) * int64(input.Cols)
 			for v := lo; v < hi; v++ {
 				// aggregate row v on device
-				clear(aggRow)
-				for idx := rowPtr[v]; idx < rowPtr[v+1]; idx++ {
-					wgt := wts[idx]
-					ur := input.Row(int(col[idx]))
-					for j := range aggRow {
-						aggRow[j] += wgt * ur[j]
-					}
-				}
+				s, e := rowPtr[v], rowPtr[v+1]
+				gnn.SpMMRow(aggRow, col[s:e], wts[s:e], input, nil, nil)
 				or := out.Row(v)
 				for j := 0; j < w.Cols; j++ {
 					var s float32
