@@ -27,10 +27,11 @@ func logitsHash(m *tensor.Matrix) uint64 {
 }
 
 // TestDistGNNBitsPinned pins the delayed-update trainer's outputs bit for
-// bit: test accuracy, refresh count, metered bytes and a hash of the final
-// logits, at kernel parallelism 1 and 2. The wanted values were recorded from
-// the per-vertex slice-of-slices trainer with a serial transpose scatter, so
-// any rework of the epoch loop or of delayedAdj must reproduce it exactly.
+// bit: test accuracy, refresh count, metered bytes and a hash of the
+// evaluation's logits, at kernel parallelism 1 and 2, so any rework of the
+// epoch loop or of delayedAdj must reproduce them exactly. The values were
+// recorded when the trainer first evaluated the trained model after its
+// loop; TestDistGNNEvaluationIsOneMoreForward ties them to the values before.
 // Float bits depend on the instruction set (FMA fusion), hence amd64 only.
 func TestDistGNNBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -43,12 +44,12 @@ func TestDistGNNBitsPinned(t *testing.T) {
 		logits    uint64
 	}
 	want := map[[2]int]pin{ // {RefreshEvery, Workers}
-		{1, 1}: {0x3feff84fc46a3237, 7, 0, 0xe555ce72e506c492},
-		{1, 2}: {0x3feff84fc46a3237, 7, 518336, 0x955ceb6d74360a4e},
-		{1, 4}: {0x3fefe8ef4d3e96a5, 7, 3507840, 0x5f7f845b438d0bd4},
-		{3, 1}: {0x3feff84fc46a3237, 3, 0, 0xe555ce72e506c492},
-		{3, 2}: {0x3feff84fc46a3237, 3, 222144, 0xc7e9e5ea6b08af07},
-		{3, 4}: {0x3fefe8ef4d3e96a5, 3, 1503360, 0x8e20a65e39e1ad2f},
+		{1, 1}: {0x3feff84fc46a3237, 7, 0, 0xbd7ceca9f97e4072},
+		{1, 2}: {0x3feff84fc46a3237, 7, 592384, 0xd127dd85a2cf7a23},
+		{1, 4}: {0x3feff84fc46a3237, 7, 4008960, 0x906958eba8b8576a},
+		{3, 1}: {0x3feff84fc46a3237, 3, 0, 0xbd7ceca9f97e4072},
+		{3, 2}: {0x3feff84fc46a3237, 3, 296192, 0xc48215abf5d7f3f6},
+		{3, 4}: {0x3feff84fc46a3237, 3, 2004480, 0xda220116cc744976},
 	}
 	task := gnn.SyntheticCommunityTask(3000, 4, 8, 0.3, 5)
 	defer tensor.SetParallelism(0)
@@ -61,6 +62,41 @@ func TestDistGNNBitsPinned(t *testing.T) {
 				if w := want[[2]int{refresh, workers}]; got != w {
 					t.Errorf("parallelism %d refresh %d workers %d: got %#v, want %#v", par, refresh, workers, got, w)
 				}
+			}
+		}
+	}
+}
+
+// TestDistGNNEvaluationIsOneMoreForward pins what evaluating the trained
+// model adds: one forward and one metered boundary exchange, nothing else.
+// At RefreshEvery 1 every epoch's forward already reads fresh rows, so a
+// 6-epoch run must report exactly what the trainer reported for 7 epochs
+// when its accuracy and logits were those of the last training epoch's own
+// forward (recorded values below), with 6 refreshes and 7 exchanges.
+func TestDistGNNEvaluationIsOneMoreForward(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("pinned float bits are recorded on amd64")
+	}
+	type pin struct {
+		acc       uint64
+		refreshes int64
+		bytes     int64
+		logits    uint64
+	}
+	want := map[int]pin{ // by Workers
+		1: {0x3feff84fc46a3237, 6, 0, 0xe555ce72e506c492},
+		2: {0x3feff84fc46a3237, 6, 518336, 0x955ceb6d74360a4e},
+		4: {0x3fefe8ef4d3e96a5, 6, 3507840, 0x5f7f845b438d0bd4},
+	}
+	task := gnn.SyntheticCommunityTask(3000, 4, 8, 0.3, 5)
+	defer tensor.SetParallelism(0)
+	for _, par := range []int{1, 2} {
+		tensor.SetParallelism(par)
+		for _, workers := range []int{1, 2, 4} {
+			res, logits := trainDistGNN(task, DistGNNConfig{Workers: workers, Epochs: 6, RefreshEvery: 1, Seed: 9})
+			got := pin{math.Float64bits(res.TestAcc), res.Refreshes, res.Net.Bytes, logitsHash(logits)}
+			if got != want[workers] {
+				t.Errorf("parallelism %d workers %d: got %#v, want %#v", par, workers, got, want[workers])
 			}
 		}
 	}
