@@ -102,9 +102,10 @@ func TestDistGNNEvaluationIsOneMoreForward(t *testing.T) {
 	}
 }
 
-// mixedDegreeGraph has vertices of degree 0, 1, 2 and 3, two hubs of
-// degree above 8 and a random remainder, so its CSR rows (degree plus the
-// self-loop) take every length modulo four, short and long.
+// mixedDegreeGraph has vertices of degree 0 (vertex 0), 1, 2 and 3 (vertex
+// 8), hubs of degree 30 and 11 (vertices 1 and 2) and a random remainder
+// among vertices 40 and up, so its CSR rows take every length modulo four,
+// short and long. (internal/gnn's kernel tests use the same graph.)
 func mixedDegreeGraph() *graph.Graph {
 	const n = 90
 	var edges [][2]graph.V
@@ -157,9 +158,9 @@ func naiveDelayed(g *graph.Graph, part *partition.Partition, fresh, stale, dy *t
 }
 
 // TestDelayedAdjMatchesNaiveReference holds apply and applyLocalT to the
-// per-entry reference bit for bit, over rows of every length class, narrow
-// and wide widths, at parallelism 1, 2 and 8, into buffers with stale
-// contents.
+// per-entry reference bit for bit, over rows of every length class, at
+// parallelism 1, 2 and 8 (1000 columns take both kernels past
+// SerialWorkThreshold), into buffers with stale contents.
 func TestDelayedAdjMatchesNaiveReference(t *testing.T) {
 	oldProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(oldProcs)
@@ -168,22 +169,19 @@ func TestDelayedAdjMatchesNaiveReference(t *testing.T) {
 	g := mixedDegreeGraph()
 	part := partition.Hash(g, 3)
 	adj := newDelayedAdj(g, part)
-	for _, cols := range []int{1, 7, 8, 200} {
-		fresh := tensor.Xavier(g.NumVertices(), cols, int64(cols))
-		stale := tensor.Xavier(g.NumVertices(), cols, int64(cols)+1)
-		dy := tensor.Xavier(g.NumVertices(), cols, int64(cols)+2)
-		wantFwd, wantBwdT := naiveDelayed(g, part, fresh, stale, dy)
-		for _, p := range []int{1, 2, 8} {
-			tensor.SetParallelism(p)
-			out := tensor.New(g.NumVertices(), cols)
-			for i := range out.Data {
-				out.Data[i] = float32(i)
-			}
-			adj.apply(fresh, stale, out)
-			mustBitwiseEqual(t, fmt.Sprintf("apply cols %d p=%d", cols, p), out, wantFwd)
-			adj.applyLocalT(dy, out)
-			mustBitwiseEqual(t, fmt.Sprintf("applyLocalT cols %d p=%d", cols, p), out, wantBwdT)
+	n := g.NumVertices()
+	fresh, stale, dy := tensor.Xavier(n, 1000, 1), tensor.Xavier(n, 1000, 2), tensor.Xavier(n, 1000, 3)
+	wantFwd, wantBwdT := naiveDelayed(g, part, fresh, stale, dy)
+	for _, p := range []int{1, 2, 8} {
+		tensor.SetParallelism(p)
+		out := tensor.New(n, 1000)
+		for i := range out.Data {
+			out.Data[i] = float32(i)
 		}
+		adj.apply(fresh, stale, out)
+		mustBitwiseEqual(t, fmt.Sprintf("apply p=%d", p), out, wantFwd)
+		adj.applyLocalT(dy, out)
+		mustBitwiseEqual(t, fmt.Sprintf("applyLocalT p=%d", p), out, wantBwdT)
 	}
 }
 
