@@ -274,8 +274,8 @@ func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, 
 			st.HostTransferred += int64(hi-lo) * int64(input.Cols)
 			for v := lo; v < hi; v++ {
 				// aggregate row v on device
-				s, e := rowPtr[v], rowPtr[v+1]
-				gnn.SpMMRow(aggRow, col[s:e], wts[s:e], input, nil, nil)
+				from, to := rowPtr[v], rowPtr[v+1]
+				gnn.SpMMRow(aggRow, col[from:to], wts[from:to], input, nil, nil)
 				or := out.Row(v)
 				for j := 0; j < w.Cols; j++ {
 					var s float32
