@@ -280,7 +280,7 @@ func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, 
 				for j := 0; j < w.Cols; j++ {
 					var s float32
 					for d, av := range aggRow {
-						s += av * w.At(d, j)
+						s += float32(av * w.At(d, j))
 					}
 					s += b.At(0, j)
 					if activate && s < 0 {
