@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint verify bench bench-test
+.PHONY: build test race vet lint verify bench bench-test bench-seeds
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,19 @@ race:
 # and smoke-tested at probe sizes, so a change that breaks it fails verify.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The benchmark's own correctness checks (bash bench/run.sh exits non-zero
+# when any operation fails them) at six seeds, one-second windows each. Every
+# seed runs; the target fails if any did. It takes minutes, so it is neither
+# in verify nor in tier-1; CI runs it as a job of its own.
+bench-seeds:
+	@failed=""; \
+	for s in 1 2 3 42 123 456; do \
+		echo "bench-seeds: seed $$s"; \
+		bash bench/run.sh -seed $$s -seconds 1 || failed="$$failed $$s"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "bench-seeds: failed at seed(s)$$failed"; exit 1; fi; \
+	echo "bench-seeds: OK"
 
 # The full pre-commit gate: referenced from .claude/skills/verify/SKILL.md.
 # Every check in it is exact; performance is measured by `bash bench/run.sh`.
