@@ -214,3 +214,35 @@ func TestVertexCutCoversAllEdgesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVertexCutReplicatesIsolatedVertices: a vertex with no edge still lives
+// somewhere, so it gets exactly one replica, on a valid part. Input 0x2db of
+// TestVertexCutCoversAllEdgesProperty draws such a vertex; before the fix it
+// got none and Replication fell below 1.
+func TestVertexCutReplicatesIsolatedVertices(t *testing.T) {
+	const seedRaw = 0x2db
+	n := 20 + seedRaw%60
+	g := gen.ErdosRenyi(n, int64(3*n), seedRaw)
+	vc := NewVertexCut(g, 3)
+	isolated := 0
+	for v := 0; v < n; v++ {
+		if g.Degree(graph.V(v)) > 0 {
+			continue
+		}
+		isolated++
+		if len(vc.Replicas[v]) != 1 {
+			t.Fatalf("edgeless vertex %d has %d replicas, want 1", v, len(vc.Replicas[v]))
+		}
+		for p := range vc.Replicas[v] {
+			if p < 0 || p >= vc.K {
+				t.Fatalf("edgeless vertex %d replicated on part %d of %d", v, p, vc.K)
+			}
+		}
+	}
+	if isolated == 0 {
+		t.Fatal("input has no edgeless vertex; the test no longer covers its case")
+	}
+	if vc.Replication < 1 {
+		t.Fatalf("replication %f < 1", vc.Replication)
+	}
+}

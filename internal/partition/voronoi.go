@@ -99,7 +99,8 @@ func BFSVoronoi(g *graph.Graph, seeds []graph.V, k int) *Partition {
 // vertex is replicated on every part that holds one of its edges (the
 // PowerGraph/DistGNN model; DistGNN's communication reduction comes from a
 // minimum vertex-cut). Greedy placement assigns each edge to the part already
-// holding most of its endpoints' replicas, breaking ties by load.
+// holding most of its endpoints' replicas, breaking ties by load. A vertex
+// with no edge gets one replica, on the least-loaded part.
 type VertexCut struct {
 	K           int
 	EdgePart    map[[2]graph.V]int
@@ -139,6 +140,21 @@ func NewVertexCut(g *graph.Graph, k int) *VertexCut {
 		vc.Replicas[v][best] = true
 		loads[best]++
 	})
+	// a vertex with no edge still lives somewhere: one replica on the
+	// least-loaded part, counted as one unit of load so a run of them spreads
+	for v, r := range vc.Replicas {
+		if len(r) > 0 {
+			continue
+		}
+		best := 0
+		for p := 1; p < k; p++ {
+			if loads[p] < loads[best] {
+				best = p
+			}
+		}
+		vc.Replicas[v][best] = true
+		loads[best]++
+	}
 	var totalReplicas int64
 	for _, r := range vc.Replicas {
 		totalReplicas += int64(len(r))
