@@ -3,101 +3,100 @@ package pregel
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
 )
 
-// allComms are the three communication paths a run can take; every test in
-// this file holds them to the same answers.
-var allComms = []struct {
-	name string
-	path CommsPath
-}{
-	{"dense", CommsDense},
-	{"map", CommsMap},
-	{"legacy", CommsLegacy},
-}
+// The engine has one message path, and the program picks how it combines:
+// a dense slot table when Combine is set and CombineKey is nil, a keyed map
+// when CombineKey is set, no combining when Combine is nil. The tests in this
+// file hold each of the three to the serial reference (reference_test.go).
+const (
+	modeDense = iota
+	modeKeyed
+	modeUncombined
+	numModes
+)
 
-// TestPageRankBitwiseAcrossCommsPaths: the dense-slot, map-keyed and legacy
-// paths must produce bitwise-identical ranks at every worker count. This is
-// the strong form of the equivalence claim — PageRank folds floats, so any
-// difference in message order or combining structure between the paths shows
-// up as a bit flip. Dense and map must additionally produce identical network
-// Stats (same combined message counts); legacy sends uncombined messages, so
-// only its results are compared.
-func TestPageRankBitwiseAcrossCommsPaths(t *testing.T) {
-	g := gen.RMAT(10, 8, 3)
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base, rbase, err := PageRank(g, 12, Config{Workers: workers, Comms: CommsDense})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range allComms[1:] {
-				got, r, err := PageRank(g, 12, Config{Workers: workers, Comms: c.path})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range base {
-					if got[v] != base[v] {
-						t.Fatalf("%s: rank[%d] = %v, dense says %v", c.name, v, got[v], base[v])
-					}
-				}
-				if r.Supersteps != rbase.Supersteps {
-					t.Fatalf("%s: %d supersteps, dense ran %d", c.name, r.Supersteps, rbase.Supersteps)
-				}
-				if c.path == CommsMap && r.Net != rbase.Net {
-					t.Fatalf("map stats diverge from dense:\n%+v\n%+v", r.Net, rbase.Net)
-				}
-			}
-		})
+var modeNames = [numModes]string{"dense", "keyed", "uncombined"}
+
+// withMode rewrites p to take the given path. The keyed path's key is a
+// constant, so it combines exactly the classes the dense path does.
+func withMode[S, M any](p spec[S, M], mode int) spec[S, M] {
+	switch mode {
+	case modeKeyed:
+		p.key = func(M) int32 { return 7 }
+	case modeUncombined:
+		p.combine, p.key = nil, nil
 	}
-}
-
-// TestHashMinCCBitwiseAcrossCommsPaths: same contract for an int-min program.
-func TestHashMinCCBitwiseAcrossCommsPaths(t *testing.T) {
-	g := gen.BarabasiAlbert(400, 2, 11)
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base, rbase, err := HashMinCC(g, Config{Workers: workers, Comms: CommsDense})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range allComms[1:] {
-				got, r, err := HashMinCC(g, Config{Workers: workers, Comms: c.path})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range base {
-					if got[v] != base[v] {
-						t.Fatalf("%s: label[%d] = %d, dense says %d", c.name, v, got[v], base[v])
-					}
-				}
-				if c.path == CommsMap && r.Net != rbase.Net {
-					t.Fatalf("map stats diverge from dense:\n%+v\n%+v", r.Net, rbase.Net)
-				}
-			}
-		})
-	}
-}
-
-// uncombined strips the combiner off a program, forcing every raw message
-// onto the wire and through the demux.
-func uncombined[S, M any](p Program[S, M]) Program[S, M] {
-	p.Combine = nil
-	p.CombineKey = nil
 	return p
 }
 
-// pageRankProg mirrors PageRank's program so the tests can strip its
-// combiner; keep in sync with algorithms.go.
-func pageRankProg(n float64, iters int) Program[float64, float64] {
+// refMaxSteps is the superstep bound of every run in this file (Config's
+// default).
+const refMaxSteps = 1000
+
+// randomPartition places each of n vertices on a worker drawn from seed.
+func randomPartition(n, workers int, seed int64) []int {
+	rng := rand.New(rand.NewSource(seed))
+	part := make([]int, n)
+	for v := range part {
+		part[v] = rng.Intn(workers)
+	}
+	return part
+}
+
+// sameBits compares two states bit for bit (a float NaN equals itself).
+func sameBits[S any](a, b S) bool {
+	if x, ok := any(a).(float64); ok {
+		return math.Float64bits(x) == math.Float64bits(any(b).(float64))
+	}
+	return any(a) == any(b)
+}
+
+// compareToReference fails unless an engine run matches the reference bit
+// for bit: the same states, the same superstep count and the same remote and
+// local message counts.
+func compareToReference[S any](t testing.TB, label string, res *Result[S], ref refResult[S]) {
+	t.Helper()
+	for v := range ref.states {
+		if !sameBits(res.States[v], ref.states[v]) {
+			t.Fatalf("%s: state[%d] = %v, reference says %v", label, v, res.States[v], ref.states[v])
+		}
+	}
+	if res.Supersteps != ref.supersteps {
+		t.Fatalf("%s: %d supersteps, reference ran %d", label, res.Supersteps, ref.supersteps)
+	}
+	if res.Net.Messages != ref.remote || res.Net.LocalMessages != ref.local {
+		t.Fatalf("%s: %d remote / %d local messages, reference counts %d / %d",
+			label, res.Net.Messages, res.Net.LocalMessages, ref.remote, ref.local)
+	}
+}
+
+// checkAgainstReference runs p in the given mode on the engine and on the
+// reference, and compares them.
+func checkAgainstReference[S, M any](t testing.TB, g *graph.Graph, p spec[S, M], mode, workers int, part []int) *Result[S] {
+	t.Helper()
+	p = withMode(p, mode)
+	res, err := Run(g, p.program(), Config{Workers: workers, Partition: part, MaxSupersteps: refMaxSteps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareToReference(t, modeNames[mode], res, refRun(g, p, part, workers, refMaxSteps))
+	return res
+}
+
+// pageRankSpec mirrors PageRank's program; keep in sync with algorithms.go.
+// The dense leg of TestPageRankBitwiseAcrossCommsPaths runs PageRank itself
+// against this spec, so a drift between the two fails there.
+func pageRankSpec(n float64, iters int) spec[float64, float64] {
 	const d = 0.85
-	return Program[float64, float64]{
-		Init: func(_ *graph.Graph, _ graph.V) float64 { return 1 / n },
-		Compute: func(ctx *Context[float64], v graph.V, state *float64, msgs []float64) {
+	return spec[float64, float64]{
+		init: func(graph.V) float64 { return 1 / n },
+		compute: func(ctx vertexAPI[float64], v graph.V, state *float64, msgs []float64) {
 			if ctx.Superstep() > 0 {
 				sum := 0.0
 				for _, m := range msgs {
@@ -106,22 +105,22 @@ func pageRankProg(n float64, iters int) Program[float64, float64] {
 				*state = (1-d)/n + d*sum
 			}
 			if ctx.Superstep() < iters {
-				if deg := ctx.Graph().Degree(v); deg > 0 {
+				if deg := ctx.Degree(v); deg > 0 {
 					ctx.SendToNeighbors(v, *state/float64(deg))
 				}
 			} else {
 				ctx.VoteToHalt()
 			}
 		},
-		Combine: func(a, b float64) float64 { return a + b },
+		combine: func(a, b float64) float64 { return a + b },
 	}
 }
 
-// hashMinProg mirrors HashMinCC's program; keep in sync with algorithms.go.
-func hashMinProg() Program[int32, int32] {
-	return Program[int32, int32]{
-		Init: func(_ *graph.Graph, v graph.V) int32 { return int32(v) },
-		Compute: func(ctx *Context[int32], v graph.V, state *int32, msgs []int32) {
+// hashMinSpec mirrors HashMinCC's program; keep in sync with algorithms.go.
+func hashMinSpec() spec[int32, int32] {
+	return spec[int32, int32]{
+		init: func(v graph.V) int32 { return int32(v) },
+		compute: func(ctx vertexAPI[int32], v graph.V, state *int32, msgs []int32) {
 			min := *state
 			if ctx.Superstep() == 0 {
 				ctx.SendToNeighbors(v, min)
@@ -139,7 +138,7 @@ func hashMinProg() Program[int32, int32] {
 			}
 			ctx.VoteToHalt()
 		},
-		Combine: func(a, b int32) int32 {
+		combine: func(a, b int32) int32 {
 			if a < b {
 				return a
 			}
@@ -148,71 +147,111 @@ func hashMinProg() Program[int32, int32] {
 	}
 }
 
-// TestNoCombinerEquivalence: with the combiner stripped, the staged and
-// legacy substrates still deliver messages in the identical order (ascending
-// sender rank, send order within a sender — the legacy path recovers it by
-// receiver-side sorting), so even float-summing programs stay bitwise equal
-// across paths. For the order-insensitive HashMinCC min-fold, the uncombined
-// answer must also equal the combined one exactly; for PageRank the combined
-// fold has a different float grouping, so it is compared within an epsilon.
-func TestNoCombinerEquivalence(t *testing.T) {
-	g := gen.RMAT(9, 6, 7)
-	n := float64(g.NumVertices())
-	const iters = 10
-	for _, workers := range []int{1, 2, 8} {
+// equivalenceWorkers are the worker counts every equivalence test runs at;
+// each gets its own seeded random partition.
+var equivalenceWorkers = []int{1, 2, 3, 8}
+
+// TestPageRankBitwiseAcrossCommsPaths: PageRank folds floats, so any
+// difference in message order or combining structure from the reference
+// shows up as a bit flip. The dense leg is PageRank itself; the keyed and
+// uncombined legs run its spec with a constant CombineKey and with the
+// combiner stripped.
+func TestPageRankBitwiseAcrossCommsPaths(t *testing.T) {
+	g := gen.RMAT(10, 8, 3)
+	const iters = 12
+	p := pageRankSpec(float64(g.NumVertices()), iters)
+	for _, workers := range equivalenceWorkers {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			run := func(p CommsPath) []float64 {
-				res, err := Run(g, uncombined(pageRankProg(n, iters)), Config{Workers: workers, Comms: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.States
-			}
-			base := run(CommsDense)
-			for _, c := range allComms[1:] {
-				got := run(c.path)
-				for v := range base {
-					if got[v] != base[v] {
-						t.Fatalf("uncombined pagerank, %s: rank[%d] = %v, dense says %v", c.name, v, got[v], base[v])
-					}
-				}
-			}
-			combined, _, err := PageRank(g, iters, Config{Workers: workers})
+			part := randomPartition(g.NumVertices(), workers, int64(workers))
+			_, res, err := PageRank(g, iters, Config{Workers: workers, Partition: part})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v := range base {
-				if math.Abs(combined[v]-base[v]) > 1e-12 {
-					t.Fatalf("combined rank[%d] = %v, uncombined %v — beyond reassociation noise", v, combined[v], base[v])
+			compareToReference(t, modeNames[modeDense], res, refRun(g, p, part, workers, refMaxSteps))
+			checkAgainstReference(t, g, p, modeKeyed, workers, part)
+			checkAgainstReference(t, g, p, modeUncombined, workers, part)
+		})
+	}
+}
+
+// TestHashMinCCBitwiseAcrossCommsPaths: same contract for an int-min program.
+func TestHashMinCCBitwiseAcrossCommsPaths(t *testing.T) {
+	g := gen.BarabasiAlbert(400, 2, 11)
+	p := hashMinSpec()
+	for _, workers := range equivalenceWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			part := randomPartition(g.NumVertices(), workers, 100+int64(workers))
+			_, res, err := HashMinCC(g, Config{Workers: workers, Partition: part})
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareToReference(t, modeNames[modeDense], res, refRun(g, p, part, workers, refMaxSteps))
+			checkAgainstReference(t, g, p, modeKeyed, workers, part)
+			checkAgainstReference(t, g, p, modeUncombined, workers, part)
+		})
+	}
+}
+
+// TestNoCombinerEquivalence: with the combiner stripped, every raw message
+// reaches the inbox in the reference's order (ascending sender rank, send
+// order within a sender), so even float-summing programs match it bit for
+// bit. For the order-insensitive HashMinCC min-fold, the uncombined answer
+// must also equal the combined one exactly; for PageRank the combined fold
+// has a different float grouping, so it is compared within an epsilon.
+func TestNoCombinerEquivalence(t *testing.T) {
+	g := gen.RMAT(9, 6, 7)
+	const iters = 10
+	pr := pageRankSpec(float64(g.NumVertices()), iters)
+	for _, workers := range equivalenceWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			part := randomPartition(g.NumVertices(), workers, 200+int64(workers))
+			cfg := Config{Workers: workers, Partition: part}
+
+			prRes := checkAgainstReference(t, g, pr, modeUncombined, workers, part)
+			combined, _, err := PageRank(g, iters, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, r := range prRes.States {
+				if math.Abs(combined[v]-r) > 1e-12 {
+					t.Fatalf("combined rank[%d] = %v, uncombined %v — beyond reassociation noise", v, combined[v], r)
 				}
 			}
 
-			ccRes, err := Run(g, uncombined(hashMinProg()), Config{Workers: workers, MaxSupersteps: 100000})
+			ccRes := checkAgainstReference(t, g, hashMinSpec(), modeUncombined, workers, part)
+			ccCombined, _, err := HashMinCC(g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ccCombined, _, err := HashMinCC(g, Config{Workers: workers, MaxSupersteps: 100000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range allComms[1:] {
-				got, err := Run(g, uncombined(hashMinProg()), Config{Workers: workers, MaxSupersteps: 100000, Comms: c.path})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range ccRes.States {
-					if got.States[v] != ccRes.States[v] {
-						t.Fatalf("uncombined cc, %s: label[%d] differs from dense", c.name, v)
-					}
-				}
-			}
-			for v := range ccRes.States {
-				if ccRes.States[v] != ccCombined[v] {
-					t.Fatalf("uncombined cc label[%d] = %d, combined %d — min-fold must be order-insensitive", v, ccRes.States[v], ccCombined[v])
+			for v, l := range ccRes.States {
+				if l != ccCombined[v] {
+					t.Fatalf("uncombined cc label[%d] = %d, combined %d — min-fold must be order-insensitive", v, l, ccCombined[v])
 				}
 			}
 		})
 	}
+}
+
+// FuzzPregelVsReference draws a graph, a worker count, a random partition, a
+// message path and a program, and holds the engine to the reference. The
+// seed corpus covers every path and program and runs with the unit tests.
+func FuzzPregelVsReference(f *testing.F) {
+	for i := 0; i < 2*numModes; i++ {
+		f.Add(int64(i+1), uint8(10+17*i), uint8(i), int64(31*i), uint8(i%numModes), uint8(i/numModes))
+	}
+	f.Add(int64(5), uint8(0), uint8(7), int64(2), uint8(modeDense), uint8(1)) // one vertex, eight workers
+	f.Fuzz(func(t *testing.T, graphSeed int64, n, workers uint8, partSeed int64, mode, alg uint8) {
+		nv := 1 + int(n)%128
+		w := 1 + int(workers)%8
+		g := gen.ErdosRenyi(nv, int64(2*nv), graphSeed)
+		part := randomPartition(nv, w, partSeed)
+		m := int(mode) % numModes
+		if alg%2 == 0 {
+			checkAgainstReference(t, g, pageRankSpec(float64(nv), 6), m, w, part)
+		} else {
+			checkAgainstReference(t, g, hashMinSpec(), m, w, part)
+		}
+	})
 }
 
 // TestSteadyStateAllocsPerRound: a steady-state PageRank superstep on the
