@@ -6,20 +6,13 @@ import (
 )
 
 // benchComms drives an all-to-all message workload — every worker sends
-// round-robin to all destinations, Exchange at a round boundary — through
-// either mailbox implementation and reports ns per message. This is the
-// PageRank-style communication pattern with the compute stripped away, so
-// `go test -bench Send ./internal/cluster` shows the per-message overhead
-// delta (two contended lock acquisitions per message on the legacy path vs a
-// plain append on the staged path) without the full harness.
-func benchComms(b *testing.B, workers, msgsPerRound int, legacy bool) {
+// round-robin to all destinations, Exchange at a round boundary — and
+// reports ns per message. This is the PageRank-style communication pattern
+// with the compute stripped away, so `go test -bench Send ./internal/cluster`
+// shows the per-message cost of the staged append without the full harness.
+func benchComms(b *testing.B, workers, msgsPerRound int) {
 	net := NewNetwork(workers)
-	var mb *Mailboxes[int64]
-	if legacy {
-		mb = NewMailboxesLegacy[int64](net, nil)
-	} else {
-		mb = NewMailboxes[int64](net, nil)
-	}
+	mb := NewMailboxes[int64](net, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sent := 0
@@ -45,7 +38,5 @@ func benchComms(b *testing.B, workers, msgsPerRound int, legacy bool) {
 	}
 }
 
-func BenchmarkSendStaged(b *testing.B)  { benchComms(b, 8, 1<<16, false) }
-func BenchmarkSendLegacy(b *testing.B)  { benchComms(b, 8, 1<<16, true) }
-func BenchmarkSendStaged1(b *testing.B) { benchComms(b, 1, 1<<16, false) }
-func BenchmarkSendLegacy1(b *testing.B) { benchComms(b, 1, 1<<16, true) }
+func BenchmarkSendStaged(b *testing.B)  { benchComms(b, 8, 1<<16) }
+func BenchmarkSendStaged1(b *testing.B) { benchComms(b, 1, 1<<16) }

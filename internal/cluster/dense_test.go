@@ -113,8 +113,8 @@ func TestDenseCombinerSlotReset(t *testing.T) {
 }
 
 // TestDenseCombinerMisusePanics: the dense path inherits SetCombiner's
-// wiring-time contract — staged substrate only, all parts non-nil, and at
-// most one combiner per mailboxes.
+// wiring-time contract — all parts non-nil, and at most one combiner per
+// mailboxes.
 func TestDenseCombinerMisusePanics(t *testing.T) {
 	slots := func(dest int) int { return 1 }
 	slot := func(m kv) int { return 0 }
@@ -128,9 +128,6 @@ func TestDenseCombinerMisusePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	expectPanic("legacy", func() {
-		NewMailboxesLegacy[kv](NewNetwork(2), nil).SetDenseCombiner(slots, slot, comb)
-	})
 	expectPanic("nil slot", func() {
 		NewMailboxes[kv](NewNetwork(2), nil).SetDenseCombiner(slots, nil, comb)
 	})

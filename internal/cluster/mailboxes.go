@@ -1,17 +1,12 @@
 package cluster
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Mailboxes is a double-buffered, superstep-oriented message store: messages
 // sent during round r become visible after Exchange(), matching the BSP
 // semantics of Pregel-style systems.
 //
-// The default implementation is the per-sender STAGED substrate: each sender
-// owns a private Outbox with one staging buffer per destination, so Send is a
-// plain append — no locks, no atomics, no network metering on the hot path.
+// Messages travel through per-sender STAGED outboxes: each sender owns a
+// private Outbox with one staging buffer per destination, so Send is a plain
+// append — no locks, no atomics, no network metering on the hot path.
 // All metering is deferred to Exchange, which flushes each sender's
 // per-destination totals to the Network under one lock acquisition per
 // sender per round (instead of two lock acquisitions per message), draws any
@@ -21,23 +16,19 @@ import (
 // independent of goroutine scheduling. Staging buffers, inbox arrays and
 // combiner index maps are all reused across rounds.
 //
-// Concurrency contract (staged mode): each sender rank must be driven by at
-// most one goroutine at a time — the natural shape of a BSP engine, where
-// worker w is one goroutine and always sends as `from == w`. Distinct senders
-// are fully independent and race-free. Exchange must be called from exactly
-// one goroutine at a barrier, as before.
+// Concurrency contract: each sender rank must be driven by at most one
+// goroutine at a time — the natural shape of a BSP engine, where worker w is
+// one goroutine and always sends through Outbox(w). Distinct senders are
+// fully independent and race-free. Exchange must be called from exactly one
+// goroutine at a barrier.
 //
-// NewMailboxesLegacy keeps the seed's per-message path (per-destination
-// mutex on Send, per-message Network.Account) for benchmarking and for
-// callers that share one sender rank between goroutines. Both modes produce
-// identical Stats on the same workload.
+// The metering equals one Network.Account per delivered message plus one
+// Network.AccountRound per Exchange; staged_test.go holds it to that spec.
 type Mailboxes[M any] struct {
-	net    *Network
-	size   func(M) int64
-	inbox  [][]M // visible to receivers this round
-	legacy bool
+	net   *Network
+	size  func(M) int64
+	inbox [][]M // visible to receivers this round
 
-	// staged mode
 	outs    []*Outbox[M]
 	key     func(M) int64  // non-nil ⇒ map-keyed sender-side combining enabled
 	slot    func(M) int    // non-nil ⇒ dense slot-indexed combining enabled
@@ -47,11 +38,6 @@ type Mailboxes[M any] struct {
 	fattempts []int64
 	fbytes    []int64
 	fsizes    []int64 // per-message sizes for fault-plan drop draws
-
-	// legacy mode
-	mu      []sync.Mutex
-	outbox  [][]M // being filled for next round
-	pending atomic.Int64
 }
 
 // Outbox is one sender's private staging area: stage[d] holds the messages
@@ -69,7 +55,7 @@ type Outbox[M any] struct {
 	slotTab [][]int32
 }
 
-// NewMailboxes creates staged mailboxes for n workers on net. size reports
+// NewMailboxes creates mailboxes for n workers on net. size reports
 // the wire size of a message for metering; pass nil to meter a flat 8
 // bytes/message.
 func NewMailboxes[M any](net *Network, size func(M) int64) *Mailboxes[M] {
@@ -92,26 +78,6 @@ func NewMailboxes[M any](net *Network, size func(M) int64) *Mailboxes[M] {
 	return mb
 }
 
-// NewMailboxesLegacy creates mailboxes on the seed's per-message path: Send
-// takes a per-destination mutex and meters each message on the network
-// individually. It exists as the contention baseline for the staged
-// substrate (BenchmarkSendLegacy, TestStagedLegacyStatsEquivalence) and for
-// callers that need multiple goroutines sharing one sender rank.
-func NewMailboxesLegacy[M any](net *Network, size func(M) int64) *Mailboxes[M] {
-	n := net.n
-	if size == nil {
-		size = func(M) int64 { return 8 }
-	}
-	return &Mailboxes[M]{
-		net:    net,
-		size:   size,
-		legacy: true,
-		inbox:  make([][]M, n),
-		mu:     make([]sync.Mutex, n),
-		outbox: make([][]M, n),
-	}
-}
-
 // SetCombiner enables sender-side combining (Pregel's combiner, hoisted into
 // the runtime so every engine on the substrate gets it): two messages queued
 // by the same sender for the same destination worker with equal key(msg) are
@@ -119,13 +85,8 @@ func NewMailboxesLegacy[M any](net *Network, size func(M) int64) *Mailboxes[M] {
 // combine(queued, incoming). Engines encode their combining granularity in
 // the key (pregel: destination vertex; quegel: destination vertex + query id).
 //
-// Call it before the first Send; combining requires the staged substrate and
-// panics on legacy mailboxes.
+// Call it before the first Send.
 func (mb *Mailboxes[M]) SetCombiner(key func(M) int64, combine func(a, b M) M) {
-	if mb.legacy {
-		//lint:allow panicpolicy documented API misuse (see doc comment); only reachable by wiring a combiner onto the legacy benchmark baseline
-		panic("cluster: combiners require staged mailboxes (NewMailboxes)")
-	}
 	if key == nil || combine == nil {
 		//lint:allow panicpolicy nil combiner halves are a programmer error at wiring time, before any run starts
 		panic("cluster: SetCombiner needs both a key and a combine function")
@@ -160,12 +121,8 @@ func (mb *Mailboxes[M]) SetCombiner(key func(M) int64, combine func(a, b M) M) {
 // the dense-id trade: engines with compact per-destination id spaces
 // (pregel's owned-vertex lists) use this path; engines whose combining key
 // space is sparse or unbounded (quegel's (vertex, query id) pairs) stay on
-// SetCombiner. Call before the first Send; staged substrate only.
+// SetCombiner. Call before the first Send.
 func (mb *Mailboxes[M]) SetDenseCombiner(slots func(dest int) int, slot func(M) int, combine func(a, b M) M) {
-	if mb.legacy {
-		//lint:allow panicpolicy documented API misuse; only reachable by wiring a combiner onto the legacy benchmark baseline
-		panic("cluster: combiners require staged mailboxes (NewMailboxes)")
-	}
 	if slots == nil || slot == nil || combine == nil {
 		//lint:allow panicpolicy nil combiner parts are a programmer error at wiring time, before any run starts
 		panic("cluster: SetDenseCombiner needs slots, slot and combine functions")
@@ -191,13 +148,7 @@ func (mb *Mailboxes[M]) SetDenseCombiner(slots func(dest int) int, slot func(M) 
 
 // Outbox returns sender w's private staging handle. Engines hold it for the
 // whole run; it is reused across rounds.
-func (mb *Mailboxes[M]) Outbox(w int) *Outbox[M] {
-	if mb.legacy {
-		//lint:allow panicpolicy documented API misuse; legacy mailboxes exist only as the benchmark baseline/equivalence oracle
-		panic("cluster: legacy mailboxes have no outboxes; use Send")
-	}
-	return mb.outs[w]
-}
+func (mb *Mailboxes[M]) Outbox(w int) *Outbox[M] { return mb.outs[w] }
 
 // Send queues msg for destination worker `to`, delivered at the next
 // Exchange. It is a lock-free append into the sender's staging buffer (plus
@@ -225,22 +176,6 @@ func (ob *Outbox[M]) Send(to int, msg M) {
 	ob.stage[to] = append(ob.stage[to], msg)
 }
 
-// Send queues msg from worker `from` to worker `to` for the next round. On
-// staged mailboxes it is Outbox(from).Send(to, msg) and inherits its
-// concurrency contract (one goroutine per sender rank); on legacy mailboxes
-// it meters and locks per message and tolerates arbitrary sharing.
-func (mb *Mailboxes[M]) Send(from, to int, msg M) {
-	if !mb.legacy {
-		mb.outs[from].Send(to, msg)
-		return
-	}
-	mb.net.Account(from, to, mb.size(msg))
-	mb.mu[to].Lock()
-	mb.outbox[to] = append(mb.outbox[to], msg)
-	mb.mu[to].Unlock()
-	mb.pending.Add(1)
-}
-
 // Exchange makes all queued messages visible and clears the previous round's
 // inboxes. Call it from exactly one goroutine at a barrier.
 //
@@ -248,15 +183,12 @@ func (mb *Mailboxes[M]) Send(from, to int, msg M) {
 // this round, local and cross-worker alike. FaultPlan retransmissions never
 // appear in the return value; they are visible as Stats.Attempts − Messages.
 //
-// On the staged substrate Exchange also performs the round's deferred
-// metering: per sender it sums per-destination message and byte totals, draws
-// fault-plan drops per message (identical accounting to the per-message
-// path), flushes the totals to the Network under one lock acquisition, and
-// merges the staging buffers into the inboxes in sender-rank order.
+// Exchange also performs the round's deferred metering: per sender it sums
+// per-destination message and byte totals, draws fault-plan drops per
+// message (the same accounting as one Network.Account per message), flushes
+// the totals to the Network under one lock acquisition, and merges the
+// staging buffers into the inboxes in sender-rank order.
 func (mb *Mailboxes[M]) Exchange() int64 {
-	if mb.legacy {
-		return mb.exchangeLegacy()
-	}
 	var zero M
 	// recycle inboxes: zero before truncating so pointer-bearing M from last
 	// round does not stay reachable through the retained backing arrays
@@ -332,25 +264,6 @@ func (mb *Mailboxes[M]) Exchange() int64 {
 	return delivered
 }
 
-func (mb *Mailboxes[M]) exchangeLegacy() int64 {
-	delivered := mb.pending.Swap(0)
-	var zero M
-	for w := range mb.inbox {
-		in := mb.inbox[w]
-		// zero before truncating: the backing array is recycled as next
-		// round's outbox, and for pointer-bearing M the stale elements would
-		// otherwise keep last round's payloads reachable
-		for i := range in {
-			in[i] = zero
-		}
-		mb.inbox[w] = in[:0]
-		mb.inbox[w], mb.outbox[w] = mb.outbox[w], mb.inbox[w]
-	}
-	mb.net.AccountRound()
-	return delivered
-}
-
 // Receive returns the messages visible to worker w this round. The slice is
-// valid until the next Exchange. On the staged substrate its order is
-// deterministic: ascending sender rank, send order within a sender.
+// valid until the next Exchange. Its order is deterministic: ascending sender rank, send order within a sender.
 func (mb *Mailboxes[M]) Receive(w int) []M { return mb.inbox[w] }

@@ -7,18 +7,36 @@ import (
 	"testing"
 )
 
-// stagedWorkload drives a fixed multi-round workload through mb from a single
-// goroutine: every worker sends `per` messages per round with deterministic
-// destinations and sizes. The message value encodes (sender, round, seq).
-func stagedWorkload(mb *Mailboxes[int64], workers, rounds, per int) {
+// Send is the tests' shorthand for Outbox(from).Send(to, msg).
+func (mb *Mailboxes[M]) Send(from, to int, msg M) { mb.outs[from].Send(to, msg) }
+
+// stagedWorkload runs a fixed multi-round workload from a single goroutine:
+// every worker sends `per` messages per round with deterministic
+// destinations, and endRound closes each round. The message value encodes
+// (sender, round, seq).
+func stagedWorkload(workers, rounds, per int, send func(from, to int, msg int64), endRound func()) {
 	for r := 0; r < rounds; r++ {
 		for w := 0; w < workers; w++ {
 			for i := 0; i < per; i++ {
-				mb.Send(w, (w+i)%workers, int64(w)<<40|int64(r)<<20|int64(i))
+				send(w, (w+i)%workers, int64(w)<<40|int64(r)<<20|int64(i))
 			}
 		}
-		mb.Exchange()
+		endRound()
 	}
+}
+
+// runStaged drives the workload through Mailboxes on net.
+func runStaged(net *Network, workers, rounds, per int) {
+	mb := NewMailboxes[int64](net, workloadSize)
+	stagedWorkload(workers, rounds, per, mb.Send, func() { mb.Exchange() })
+}
+
+// runAccounted meters the same workload as the specification of the staged
+// metering: one Network.Account per message, one AccountRound per round.
+func runAccounted(net *Network, workers, rounds, per int) {
+	stagedWorkload(workers, rounds, per, func(from, to int, msg int64) {
+		net.Account(from, to, workloadSize(msg))
+	}, net.AccountRound)
 }
 
 // workloadSize gives each message a deterministic, non-uniform wire size so
@@ -42,25 +60,19 @@ func dyadicTopology(net *Network) {
 
 // TestStagedLegacyStatsEquivalence: the staged substrate's deferred batch
 // metering must account the exact same Stats — logical messages, attempts,
-// wire bytes, weighted cost, rounds, local deliveries — as the legacy
-// per-message path on the same workload.
+// wire bytes, weighted cost, rounds, local deliveries — as metering the same
+// workload per message with Network.Account on a second network.
 func TestStagedLegacyStatsEquivalence(t *testing.T) {
 	const workers, rounds, per = 4, 5, 100
-	run := func(legacy bool) Stats {
+	run := func(drive func(*Network, int, int, int)) Stats {
 		net := NewNetwork(workers)
 		dyadicTopology(net)
-		var mb *Mailboxes[int64]
-		if legacy {
-			mb = NewMailboxesLegacy[int64](net, workloadSize)
-		} else {
-			mb = NewMailboxes[int64](net, workloadSize)
-		}
-		stagedWorkload(mb, workers, rounds, per)
+		drive(net, workers, rounds, per)
 		return net.Stats()
 	}
-	staged, legacy := run(false), run(true)
-	if staged != legacy {
-		t.Fatalf("staged and legacy accounting diverge:\nstaged: %+v\nlegacy: %+v", staged, legacy)
+	staged, spec := run(runStaged), run(runAccounted)
+	if staged != spec {
+		t.Fatalf("staged and per-message accounting diverge:\nstaged:      %+v\nper-message: %+v", staged, spec)
 	}
 	if staged.Messages == 0 || staged.LocalMessages == 0 || staged.WeightedCost == 0 {
 		t.Fatalf("degenerate workload: %+v", staged)
@@ -71,30 +83,24 @@ func TestStagedLegacyStatsEquivalence(t *testing.T) {
 }
 
 // TestStagedTraceEquivalence: per-link matrices and per-round series must
-// also match between the two paths.
+// also match the per-message metering.
 func TestStagedTraceEquivalence(t *testing.T) {
 	const workers, rounds, per = 4, 3, 50
-	run := func(legacy bool) (bytes, msgs [][]int64, hist []RoundStats) {
+	run := func(drive func(*Network, int, int, int)) (bytes, msgs [][]int64, hist []RoundStats) {
 		net := NewNetwork(workers)
 		net.EnableTrace()
 		dyadicTopology(net)
-		var mb *Mailboxes[int64]
-		if legacy {
-			mb = NewMailboxesLegacy[int64](net, workloadSize)
-		} else {
-			mb = NewMailboxes[int64](net, workloadSize)
-		}
-		stagedWorkload(mb, workers, rounds, per)
+		drive(net, workers, rounds, per)
 		bytes, msgs = net.TrafficMatrix()
 		return bytes, msgs, net.RoundHistory()
 	}
-	sb, sm, sh := run(false)
-	lb, lm, lh := run(true)
-	if !reflect.DeepEqual(sb, lb) || !reflect.DeepEqual(sm, lm) {
-		t.Fatalf("traffic matrices diverge:\nstaged bytes %v msgs %v\nlegacy bytes %v msgs %v", sb, sm, lb, lm)
+	sb, sm, sh := run(runStaged)
+	pb, pm, ph := run(runAccounted)
+	if !reflect.DeepEqual(sb, pb) || !reflect.DeepEqual(sm, pm) {
+		t.Fatalf("traffic matrices diverge:\nstaged bytes %v msgs %v\nper-message bytes %v msgs %v", sb, sm, pb, pm)
 	}
-	if !reflect.DeepEqual(sh, lh) {
-		t.Fatalf("round series diverge:\nstaged %+v\nlegacy %+v", sh, lh)
+	if !reflect.DeepEqual(sh, ph) {
+		t.Fatalf("round series diverge:\nstaged %+v\nper-message %+v", sh, ph)
 	}
 }
 
@@ -172,37 +178,30 @@ func TestStagedConcurrentSendersRace(t *testing.T) {
 // as Stats.Attempts − Stats.Messages, which must equal the injector's
 // dropped-message count.
 func TestExchangeReturnsLogicalDeliveries(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		net := NewNetwork(2)
-		fi := NewFaultInjector(FaultPlan{DropProb: 0.5, DropSeed: 9})
-		net.setFaults(fi)
-		var mb *Mailboxes[int]
-		if legacy {
-			mb = NewMailboxesLegacy[int](net, nil)
-		} else {
-			mb = NewMailboxes[int](net, nil)
-		}
-		const sends = 300
-		for i := 0; i < sends; i++ {
-			mb.Send(0, 1, i)
-		}
-		if got := mb.Exchange(); got != sends {
-			t.Fatalf("legacy=%v: Exchange returned %d, want %d logical deliveries", legacy, got, sends)
-		}
-		s := net.Stats()
-		if s.Messages != sends {
-			t.Fatalf("legacy=%v: messages %d, want %d", legacy, s.Messages, sends)
-		}
-		dropped := fi.Stats().DroppedMessages
-		if dropped == 0 {
-			t.Fatalf("legacy=%v: p=0.5 never dropped over %d sends", legacy, sends)
-		}
-		if s.Attempts-s.Messages != dropped {
-			t.Fatalf("legacy=%v: attempts %d − messages %d ≠ dropped %d", legacy, s.Attempts, s.Messages, dropped)
-		}
-		if len(mb.Receive(1)) != sends {
-			t.Fatalf("legacy=%v: %d payloads delivered, want %d", legacy, len(mb.Receive(1)), sends)
-		}
+	net := NewNetwork(2)
+	fi := NewFaultInjector(FaultPlan{DropProb: 0.5, DropSeed: 9})
+	net.setFaults(fi)
+	mb := NewMailboxes[int](net, nil)
+	const sends = 300
+	for i := 0; i < sends; i++ {
+		mb.Send(0, 1, i)
+	}
+	if got := mb.Exchange(); got != sends {
+		t.Fatalf("Exchange returned %d, want %d logical deliveries", got, sends)
+	}
+	s := net.Stats()
+	if s.Messages != sends {
+		t.Fatalf("messages %d, want %d", s.Messages, sends)
+	}
+	dropped := fi.Stats().DroppedMessages
+	if dropped == 0 {
+		t.Fatalf("p=0.5 never dropped over %d sends", sends)
+	}
+	if s.Attempts-s.Messages != dropped {
+		t.Fatalf("attempts %d − messages %d ≠ dropped %d", s.Attempts, s.Messages, dropped)
+	}
+	if len(mb.Receive(1)) != sends {
+		t.Fatalf("%d payloads delivered, want %d", len(mb.Receive(1)), sends)
 	}
 }
 
@@ -278,42 +277,32 @@ func TestCombinerHoistedIntoMailboxes(t *testing.T) {
 	}
 }
 
-// TestCombinerRequiresStaged: legacy mailboxes cannot combine.
-func TestCombinerRequiresStaged(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetCombiner on legacy mailboxes must panic")
-		}
-	}()
-	NewMailboxesLegacy[kv](NewNetwork(2), nil).SetCombiner(
-		func(m kv) int64 { return m.k },
-		func(a, b kv) kv { return a },
-	)
-}
-
 // TestStagedDropsDrawnAtFlush: drops on the staged path are drawn at flush
-// time, but the accounted totals match the per-message path for the same
-// workload (same seed, same per-message draw count and sizes).
+// time, but the accounted totals match per-message Network.Account metering
+// of the same workload (same seed, same per-message draw count and sizes).
 func TestStagedDropsDrawnAtFlush(t *testing.T) {
-	run := func(legacy bool) Stats {
+	const sends = 500
+	lossy := func() *Network {
 		net := NewNetwork(2)
 		net.setFaults(NewFaultInjector(FaultPlan{DropProb: 0.4, DropSeed: 21}))
-		var mb *Mailboxes[int64]
-		if legacy {
-			mb = NewMailboxesLegacy[int64](net, nil)
-		} else {
-			mb = NewMailboxes[int64](net, nil)
-		}
-		for i := 0; i < 500; i++ {
-			mb.Send(0, 1, int64(i))
-		}
-		mb.Exchange()
-		return net.Stats()
+		return net
 	}
-	staged, legacy := run(false), run(true)
+	net := lossy()
+	mb := NewMailboxes[int64](net, nil)
+	for i := 0; i < sends; i++ {
+		mb.Send(0, 1, int64(i))
+	}
+	mb.Exchange()
+	staged := net.Stats()
+	net = lossy()
+	for i := 0; i < sends; i++ {
+		net.Account(0, 1, 8)
+	}
+	net.AccountRound()
+	spec := net.Stats()
 	// identical rng seed and draw count with uniform sizes ⇒ identical totals
-	if staged != legacy {
-		t.Fatalf("fault accounting diverges:\nstaged %+v\nlegacy %+v", staged, legacy)
+	if staged != spec {
+		t.Fatalf("fault accounting diverges:\nstaged      %+v\nper-message %+v", staged, spec)
 	}
 	if staged.Attempts <= staged.Messages {
 		t.Fatalf("no retries drawn at p=0.4: %+v", staged)

@@ -12,11 +12,6 @@ import (
 // buffer, count table and touched list (no cross-worker active[] stores,
 // no per-vertex append growth), and every buffer is reused across rounds, so
 // a steady-state demux performs no allocation.
-//
-// For the legacy per-message substrate, normalizeLegacy first rewrites the
-// scheduling-ordered inbox into the exact stream the staged substrate would
-// have delivered, so all three communication paths feed identical bytes into
-// the scatter.
 type delivery[M any] struct {
 	owned    [][]graph.V
 	localIdx []int32 // global vertex id → index into the owner's owned list
@@ -26,14 +21,9 @@ type delivery[M any] struct {
 	counts  [][]int32 // per local id: messages this round; all-zero between rounds
 	cursor  [][]int32 // scatter cursors (start offsets during the scatter pass)
 	touched [][]int32 // local ids that received ≥1 message, discovery order
-
-	// legacy-oracle scratch (nil unless the run uses CommsLegacy)
-	sorted    [][]lmsg[M]
-	combined  [][]vmsg[M]
-	senderOff [][]int32
 }
 
-func newDelivery[M any](owned [][]graph.V, localIdx []int32, legacy bool) *delivery[M] {
+func newDelivery[M any](owned [][]graph.V, localIdx []int32) *delivery[M] {
 	n := len(owned)
 	d := &delivery[M]{
 		owned:    owned,
@@ -46,14 +36,6 @@ func newDelivery[M any](owned [][]graph.V, localIdx []int32, legacy bool) *deliv
 	for w := range owned {
 		d.counts[w] = make([]int32, len(owned[w]))
 		d.cursor[w] = make([]int32, len(owned[w]))
-	}
-	if legacy {
-		d.sorted = make([][]lmsg[M], n)
-		d.combined = make([][]vmsg[M], n)
-		d.senderOff = make([][]int32, n)
-		for w := range owned {
-			d.senderOff[w] = make([]int32, n+1)
-		}
 	}
 	return d
 }
@@ -110,73 +92,4 @@ func (d *delivery[M]) scatter(w int, stream []vmsg[M], msgs [][]M, active []bool
 	d.flat[w] = flat
 	d.touched[w] = touched[:0]
 	return activated
-}
-
-// normalizeLegacy rewrites worker w's legacy inbox into the exact stream the
-// staged substrate would deliver for the same sends: a stable counting sort
-// by ascending sender rank first (the legacy inbox order is mutex-scheduling
-// dependent; the staged paths' vmsg carries no sender rank because the outbox
-// lane implies it — only the legacy lmsg envelope still does), then — when
-// the program has a combiner — receiver-side combining per sender run with
-// the staged path's fold order (combine(queued, incoming) in send order,
-// first-occurrence positions preserved). Matching the operation structure
-// exactly is what keeps float folds bitwise identical across the three
-// communication paths; this is the equivalence oracle, so its own
-// allocations are not a concern.
-func (d *delivery[M]) normalizeLegacy(w, workers int, in []lmsg[M], key func(vmsg[M]) int64, combine func(a, b M) M) []vmsg[M] {
-	off := d.senderOff[w]
-	for i := range off {
-		off[i] = 0
-	}
-	for i := range in {
-		off[in[i].sender+1]++
-	}
-	for s := 0; s < workers; s++ {
-		off[s+1] += off[s]
-	}
-	sorted := d.sorted[w]
-	clear(sorted)
-	if cap(sorted) < len(in) {
-		//lint:allow hotalloc equivalence oracle: the legacy path exists to cross-check the staged substrates, its cost is not measured
-		sorted = make([]lmsg[M], len(in))
-	} else {
-		sorted = sorted[:len(in)]
-	}
-	for i := range in {
-		s := in[i].sender
-		sorted[off[s]] = in[i]
-		off[s]++
-	}
-	d.sorted[w] = sorted
-	out := d.combined[w]
-	clear(out)
-	out = out[:0]
-	if combine == nil {
-		for i := range sorted {
-			//lint:allow hotalloc equivalence oracle: the legacy path exists to cross-check the staged substrates, its cost is not measured
-			out = append(out, sorted[i].vm)
-		}
-		d.combined[w] = out
-		return out
-	}
-	//lint:allow hotalloc equivalence oracle: the legacy path exists to cross-check the staged substrates, its cost is not measured
-	runIdx := map[int64]int{}
-	sender := int32(-1)
-	for i := range sorted {
-		lm := sorted[i]
-		if lm.sender != sender {
-			sender = lm.sender
-			clear(runIdx) // combining classes never span sender runs
-		}
-		k := key(lm.vm)
-		if j, ok := runIdx[k]; ok {
-			out[j].m = combine(out[j].m, lm.vm.m)
-		} else {
-			runIdx[k] = len(out)
-			//lint:allow hotalloc equivalence oracle: the legacy path exists to cross-check the staged substrates, its cost is not measured
-			out = append(out, lm.vm)
-		}
-	}
-	d.combined[w] = out
-	return out
 }

@@ -49,41 +49,11 @@ type Config struct {
 	CheckpointEvery int
 	StateBytes      int64
 
-	// Comms selects the engine's communication path. The zero value
-	// CommsDense is the production path; the others exist as benchmark
-	// baselines and equivalence oracles (equivalence_test.go). All three paths
-	// produce bitwise-identical results; CommsDense and CommsMap also
-	// produce identical network Stats.
-	Comms CommsPath
-
 	// RunOptions is the cross-cutting runtime configuration shared by every
 	// engine: Trace (observability opt-in), Topology (link costs), Faults
 	// (crash/straggler/lossy-link injection).
 	cluster.RunOptions
 }
-
-// CommsPath selects the mailbox substrate and combiner addressing mode for a
-// run (DESIGN.md §3.12).
-type CommsPath int
-
-const (
-	// CommsDense (the default) runs on the staged substrate with the
-	// combiner addressed by a dense []int32 slot table over destination-local
-	// vertex ids — one array load per Send instead of a hash + map lookup.
-	// Programs whose combining key space is not the destination vertex alone
-	// (CombineKey != nil, e.g. quegel's per-query frontiers) fall back to
-	// CommsMap addressing automatically.
-	CommsDense CommsPath = iota
-	// CommsMap runs on the staged substrate with the combiner addressed by a
-	// per-destination hash map (the PR 4 path). Kept as the dominance
-	// baseline for the dense path.
-	CommsMap
-	// CommsLegacy runs on the seed's per-message locked mailboxes with no
-	// substrate combiner; the inbox is normalized receiver-side (stable sort
-	// by sender rank + per-sender-run combining) so results stay bitwise
-	// identical to the staged paths. Baseline and equivalence oracle only.
-	CommsLegacy
-)
 
 func (c *Config) defaults(n int) {
 	if c.Workers <= 0 {
@@ -128,13 +98,16 @@ type Program[S, M any] struct {
 	Compute func(ctx *Context[M], v graph.V, state *S, msgs []M)
 	// Combine, if non-nil, merges two messages addressed to the same vertex
 	// on the sender side (Pregel's combiner), cutting message volume. The
-	// combiner runs inside the cluster substrate's staging buffers
-	// (cluster.Mailboxes.SetCombiner), so combining happens as messages are
-	// queued, before any of them is metered on the network.
+	// combiner runs inside the cluster substrate's staging buffers, so
+	// combining happens as messages are queued, before any of them is
+	// metered on the network. Without CombineKey the classes are addressed
+	// by a dense slot table over destination-local vertex ids
+	// (cluster.Mailboxes.SetDenseCombiner).
 	Combine func(a, b M) M
 	// CombineKey, if non-nil, refines the combining granularity: only
-	// messages to the same vertex with equal CombineKey(m) are merged. Quegel
-	// uses it to combine per (vertex, query id) so concurrent queries'
+	// messages to the same vertex with equal CombineKey(m) are merged, and
+	// the classes are addressed by a map (cluster.Mailboxes.SetCombiner).
+	// Quegel uses it to combine per (vertex, query id) so concurrent queries'
 	// frontiers never mix. The key's low 32 bits are used; leave nil to
 	// combine all messages addressed to one vertex (classic Pregel).
 	CombineKey func(m M) int32
@@ -146,33 +119,22 @@ type Context[M any] struct {
 	g         *graph.Graph
 	src       storage.GraphSource // per-worker out-of-core handle (nil on in-memory runs)
 	srcErr    error               // first adjacency read failure; checked at the superstep barrier
-	worker    int
 	superstep int
 	halted    bool // set per vertex via VoteToHalt; reset by engine
 
-	out       *cluster.Outbox[vmsg[M]]    // staged substrate handle (nil on CommsLegacy)
-	lmb       *cluster.Mailboxes[lmsg[M]] // legacy substrate handle (nil on staged paths)
+	out       *cluster.Outbox[vmsg[M]] // this worker's staging outbox
 	partition []int
 
 	aggLocal map[string]float64
 }
 
-// vmsg is the wire envelope of the staged paths: destination vertex and
-// payload only. The sender's rank is implied by the staged outbox lane it
-// travels in (cluster.Mailboxes merges lanes in sender-rank order), so
-// carrying it per message would be 4 dead bytes on the hot path.
+// vmsg is the wire envelope: destination vertex and payload only. The
+// sender's rank is implied by the outbox lane it travels in
+// (cluster.Mailboxes merges lanes in sender-rank order), so carrying it per
+// message would be 4 dead bytes on the hot path.
 type vmsg[M any] struct {
 	to graph.V
 	m  M
-}
-
-// lmsg is the legacy oracle's envelope. The per-message locked mailboxes
-// deliver in mutex-scheduling order, so the sender rank must ride along for
-// normalizeLegacy to reconstruct the staged substrate's deterministic
-// sender-rank inbox order receiver-side.
-type lmsg[M any] struct {
-	vm     vmsg[M]
-	sender int32
 }
 
 type engineIface[M any] interface {
@@ -214,13 +176,9 @@ func (c *Context[M]) Neighbors(v graph.V) []graph.V {
 // Send sends m to vertex to, delivered at the next superstep. The message
 // goes straight into the sending worker's staging outbox — a lock-free
 // append, combined on the fly when the program has a combiner (one slot-table
-// load on the dense path, one map lookup on the map path).
+// load without CombineKey, one map lookup with it).
 func (c *Context[M]) Send(to graph.V, m M) {
-	if c.out != nil {
-		c.out.Send(c.partition[to], vmsg[M]{to: to, m: m})
-		return
-	}
-	c.lmb.Send(c.worker, c.partition[to], lmsg[M]{vm: vmsg[M]{to: to, m: m}, sender: int32(c.worker)})
+	c.out.Send(c.partition[to], vmsg[M]{to: to, m: m})
 }
 
 // SendToNeighbors sends m to every neighbor of v.
@@ -311,48 +269,28 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	// owner worker touches an entry)
 	msgs := make([][]M, n)
 
-	legacy := cfg.Comms == CommsLegacy
-	var mb *cluster.Mailboxes[vmsg[M]]
-	var lmb *cluster.Mailboxes[lmsg[M]]
-	if legacy {
-		lmb = cluster.NewMailboxesLegacy[lmsg[M]](net, func(lmsg[M]) int64 { return cfg.MsgBytes })
-	} else {
-		mb = cluster.NewMailboxes[vmsg[M]](net, func(vmsg[M]) int64 { return cfg.MsgBytes })
-	}
-	// combining key: destination vertex, refined by CombineKey when set. The
-	// staged map path uses it sender-side; the legacy oracle uses it for
-	// receiver-side normalization.
-	key := func(vm vmsg[M]) int64 { return int64(vm.to) << 32 }
-	if prog.CombineKey != nil {
-		key = func(vm vmsg[M]) int64 {
-			return int64(vm.to)<<32 | int64(uint32(prog.CombineKey(vm.m)))
-		}
-	}
-	if prog.Combine != nil && !legacy {
+	mb := cluster.NewMailboxes[vmsg[M]](net, func(vmsg[M]) int64 { return cfg.MsgBytes })
+	if prog.Combine != nil {
 		// hoist the program's combiner into the substrate, combining inside
 		// the sender's staging buffer before anything reaches the wire
 		combine := func(a, b vmsg[M]) vmsg[M] {
 			return vmsg[M]{to: a.to, m: prog.Combine(a.m, b.m)}
 		}
-		if cfg.Comms == CommsDense && prog.CombineKey == nil {
-			// dense path: combining classes are exactly the destination
-			// vertices, so address them by owner-local dense id
+		if prog.CombineKey == nil {
+			// combining classes are exactly the destination vertices, so
+			// address them by owner-local dense id
 			mb.SetDenseCombiner(
 				func(dest int) int { return len(owned[dest]) },
 				func(vm vmsg[M]) int { return int(localIdx[vm.to]) },
 				combine,
 			)
 		} else {
-			mb.SetCombiner(key, combine)
+			mb.SetCombiner(func(vm vmsg[M]) int64 {
+				return int64(vm.to)<<32 | int64(uint32(prog.CombineKey(vm.m)))
+			}, combine)
 		}
 	}
-	exchange := func() int64 {
-		if legacy {
-			return lmb.Exchange()
-		}
-		return mb.Exchange()
-	}
-	dlv := newDelivery[M](owned, localIdx, legacy)
+	dlv := newDelivery[M](owned, localIdx)
 
 	// one long-lived Context per worker; superstep/halted are rewritten each
 	// round and the aggregator map is cleared (never reallocated) after merge
@@ -360,17 +298,13 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	aggLocals := make([]map[string]float64, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		ctx := &Context[M]{
-			eng: eng, g: g, worker: w,
+			eng: eng, g: g,
+			out:       mb.Outbox(w),
 			partition: cfg.Partition,
 			aggLocal:  map[string]float64{},
 		}
 		if prov != nil {
 			ctx.src = prov.Handle(w)
-		}
-		if legacy {
-			ctx.lmb = lmb
-		} else {
-			ctx.out = mb.Outbox(w)
 		}
 		ctxs[w] = ctx
 		aggLocals[w] = ctx.aggLocal
@@ -455,13 +389,7 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	}
 	//lint:hotpath per-round demux phase: groups every inbound message by destination
 	demuxPhase := func(w int) {
-		var stream []vmsg[M]
-		if legacy {
-			stream = dlv.normalizeLegacy(w, cfg.Workers, lmb.Receive(w), key, prog.Combine)
-		} else {
-			stream = mb.Receive(w)
-		}
-		activeCnt[w] += dlv.scatter(w, stream, msgs, active)
+		activeCnt[w] += dlv.scatter(w, mb.Receive(w), msgs, active)
 	}
 
 	// aggNext and eng.agg are two maps swapped every round: merge into the
@@ -506,13 +434,13 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 					activeCnt[w] = cnt
 				}
 				recovered = step - ckpt.step
-				exchange() // drop in-flight messages from the failed epoch
+				mb.Exchange() // drop in-flight messages from the failed epoch
 				step = ckpt.step
 			} else {
 				// no checkpoint: full restart
 				recovered = step
 				gang.Run(initPhase)
-				exchange()
+				mb.Exchange()
 				step = 0
 			}
 			fi.NoteRecovery(recovered, float64(recovered))
@@ -541,7 +469,7 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 				BlocksRead: d.BlocksRead, BytesRead: d.BytesRead,
 			})
 		}
-		delivered := exchange()
+		delivered := mb.Exchange()
 		for _, local := range aggLocals { // ascending worker rank
 			if len(local) == 0 {
 				continue
