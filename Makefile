@@ -1,12 +1,20 @@
 GO ?= go
 
-.PHONY: build test race vet lint verify bench bench-test bench-seeds
+.PHONY: build test race vet fmt lint verify bench bench-test bench-seeds
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: fails when any Go file needs gofmt. The lint fixtures under
+# internal/lint/testdata keep deliberate shapes and are exempt, as are the
+# benchmark's build outputs.
+GOFMT ?= $(shell $(GO) env GOROOT)/bin/gofmt
+fmt:
+	@out=$$($(GOFMT) -l . | grep -v -e '^internal/lint/testdata/' -e '^bench/out/'); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # graphlint: the repo-specific contracts (determinism, metered clock, seeded
 # RNG, runtime-owned concurrency, error-return policy) plus the
@@ -47,7 +55,7 @@ bench-seeds:
 
 # The full pre-commit gate: referenced from .claude/skills/verify/SKILL.md.
 # Every check in it is exact; performance is measured by `bash bench/run.sh`.
-verify: vet lint build test race bench-test
+verify: vet fmt lint build test race bench-test
 	@echo "verify: OK"
 
 bench:

@@ -23,10 +23,10 @@ import (
 
 	"graphsys/internal/cluster"
 	"graphsys/internal/experiments"
-	"graphsys/internal/hypo"
 	"graphsys/internal/gnn"
 	"graphsys/internal/gnndist"
 	"graphsys/internal/graph/gen"
+	"graphsys/internal/hypo"
 	"graphsys/internal/obs"
 	"graphsys/internal/pregel"
 	"graphsys/internal/storage"

@@ -144,9 +144,9 @@ func Table2Pipelining() *Table {
 			m.Forward(bx)
 			n := float64(len(sub.NewToOld))
 			e := float64(sub.Graph.NumEdges())
-			times[0][b] = n + e                                          // sampling touches each sampled vertex and edge
-			times[1][b] = n * float64(task.X.Cols) * 4 / bytesPerUnit    // feature rows over the wire
-			times[2][b] = (n*float64(task.X.Cols)+e) * 16 / flopsPerUnit // two-layer forward, hidden=16
+			times[0][b] = n + e                                            // sampling touches each sampled vertex and edge
+			times[1][b] = n * float64(task.X.Cols) * 4 / bytesPerUnit      // feature rows over the wire
+			times[2][b] = (n*float64(task.X.Cols) + e) * 16 / flopsPerUnit // two-layer forward, hidden=16
 		}
 		seq := gnndist.SequentialMakespan(times)
 		pip := gnndist.PipelinedMakespan(times)

@@ -44,16 +44,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy maps a policy name (as printed by String) back to the Policy.
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range Policies {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: unknown policy %q", ErrInvalidRequest, s)
-}
-
 // valid reports whether p is one of the defined policies.
 func (p Policy) valid() bool {
 	return p >= RoundRobin && p <= WeightedFair

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 )
@@ -64,9 +63,9 @@ const defaultMaxTicks = 50_000_000
 
 // Outcome is one arrival's terminal record.
 type Outcome struct {
-	Index   int    // position in SimConfig.Arrivals
-	At      int64  // arrival tick
-	Cost    int64  // service demand
+	Index   int   // position in SimConfig.Arrivals
+	At      int64 // arrival tick
+	Cost    int64 // service demand
 	Status  Status
 	Finish  int64 // terminal tick (completion or expiry); -1 when rejected
 	Latency int64 // Finish − At for completed queries; -1 otherwise
@@ -331,7 +330,7 @@ func (r *SimResult) Goodput(per int64) float64 {
 }
 
 // Trace renders the byte-exact per-arrival outcome log — the artifact the
-// seeded-determinism tests and the benchmark's determinism witness hash.
+// seeded-determinism tests compare.
 func (r *SimResult) Trace() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "policy=%s arrivals=%d\n", r.Policy, len(r.Outcomes))
@@ -340,12 +339,4 @@ func (r *SimResult) Trace() string {
 			o.Index, o.At, o.Cost, o.Status, o.Finish, o.Latency)
 	}
 	return sb.String()
-}
-
-// TraceHash returns the FNV-64a hash of Trace as hex — a compact
-// determinism witness for reports.
-func (r *SimResult) TraceHash() string {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(r.Trace()))
-	return fmt.Sprintf("%016x", h.Sum64())
 }
