@@ -237,7 +237,7 @@ func TestNoCombinerEquivalence(t *testing.T) {
 // seed corpus covers every path and program and runs with the unit tests.
 func FuzzPregelVsReference(f *testing.F) {
 	for i := 0; i < 2*numModes; i++ {
-		f.Add(int64(i+1), uint8(10+17*i), uint8(i), int64(31*i), uint8(i%numModes), uint8(i/numModes))
+		f.Add(int64(i+1), uint8(40+37*i), uint8(3+i), int64(31*i), uint8(i%numModes), uint8(i/numModes))
 	}
 	f.Add(int64(5), uint8(0), uint8(7), int64(2), uint8(modeDense), uint8(1)) // one vertex, eight workers
 	f.Fuzz(func(t *testing.T, graphSeed int64, n, workers uint8, partSeed int64, mode, alg uint8) {
