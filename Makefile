@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint verify bench bench-test bench-seeds
+.PHONY: build test race vet fmt lint verify bench-test bench-seeds
 
 build:
 	$(GO) build ./...
@@ -25,8 +25,10 @@ fmt:
 lint:
 	$(GO) run ./cmd/graphlint -timing -budget 5s ./...
 
+# -shuffle=on runs tests in a random order and prints the seed (rerun one
+# order with -shuffle=<seed>): no test may depend on another having run first.
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 # Race-enabled subset: the packages with real concurrency (the cluster
 # runtime and the engines that drive it, including the fault-injection /
@@ -57,6 +59,3 @@ bench-seeds:
 # Every check in it is exact; performance is measured by `bash bench/run.sh`.
 verify: vet fmt lint build test race bench-test
 	@echo "verify: OK"
-
-bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .

@@ -5,9 +5,9 @@
 //	graphbench                   # list experiments
 //	graphbench fig1 tab1-gpu     # run two experiments
 //	graphbench all               # regenerate every table and claim
-//	graphbench -check all        # run hypotheses instead of printing tables:
-//	                             # the two-run determinism invariant plus each
-//	                             # experiment's typed claims (internal/hypo)
+//	graphbench -check all        # render each experiment once and run its
+//	                             # typed claims (internal/hypo) on that table
+//	                             # instead of printing it
 //	graphbench -trace out.json   # write an observability trace (one Pregel
 //	                             # and one gnndist workload) to out.json
 package main
@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -42,8 +41,7 @@ func main() {
 // their defers).
 func run() int {
 	traceOut := flag.String("trace", "", "write a JSON observability trace (traffic matrix, round series, worker skew) for one Pregel and one gnndist workload to this file")
-	check := flag.Bool("check", false, "run each selected experiment's hypotheses (two-run determinism + typed claims) instead of printing tables; non-zero exit on any refuted hypothesis")
-	artifacts := flag.String("artifacts", "hypo_runs/graphbench-check", "with -check: directory for the results.json/results.csv artifacts")
+	check := flag.Bool("check", false, "render each selected experiment once and run its typed claims on that table instead of printing it; non-zero exit on a panic or any refuted hypothesis")
 	par := flag.Int("parallelism", 0, "goroutines for the tensor compute kernels (0 = GOMAXPROCS); results are bitwise identical at any setting")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 	mutexProf := flag.String("mutexprofile", "", "write a mutex-contention profile to this file — the messaging path's lock behaviour under load")
@@ -52,7 +50,7 @@ func run() int {
 	blockBytes := flag.Int("block-bytes", 0, "with -source disk: target compressed block size in bytes (0 = storage default)")
 	evict := flag.String("evict", "lru", "with -source disk: block-cache eviction policy, lru or mru (mru wins on cyclic full scans)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: graphbench [-trace out.json] [-parallelism n] [-source mem|disk] [-memory-budget bytes] [-block-bytes n] [-evict lru|mru] [-cpuprofile cpu.out] [-mutexprofile mutex.out] [all | <experiment-id>...]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: graphbench [-check] [-trace out.json] [-parallelism n] [-source mem|disk] [-memory-budget bytes] [-block-bytes n] [-evict lru|mru] [-cpuprofile cpu.out] [-mutexprofile mutex.out] [all | <experiment-id>...]\n\n")
 		list()
 	}
 	flag.Parse()
@@ -127,7 +125,7 @@ func run() int {
 		ids = args
 	}
 	if *check {
-		return runChecks(ids, *artifacts)
+		return runChecks(ids)
 	}
 	for _, id := range ids {
 		exp, ok := experiments.ByID(id)
@@ -149,10 +147,10 @@ func run() int {
 	return 0
 }
 
-// runChecks evaluates each selected experiment's hypothesis set — the
-// generic two-run determinism invariant plus its registered typed claims —
-// and writes one artifact directory per experiment under artifactsDir.
-func runChecks(ids []string, artifactsDir string) int {
+// runChecks renders each selected experiment once and evaluates its
+// registered typed claims on that table. An experiment without claims is
+// still rendered, so a panic inside it fails the run.
+func runChecks(ids []string) int {
 	failed := 0
 	for _, id := range ids {
 		exp, ok := experiments.ByID(id)
@@ -160,22 +158,21 @@ func runChecks(ids []string, artifactsDir string) int {
 			fmt.Fprintf(os.Stderr, "graphbench: unknown experiment %q (run with no args to list)\n", id)
 			return 1
 		}
-		hs := []hypo.Hypothesis{experiments.DeterminismHypothesis(exp)}
-		if exp.Claims != nil {
-			hs = append(hs, exp.Claims()...)
+		table, err := runExperiment(exp)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "graphbench: experiment %s failed: %v\n", id, err)
+			return 1
 		}
-		rep, err := runHypotheses(exp.ID, hs)
+		if exp.Claims == nil {
+			fmt.Printf("hypothesis run %q: rendered; no claims registered\n", exp.ID)
+			continue
+		}
+		rep, err := runHypotheses(exp.ID, exp.Claims(table))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "graphbench: checking %s panicked: %v\n", id, err)
 			return 1
 		}
 		rep.Fprint(os.Stdout)
-		if artifactsDir != "" {
-			if err := rep.WriteDir(filepath.Join(artifactsDir, exp.ID)); err != nil {
-				fmt.Fprintf(os.Stderr, "graphbench: writing artifacts: %v\n", err)
-				return 1
-			}
-		}
 		if !rep.Pass() {
 			failed++
 		}
@@ -184,7 +181,7 @@ func runChecks(ids []string, artifactsDir string) int {
 		fmt.Fprintf(os.Stderr, "graphbench: %d of %d experiment hypothesis sets FAILED\n", failed, len(ids))
 		return 1
 	}
-	fmt.Printf("graphbench: all %d experiment hypothesis sets pass\n", len(ids))
+	fmt.Printf("graphbench: all %d experiments render and pass their claims\n", len(ids))
 	return 0
 }
 

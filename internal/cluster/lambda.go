@@ -7,7 +7,7 @@ import "sync"
 // billed per invocation-millisecond at a low rate plus a fixed startup
 // latency per invocation. The paper's §3 "Other Techniques" claim — CPU
 // servers + serverless is more cost-effective than GPUs — is an accounting
-// property of this model, reproduced in BenchmarkTable2_Serverless.
+// property of this model, reproduced in the tab2-serverless experiment.
 type CostModel struct {
 	GPURatePerSec    float64 // $/s of wall time per GPU server
 	LambdaRatePerSec float64 // $/s of billed lambda compute

@@ -4,7 +4,7 @@
 // baseline. These are the "vertex analytics + ML" tools of Figure 1 path 2,
 // and the subjects of the paper's cited claim (Stolman et al.) that classic
 // structural features can outperform factorization/embedding methods for
-// community labeling, reproduced in BenchmarkClaim_StructVsEmbed.
+// community labeling, reproduced in the claim-struct experiment.
 package embed
 
 import (

@@ -2,15 +2,15 @@
 // and quantitative claim of the paper, as indexed in DESIGN.md §3. Each
 // experiment returns a formatted Table so that cmd/graphbench can print the
 // paper-style artifact and EXPERIMENTS.md can record paper-vs-measured
-// shapes; the root bench_test.go wraps the same workloads in testing.B
-// benchmarks.
+// shapes.
 //
-// Every table is DETERMINISTIC: two runs produce byte-identical output
-// (TestExperimentsDeterministic enforces it). Columns therefore report
-// metered work — ticks, messages, candidates, bytes, cost units — never wall
-// time; the metered cost model is the clock, and graphlint's wallclock check
-// covers this package. Quantitative claims about a table are declared as
-// typed hypotheses (hypotheses.go) runnable via `graphbench -check`.
+// Every table is DETERMINISTIC: every run, in any process, produces the
+// bytes committed in results.txt (TestResultsGolden enforces it). Columns
+// therefore report metered work — ticks, messages, candidates, bytes, cost
+// units — never wall time; the metered cost model is the clock, and
+// graphlint's wallclock check covers this package. Quantitative claims about
+// a table are declared as typed hypotheses (hypotheses.go) over that table,
+// runnable via `graphbench -check`.
 package experiments
 
 import (
@@ -100,11 +100,10 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func() *Table
-	// Claims builds the experiment-specific typed hypotheses (beyond the
-	// generic two-run determinism invariant every experiment gets). Nil when
-	// the table is purely descriptive. Lazy so that registration at init
-	// never runs engine code.
-	Claims func() []hypo.Hypothesis
+	// Claims builds the experiment's typed hypotheses over one rendering of
+	// its table, t. Nil when the table is purely descriptive. Lazy so that
+	// registration at init never runs engine code.
+	Claims func(t *Table) []hypo.Hypothesis
 }
 
 var (
@@ -113,7 +112,7 @@ var (
 	// the registry lazily in All/ByID: init functions run in file-name order,
 	// so claims registration cannot assume the table registration already
 	// happened (hypotheses.go sorts before table1.go).
-	claimsByID = map[string]func() []hypo.Hypothesis{}
+	claimsByID = map[string]func(t *Table) []hypo.Hypothesis{}
 )
 
 func register(id, title string, run func() *Table) {
@@ -121,7 +120,7 @@ func register(id, title string, run func() *Table) {
 }
 
 // registerClaims attaches typed hypotheses to an experiment by id.
-func registerClaims(id string, claims func() []hypo.Hypothesis) {
+func registerClaims(id string, claims func(t *Table) []hypo.Hypothesis) {
 	claimsByID[id] = claims
 }
 

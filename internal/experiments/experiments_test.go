@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"graphsys/internal/hypo"
@@ -14,14 +17,110 @@ var slow = map[string]bool{
 	"fig1":       true,
 }
 
+// renderings holds one sync.OnceValue per registered experiment: every test
+// in this package reads the same table, so each experiment's Run executes at
+// most once per test process, whatever order the tests run in. The map is
+// built on first use because the registry fills in during package init.
+var renderings = sync.OnceValue(func() map[string]func() *Table {
+	m := map[string]func() *Table{}
+	for _, e := range All() {
+		m[e.ID] = sync.OnceValue(e.Run)
+	}
+	return m
+})
+
+// rendering returns experiment id's cached table, skipping t when the
+// experiment is slow and the run is -short.
+func rendering(t *testing.T, id string) *Table {
+	t.Helper()
+	if testing.Short() && slow[id] {
+		t.Skip("slow experiment skipped in -short mode")
+	}
+	return renderings()[id]()
+}
+
+func render(t *Table) string {
+	var sb strings.Builder
+	t.Fprint(&sb)
+	return sb.String()
+}
+
+// goldenSections splits results.txt into its per-experiment sections, in file
+// order. A section runs from its "== id: title ==" header through the blank
+// line that ends it, exactly as Table.Fprint renders it.
+func goldenSections(t *testing.T) (ids []string, sections map[string]string) {
+	t.Helper()
+	data, err := os.ReadFile("../../results.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections = map[string]string{}
+	for text := string(data); text != ""; {
+		sec := text
+		if end := strings.Index(text, "\n\n== "); end >= 0 {
+			sec, text = text[:end+2], text[end+2:]
+		} else {
+			text = ""
+		}
+		header, _, _ := strings.Cut(sec, "\n")
+		id, _, ok := strings.Cut(strings.TrimPrefix(header, "== "), ":")
+		if !strings.HasPrefix(header, "== ") || !ok {
+			t.Fatalf("results.txt: %q is not an \"== id: title ==\" section header", header)
+		}
+		if _, dup := sections[id]; dup {
+			t.Fatalf("results.txt has two %s sections", id)
+		}
+		ids = append(ids, id)
+		sections[id] = sec
+	}
+	return ids, sections
+}
+
+// firstDiff locates the first differing line of two renderings.
+func firstDiff(got, want string) string {
+	lg, lw := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(lg) && i < len(lw); i++ {
+		if lg[i] != lw[i] {
+			return fmt.Sprintf("line %d: got %q, want %q", i+1, strings.TrimSpace(lg[i]), strings.TrimSpace(lw[i]))
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(lg), len(lw))
+}
+
+// TestResultsGolden is the package's core contract (DESIGN.md §3.10): every
+// experiment renders exactly its committed section of results.txt, and every
+// section belongs to a registered experiment. The file was rendered by
+// another process, so this also checks determinism across processes. A diff
+// means wall-clock leakage, map-iteration order, scheduling-dependent
+// accounting or an unseeded draw crept into a column — always a bug, never
+// noise — or an output moved on purpose and results.txt was not regenerated
+// (go run ./cmd/graphbench all > results.txt).
+func TestResultsGolden(t *testing.T) {
+	ids, sections := goldenSections(t)
+	registered := map[string]bool{}
+	for _, e := range All() {
+		registered[e.ID] = true
+		t.Run(e.ID, func(t *testing.T) {
+			want, ok := sections[e.ID]
+			if !ok {
+				t.Fatalf("results.txt has no %s section", e.ID)
+			}
+			if got := render(rendering(t, e.ID)); got != want {
+				t.Errorf("%s differs from results.txt: %s", e.ID, firstDiff(got, want))
+			}
+		})
+	}
+	for _, id := range ids {
+		if !registered[id] {
+			t.Errorf("results.txt section %q has no registered experiment", id)
+		}
+	}
+}
+
 func TestAllExperimentsProduceTables(t *testing.T) {
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if testing.Short() && slow[e.ID] {
-				t.Skip("slow experiment skipped in -short mode")
-			}
-			table := e.Run()
+			table := rendering(t, e.ID)
 			if table == nil {
 				t.Fatal("nil table")
 			}
@@ -36,53 +135,26 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 					t.Fatalf("row %d has %d cells, header has %d", i, len(r), len(table.Header))
 				}
 			}
-			var sb strings.Builder
-			table.Fprint(&sb)
-			out := sb.String()
-			if !strings.Contains(out, e.ID) {
+			if !strings.Contains(render(table), e.ID) {
 				t.Fatal("rendered output missing experiment id")
 			}
 		})
 	}
 }
 
-// TestExperimentsDeterministic is the package's core contract (DESIGN.md
-// §3.10): every experiment's rendered table is byte-identical across runs.
-// A diff means wall-clock leakage, map-iteration ordering, or
-// scheduling-dependent accounting crept into a column — always a bug, never
-// noise. The same invariant ships as a Type-1 hypothesis
-// (DeterminismHypothesis) so `graphbench -check` enforces it outside tests.
-func TestExperimentsDeterministic(t *testing.T) {
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			if testing.Short() && slow[e.ID] {
-				t.Skip("slow experiment skipped in -short mode")
-			}
-			o := DeterminismHypothesis(e).Check()
-			if len(o) != 1 {
-				t.Fatalf("expected 1 finding, got %d", len(o))
-			}
-			if !o[0].Pass {
-				t.Fatalf("experiment %s is nondeterministic: %s", e.ID, o[0].Got)
-			}
-		})
-	}
-}
-
-// TestExperimentClaims runs every registered experiment-specific hypothesis
-// set; a red claim means a table's stated conclusion no longer holds.
+// TestExperimentClaims runs every registered hypothesis set on its
+// experiment's cached rendering; a red claim means a table's stated
+// conclusion no longer holds.
 func TestExperimentClaims(t *testing.T) {
 	if testing.Short() {
-		t.Skip("claims re-run experiment workloads; skipped in -short mode")
+		t.Skip("Type-2 claims re-run seeded workloads; skipped in -short mode")
 	}
 	for _, e := range All() {
 		if e.Claims == nil {
 			continue
 		}
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			rep := hypo.Run(e.ID, e.Claims())
+			rep := hypo.Run(e.ID, e.Claims(rendering(t, e.ID)))
 			if !rep.Pass() {
 				var sb strings.Builder
 				rep.Fprint(&sb)

@@ -17,48 +17,9 @@ import (
 // (internal/hypo): every "note:" under a table that asserts a direction or a
 // bound is restated here as a machine-checked Type 1 invariant or a seeded
 // Type 2 comparison, runnable via `graphbench -check`. Type 1 claims parse
-// the rendered table (the same artifact a reader sees); Type 2 claims re-run
-// the underlying workload per seed, since a single table row cannot witness a
-// statistical effect.
-
-// DeterminismHypothesis is the invariant EVERY experiment must satisfy: two
-// runs in the same process produce byte-identical rendered tables. Columns
-// are metered work, never wall time, so any diff is a real nondeterminism bug
-// (map iteration, scheduling-dependent accounting, unseeded RNG).
-func DeterminismHypothesis(e Experiment) hypo.Hypothesis {
-	return hypo.Hypothesis{
-		ID:    e.ID + "/deterministic",
-		Claim: "two runs produce byte-identical table output",
-		Type:  hypo.Deterministic,
-		Check: func() []hypo.Finding {
-			a, b := render(e.Run()), render(e.Run())
-			f := hypo.Finding{Label: e.ID, Pass: a == b}
-			if f.Pass {
-				f.Got = fmt.Sprintf("%d identical bytes", len(a))
-			} else {
-				f.Got = firstDiff(a, b)
-			}
-			return []hypo.Finding{f}
-		},
-	}
-}
-
-func render(t *Table) string {
-	var sb strings.Builder
-	t.Fprint(&sb)
-	return sb.String()
-}
-
-// firstDiff locates the first differing line of two renderings.
-func firstDiff(a, b string) string {
-	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(la) && i < len(lb); i++ {
-		if la[i] != lb[i] {
-			return fmt.Sprintf("line %d differs: %q vs %q", i+1, strings.TrimSpace(la[i]), strings.TrimSpace(lb[i]))
-		}
-	}
-	return fmt.Sprintf("lengths differ: %d vs %d lines", len(la), len(lb))
-}
+// the rendered table they are given (the same artifact a reader sees); Type 2
+// claims ignore it and re-run the underlying workload per seed, since a
+// single table row cannot witness a statistical effect.
 
 // checker accumulates Type-1 findings over a rendered table's cells.
 type checker struct {
@@ -97,13 +58,13 @@ func (c *checker) expect(label string, pass bool, format string, args ...any) {
 	c.findings = append(c.findings, hypo.Finding{Label: label, Pass: pass, Got: fmt.Sprintf(format, args...)})
 }
 
-// tableClaim builds a Type-1 hypothesis whose findings come from one run of
-// the experiment's own table.
-func tableClaim(id, claim string, run func() *Table, check func(c *checker)) hypo.Hypothesis {
+// tableClaim builds a Type-1 hypothesis whose findings come from the
+// experiment's rendered table t.
+func tableClaim(id, claim string, t *Table, check func(c *checker)) hypo.Hypothesis {
 	return hypo.Hypothesis{
 		ID: id, Claim: claim, Type: hypo.Deterministic,
 		Check: func() []hypo.Finding {
-			c := &checker{t: run()}
+			c := &checker{t: t}
 			check(c)
 			return c.findings
 		},
@@ -111,9 +72,9 @@ func tableClaim(id, claim string, run func() *Table, check func(c *checker)) hyp
 }
 
 func init() {
-	registerClaims("tab1-fsm", func() []hypo.Hypothesis {
+	registerClaims("tab1-fsm", func(t *Table) []hypo.Hypothesis {
 		return []hypo.Hypothesis{tableClaim("tab1-fsm/worker-invariance",
-			"mined pattern sets are identical at 1, 4 and 8 workers", Table1FSM,
+			"mined pattern sets are identical at 1, 4 and 8 workers", t,
 			func(c *checker) {
 				for r := range c.t.Rows {
 					for _, col := range []int{3, 4} {
@@ -125,9 +86,9 @@ func init() {
 			})}
 	})
 
-	registerClaims("tab1-online", func() []hypo.Hypothesis {
+	registerClaims("tab1-online", func(t *Table) []hypo.Hypothesis {
 		return []hypo.Hypothesis{tableClaim("tab1-online/light-latency",
-			"shared-pool admission cuts light-query latency ≥10× without speeding up the heavy query", Table1OnlineQuery,
+			"shared-pool admission cuts light-query latency ≥10× without speeding up the heavy query", t,
 			func(c *checker) {
 				concHeavy, concMean, concMax := c.num(0, 1), c.num(0, 2), c.num(0, 3)
 				seqHeavy, seqMean, seqMax := c.num(1, 1), c.num(1, 2), c.num(1, 3)
@@ -140,9 +101,9 @@ func init() {
 			})}
 	})
 
-	registerClaims("claim-tri", func() []hypo.Hypothesis {
+	registerClaims("claim-tri", func(t *Table) []hypo.Hypothesis {
 		return []hypo.Hypothesis{tableClaim("claim-tri/shuffle-floor",
-			"MR shuffle bytes exceed the serial counter's total merge-op budget on every graph", ClaimTriangle,
+			"MR shuffle bytes exceed the serial counter's total merge-op budget on every graph", t,
 			func(c *checker) {
 				for r := range c.t.Rows {
 					bytes, ops := c.num(r, 3), c.num(r, 4)
@@ -152,9 +113,9 @@ func init() {
 			})}
 	})
 
-	registerClaims("claim-tlav", func() []hypo.Hypothesis {
+	registerClaims("claim-tlav", func(t *Table) []hypo.Hypothesis {
 		return []hypo.Hypothesis{tableClaim("claim-tlav/round-envelope",
-			"HashMin rounds stay ≤2·log2|V| with per-round messages ≤ |V|+|E|", ClaimTLAV,
+			"HashMin rounds stay ≤2·log2|V| with per-round messages ≤ |V|+|E|", t,
 			func(c *checker) {
 				for r := range c.t.Rows {
 					rounds, logv, ratio := c.num(r, 2), c.num(r, 3), c.num(r, 4)
@@ -166,9 +127,9 @@ func init() {
 			})}
 	})
 
-	registerClaims("tab2-pipeline", func() []hypo.Hypothesis {
+	registerClaims("tab2-pipeline", func(t *Table) []hypo.Hypothesis {
 		return []hypo.Hypothesis{tableClaim("tab2-pipeline/speedup",
-			"pipelined makespan beats sequential on every batch count, improving as batches grow", Table2Pipelining,
+			"pipelined makespan beats sequential on every batch count, improving as batches grow", t,
 			func(c *checker) {
 				prev := 0.0
 				for r := range c.t.Rows {
@@ -183,9 +144,9 @@ func init() {
 			})}
 	})
 
-	registerClaims("ext-quegel", func() []hypo.Hypothesis {
+	registerClaims("ext-quegel", func(t *Table) []hypo.Hypothesis {
 		return []hypo.Hypothesis{tableClaim("ext-quegel/barrier-sharing",
-			"batched rounds are independent of the query count; sequential rounds grow with it", ExtQuegel,
+			"batched rounds are independent of the query count; sequential rounds grow with it", t,
 			func(c *checker) {
 				// rows come in (batched, sequential) pairs per query count
 				firstBatched := c.num(0, 2)
@@ -206,9 +167,9 @@ func init() {
 			})}
 	})
 
-	registerClaims("ext-blogel", func() []hypo.Hypothesis {
+	registerClaims("ext-blogel", func(t *Table) []hypo.Hypothesis {
 		return []hypo.Hypothesis{tableClaim("ext-blogel/block-collapse",
-			"block-centric CC needs fewer rounds and messages than vertex-centric on every graph", ExtBlogel,
+			"block-centric CC needs fewer rounds and messages than vertex-centric on every graph", t,
 			func(c *checker) {
 				for r := 0; r+1 < len(c.t.Rows); r += 2 {
 					name := c.t.Rows[r][0]
@@ -223,9 +184,9 @@ func init() {
 			})}
 	})
 
-	registerClaims("ft-recover", func() []hypo.Hypothesis {
+	registerClaims("ft-recover", func(t *Table) []hypo.Hypothesis {
 		return []hypo.Hypothesis{tableClaim("ft-recover/exact-recovery",
-			"every faulty run recovers to the exact fault-free loss, replaying < interval rounds", FTRecover,
+			"every faulty run recovers to the exact fault-free loss, replaying < interval rounds", t,
 			func(c *checker) {
 				// row 0 is the fault-free reference; remaining rows crash
 				for r := 1; r < len(c.t.Rows); r++ {
@@ -244,9 +205,9 @@ func init() {
 			})}
 	})
 
-	registerClaims("abl-split", func() []hypo.Hypothesis {
+	registerClaims("abl-split", func(t *Table) []hypo.Hypothesis {
 		return []hypo.Hypothesis{tableClaim("abl-split/work-conservation",
-			"splitting preserves the result and total work while raising the parallelism bound", AblationTaskSplit,
+			"splitting preserves the result and total work while raising the parallelism bound", t,
 			func(c *checker) {
 				cliques, ticks := c.num(0, 1), c.num(0, 5)
 				prevBound := 0.0
@@ -267,9 +228,9 @@ func init() {
 			})}
 	})
 
-	registerClaims("tab2-serverless", func() []hypo.Hypothesis {
+	registerClaims("tab2-serverless", func(t *Table) []hypo.Hypothesis {
 		return []hypo.Hypothesis{tableClaim("tab2-serverless/crossover",
-			"serverless advantage crosses 1× at the startup-amortisation point and grows with per-batch compute", Table2Serverless,
+			"serverless advantage crosses 1× at the startup-amortisation point and grows with per-batch compute", t,
 			func(c *checker) {
 				first, last := c.num(0, 4), c.num(len(c.t.Rows)-1, 4)
 				c.expect("GPU wins tiny batches", first < 1,
@@ -286,7 +247,7 @@ func init() {
 			})}
 	})
 
-	registerClaims("abl-combiner", func() []hypo.Hypothesis {
+	registerClaims("abl-combiner", func(*Table) []hypo.Hypothesis { // seeded: re-runs the workload
 		return []hypo.Hypothesis{{
 			ID:            "abl-combiner/message-reduction",
 			Claim:         "the min-combiner cuts HashMin messages >2× at every graph size",
@@ -294,7 +255,6 @@ func init() {
 			Seeds:         []int64{1000, 2000, 4000}, // samples are graph sizes, not RNG seeds
 			MinEffect:     2.0,
 			LowerIsBetter: true,
-			Unit:          "messages",
 			Measure: func(n int64) (hypo.Sample, error) {
 				g := gen.BarabasiAlbert(int(n), 6, n)
 				prog := hashMinProgram()
@@ -315,7 +275,7 @@ func init() {
 		}}
 	})
 
-	registerClaims("serve-sweep", func() []hypo.Hypothesis {
+	registerClaims("serve-sweep", func(t *Table) []hypo.Hypothesis {
 		params := defaultServingParams()
 		// rows are policy-major over serve.Policies × params.lambdas
 		row := func(pol serve.Policy, li int) int {
@@ -330,7 +290,7 @@ func init() {
 		const colCompleted, colRejected, colP50, colGoodput = 2, 3, 5, 7
 		return []hypo.Hypothesis{
 			tableClaim("serve-sweep/overload-discipline",
-				"below saturation goodput tracks offered load within 10%; beyond it every policy sheds (rejections > 0) and holds goodput ≥ half its sweep peak", ServeSweep,
+				"below saturation goodput tracks offered load within 10%; beyond it every policy sheds (rejections > 0) and holds goodput ≥ half its sweep peak", t,
 				func(c *checker) {
 					for pi, pol := range serve.Policies {
 						for li, lambda := range params.lambdas[:2] { // λ=0.2, 0.4: well below saturation
@@ -354,7 +314,7 @@ func init() {
 					}
 				}),
 			tableClaim("serve-sweep/srw-beats-fifo",
-				"beyond saturation shortest-remaining-work sustains ≥1.2× FIFO goodput, and its p50 never exceeds FIFO's at any load", ServeSweep,
+				"beyond saturation shortest-remaining-work sustains ≥1.2× FIFO goodput, and its p50 never exceeds FIFO's at any load", t,
 				func(c *checker) {
 					fifoGood := c.num(row(serve.FIFO, last), colGoodput)
 					srwGood := c.num(row(serve.ShortestRemaining, last), colGoodput)
@@ -376,7 +336,6 @@ func init() {
 					"≥1.2× on every seed of the standard set",
 				Type:      hypo.Statistical,
 				MinEffect: 1.2,
-				Unit:      "completions/kilotick",
 				Measure: func(seed int64) (hypo.Sample, error) {
 					lambda := params.overloadLambda()
 					fifo, err := measureServingPoint(params, serve.FIFO, lambda, seed)
@@ -393,14 +352,13 @@ func init() {
 		}
 	})
 
-	registerClaims("tab2-quant", func() []hypo.Hypothesis {
+	registerClaims("tab2-quant", func(*Table) []hypo.Hypothesis { // seeded: re-runs the workload
 		return []hypo.Hypothesis{{
 			ID:            "tab2-quant/grad-compression",
 			Claim:         "4-bit error-compensated quantisation moves >3× fewer gradient bytes than fp32",
 			Type:          hypo.Statistical,
 			MinEffect:     3.0, // ideal is 8×; per-row fp32 scale/offset overhead keeps the honest floor at ~3.5×
 			LowerIsBetter: true,
-			Unit:          "gradient bytes",
 			Measure: func(seed int64) (hypo.Sample, error) {
 				task := gnn.HardSyntheticCommunityTask(300, 3, 0.3, 17)
 				base := gnndist.TrainerConfig{Workers: 4, TimeBudget: 30, Seed: seed}

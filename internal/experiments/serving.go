@@ -110,8 +110,8 @@ func measureServingPoint(p servingParams, policy serve.Policy, lambda float64, s
 // Open-loop Poisson arrivals with a bimodal light/heavy cost mix meet a
 // fixed-capacity server under admission control and a per-query deadline;
 // latencies are logical ticks and goodput is completions per kilotick, so
-// every cell is a pure function of the parameters and the two-run
-// determinism invariant covers the whole serving stack (policy allocators,
+// every cell is a pure function of the parameters and the results.txt
+// golden comparison covers the whole serving stack (policy allocators,
 // shedding, expiry).
 func ServeSweep() *Table {
 	p := defaultServingParams()

@@ -18,9 +18,9 @@ import (
 
 func init() {
 	register("cap-storage", "Capacity (§7/ROADMAP 2): every engine on the out-of-core block store, budgeted cache vs in-memory", CapStorage)
-	registerClaims("cap-storage", func() []hypo.Hypothesis {
+	registerClaims("cap-storage", func(t *Table) []hypo.Hypothesis {
 		return []hypo.Hypothesis{tableClaim("cap-storage/oracle-equivalence",
-			"every engine's disk-backed result is bitwise-identical to the in-memory oracle, and MRU never re-reads more than LRU on the cyclic sweep", CapStorage,
+			"every engine's disk-backed result is bitwise-identical to the in-memory oracle, and MRU never re-reads more than LRU on the cyclic sweep", t,
 			func(c *checker) {
 				for r := range c.t.Rows {
 					c.expect(c.t.Rows[r][0]+" identical", c.t.Rows[r][5] == "true", "%s", c.t.Rows[r][5])

@@ -5,7 +5,7 @@
 // workers draw from the queries under a pluggable scheduling policy
 // (round-robin by default), so a long-running query cannot monopolise the
 // pool: short queries interleave fairly and keep low latency — the property
-// BenchmarkTable1_OnlineQuery measures against sequential (offline,
+// the tab1-online experiment measures against sequential (offline,
 // one-query-at-a-time) execution.
 //
 // The engine lives behind the unified serving tier: Engine implements

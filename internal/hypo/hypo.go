@@ -12,9 +12,8 @@
 //     (default >20%), and directional consistency: the predicted direction
 //     must hold in EVERY sample — one contradicting seed refutes the claim.
 //
-// A Report is the pass/fail artifact of running a hypothesis set; WriteDir
-// persists it as results.json + results.csv in a per-run folder so CI and
-// later analysis read the same bytes the gate decided on.
+// A Report is the pass/fail verdict of running a hypothesis set; Fprint
+// renders it for terminals and CI logs.
 package hypo
 
 import (
@@ -59,15 +58,11 @@ const DefaultMinEffect = 1.2
 type Finding struct {
 	// Label identifies the configuration checked (a table row, a seed, a
 	// worker count).
-	Label string `json:"label"`
-	Pass  bool   `json:"pass"`
-	// Got describes the observed value(s), for humans and the CSV artifact.
-	Got string `json:"got,omitempty"`
-	// Baseline/Treatment/Effect are set for statistical samples: Effect is
-	// the directional improvement ratio (≥1 means the predicted direction).
-	Baseline  float64 `json:"baseline,omitempty"`
-	Treatment float64 `json:"treatment,omitempty"`
-	Effect    float64 `json:"effect,omitempty"`
+	Label string
+	Pass  bool
+	// Got describes the observed value(s); for statistical samples it
+	// includes the baseline, treatment and effect ratio.
+	Got string
 }
 
 // Sample is one seeded measurement of a Type-2 comparison.
@@ -104,31 +99,28 @@ type Hypothesis struct {
 	// LowerIsBetter inverts the effect ratio: the treatment metric is
 	// claimed to be LOWER than the baseline (latency, bytes, allocs).
 	LowerIsBetter bool
-	// Unit annotates the metric in artifacts (msgs/sec, allocs/op, steps).
-	Unit string
 }
 
 // Outcome is the evaluated result of one hypothesis.
 type Outcome struct {
-	ID       string    `json:"id"`
-	Claim    string    `json:"claim"`
-	Type     string    `json:"type"`
-	Pass     bool      `json:"pass"`
-	Err      string    `json:"error,omitempty"`
-	Unit     string    `json:"unit,omitempty"`
-	Findings []Finding `json:"findings"`
+	ID       string
+	Claim    string
+	Type     string
+	Pass     bool
+	Err      string
+	Findings []Finding
 	// Effect summary across samples (Type 2 only): min/mean/max of the
 	// directional improvement ratio, and the threshold it was held to.
-	EffectMin  float64 `json:"effect_min,omitempty"`
-	EffectMean float64 `json:"effect_mean,omitempty"`
-	EffectMax  float64 `json:"effect_max,omitempty"`
-	MinEffect  float64 `json:"min_effect,omitempty"`
+	EffectMin  float64
+	EffectMean float64
+	EffectMax  float64
+	MinEffect  float64
 }
 
 // Report is the result of running a hypothesis set.
 type Report struct {
-	Name     string    `json:"name"`
-	Outcomes []Outcome `json:"outcomes"`
+	Name     string
+	Outcomes []Outcome
 }
 
 // Pass reports whether every hypothesis passed.
@@ -165,7 +157,7 @@ func Run(name string, hs []Hypothesis) *Report {
 }
 
 func eval(h Hypothesis) Outcome {
-	o := Outcome{ID: h.ID, Claim: h.Claim, Type: h.Type.String(), Unit: h.Unit}
+	o := Outcome{ID: h.ID, Claim: h.Claim, Type: h.Type.String()}
 	switch h.Type {
 	case Deterministic:
 		if h.Check == nil {
@@ -224,7 +216,6 @@ func eval(h Hypothesis) Outcome {
 			o.EffectMax = math.Max(o.EffectMax, eff)
 			o.Findings = append(o.Findings, Finding{
 				Label: fmt.Sprintf("seed=%d", seed), Pass: pass,
-				Baseline: s.Baseline, Treatment: s.Treatment, Effect: eff,
 				Got: fmt.Sprintf("baseline=%g treatment=%g effect=%.3fx (need ≥%.2fx)", s.Baseline, s.Treatment, eff, minEffect),
 			})
 		}

@@ -1,11 +1,7 @@
 package hypo
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -112,51 +108,6 @@ func TestEffectZeroDenominator(t *testing.T) {
 	}
 	if e := effect(Sample{Baseline: 0, Treatment: 0}, false); e != 1 {
 		t.Fatalf("0/0 effect = %v, want 1", e)
-	}
-}
-
-func TestWriteDirArtifacts(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "run")
-	rep := Run("artifacts", []Hypothesis{
-		{
-			ID: "det", Claim: "c", Type: Deterministic,
-			Check: func() []Finding { return []Finding{{Label: "x", Pass: true, Got: "42"}} },
-		},
-		{
-			ID: "stat", Claim: "s", Type: Statistical, Unit: "msgs/sec",
-			Measure: func(seed int64) (Sample, error) { return Sample{Baseline: 1, Treatment: 2}, nil },
-		},
-	})
-	if err := rep.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	// results.json round-trips
-	data, err := os.ReadFile(filepath.Join(dir, "results.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != "artifacts" || len(back.Outcomes) != 2 || !back.Pass() {
-		t.Fatalf("round-trip report = %+v", back)
-	}
-	// results.csv has a header plus one row per finding (1 + 3 seeds)
-	cf, err := os.Open(filepath.Join(dir, "results.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cf.Close()
-	recs, err := csv.NewReader(cf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1+1+3 {
-		t.Fatalf("csv rows = %d, want 5", len(recs))
-	}
-	if recs[0][0] != "hypothesis" {
-		t.Fatalf("csv header = %v", recs[0])
 	}
 }
 

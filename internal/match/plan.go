@@ -80,7 +80,7 @@ func Automorphisms(p *graph.Graph) [][]graph.V {
 }
 
 // NaivePlan matches vertices in id order with no symmetry breaking — the
-// uncompiled baseline whose cost BenchmarkTable1_MatchingOrder compares
+// uncompiled baseline whose cost the tab1-order experiment compares
 // against.
 func NaivePlan(p *graph.Graph) *Plan {
 	order := make([]graph.V, p.NumVertices())

@@ -116,7 +116,7 @@ func MotifCounts(g *graph.Graph, k int, cfg Config) (map[string]int64, Stats) {
 // CountCliquesBFS counts k-cliques with the BFS-extension engine, pruning
 // embeddings that are not cliques at every level (clique-ness is hereditary,
 // so the filter is exact). Its Stats expose the materialisation cost to
-// compare against DFS clique search (BenchmarkTable1_BFSvsDFS).
+// compare against DFS clique search (the tab1-model experiment).
 func CountCliquesBFS(g *graph.Graph, k int, cfg Config) (int64, Stats) {
 	var mu sync.Mutex
 	var count int64
