@@ -31,7 +31,9 @@ import (
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
 	"graphsys/internal/gthinkerq"
+	"graphsys/internal/pregel"
 	"graphsys/internal/quegel"
+	"graphsys/internal/serve"
 )
 
 var patterns = map[string][][2]graph.V{
@@ -78,9 +80,11 @@ func main() {
 		}
 	}
 	fmt.Printf("loaded %v; query server with %d workers ready\n", g, *workers)
-	srv := gthinkerq.NewServer(g, *workers)
-	defer srv.Close()
-	qsrv := quegel.NewServer(g, *workers)
+	eng, err := gthinkerq.NewEngine(g, serve.Options{Workers: *workers, Policy: serve.RoundRobin})
+	if err != nil {
+		log.Fatalf("graphql: %v", err)
+	}
+	defer eng.Close()
 	var inflight sync.WaitGroup
 	defer inflight.Wait() // answer every submitted query before exiting
 
@@ -112,7 +116,7 @@ func main() {
 				fmt.Println(")")
 				break
 			}
-			submit(srv, &inflight, fields[1], edges)
+			submit(eng, &inflight, fields[1], edges)
 		case "dist":
 			if len(fields) < 3 {
 				fmt.Println("usage: dist <u> <v>")
@@ -125,8 +129,7 @@ func main() {
 				fmt.Println("bad vertex ids")
 				break
 			}
-			qsrv.Submit(quegel.Query{Src: graph.V(u), Dst: graph.V(v)})
-			ans, st, err := qsrv.Flush()
+			ans, st, err := quegel.AnswerBatched(g, []quegel.Query{{Src: graph.V(u), Dst: graph.V(v)}}, pregel.Config{Workers: *workers})
 			if err != nil {
 				fmt.Printf("query failed: %v\n", err)
 				break
@@ -142,7 +145,7 @@ func main() {
 				fmt.Printf("bad edge list: %v\n", err)
 				break
 			}
-			submit(srv, &inflight, "ad-hoc", edges)
+			submit(eng, &inflight, "ad-hoc", edges)
 		default:
 			fmt.Println("commands: pattern <name> | edges <list> | stats | quit")
 		}
@@ -150,7 +153,7 @@ func main() {
 	}
 }
 
-func submit(srv *gthinkerq.Server, inflight *sync.WaitGroup, name string, edges [][2]graph.V) {
+func submit(eng *gthinkerq.Engine, inflight *sync.WaitGroup, name string, edges [][2]graph.V) {
 	max := graph.V(0)
 	for _, e := range edges {
 		if e[0] > max {
@@ -161,12 +164,20 @@ func submit(srv *gthinkerq.Server, inflight *sync.WaitGroup, name string, edges 
 		}
 	}
 	p := graph.FromEdges(int(max)+1, edges)
-	q := srv.Submit(p)
+	tk, err := eng.Submit(serve.Request[*graph.Graph]{Query: p})
+	if err != nil {
+		fmt.Printf("query %s rejected: %v\n", name, err)
+		return
+	}
 	inflight.Add(1)
 	go func() {
 		defer inflight.Done()
-		count := q.Wait()
-		fmt.Printf("\n[query #%d %s] %d matches in %s\n> ", q.ID, name, count, q.Latency().Round(time.Microsecond))
+		count, err := tk.Wait()
+		if err != nil {
+			fmt.Printf("\n[query #%d %s] failed: %v\n> ", tk.ID(), name, err)
+			return
+		}
+		fmt.Printf("\n[query #%d %s] %d matches in %s\n> ", tk.ID(), name, count, tk.Latency().Round(time.Microsecond))
 	}()
 }
 

@@ -12,6 +12,7 @@ import (
 	"graphsys/internal/gthinkerq"
 	"graphsys/internal/match"
 	"graphsys/internal/mining"
+	"graphsys/internal/serve"
 	"graphsys/internal/tthinker"
 )
 
@@ -157,8 +158,9 @@ func Table1FSM() *Table {
 // work units per engine time unit, and the two admission policies become
 // deterministic scheduling models — sequential runs jobs back to back, while
 // G-thinkerQ's per-query round-robin is egalitarian processor sharing across
-// the active queries. The live server is still exercised: its match counts
-// must agree with the planner's, which pins the work metering to reality.
+// the active queries. The live engine (gthinkerq.Engine, round-robin) runs
+// both queries too: its match counts must agree with the planner's, which
+// pins the work metering to reality.
 func Table1OnlineQuery() *Table {
 	t := &Table{ID: "tab1-online", Title: "Online subgraph querying: light-query completion behind a heavy query (engine time units)",
 		Header: []string{"admission", "heavy done", "mean light latency", "max light latency"}}
@@ -182,16 +184,16 @@ func Table1OnlineQuery() *Table {
 	wH := float64(heavyStats.TreeNodes)
 	wL := float64(lightStats.TreeNodes)
 
-	// cross-validate the model's work source against the live server: the
+	// cross-validate the model's work source against the live engine: the
 	// shared-pool engine must produce the same match counts the planner does
-	s := gthinkerq.NewServer(g, workers)
-	hq := s.Submit(heavy)
-	lq := s.Submit(light)
-	if hq.Wait() != heavyCount || lq.Wait() != lightCount {
-		//lint:allow panicpolicy cross-validation assertion between the online server and the matching planner; graphbench recovers it into a non-zero exit
+	eng := must2(gthinkerq.NewEngine(g, serve.Options{Workers: workers, Policy: serve.RoundRobin}))
+	hq := must2(eng.Submit(serve.Request[*graph.Graph]{Query: heavy}))
+	lq := must2(eng.Submit(serve.Request[*graph.Graph]{Query: light}))
+	if must2(hq.Wait()) != heavyCount || must2(lq.Wait()) != lightCount {
+		//lint:allow panicpolicy cross-validation assertion between the online engine and the matching planner; graphbench recovers it into a non-zero exit
 		panic("gthinkerq counts disagree with match.Count")
 	}
-	s.Close()
+	must(eng.Close())
 
 	// All light queries ARRIVE right after the heavy one; latency is engine
 	// time from that shared arrival instant, at C = workers units of work

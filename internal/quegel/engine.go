@@ -14,8 +14,6 @@ import (
 // AnswerBatched — every batch window pays one superstep sequence for all of
 // its queries (superstep-sharing), and the serving tier supplies admission
 // control, per-query deadlines, cancellation and batch-window policy on top.
-//
-// The deprecated Server keeps the original synchronous Submit/Flush surface.
 type Engine struct {
 	g *graph.Graph
 	b *serve.Batcher[Query, Answer]

@@ -8,7 +8,6 @@
 package quegel
 
 import (
-	"graphsys/internal/cluster"
 	"graphsys/internal/det"
 	"graphsys/internal/graph"
 	"graphsys/internal/obs"
@@ -131,35 +130,4 @@ func AnswerSequential(g *graph.Graph, queries []Query, cfg pregel.Config) ([]Ans
 		st.Messages += res.Net.Messages + res.Net.LocalMessages
 	}
 	return out, st, nil
-}
-
-// Server is the original interactive face: it accumulates queries and serves
-// each batch with one shared run (Quegel's batching window), synchronously.
-//
-// Deprecated: use NewEngine with serve.Options — the serving tier adds
-// asynchronous submission with tickets, admission control, deadlines,
-// cancellation and typed errors over the same AnswerBatched core.
-type Server struct {
-	g       *graph.Graph
-	cfg     pregel.Config
-	pending []Query
-	net     cluster.Stats
-}
-
-// NewServer creates a query server over g.
-func NewServer(g *graph.Graph, workers int) *Server {
-	return &Server{g: g, cfg: pregel.Config{Workers: workers}}
-}
-
-// Submit adds a query to the current batch.
-func (s *Server) Submit(q Query) { s.pending = append(s.pending, q) }
-
-// Flush answers the whole pending batch in one shared run.
-func (s *Server) Flush() ([]Answer, Stats, error) {
-	qs := s.pending
-	s.pending = nil
-	if len(qs) == 0 {
-		return nil, Stats{}, nil
-	}
-	return AnswerBatched(s.g, qs, s.cfg)
 }

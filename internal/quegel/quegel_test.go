@@ -57,31 +57,3 @@ func TestUnreachableQuery(t *testing.T) {
 		t.Fatalf("self distance %d", ans[2].Dist)
 	}
 }
-
-func TestServerBatching(t *testing.T) {
-	g := gen.BarabasiAlbert(200, 3, 3)
-	s := NewServer(g, 4)
-	s.Submit(Query{Src: 0, Dst: 100})
-	s.Submit(Query{Src: 5, Dst: 150})
-	ans, st, err := s.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans) != 2 {
-		t.Fatalf("answers %d", len(ans))
-	}
-	if st.Supersteps == 0 {
-		t.Fatal("no rounds recorded")
-	}
-	for i, q := range []Query{{0, 100}, {5, 150}} {
-		want := graph.BFSLevels(g, q.Src)[q.Dst]
-		if ans[i].Dist != want {
-			t.Fatalf("query %d wrong", i)
-		}
-	}
-	// flush with nothing pending
-	ans2, _, _ := s.Flush()
-	if ans2 != nil {
-		t.Fatal("empty flush returned answers")
-	}
-}

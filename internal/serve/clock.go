@@ -6,8 +6,7 @@ import (
 )
 
 // Clock is the injectable time source every serving engine stamps latencies
-// and checks deadlines with — the generalisation of the old
-// gthinkerq.Server.SetClock hook. Engines never read the host clock
+// and checks deadlines with. Engines never read the host clock
 // directly: the clock arrives through Options, so tests and the load
 // generator substitute a LogicalClock and the whole serving tier becomes
 // wall-clock-free (graphlint's wallclock check covers this package).

@@ -72,26 +72,6 @@ func PoissonArrivals(rng *rand.Rand, n int, lambda float64, sizes Sizer) ([]Arri
 	return out, nil
 }
 
-// TraceArrivals builds a trace-driven workload from explicit (tick, cost)
-// pairs — replaying a recorded arrival log instead of a synthetic process.
-// Ticks must be non-decreasing and costs positive.
-func TraceArrivals(at, cost []int64) ([]Arrival, error) {
-	if len(at) != len(cost) {
-		return nil, fmt.Errorf("%w: trace has %d ticks but %d costs", ErrInvalidRequest, len(at), len(cost))
-	}
-	out := make([]Arrival, len(at))
-	for i := range at {
-		if i > 0 && at[i] < at[i-1] {
-			return nil, fmt.Errorf("%w: trace ticks decrease at index %d", ErrInvalidRequest, i)
-		}
-		if cost[i] < 1 {
-			return nil, fmt.Errorf("%w: trace cost %d at index %d", ErrInvalidRequest, cost[i], i)
-		}
-		out[i] = Arrival{At: at[i], Cost: cost[i], Weight: 1}
-	}
-	return out, nil
-}
-
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

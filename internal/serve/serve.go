@@ -204,8 +204,9 @@ func newTicket[A any](id int64, now time.Time, deadline time.Duration, weight in
 }
 
 // CompletedTicket mints an already-terminal ticket carrying result and err —
-// for wrappers that must surface a rejection through an API with no error
-// return, and for tests. Its latency is zero and it has no engine id.
+// for callers that record a rejected submit as a terminal ticket (the
+// benchmark's open-loop driver) and for tests. Its latency is zero and it has
+// no engine id.
 func CompletedTicket[A any](result A, err error) *Ticket[A] {
 	t := &Ticket[A]{done: make(chan struct{})}
 	t.complete(result, err, time.Time{})

@@ -193,17 +193,4 @@ func TestLoadgenValidation(t *testing.T) {
 			t.Fatalf("arrival %d malformed: %+v", i, a)
 		}
 	}
-	if _, err := TraceArrivals([]int64{0, 1}, []int64{1}); !errors.Is(err, ErrInvalidRequest) {
-		t.Fatalf("length mismatch: %v", err)
-	}
-	if _, err := TraceArrivals([]int64{5, 3}, []int64{1, 1}); !errors.Is(err, ErrInvalidRequest) {
-		t.Fatalf("decreasing ticks: %v", err)
-	}
-	if _, err := TraceArrivals([]int64{0}, []int64{0}); !errors.Is(err, ErrInvalidRequest) {
-		t.Fatalf("zero cost: %v", err)
-	}
-	got, err := TraceArrivals([]int64{0, 2, 2}, []int64{1, 2, 3})
-	if err != nil || len(got) != 3 || got[2].Cost != 3 {
-		t.Fatalf("trace arrivals: %v %v", got, err)
-	}
 }
