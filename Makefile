@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint verify bench-test bench-seeds
+.PHONY: build test race vet fmt lint verify bench-test bench-seeds fuzz
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,21 @@ bench-seeds:
 	done; \
 	if [ -n "$$failed" ]; then echo "bench-seeds: failed at seed(s)$$failed"; exit 1; fi; \
 	echo "bench-seeds: OK"
+
+# Every fuzzer for 10 s each, beyond its committed seeds (which run with the
+# unit tests). Every fuzzer runs; the target fails if any found a failing
+# input, which go test saves under the package's testdata/fuzz. Kept out of
+# verify and tier-1 because it takes half a minute; CI runs it as a job.
+FUZZ_TARGETS = FuzzCodec:./internal/storage/ FuzzPregelVsReference:./internal/pregel/ FuzzServeSim:./internal/serve/
+fuzz:
+	@failed=""; \
+	for t in $(FUZZ_TARGETS); do \
+		name=$${t%%:*}; pkg=$${t#*:}; \
+		echo "fuzz: $$name"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s $$pkg || failed="$$failed $$name"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz: failed:$$failed"; exit 1; fi; \
+	echo "fuzz: OK"
 
 # The full pre-commit gate: referenced from .claude/skills/verify/SKILL.md.
 # Every check in it is exact; performance is measured by `bash bench/run.sh`.

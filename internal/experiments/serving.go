@@ -111,8 +111,8 @@ func measureServingPoint(p servingParams, policy serve.Policy, lambda float64, s
 // fixed-capacity server under admission control and a per-query deadline;
 // latencies are logical ticks and goodput is completions per kilotick, so
 // every cell is a pure function of the parameters and the results.txt
-// golden comparison covers the whole serving stack (policy allocators,
-// shedding, expiry).
+// golden comparison covers the simulator (the policy pick it shares with
+// the Pool, shedding, expiry).
 func ServeSweep() *Table {
 	p := defaultServingParams()
 	t := &Table{ID: "serve-sweep",

@@ -3,10 +3,11 @@ package serve
 import "fmt"
 
 // Policy is the scheduling discipline an engine applies across in-flight
-// queries. The same four policies drive the live engines (Pool task draws,
-// Batcher batch ordering) and the discrete-event simulator behind the
-// serve-sweep experiment, so a policy's measured curve and its serving
-// behaviour are the same code path ordering the same way.
+// queries. The Pool's task draws and the discrete-event simulator behind
+// the serve-sweep experiment make the same policy pick under the same
+// round-robin cursor rule (sched.go); the simulator models admission and
+// expiry per tick. The Batcher orders each batch window by its own stable
+// sort on the policy (Batcher.orderLocked).
 type Policy int
 
 const (

@@ -10,7 +10,8 @@ import (
 // engines: each admitted query owns a queue of fine-grained tasks, a shared
 // worker pool draws tasks across queries under the configured Policy, and
 // tasks may spawn children (TaskContext.Spawn) so heavy queries decompose
-// and interleave with light ones.
+// and interleave with light ones. Each draw is the policy pick that Simulate
+// makes per work unit (sched.go), under the same round-robin cursor rule.
 //
 // T is the task payload, A the query's answer type. Task results are folded
 // into the query's accumulator with merge, which must be commutative and
@@ -28,18 +29,16 @@ type Pool[T, A any] struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	jobs    map[int64]*pjob[T, A]
-	order   []int64 // live job ids in admission order
-	rr      int     // round-robin cursor into order
-	closing bool    // Submit rejects with ErrClosed
-	closed  bool    // workers exit once jobs drain
+	order   []*pjob[T, A] // live jobs in admission order
+	rr      int           // round-robin cursor into order
+	closing bool          // Submit rejects with ErrClosed
+	closed  bool          // workers exit once jobs drain
 	wg      sync.WaitGroup
 }
 
 // pjob is one admitted query's scheduling state. All fields are guarded by
 // Pool.mu except the ticket's own atomics.
 type pjob[T, A any] struct {
-	id      int64
 	ticket  *Ticket[A]
 	tasks   []T   // LIFO stack of runnable tasks
 	pending int   // tasks not yet fully completed (queued + executing)
@@ -48,7 +47,11 @@ type pjob[T, A any] struct {
 	cost    int64 // caller's service-demand estimate (0 = unknown)
 	weight  int
 	term    error // ErrCanceled/ErrDeadlineExceeded once noticed; nil while live
+	done    bool  // retired from order; guards a second retire
 }
+
+func (j *pjob[T, A]) ready() bool         { return len(j.tasks) > 0 }
+func (j *pjob[T, A]) share() (int64, int) { return j.served, j.weight }
 
 // remaining is the ShortestRemaining key: the caller's estimate net of
 // service received when one was given, the outstanding task count otherwise.
@@ -93,7 +96,6 @@ func NewPool[T, A any](opts Options, exec func(tc *TaskContext[T], task T) A, me
 		clock: opts.clock(),
 		exec:  exec,
 		merge: merge,
-		jobs:  map[int64]*pjob[T, A]{},
 	}
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < opts.workers(); w++ {
@@ -128,7 +130,7 @@ func (p *Pool[T, A]) Submit(spec JobSpec[T, A]) (*Ticket[A], error) {
 		p.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if p.opts.QueueLimit > 0 && len(p.jobs) >= p.opts.QueueLimit {
+	if p.opts.QueueLimit > 0 && len(p.order) >= p.opts.QueueLimit {
 		p.ctr.rejected.Add(1)
 		p.mu.Unlock()
 		return nil, ErrQueueFull
@@ -142,12 +144,10 @@ func (p *Pool[T, A]) Submit(spec JobSpec[T, A]) (*Ticket[A], error) {
 		p.mu.Unlock()
 		return tk, nil
 	}
-	j := &pjob[T, A]{
-		id: id, ticket: tk, tasks: spec.Roots, pending: len(spec.Roots),
+	p.order = append(p.order, &pjob[T, A]{
+		ticket: tk, tasks: spec.Roots, pending: len(spec.Roots),
 		acc: spec.Initial, cost: spec.Cost, weight: weightFor(spec.Weight),
-	}
-	p.jobs[id] = j
-	p.order = append(p.order, id)
+	})
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	return tk, nil
@@ -156,7 +156,7 @@ func (p *Pool[T, A]) Submit(spec JobSpec[T, A]) (*Ticket[A], error) {
 // Drain blocks until every admitted query has reached a terminal state.
 func (p *Pool[T, A]) Drain() {
 	p.mu.Lock()
-	for len(p.jobs) > 0 {
+	for len(p.order) > 0 {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()
@@ -167,7 +167,7 @@ func (p *Pool[T, A]) Drain() {
 func (p *Pool[T, A]) Close() error {
 	p.mu.Lock()
 	p.closing = true
-	for len(p.jobs) > 0 {
+	for len(p.order) > 0 {
 		p.cond.Wait()
 	}
 	p.closed = true
@@ -212,7 +212,7 @@ func (p *Pool[T, A]) take() (*pjob[T, A], T, bool) {
 			j.served++
 			return j, task, true
 		}
-		if p.closed && len(p.jobs) == 0 {
+		if p.closed && len(p.order) == 0 {
 			return nil, zero, false
 		}
 		p.cond.Wait()
@@ -224,8 +224,7 @@ func (p *Pool[T, A]) take() (*pjob[T, A], T, bool) {
 func (p *Pool[T, A]) reapLocked() {
 	now := p.clock()
 	var done []*pjob[T, A] // finished after the scan: finishing mutates p.order
-	for _, id := range p.order {
-		j := p.jobs[id]
+	for _, j := range p.order {
 		if j.term == nil {
 			if j.ticket.Canceled() {
 				j.term = ErrCanceled
@@ -247,67 +246,13 @@ func (p *Pool[T, A]) reapLocked() {
 	}
 }
 
-// runnable resolves a job id to the job when it still has queued tasks,
-// else nil. A method, not a closure in pickLocked: pickLocked runs per task
-// draw and must not allocate.
-func (p *Pool[T, A]) runnable(id int64) *pjob[T, A] {
-	if j := p.jobs[id]; j != nil && len(j.tasks) > 0 {
-		return j
+// pickLocked selects the next query to draw a task from under the policy,
+// or nil when no query has a runnable task.
+func (p *Pool[T, A]) pickLocked() *pjob[T, A] {
+	if i := pick(p.opts.Policy, p.order, &p.rr); i >= 0 {
+		return p.order[i]
 	}
 	return nil
-}
-
-// pickLocked selects the next query to draw a task from, or nil when no
-// query has a runnable task. Ties break toward earlier admission, so every
-// policy is deterministic given the same scheduling state.
-func (p *Pool[T, A]) pickLocked() *pjob[T, A] {
-	switch p.opts.Policy {
-	case RoundRobin:
-		if len(p.order) == 0 {
-			return nil
-		}
-		for i := 0; i < len(p.order); i++ {
-			idx := (p.rr + i) % len(p.order)
-			if j := p.runnable(p.order[idx]); j != nil {
-				p.rr = (idx + 1) % len(p.order)
-				return j
-			}
-		}
-		return nil
-	case FIFO:
-		for _, id := range p.order {
-			if j := p.runnable(id); j != nil {
-				return j
-			}
-		}
-		return nil
-	case ShortestRemaining:
-		var best *pjob[T, A]
-		for _, id := range p.order {
-			j := p.runnable(id)
-			if j == nil {
-				continue
-			}
-			if best == nil || j.remaining() < best.remaining() {
-				best = j
-			}
-		}
-		return best
-	case WeightedFair:
-		var best *pjob[T, A]
-		for _, id := range p.order {
-			j := p.runnable(id)
-			if j == nil {
-				continue
-			}
-			if best == nil || fairBefore(j.served, j.weight, best.served, best.weight) {
-				best = j
-			}
-		}
-		return best
-	default:
-		return nil // NewPool validated the policy; unreachable
-	}
 }
 
 // finishTask merges one completed task's partial answer, enqueues its
@@ -337,24 +282,15 @@ func (p *Pool[T, A]) finishTask(j *pjob[T, A], partial A, children []T) {
 // finishJobLocked publishes the query's terminal state and retires it from
 // the scheduler.
 func (p *Pool[T, A]) finishJobLocked(j *pjob[T, A]) {
-	if _, live := p.jobs[j.id]; !live {
+	if j.done {
 		return
 	}
-	delete(p.jobs, j.id)
-	for i, id := range p.order {
-		if id == j.id {
-			//lint:allow hotalloc in-place removal: appending a shorter tail into the same backing array can never grow it
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			if p.rr > i {
-				p.rr--
-			}
+	j.done = true
+	for i, o := range p.order {
+		if o == j {
+			p.order = remove(p.order, i, &p.rr)
 			break
 		}
-	}
-	if len(p.order) == 0 {
-		p.rr = 0
-	} else {
-		p.rr %= len(p.order)
 	}
 	switch j.term {
 	case nil:

@@ -11,8 +11,9 @@ import (
 // deadlines, the four scheduling policies) over metered work, in the same
 // spirit as the experiment tables — logical ticks are the only clock, so
 // the serve-sweep table is byte-identical run to run and machine to machine.
-// One tick retires Workers work units, split across the in-flight queries
-// by the policy exactly as the live Pool splits task draws.
+// One tick retires Workers work units, each handed out by the same policy
+// pick (sched.go) the live Pool makes per task draw, under the same
+// round-robin cursor rule. Admission and expiry are modelled per tick.
 
 // Status is an arrival's terminal state in a simulation.
 type Status int
@@ -82,12 +83,16 @@ type SimResult struct {
 
 // simJob is one in-flight query inside the event loop.
 type simJob struct {
-	idx       int
-	at        int64
-	remaining int64
-	weight    int
-	served    int64 // units received (WeightedFair bookkeeping)
+	idx    int
+	at     int64
+	left   int64 // service demand not yet received
+	weight int
+	served int64 // units received (WeightedFair bookkeeping)
 }
+
+func (j *simJob) ready() bool         { return j.left > 0 }
+func (j *simJob) remaining() int64    { return j.left }
+func (j *simJob) share() (int64, int) { return j.served, j.weight }
 
 // Simulate runs the discrete-event model and returns the per-arrival
 // outcomes. It is a pure function of its config: identical configs produce
@@ -138,67 +143,47 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 				res.Outcomes[next].Status = StatusRejected
 				res.Rejected++
 			} else {
-				active = append(active, &simJob{idx: next, at: t, remaining: a.Cost, weight: weightFor(a.Weight)})
+				active = append(active, &simJob{idx: next, at: t, left: a.Cost, weight: weightFor(a.Weight)})
 			}
 			next++
 		}
 		// deadline expiry before this tick's service
-		if cfg.Deadline > 0 {
-			kept := active[:0]
-			for i, j := range active {
-				if t-j.at >= cfg.Deadline {
-					o := &res.Outcomes[j.idx]
-					o.Status = StatusExpired
-					o.Finish = t
-					res.Expired++
-					if rr > i {
-						rr--
-					}
-					continue
-				}
-				kept = append(kept, j)
+		for i := 0; cfg.Deadline > 0 && i < len(active); {
+			if j := active[i]; t-j.at >= cfg.Deadline {
+				o := &res.Outcomes[j.idx]
+				o.Status = StatusExpired
+				o.Finish = t
+				res.Expired++
+				active = remove(active, i, &rr)
+				continue
 			}
-			for i := len(kept); i < len(active); i++ {
-				active[i] = nil
-			}
-			active = kept
-			if len(active) == 0 {
-				rr = 0
-			} else {
-				rr %= len(active)
-			}
+			i++
 		}
-		// retire Workers units under the policy
-		if len(active) > 0 {
-			rr = allocate(cfg.Policy, active, int64(cfg.Workers), rr)
-			// completions at end of tick t
-			kept := active[:0]
-			for i, j := range active {
-				if j.remaining <= 0 {
-					o := &res.Outcomes[j.idx]
-					o.Status = StatusCompleted
-					o.Finish = t + 1
-					o.Latency = t + 1 - j.at
-					res.Completed++
-					if o.Finish > res.Horizon {
-						res.Horizon = o.Finish
-					}
-					if rr > i {
-						rr--
-					}
-					continue
+		// retire Workers units, one policy pick each: several units may go
+		// to one query (workers ganging up on its tasks), as in the Pool
+		for u := 0; u < cfg.Workers; u++ {
+			i := pick(cfg.Policy, active, &rr)
+			if i < 0 {
+				break // every active query already fully served
+			}
+			active[i].left--
+			active[i].served++
+		}
+		// completions at end of tick t
+		for i := 0; i < len(active); {
+			if j := active[i]; j.left == 0 {
+				o := &res.Outcomes[j.idx]
+				o.Status = StatusCompleted
+				o.Finish = t + 1
+				o.Latency = t + 1 - j.at
+				res.Completed++
+				if o.Finish > res.Horizon {
+					res.Horizon = o.Finish
 				}
-				kept = append(kept, j)
+				active = remove(active, i, &rr)
+				continue
 			}
-			for i := len(kept); i < len(active); i++ {
-				active[i] = nil
-			}
-			active = kept
-			if len(active) == 0 {
-				rr = 0
-			} else {
-				rr %= len(active)
-			}
+			i++
 		}
 		if t >= res.Horizon {
 			res.Horizon = t
@@ -206,89 +191,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		t++
 	}
 	return res, nil
-}
-
-// allocate hands out capacity units across the active queries for one tick
-// and returns the updated round-robin cursor. Jobs can absorb multiple
-// units per tick (several workers ganging up on one query's tasks), exactly
-// like the live Pool.
-func allocate(policy Policy, active []*simJob, units int64, rr int) int {
-	switch policy {
-	case FIFO:
-		// admission order, run to completion: the whole pool pours into
-		// the oldest query before touching the next
-		for _, j := range active {
-			if units == 0 {
-				break
-			}
-			grant := j.remaining
-			if grant > units {
-				grant = units
-			}
-			j.remaining -= grant
-			j.served += grant
-			units -= grant
-		}
-	case RoundRobin:
-		// unit-at-a-time rotation = egalitarian processor sharing at
-		// integer granularity
-		for units > 0 {
-			granted := false
-			for i := 0; i < len(active); i++ {
-				idx := (rr + i) % len(active)
-				j := active[idx]
-				if j.remaining > 0 {
-					j.remaining--
-					j.served++
-					units--
-					granted = true
-					rr = (idx + 1) % len(active)
-					break
-				}
-			}
-			if !granted {
-				break // every active query already fully served this tick
-			}
-		}
-	case ShortestRemaining:
-		// preemptive SRPT with pooling: smallest remaining first, ties to
-		// earlier admission
-		for units > 0 {
-			var best *simJob
-			for _, j := range active {
-				if j.remaining > 0 && (best == nil || j.remaining < best.remaining) {
-					best = j
-				}
-			}
-			if best == nil {
-				break
-			}
-			grant := best.remaining
-			if grant > units {
-				grant = units
-			}
-			best.remaining -= grant
-			best.served += grant
-			units -= grant
-		}
-	case WeightedFair:
-		// unit-at-a-time to the query most owed service per weight
-		for units > 0 {
-			var best *simJob
-			for _, j := range active {
-				if j.remaining > 0 && (best == nil || fairBefore(j.served, j.weight, best.served, best.weight)) {
-					best = j
-				}
-			}
-			if best == nil {
-				break
-			}
-			best.remaining--
-			best.served++
-			units--
-		}
-	}
-	return rr
 }
 
 // CompletedLatencies returns the completed queries' latencies sorted
