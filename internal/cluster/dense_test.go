@@ -1,74 +1,9 @@
 package cluster
 
 import (
-	"fmt"
-	"reflect"
+	"math"
 	"testing"
 )
-
-// denseWorkload drives a combining workload where the message value encodes a
-// destination-local slot in its low bits: sender w sends `per` messages per
-// round, cycling destinations and slots, so every (dest, slot) pair receives
-// several combinable messages per round.
-func denseWorkload(mb *Mailboxes[int64], workers, rounds, per, slots int) {
-	for r := 0; r < rounds; r++ {
-		for w := 0; w < workers; w++ {
-			ob := mb.Outbox(w)
-			for i := 0; i < per; i++ {
-				slot := (w*7 + i) % slots
-				ob.Send((w+i)%workers, int64(slot)<<32|int64(r*per+i))
-			}
-		}
-		mb.Exchange()
-	}
-}
-
-// TestDenseCombinerMatchesMapCombiner: the dense slot path must produce
-// bitwise-identical inboxes AND bitwise-identical network Stats to the
-// map-keyed path on the same workload — they are the same combining
-// semantics, differing only in how the staging buffer is addressed.
-func TestDenseCombinerMatchesMapCombiner(t *testing.T) {
-	const slots = 32
-	combine := func(a, b int64) int64 {
-		// keep the slot bits, sum the payload bits: slot(combined)==slot(a)
-		return a&^0xffffffff | (a&0xffffffff + b&0xffffffff)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			run := func(dense bool) ([][]int64, Stats) {
-				net := NewNetwork(workers)
-				dyadicTopology(net)
-				mb := NewMailboxes[int64](net, workloadSize)
-				if dense {
-					mb.SetDenseCombiner(
-						func(dest int) int { return slots },
-						func(m int64) int { return int(m >> 32) },
-						combine,
-					)
-				} else {
-					mb.SetCombiner(func(m int64) int64 { return m >> 32 }, combine)
-				}
-				denseWorkload(mb, workers, 4, 300, slots)
-				in := make([][]int64, workers)
-				for w := 0; w < workers; w++ {
-					in[w] = append([]int64(nil), mb.Receive(w)...)
-				}
-				return in, net.Stats()
-			}
-			di, ds := run(true)
-			mi, ms := run(false)
-			if ds != ms {
-				t.Fatalf("stats diverge:\ndense: %+v\nmap:   %+v", ds, ms)
-			}
-			if !reflect.DeepEqual(di, mi) {
-				t.Fatalf("inbox contents diverge between dense and map combiners")
-			}
-			if ds.Messages+ds.LocalMessages == 0 {
-				t.Fatalf("degenerate workload: %+v", ds)
-			}
-		})
-	}
-}
 
 // TestDenseCombinerSlotReset: slot tables must reset between rounds — a
 // second round re-combines from scratch instead of merging into round-one
@@ -112,9 +47,64 @@ func TestDenseCombinerSlotReset(t *testing.T) {
 	}
 }
 
-// TestDenseCombinerMisusePanics: the dense path inherits SetCombiner's
-// wiring-time contract — all parts non-nil, and at most one combiner per
-// mailboxes.
+// TestDenseCombinerSlotFromSentMessages: a combined message's class is the
+// class of its first message — the slot is read from the messages Send
+// receives, never from a combined result — so a combine that rewrites the
+// slot bits still resets the right table entry at Exchange.
+func TestDenseCombinerSlotFromSentMessages(t *testing.T) {
+	mb := NewMailboxes[kv](NewNetwork(2), nil)
+	mb.SetDenseCombiner(
+		func(dest int) int { return 4 },
+		func(m kv) int { return int(m.k) },
+		func(a, b kv) kv { return kv{(a.k + 1) % 4, a.v + b.v} },
+	)
+	ob := mb.Outbox(0)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 6; i++ {
+			ob.Send(1, kv{int64(i % 2), 1})
+		}
+		if got := mb.Exchange(); got != 2 {
+			t.Fatalf("round %d delivered %d messages, want one per class (2)", round, got)
+		}
+		if in := mb.Receive(1); in[0].v != 3 || in[1].v != 3 {
+			t.Fatalf("round %d inbox %+v, want two sums of 3", round, in)
+		}
+	}
+}
+
+// TestDenseCombinerTableWraps: a lane whose next round could overflow the
+// int32 table entries clears its table and starts again, combining as
+// before on both sides of the wrap.
+func TestDenseCombinerTableWraps(t *testing.T) {
+	const slots = 8
+	mb := NewMailboxes[kv](NewNetwork(2), nil)
+	mb.SetDenseCombiner(
+		func(dest int) int { return slots },
+		func(m kv) int { return int(m.k) },
+		func(a, b kv) kv { return kv{a.k, a.v + b.v} },
+	)
+	ob := mb.Outbox(0)
+	ob.base[1] = math.MaxInt32 - 3*slots
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 4*slots; i++ {
+			ob.Send(1, kv{int64(i % slots), 1})
+		}
+		if got := mb.Exchange(); got != slots {
+			t.Fatalf("round %d (base %d) delivered %d messages, want %d", round, ob.base[1], got, slots)
+		}
+		for i, m := range mb.Receive(1) {
+			if m.k != int64(i) || m.v != 4 {
+				t.Fatalf("round %d: message %d = %+v, want key %d sum 4", round, i, m, i)
+			}
+		}
+	}
+	if ob.base[1] > slots*6 {
+		t.Fatalf("base %d: the table never wrapped", ob.base[1])
+	}
+}
+
+// TestDenseCombinerMisusePanics: the wiring-time contract — all parts
+// non-nil, and at most one combiner per mailboxes.
 func TestDenseCombinerMisusePanics(t *testing.T) {
 	slots := func(dest int) int { return 1 }
 	slot := func(m kv) int { return 0 }
@@ -131,36 +121,30 @@ func TestDenseCombinerMisusePanics(t *testing.T) {
 	expectPanic("nil slot", func() {
 		NewMailboxes[kv](NewNetwork(2), nil).SetDenseCombiner(slots, nil, comb)
 	})
+	expectPanic("nil combine", func() {
+		NewMailboxes[kv](NewNetwork(2), nil).SetDenseCombiner(slots, slot, nil)
+	})
 	expectPanic("double install", func() {
 		mb := NewMailboxes[kv](NewNetwork(2), nil)
 		mb.SetDenseCombiner(slots, slot, comb)
-		mb.SetCombiner(func(m kv) int64 { return m.k }, comb)
-	})
-	expectPanic("double dense install", func() {
-		mb := NewMailboxes[kv](NewNetwork(2), nil)
-		mb.SetCombiner(func(m kv) int64 { return m.k }, comb)
 		mb.SetDenseCombiner(slots, slot, comb)
 	})
 }
 
-// benchCombine drives a single-sender combining workload: `slots` distinct
+// BenchmarkSendDenseCombiner drives a single-sender combining workload: `slots` distinct
 // destination-local targets, 8 sends per target per round — the shape of a
 // PageRank superstep where several local vertices share out-neighbors on one
 // destination worker.
-func benchCombine(b *testing.B, dense bool) {
+func BenchmarkSendDenseCombiner(b *testing.B) {
 	const slots = 1 << 12
 	net := NewNetwork(2)
 	mb := NewMailboxes[int64](net, nil)
 	combine := func(a, b int64) int64 { return a&^0xffffffff | (a&0xffffffff + b&0xffffffff) }
-	if dense {
-		mb.SetDenseCombiner(
-			func(dest int) int { return slots },
-			func(m int64) int { return int(m >> 32) },
-			combine,
-		)
-	} else {
-		mb.SetCombiner(func(m int64) int64 { return m >> 32 }, combine)
-	}
+	mb.SetDenseCombiner(
+		func(dest int) int { return slots },
+		func(m int64) int { return int(m >> 32) },
+		combine,
+	)
 	ob := mb.Outbox(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -174,6 +158,3 @@ func benchCombine(b *testing.B, dense bool) {
 		sent += n
 	}
 }
-
-func BenchmarkSendDenseCombiner(b *testing.B) { benchCombine(b, true) }
-func BenchmarkSendMapCombiner(b *testing.B)   { benchCombine(b, false) }

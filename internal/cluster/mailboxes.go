@@ -1,5 +1,7 @@
 package cluster
 
+import "math"
+
 // Mailboxes is a double-buffered, superstep-oriented message store: messages
 // sent during round r become visible after Exchange(), matching the BSP
 // semantics of Pregel-style systems.
@@ -14,7 +16,7 @@ package cluster
 // merges staged buffers into the inboxes in sender-rank order — so inbox
 // contents are a deterministic function of each sender's send sequence,
 // independent of goroutine scheduling. Staging buffers, inbox arrays and
-// combiner index maps are all reused across rounds.
+// combiner slot tables are all reused across rounds.
 //
 // Concurrency contract: each sender rank must be driven by at most one
 // goroutine at a time — the natural shape of a BSP engine, where worker w is
@@ -30,9 +32,8 @@ type Mailboxes[M any] struct {
 	inbox [][]M // visible to receivers this round
 
 	outs    []*Outbox[M]
-	key     func(M) int64  // non-nil ⇒ map-keyed sender-side combining enabled
-	slot    func(M) int    // non-nil ⇒ dense slot-indexed combining enabled
-	combine func(a, b M) M // merges two messages with equal key/slot and destination
+	slot    func(M) int    // combining class of a message at its destination worker
+	combine func(a, b M) M // non-nil ⇒ sender-side combining; merges two messages of one class
 	// flush scratch, reused every round (one entry per destination)
 	fmsgs     []int64
 	fattempts []int64
@@ -46,13 +47,12 @@ type Mailboxes[M any] struct {
 type Outbox[M any] struct {
 	mb    *Mailboxes[M]
 	stage [][]M
-	// per destination: combiner key → index into stage[d]; nil when the
-	// mailboxes have no combiner. Maps are cleared (not reallocated) at flush.
-	keyIdx []map[int64]int
-	// per destination: dense slot table for SetDenseCombiner — slotTab[d][s]
-	// is the index into stage[d] of the message occupying slot s, or -1.
-	// Touched entries are reset (not reallocated) at flush.
+	// per destination, nil without a combiner: slotTab[d][s] - base[d] is
+	// the index into stage[d] of the message occupying slot s this round,
+	// negative when s is empty. Exchange empties every table without
+	// touching it by raising base[d] past the round's entries.
 	slotTab [][]int32
+	base    []int32
 }
 
 // NewMailboxes creates mailboxes for n workers on net. size reports
@@ -78,50 +78,21 @@ func NewMailboxes[M any](net *Network, size func(M) int64) *Mailboxes[M] {
 	return mb
 }
 
-// SetCombiner enables sender-side combining (Pregel's combiner, hoisted into
-// the runtime so every engine on the substrate gets it): two messages queued
-// by the same sender for the same destination worker with equal key(msg) are
-// merged by combine before they ever reach the wire, in send order —
-// combine(queued, incoming). Engines encode their combining granularity in
-// the key (pregel: destination vertex; quegel: destination vertex + query id).
+// SetDenseCombiner enables sender-side combining (Pregel's combiner, hoisted
+// into the runtime so every engine on the substrate gets it): two messages
+// queued by the same sender for the same destination worker with equal
+// slot(msg) are merged by combine before they ever reach the wire, in send
+// order — combine(queued, incoming) — and the class keeps the buffer
+// position of its first message. slot(msg) must return an integer in
+// [0, slots(dest)) naming the combining class of msg at its destination
+// worker: pregel's is localIdx·K + key, the destination-local vertex id
+// refined by one of K program keys (quegel's query ids). A combined send is
+// one []int32 load and one compare, no hash, which keeps the engine hot path
+// allocation-free (DESIGN.md §3.12). slot is evaluated on the messages Send
+// receives only, never on a combined result.
 //
-// Call it before the first Send.
-func (mb *Mailboxes[M]) SetCombiner(key func(M) int64, combine func(a, b M) M) {
-	if key == nil || combine == nil {
-		//lint:allow panicpolicy nil combiner halves are a programmer error at wiring time, before any run starts
-		panic("cluster: SetCombiner needs both a key and a combine function")
-	}
-	if mb.combine != nil {
-		//lint:allow panicpolicy double combiner installation is a wiring-time programmer error
-		panic("cluster: mailboxes already have a combiner")
-	}
-	mb.key = key
-	mb.combine = combine
-	n := len(mb.inbox)
-	for _, ob := range mb.outs {
-		ob.keyIdx = make([]map[int64]int, n)
-		for d := range ob.keyIdx {
-			ob.keyIdx[d] = make(map[int64]int)
-		}
-	}
-}
-
-// SetDenseCombiner enables sender-side combining addressed by a dense slot
-// index instead of a hashed key: slot(msg) must return a stable integer in
-// [0, slots(dest)) identifying the combining class of msg at its destination
-// worker — typically the destination-local vertex id, with slots(dest) the
-// number of vertices dest owns. Combining semantics are identical to
-// SetCombiner (first-occurrence order preserved, combine(queued, incoming)
-// in send order), but the per-send map hash + lookup is replaced by one
-// []int32 load, which is what makes the engine hot path allocation- and
-// hash-free (DESIGN.md §3.12). slot must agree for messages that combine:
-// slot(combine(a,b)) == slot(a) == slot(b).
-//
-// The slot tables cost 4·slots(dest) bytes per (sender, destination) pair —
-// the dense-id trade: engines with compact per-destination id spaces
-// (pregel's owned-vertex lists) use this path; engines whose combining key
-// space is sparse or unbounded (quegel's (vertex, query id) pairs) stay on
-// SetCombiner. Call before the first Send.
+// The slot tables cost 4·slots(dest) bytes per (sender, destination) pair,
+// i.e. 4·K·n bytes per sender for pregel. Call before the first Send.
 func (mb *Mailboxes[M]) SetDenseCombiner(slots func(dest int) int, slot func(M) int, combine func(a, b M) M) {
 	if slots == nil || slot == nil || combine == nil {
 		//lint:allow panicpolicy nil combiner parts are a programmer error at wiring time, before any run starts
@@ -136,12 +107,10 @@ func (mb *Mailboxes[M]) SetDenseCombiner(slots func(dest int) int, slot func(M) 
 	n := len(mb.inbox)
 	for _, ob := range mb.outs {
 		ob.slotTab = make([][]int32, n)
+		ob.base = make([]int32, n)
 		for d := range ob.slotTab {
-			tab := make([]int32, slots(d))
-			for i := range tab {
-				tab[i] = -1
-			}
-			ob.slotTab[d] = tab
+			ob.slotTab[d] = make([]int32, slots(d))
+			ob.base[d] = 1
 		}
 	}
 }
@@ -155,22 +124,14 @@ func (mb *Mailboxes[M]) Outbox(w int) *Outbox[M] { return mb.outs[w] }
 // the combiner merge when one is installed).
 func (ob *Outbox[M]) Send(to int, msg M) {
 	mb := ob.mb
-	if mb.slot != nil {
-		// dense path: one array load replaces the hash + map lookup
+	if mb.combine != nil {
 		tab := ob.slotTab[to]
 		s := mb.slot(msg)
-		if i := tab[s]; i >= 0 {
+		if i := tab[s] - ob.base[to]; i >= 0 {
 			ob.stage[to][i] = mb.combine(ob.stage[to][i], msg)
 			return
 		}
-		tab[s] = int32(len(ob.stage[to]))
-	} else if mb.combine != nil {
-		k := mb.key(msg)
-		if i, ok := ob.keyIdx[to][k]; ok {
-			ob.stage[to][i] = mb.combine(ob.stage[to][i], msg)
-			return
-		}
-		ob.keyIdx[to][k] = len(ob.stage[to])
+		tab[s] = ob.base[to] + int32(len(ob.stage[to]))
 	}
 	//lint:allow hotalloc warm-up growth only: staging buffers reach their per-destination high-water mark, then Reset keeps the capacity across rounds
 	ob.stage[to] = append(ob.stage[to], msg)
@@ -237,23 +198,21 @@ func (mb *Mailboxes[M]) Exchange() int64 {
 			// deterministic merge: senders are visited in rank order, and
 			// within a sender messages keep their send order
 			mb.inbox[d] = append(mb.inbox[d], st...)
-			if ob.slotTab != nil {
-				// reset only the touched slots: each staged message names its
-				// own slot, so the reset is O(messages), never O(slots)
-				tab := ob.slotTab[d]
-				for i := range st {
-					tab[mb.slot(st[i])] = -1
-					st[i] = zero
-				}
-			} else {
-				for i := range st {
-					st[i] = zero
-				}
-				if ob.keyIdx != nil {
-					clear(ob.keyIdx[d])
-				}
+			for i := range st {
+				st[i] = zero
 			}
 			ob.stage[d] = st[:0]
+			if ob.slotTab != nil {
+				// this round's entries are base..base+len(st)-1: raising base
+				// past them empties the table in O(1). A table is cleared
+				// only when the next round's entries could overflow int32.
+				tab := ob.slotTab[d]
+				ob.base[d] += int32(len(st))
+				if int(ob.base[d]) > math.MaxInt32-len(tab) {
+					clear(tab)
+					ob.base[d] = 1
+				}
+			}
 		}
 		mb.net.flushSender(s, mb.fmsgs, mb.fattempts, mb.fbytes, localMsgs)
 		for d := range mb.fmsgs {

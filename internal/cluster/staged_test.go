@@ -238,13 +238,14 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 type kv struct{ k, v int64 }
 
 // TestCombinerHoistedIntoMailboxes: the substrate-level combiner must merge
-// same-key messages in the sender's staging buffer — metering and delivering
-// only the combined messages, in first-occurrence order.
+// same-slot messages in the sender's staging buffer — metering and
+// delivering only the combined messages, in first-occurrence order.
 func TestCombinerHoistedIntoMailboxes(t *testing.T) {
 	net := NewNetwork(2)
 	mb := NewMailboxes[kv](net, nil)
-	mb.SetCombiner(
-		func(m kv) int64 { return m.k },
+	mb.SetDenseCombiner(
+		func(dest int) int { return 10 },
+		func(m kv) int { return int(m.k) },
 		func(a, b kv) kv { return kv{a.k, a.v + b.v} },
 	)
 	ob := mb.Outbox(0)

@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
 )
 
-// The engine has one message path, and the program picks how it combines:
-// a dense slot table when Combine is set and CombineKey is nil, a keyed map
-// when CombineKey is set, no combining when Combine is nil. The tests in this
-// file hold each of the three to the serial reference (reference_test.go).
+// The engine has one message path and one combining path, and the program
+// picks its classes: one per destination vertex when Combine is set and
+// CombineKey is nil, CombineKeys per vertex when CombineKey is set, none when
+// Combine is nil. The tests in this file hold each of the three to the
+// serial reference (reference_test.go).
 const (
 	modeDense = iota
 	modeKeyed
@@ -23,16 +25,30 @@ const (
 
 var modeNames = [numModes]string{"dense", "keyed", "uncombined"}
 
-// withMode rewrites p to take the given path. The keyed path's key is a
-// constant, so it combines exactly the classes the dense path does.
+// withMode rewrites p to take the given path. The keyed path splits each
+// vertex into three classes by the message's bits, so messages of one
+// destination combine only with those of equal key, and a combined result
+// may belong to another class than the messages it merged.
 func withMode[S, M any](p spec[S, M], mode int) spec[S, M] {
 	switch mode {
 	case modeKeyed:
-		p.key = func(M) int32 { return 7 }
+		p.key = func(m M) int32 { return int32(msgBits(m) % 3) }
+		p.keys = 3
 	case modeUncombined:
 		p.combine, p.key = nil, nil
 	}
 	return p
+}
+
+// msgBits returns the bits of a spec program's message.
+func msgBits[M any](m M) uint64 {
+	switch x := any(m).(type) {
+	case float64:
+		return math.Float64bits(x)
+	case int32:
+		return uint64(uint32(x))
+	}
+	panic(fmt.Sprintf("msgBits: no bits for %T", m))
 }
 
 // refMaxSteps is the superstep bound of every run in this file (Config's
@@ -154,7 +170,7 @@ var equivalenceWorkers = []int{1, 2, 3, 8}
 // TestPageRankBitwiseAcrossCommsPaths: PageRank folds floats, so any
 // difference in message order or combining structure from the reference
 // shows up as a bit flip. The dense leg is PageRank itself; the keyed and
-// uncombined legs run its spec with a constant CombineKey and with the
+// uncombined legs run its spec with a three-class CombineKey and with the
 // combiner stripped.
 func TestPageRankBitwiseAcrossCommsPaths(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
@@ -252,6 +268,31 @@ func FuzzPregelVsReference(f *testing.F) {
 			checkAgainstReference(t, g, hashMinSpec(), m, w, part)
 		}
 	})
+}
+
+// TestCombineKeyOutOfRangeFails: a key outside [0, CombineKeys) fails the
+// run instead of combining into the next vertex's classes, and CombineKey
+// without CombineKeys fails before the run starts.
+func TestCombineKeyOutOfRangeFails(t *testing.T) {
+	g := gen.ErdosRenyi(50, 150, 3)
+	p := hashMinSpec()
+	p.keys = 2
+	for _, bad := range []int32{2, -1} {
+		p.key = func(m int32) int32 {
+			if m == 7 {
+				return bad
+			}
+			return m % 2
+		}
+		_, err := Run(g, p.program(), Config{Workers: 3})
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 2)") {
+			t.Fatalf("key %d: Run returned %v, want an out-of-range error", bad, err)
+		}
+	}
+	p.keys = 0
+	if _, err := Run(g, p.program(), Config{Workers: 3}); err == nil || !strings.Contains(err.Error(), "CombineKeys") {
+		t.Fatalf("CombineKeys 0: Run returned %v, want an error", err)
+	}
 }
 
 // TestSteadyStateAllocsPerRound: a steady-state PageRank superstep on the

@@ -73,6 +73,17 @@ func TestRecoveryWithoutCheckpointRestarts(t *testing.T) {
 	if res.RecoveredSteps != 3 {
 		t.Fatalf("full restart should recompute 3 steps, got %d", res.RecoveredSteps)
 	}
+	// a program without Init: the restart must zero every state again
+	visits, _, _ := RandomWalkVisits(g, 3, 5, 1, Config{Workers: 4})
+	got, _, err := RandomWalkVisits(g, 3, 5, 1, Config{Workers: 4, RunOptions: crashAt(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range visits {
+		if got[v] != visits[v] {
+			t.Fatalf("random walk: vertex %d has %d visits after a full restart, %d without a crash", v, got[v], visits[v])
+		}
+	}
 }
 
 func TestCheckpointFrequencyTradeoff(t *testing.T) {

@@ -12,6 +12,7 @@ package pregel
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"graphsys/internal/cluster"
 	"graphsys/internal/det"
@@ -100,17 +101,23 @@ type Program[S, M any] struct {
 	// on the sender side (Pregel's combiner), cutting message volume. The
 	// combiner runs inside the cluster substrate's staging buffers, so
 	// combining happens as messages are queued, before any of them is
-	// metered on the network. Without CombineKey the classes are addressed
-	// by a dense slot table over destination-local vertex ids
-	// (cluster.Mailboxes.SetDenseCombiner).
+	// metered on the network. A sender combines its messages per class in
+	// send order, as Combine(queued, incoming), and a class keeps the
+	// position of its first message.
 	Combine func(a, b M) M
-	// CombineKey, if non-nil, refines the combining granularity: only
-	// messages to the same vertex with equal CombineKey(m) are merged, and
-	// the classes are addressed by a map (cluster.Mailboxes.SetCombiner).
-	// Quegel uses it to combine per (vertex, query id) so concurrent queries'
-	// frontiers never mix. The key's low 32 bits are used; leave nil to
-	// combine all messages addressed to one vertex (classic Pregel).
+	// CombineKey, if non-nil, refines the combining classes: only messages to
+	// the same vertex with equal CombineKey(m) are merged. The key must lie
+	// in [0, CombineKeys); Run addresses the class (vertex, key) as slot
+	// localIdx(vertex)·CombineKeys + key of a dense table
+	// (cluster.Mailboxes.SetDenseCombiner) and fails with an error when a key
+	// falls outside the range. Quegel keys on the query id, so concurrent
+	// queries' frontiers never mix. Leave nil to combine all messages
+	// addressed to one vertex (classic Pregel: one class per vertex).
 	CombineKey func(m M) int32
+	// CombineKeys is the number of CombineKey classes per vertex; it must be
+	// at least 1 when CombineKey is set. The slot tables cost
+	// 4·CombineKeys·n bytes per worker.
+	CombineKeys int
 }
 
 // Context is the per-worker handle passed to Compute.
@@ -176,7 +183,7 @@ func (c *Context[M]) Neighbors(v graph.V) []graph.V {
 // Send sends m to vertex to, delivered at the next superstep. The message
 // goes straight into the sending worker's staging outbox — a lock-free
 // append, combined on the fly when the program has a combiner (one slot-table
-// load without CombineKey, one map lookup with it).
+// load per send, with or without CombineKey).
 func (c *Context[M]) Send(to graph.V, m M) {
 	c.out.Send(c.partition[to], vmsg[M]{to: to, m: m})
 }
@@ -218,7 +225,9 @@ type Result[S any] struct {
 
 // Run executes prog on g until all vertices halt with no messages in flight,
 // or cfg.MaxSupersteps is reached. It returns an error for an invalid Config
-// (bad Partition) without starting the run. g may be nil when Config.Source
+// or Program (bad Partition, CombineKey without CombineKeys) without starting
+// the run, and fails at the barrier of a superstep in which CombineKey
+// returned a key outside [0, CombineKeys). g may be nil when Config.Source
 // is set (out-of-core run); adjacency then comes from per-worker storage
 // handles and a mid-run read failure aborts with a wrapped storage error.
 func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], error) {
@@ -234,6 +243,9 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	cfg.defaults(n)
 	if err := cfg.validate(n); err != nil {
 		return nil, err
+	}
+	if prog.CombineKey != nil && prog.CombineKeys < 1 {
+		return nil, fmt.Errorf("pregel: Program.CombineKey needs CombineKeys ≥ 1, got %d", prog.CombineKeys)
 	}
 	prov := cfg.Source
 	if prov == nil {
@@ -270,25 +282,33 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	msgs := make([][]M, n)
 
 	mb := cluster.NewMailboxes[vmsg[M]](net, func(vmsg[M]) int64 { return cfg.MsgBytes })
+	// badKey is raised by a worker whose program returned a CombineKey
+	// outside [0, CombineKeys); Run fails at the next barrier
+	var badKey atomic.Bool
 	if prog.Combine != nil {
 		// hoist the program's combiner into the substrate, combining inside
-		// the sender's staging buffer before anything reaches the wire
+		// the sender's staging buffer before anything reaches the wire; the
+		// class (vertex, key) is slot localIdx·k + key, where a nil key means
+		// k = 1 and key 0, i.e. slot localIdx
 		combine := func(a, b vmsg[M]) vmsg[M] {
 			return vmsg[M]{to: a.to, m: prog.Combine(a.m, b.m)}
 		}
-		if prog.CombineKey == nil {
-			// combining classes are exactly the destination vertices, so
-			// address them by owner-local dense id
-			mb.SetDenseCombiner(
-				func(dest int) int { return len(owned[dest]) },
-				func(vm vmsg[M]) int { return int(localIdx[vm.to]) },
-				combine,
-			)
-		} else {
-			mb.SetCombiner(func(vm vmsg[M]) int64 {
-				return int64(vm.to)<<32 | int64(uint32(prog.CombineKey(vm.m)))
-			}, combine)
+		k := 1
+		slot := func(vm vmsg[M]) int { return int(localIdx[vm.to]) }
+		if key := prog.CombineKey; key != nil {
+			k = prog.CombineKeys
+			slot = func(vm vmsg[M]) int {
+				c := key(vm.m)
+				if c < 0 || int(c) >= k {
+					// never alias the next vertex's classes: park the message
+					// in the vertex's first class and fail the run
+					badKey.Store(true)
+					c = 0
+				}
+				return int(localIdx[vm.to])*k + int(c)
+			}
 		}
+		mb.SetDenseCombiner(func(dest int) int { return k * len(owned[dest]) }, slot, combine)
 	}
 	dlv := newDelivery[M](owned, localIdx)
 
@@ -316,10 +336,15 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	gang := c.NewGang()
 	defer gang.Close()
 
+	// without Init every state starts (and restarts after a crash) at the
+	// zero S
+	var zero S
 	initPhase := func(w int) {
 		for _, v := range owned[w] {
 			if prog.Init != nil {
 				states[v] = prog.Init(g, v)
+			} else {
+				states[v] = zero
 			}
 			active[v] = true
 			msgs[v] = nil
@@ -459,6 +484,9 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 			if ctx.srcErr != nil {
 				return nil, fmt.Errorf("pregel: superstep %d: %w", step, ctx.srcErr)
 			}
+		}
+		if badKey.Load() {
+			return nil, fmt.Errorf("pregel: superstep %d: CombineKey returned a key outside [0, %d)", step, prog.CombineKeys)
 		}
 		if collectRounds {
 			cur := prov.Stats()

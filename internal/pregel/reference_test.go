@@ -30,6 +30,7 @@ type spec[S, M any] struct {
 	compute func(ctx vertexAPI[M], v graph.V, state *S, msgs []M)
 	combine func(a, b M) M  // nil: no combiner
 	key     func(m M) int32 // nil: combine per destination vertex
+	keys    int             // number of key classes per vertex
 }
 
 // program is p as an engine Program.
@@ -39,8 +40,9 @@ func (p spec[S, M]) program() Program[S, M] {
 		Compute: func(ctx *Context[M], v graph.V, state *S, msgs []M) {
 			p.compute(ctx, v, state, msgs)
 		},
-		Combine:    p.combine,
-		CombineKey: p.key,
+		Combine:     p.combine,
+		CombineKey:  p.key,
+		CombineKeys: p.keys,
 	}
 }
 

@@ -5,10 +5,19 @@
 // instead of paying a full superstep barrier sequence per query, concurrent
 // queries are batched so every superstep serves all in-flight queries at
 // once — superstep-sharing, the system's core idea.
+//
+// A batched run keeps one uint64 seen mask per vertex, bit q set once query
+// q's frontier has reached it, so the state is a value and a checkpoint's
+// copy of it is deep. The BFS is level-synchronous: every message delivered
+// in superstep s carries distance s, so a query's first arrival at a vertex
+// is its distance, and combining two messages of one (vertex, query) class
+// only removes a duplicate. The mask bounds a run at 64 queries; longer
+// lists run as consecutive runs of at most 64.
 package quegel
 
 import (
-	"graphsys/internal/det"
+	"math/bits"
+
 	"graphsys/internal/graph"
 	"graphsys/internal/obs"
 	"graphsys/internal/pregel"
@@ -28,91 +37,89 @@ type Answer struct {
 type Stats struct {
 	Supersteps int   // total barrier rounds paid
 	Messages   int64 // total messages
-	// Trace is the shared run's observability trace (batched execution with
-	// pregel.Config.Trace set; nil for sequential serving, which pays one
-	// engine run per query).
+	// Trace is the first shared run's observability trace (batched execution
+	// with pregel.Config.Trace set; nil for sequential serving, which pays
+	// one engine run per query).
 	Trace *obs.Trace
 }
 
-type qmsg struct {
-	qid  int32
-	dist int32
+// runQueries is the most queries one engine run serves: one bit each of a
+// vertex's seen mask.
+const runQueries = 64
+
+// AnswerBatched serves the queries in shared vertex-centric runs of at most
+// 64 queries each: every superstep advances all of a run's BFS frontiers
+// together, so a run's barrier count is max(per-query rounds), not the sum —
+// Quegel's superstep-sharing. Stats sums the runs' supersteps and messages;
+// its Trace is the first run's. An empty list pays no run.
+func AnswerBatched(g *graph.Graph, queries []Query, cfg pregel.Config) ([]Answer, Stats, error) {
+	out := make([]Answer, len(queries))
+	var st Stats
+	for lo := 0; lo < len(queries); lo += runQueries {
+		hi := min(lo+runQueries, len(queries))
+		res, err := answerRun(g, queries[lo:hi], out[lo:hi], cfg)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		st.Supersteps += res.Supersteps
+		st.Messages += res.Net.Messages + res.Net.LocalMessages
+		if st.Trace == nil && res.Trace != nil {
+			res.Trace.Workload = "quegel/batched"
+			st.Trace = res.Trace
+		}
+	}
+	return out, st, nil
 }
 
-// AnswerBatched serves all queries in ONE vertex-centric run: per-vertex
-// state holds one distance per in-flight query, messages are tagged with the
-// query id, and every superstep advances all BFS frontiers together. The
-// barrier count is max(per-query rounds), not the sum — Quegel's
-// superstep-sharing.
-//
-// Messages are combined sender-side per (destination vertex, query id) by
-// the substrate's hoisted combiner: when several neighbors on one worker
-// reach the same vertex for the same query in one superstep, only the
-// minimum distance crosses the network. CombineKey keeps distinct queries'
-// frontiers apart — min-combining across query ids would corrupt answers.
-func AnswerBatched(g *graph.Graph, queries []Query, cfg pregel.Config) ([]Answer, Stats, error) {
-	prog := pregel.Program[map[int32]int32, qmsg]{
-		Combine: func(a, b qmsg) qmsg {
-			if b.dist < a.dist {
-				return b
+// answerRun serves at most 64 queries in one run and writes their answers to
+// out. A vertex's state is its seen mask; a message is a query id alone (it
+// carries dist s in superstep s), combined sender-side per (destination
+// vertex, query id) through the engine's dense slot table, so one message
+// per class crosses the network. out[q] is written only by the owner of
+// queries[q].Dst, at the query's first arrival there; a replay after a
+// rollback or restart rewrites the same value.
+func answerRun(g *graph.Graph, queries []Query, out []Answer, cfg pregel.Config) (*pregel.Result[uint64], error) {
+	for q := range out {
+		out[q].Dist = -1
+	}
+	prog := pregel.Program[uint64, int32]{
+		// both messages carry the same dist: combining only drops duplicates
+		Combine:     func(a, _ int32) int32 { return a },
+		CombineKey:  func(q int32) int32 { return q },
+		CombineKeys: len(queries),
+		Init: func(_ *graph.Graph, v graph.V) uint64 {
+			var seen uint64
+			for q, qu := range queries {
+				if qu.Src == v {
+					seen |= 1 << q
+				}
 			}
-			return a
+			return seen
 		},
-		CombineKey: func(m qmsg) int32 { return m.qid },
-		Init: func(g *graph.Graph, v graph.V) map[int32]int32 {
-			st := map[int32]int32{}
-			for qi, q := range queries {
-				if q.Src == v {
-					st[int32(qi)] = 0
+		Compute: func(ctx *pregel.Context[int32], v graph.V, seen *uint64, msgs []int32) {
+			fresh := *seen // superstep 0: the queries starting here
+			if ctx.Superstep() > 0 {
+				fresh = 0
+				for _, q := range msgs {
+					fresh |= 1 << q
 				}
+				fresh &^= *seen
+				*seen |= fresh
 			}
-			return st
-		},
-		Compute: func(ctx *pregel.Context[qmsg], v graph.V, state *map[int32]int32, msgs []qmsg) {
-			if ctx.Superstep() == 0 {
-				// sorted query ids: message emission order must not inherit
-				// Go's randomised map order (graphlint maprange)
-				for _, qid := range det.SortedKeys(*state) {
-					for _, u := range ctx.Graph().Neighbors(v) {
-						ctx.Send(u, qmsg{qid, (*state)[qid] + 1})
-					}
+			// ascending query id, each to every neighbor: the send order
+			for ; fresh != 0; fresh &= fresh - 1 {
+				q := int32(bits.TrailingZeros64(fresh))
+				if queries[q].Dst == v {
+					out[q].Dist = int32(ctx.Superstep())
 				}
-				ctx.VoteToHalt()
-				return
-			}
-			improved := map[int32]int32{}
-			for _, m := range msgs {
-				if cur, ok := (*state)[m.qid]; !ok || m.dist < cur {
-					(*state)[m.qid] = m.dist
-					if best, seen := improved[m.qid]; !seen || m.dist < best {
-						improved[m.qid] = m.dist
-					}
-				}
-			}
-			for _, qid := range det.SortedKeys(improved) {
 				for _, u := range ctx.Graph().Neighbors(v) {
-					ctx.Send(u, qmsg{qid, improved[qid] + 1})
+					ctx.Send(u, q)
 				}
 			}
 			ctx.VoteToHalt()
 		},
 	}
-	res, err := pregel.Run(g, prog, cfg)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out := make([]Answer, len(queries))
-	for qi, q := range queries {
-		if d, ok := res.States[q.Dst][int32(qi)]; ok {
-			out[qi] = Answer{Dist: d}
-		} else {
-			out[qi] = Answer{Dist: -1}
-		}
-	}
-	if res.Trace != nil {
-		res.Trace.Workload = "quegel/batched"
-	}
-	return out, Stats{Supersteps: res.Supersteps, Messages: res.Net.Messages + res.Net.LocalMessages, Trace: res.Trace}, nil
+	return pregel.Run(g, prog, cfg)
 }
 
 // AnswerSequential serves queries one at a time, each paying its own full
