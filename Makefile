@@ -32,10 +32,11 @@ test:
 
 # Race-enabled subset: the packages with real concurrency (the cluster
 # runtime and the engines that drive it, including the fault-injection /
-# crash-recovery paths, the parallel tensor/aggregation kernels, and the
-# serving tier's worker pools and batchers).
+# crash-recovery paths, the parallel tensor/aggregation kernels, the
+# serving tier's worker pools and batchers, and the offline task engines
+# that run on the serving tier's Pool).
 race:
-	$(GO) test -race ./internal/cluster/ ./internal/pregel/ ./internal/gnndist/ ./internal/tensor/ ./internal/gnn/ ./internal/serve/ ./internal/gthinkerq/ ./internal/quegel/
+	$(GO) test -race ./internal/cluster/ ./internal/pregel/ ./internal/gnndist/ ./internal/tensor/ ./internal/gnn/ ./internal/serve/ ./internal/gthinkerq/ ./internal/quegel/ ./internal/tthinker/ ./internal/fsm/
 
 # The benchmark (bench/, its own module; `bash bench/run.sh` runs it) vetted
 # and smoke-tested at probe sizes, so a change that breaks it fails verify.

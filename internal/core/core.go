@@ -134,7 +134,7 @@ func (p *Pipeline) TrainGNN(task *gnn.Task, kind gnn.ModelKind, hidden, epochs i
 
 // ---------- Path 3: structure analytics ----------
 
-// MaximalCliques enumerates maximal cliques (task engine, work stealing).
+// MaximalCliques enumerates maximal cliques (task engine, budget-split tasks).
 func (p *Pipeline) MaximalCliques(collect bool) tthinker.CliqueResult {
 	res, _ := tthinker.MaximalCliques(p.G, collect, tthinker.Config{Workers: p.Workers, Budget: 256})
 	return res

@@ -15,9 +15,9 @@ func init() {
 
 // AblationTaskSplit shows what budget-based task splitting buys: it bounds
 // the size of the largest indivisible task (MaxTaskTicks), which is the
-// lower bound on makespan no amount of work stealing can beat. Without
-// splitting, one dense root task dominates; with a budget, every task stays
-// near the budget and stealing can balance perfectly.
+// lower bound on makespan no task scheduler can beat. Without splitting, one
+// dense root task dominates; with a budget, every task stays near the budget
+// and the task pool can balance perfectly.
 func AblationTaskSplit() *Table {
 	t := &Table{ID: "abl-split", Title: "Task splitting on maximal cliques (dense ER(150, p=0.5))",
 		Header: []string{"budget", "cliques", "tasks", "splits", "max task (ticks)", "total ticks", "parallelism bound"}}

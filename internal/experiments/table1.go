@@ -33,7 +33,7 @@ func Table1Features() *Table {
 		Header: []string{"engine (paper exemplar)", "SF", "FSM", "DFS", "BFS", "online", "GPU-model", "order-compile", "work-steal"}}
 	t.AddRow("pregel (TLAV baseline)", "-", "-", "-", "-", "-", "-", "-", "-")
 	t.AddRow("mining (Arabesque/Pangolin)", "yes", "yes", "-", "yes", "-", "-", "-", "-")
-	t.AddRow("tthinker (G-thinker/G-Miner)", "yes", "-", "yes", "-", "-", "-", "-", "yes")
+	t.AddRow("tthinker (G-thinker/G-Miner)", "yes", "-", "yes", "-", "-", "-", "-", "-")
 	t.AddRow("gthinkerq (G-thinkerQ)", "yes", "-", "yes", "-", "yes", "-", "-", "-")
 	t.AddRow("match (AutoMine/GraphPi/GraphZero)", "yes", "-", "yes", "-", "-", "-", "yes", "-")
 	t.AddRow("fsm single-graph (ScaleMine/T-FSM)", "-", "yes", "yes", "-", "-", "-", "-", "-")
@@ -53,8 +53,7 @@ func Table1Features() *Table {
 // the graph densifies — the paper's core argument for the
 // think-like-a-task model. All columns are metered: BFS peak is the largest
 // embedding frontier ever materialised, the task-engine columns are its
-// deterministic tick/task accounting (steal counts are scheduling noise and
-// deliberately not reported).
+// deterministic tick/task accounting.
 func Table1BFSvsDFS() *Table {
 	t := &Table{ID: "tab1-model", Title: "4-clique counting: BFS materialisation vs DFS backtracking",
 		Header: []string{"graph", "cliques", "BFS peak embeddings", "task-engine ticks", "tasks", "max task ticks"}}
@@ -72,7 +71,7 @@ func Table1BFSvsDFS() *Table {
 			bfsStats.Peak, stats.Ticks, stats.Tasks, stats.MaxTaskTicks)
 	}
 	t.Note("BFS peak embeddings grows with the instance count (the paper's materialisation-cost critique); DFS memory is O(k·Δ)")
-	t.Note("task-engine work is metered in ticks (search-tree nodes); max task ticks bounds what work stealing can balance")
+	t.Note("task-engine work is metered in ticks (search-tree nodes); max task ticks bounds what the task pool can balance")
 	return t
 }
 

@@ -2,9 +2,9 @@ package fsm
 
 import (
 	"sort"
-	"sync"
 
 	"graphsys/internal/graph"
+	"graphsys/internal/tthinker"
 )
 
 // Pattern is a mined frequent pattern.
@@ -51,7 +51,7 @@ func (e *embedding) contains(v graph.V) bool {
 // MineTransactions mines all frequent connected subgraph patterns of db with
 // gSpan (canonical DFS codes, rightmost-path extension, prefix projection).
 // Each frequent 1-edge root pattern spawns an independent projected-database
-// mining task; tasks run on a bounded worker pool — PrefixFPM's
+// mining task; tasks run on the tthinker task engine — PrefixFPM's
 // parallelisation of the pattern search tree.
 func MineTransactions(db *graph.TransactionDB, cfg MineConfig) []Pattern {
 	if cfg.Workers <= 0 {
@@ -89,25 +89,11 @@ func MineTransactions(db *graph.TransactionDB, cfg MineConfig) []Pattern {
 	}
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].code[0].Less(tasks[j].code[0]) })
 
-	var mu sync.Mutex
-	var out []Pattern
-	sem := make(chan struct{}, cfg.Workers)
-	var wg sync.WaitGroup
-	for _, t := range tasks {
-		wg.Add(1)
-		sem <- struct{}{}
-		//lint:allow nakedgo semaphore-bounded gSpan root-task pool, joined via WaitGroup; subtree results are merged under one mutex
-		go func(t rootTask) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var local []Pattern
-			mineSubtree(db, t.code, t.projs, cfg, &local)
-			mu.Lock()
-			out = append(out, local...)
-			mu.Unlock()
-		}(t)
-	}
-	wg.Wait()
+	out, _ := tthinker.Run(tasks, func(ctx *tthinker.Ctx[rootTask, []Pattern], t rootTask) {
+		var local []Pattern
+		mineSubtree(db, t.code, t.projs, cfg, &local)
+		ctx.Emit(local)
+	}, func(a, b []Pattern) []Pattern { return append(a, b...) }, tthinker.Config{Workers: cfg.Workers})
 	sort.Slice(out, func(i, j int) bool { return out[i].Code.String() < out[j].Code.String() })
 	return out
 }

@@ -2,9 +2,9 @@ package fsm
 
 import (
 	"sort"
-	"sync"
 
 	"graphsys/internal/graph"
+	"graphsys/internal/tthinker"
 )
 
 // MNI computes the minimum-non-identical-image support of a pattern given
@@ -39,7 +39,8 @@ func MNI(numVertices int, projs []*embedding) int {
 // canonical DFS-code extension exactly as in transactional gSpan, but support
 // of each candidate is an independent evaluation task — T-FSM decomposes
 // support evaluation into subgraph-matching tasks executed in parallel, which
-// is what the per-extension worker pool below does.
+// is what the per-pattern expansion tasks below do, on the tthinker task
+// engine.
 func MineSingleGraph(g *graph.Graph, cfg MineConfig) []Pattern {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -80,38 +81,23 @@ func MineSingleGraph(g *graph.Graph, cfg MineConfig) []Pattern {
 		for _, t := range frontier {
 			out = append(out, Pattern{Code: t.code, Support: MNI(t.code.NumVertices(), t.projs)})
 		}
-		var candidates []task
-		var mu sync.Mutex
-		sem := make(chan struct{}, cfg.Workers)
-		var wg sync.WaitGroup
-		for _, t := range frontier {
+		candidates, _ := tthinker.Run(frontier, func(ctx *tthinker.Ctx[task, []task], t task) {
 			if cfg.MaxEdges > 0 && len(t.code) >= cfg.MaxEdges {
-				continue
+				return
 			}
-			wg.Add(1)
-			sem <- struct{}{}
-			//lint:allow nakedgo semaphore-bounded expansion pool, joined via WaitGroup; per-task results are merged under one mutex
-			go func(t task) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				ext := gatherExtensions(db, t.code, t.projs)
-				var local []task
-				for tuple, projs := range ext {
-					child := append(append(DFSCode(nil), t.code...), tuple)
-					if MNI(child.NumVertices(), projs) < cfg.MinSupport {
-						continue
-					}
-					if !child.IsMin() {
-						continue
-					}
-					local = append(local, task{child, projs})
+			var local []task
+			for tuple, projs := range gatherExtensions(db, t.code, t.projs) {
+				child := append(append(DFSCode(nil), t.code...), tuple)
+				if MNI(child.NumVertices(), projs) < cfg.MinSupport {
+					continue
 				}
-				mu.Lock()
-				candidates = append(candidates, local...)
-				mu.Unlock()
-			}(t)
-		}
-		wg.Wait()
+				if !child.IsMin() {
+					continue
+				}
+				local = append(local, task{child, projs})
+			}
+			ctx.Emit(local)
+		}, func(a, b []task) []task { return append(a, b...) }, tthinker.Config{Workers: cfg.Workers})
 		sort.Slice(candidates, func(i, j int) bool {
 			return candidates[i].code.String() < candidates[j].code.String()
 		})

@@ -7,11 +7,12 @@ import (
 )
 
 // Pool is the task-parallel execution substrate behind the G-thinkerQ-shaped
-// engines: each admitted query owns a queue of fine-grained tasks, a shared
-// worker pool draws tasks across queries under the configured Policy, and
-// tasks may spawn children (TaskContext.Spawn) so heavy queries decompose
-// and interleave with light ones. Each draw is the policy pick that Simulate
-// makes per work unit (sched.go), under the same round-robin cursor rule.
+// engines and the offline tthinker engine: each admitted query owns a queue
+// of fine-grained tasks, a shared worker pool draws tasks across queries
+// under the configured Policy, and tasks may spawn children
+// (TaskContext.Spawn) so heavy queries decompose and interleave with light
+// ones. Each draw is the policy pick that Simulate makes per work unit
+// (sched.go), under the same round-robin cursor rule.
 //
 // T is the task payload, A the query's answer type. Task results are folded
 // into the query's accumulator with merge, which must be commutative and
@@ -48,6 +49,8 @@ type pjob[T, A any] struct {
 	weight  int
 	term    error // ErrCanceled/ErrDeadlineExceeded once noticed; nil while live
 	done    bool  // retired from order; guards a second retire
+	// aborted is the TaskContext's view of ticket, built once per query.
+	aborted func() bool
 }
 
 func (j *pjob[T, A]) ready() bool         { return len(j.tasks) > 0 }
@@ -106,7 +109,8 @@ func NewPool[T, A any](opts Options, exec func(tc *TaskContext[T], task T) A, me
 }
 
 // TaskContext is the executor's view of one task: spawn children, observe
-// abort (cancel or deadline expiry) to short-circuit expensive loops.
+// abort (cancel or deadline expiry) to short-circuit expensive loops. It is
+// valid only until the executor returns; the worker reuses it.
 type TaskContext[T any] struct {
 	aborted func() bool
 	spawned []T
@@ -147,6 +151,7 @@ func (p *Pool[T, A]) Submit(spec JobSpec[T, A]) (*Ticket[A], error) {
 	p.order = append(p.order, &pjob[T, A]{
 		ticket: tk, tasks: spec.Roots, pending: len(spec.Roots),
 		acc: spec.Initial, cost: spec.Cost, weight: weightFor(spec.Weight),
+		aborted: func() bool { return tk.Canceled() || tk.expiredAt(p.clock()) },
 	})
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -180,18 +185,21 @@ func (p *Pool[T, A]) Close() error {
 // Metrics returns a snapshot of the admission and completion counters.
 func (p *Pool[T, A]) Metrics() Metrics { return p.ctr.snapshot() }
 
+// worker runs tasks with one TaskContext, pointed at each task's query in
+// turn, so a task costs no allocation of the pool's own.
 func (p *Pool[T, A]) worker() {
 	defer p.wg.Done()
+	tc := &TaskContext[T]{}
 	for {
 		j, task, ok := p.take()
 		if !ok {
 			return
 		}
-		tc := &TaskContext[T]{aborted: func() bool {
-			return j.ticket.Canceled() || j.ticket.expiredAt(p.clock())
-		}}
+		tc.aborted = j.aborted
 		partial := p.exec(tc, task)
 		p.finishTask(j, partial, tc.spawned)
+		clear(tc.spawned) // finishTask copied the children; release them for GC
+		tc.spawned = tc.spawned[:0]
 	}
 }
 

@@ -24,7 +24,8 @@
 //
 // Two execution substrates implement the scheduling behind Engine: Pool (a
 // shared worker pool drawing tasks from per-query queues — the G-thinkerQ
-// shape) and Batcher (a serving loop answering admitted queries in shared
+// shape, and also the offline task runtime: tthinker.Run submits a whole
+// task tree as one query) and Batcher (a serving loop answering admitted queries in shared
 // batches — the Quegel shape). The package also carries the measurement
 // half of the serving tier: an open-loop load generator (loadgen.go) and a
 // deterministic discrete-event simulator (sim.go) that turn the policies

@@ -67,6 +67,33 @@ func TestPoolEmptyRootsCompleteImmediately(t *testing.T) {
 	}
 }
 
+// TestPoolTaskAllocs pins the worker loop's reuse of one TaskContext: the
+// pool itself allocates per query, not per task.
+func TestPoolTaskAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	p := sumPool(t, Options{Workers: 2})
+	defer p.Close()
+	const roots, tasks = 2000, 10000 // each root 9 runs as 9 → 4, 5 → 5 → 2, 3
+	allocs := testing.AllocsPerRun(5, func() {
+		rs := make([]int, roots)
+		for i := range rs {
+			rs[i] = 9
+		}
+		tk, err := p.Submit(JobSpec[int, int64]{Roots: rs})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		if got, err := tk.Wait(); got != 9*roots || err != nil {
+			t.Fatalf("got (%d, %v)", got, err)
+		}
+	})
+	if perTask := allocs / tasks; perTask >= 0.1 {
+		t.Fatalf("%.3f allocations per task, want < 0.1", perTask)
+	}
+}
+
 func TestPoolQueueFullSheds(t *testing.T) {
 	gate := make(chan struct{})
 	p, err := NewPool[int, int64](Options{Workers: 1, QueueLimit: 1},

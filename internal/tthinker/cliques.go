@@ -1,6 +1,7 @@
 package tthinker
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -15,20 +16,42 @@ type CliqueTask struct {
 	R, P, X []graph.V
 }
 
-// CliqueResult is the mergeable result of clique mining.
+// CliqueResult is the mergeable result of clique mining. Every clique is a
+// sorted vertex list, and the result does not depend on the schedule:
+// Largest is the lexicographically least of the largest cliques, and
+// Cliques is sorted lexicographically.
 type CliqueResult struct {
 	Count   int64
 	Largest []graph.V
 	Cliques [][]graph.V // populated only when collecting
 }
 
+// mergeCliqueResults keeps the larger clique, and on a size tie the
+// lexicographically least, so the merge is commutative. Cliques is sorted
+// once when the run ends.
 func mergeCliqueResults(a, b CliqueResult) CliqueResult {
 	a.Count += b.Count
-	if len(b.Largest) > len(a.Largest) {
+	if len(b.Largest) > len(a.Largest) || (len(b.Largest) == len(a.Largest) && lessVSlice(b.Largest, a.Largest)) {
 		a.Largest = b.Largest
 	}
 	a.Cliques = append(a.Cliques, b.Cliques...)
 	return a
+}
+
+// sortedClique returns a sorted copy of r.
+func sortedClique(r []graph.V) []graph.V {
+	c := append([]graph.V(nil), r...)
+	slices.Sort(c)
+	return c
+}
+
+// emitClique emits the maximal clique r as a sorted list.
+func emitClique(ctx *Ctx[CliqueTask, CliqueResult], r []graph.V, collect bool) {
+	res := CliqueResult{Count: 1, Largest: sortedClique(r)}
+	if collect {
+		res.Cliques = [][]graph.V{append([]graph.V(nil), res.Largest...)}
+	}
+	ctx.Emit(res)
 }
 
 // cliqueRootTasks builds one task per vertex using the degeneracy order:
@@ -74,41 +97,39 @@ func cliqueRootTasksOrdered(g *graph.Graph, order []graph.V) []CliqueTask {
 // returned (memory permitting); otherwise only the count and one largest
 // clique are tracked.
 func MaximalCliques(g *graph.Graph, collect bool, cfg Config) (CliqueResult, Stats) {
-	process := func(ctx *Ctx[CliqueTask, CliqueResult], t CliqueTask) {
-		bkPivot(g, ctx, t.R, t.P, t.X, collect)
-	}
-	return Run(cliqueRootTasks(g), process, mergeCliqueResults, cfg)
+	return maximalCliques(g, cliqueRootTasks(g), bkPivot, collect, cfg)
 }
 
 // MaximalCliquesNaturalOrder is MaximalCliques with vertex-id root ordering
 // instead of the degeneracy ordering — the ablation baseline for
 // BenchmarkAblation_Ordering.
 func MaximalCliquesNaturalOrder(g *graph.Graph, collect bool, cfg Config) (CliqueResult, Stats) {
-	process := func(ctx *Ctx[CliqueTask, CliqueResult], t CliqueTask) {
-		bkPivot(g, ctx, t.R, t.P, t.X, collect)
-	}
-	return Run(cliqueRootTasksNatural(g), process, mergeCliqueResults, cfg)
+	return maximalCliques(g, cliqueRootTasksNatural(g), bkPivot, collect, cfg)
 }
 
 // MaximalCliquesNoPivot runs Bron–Kerbosch WITHOUT pivot selection — the
 // ablation baseline showing why every serious clique miner pivots: the
 // search tree visits every clique (not just maximal ones).
 func MaximalCliquesNoPivot(g *graph.Graph, collect bool, cfg Config) (CliqueResult, Stats) {
+	return maximalCliques(g, cliqueRootTasks(g), bkPlain, collect, cfg)
+}
+
+// maximalCliques runs the Bron–Kerbosch variant bk over roots and sorts
+// Cliques.
+func maximalCliques(g *graph.Graph, roots []CliqueTask, bk func(*graph.Graph, *Ctx[CliqueTask, CliqueResult], []graph.V, []graph.V, []graph.V, bool), collect bool, cfg Config) (CliqueResult, Stats) {
 	process := func(ctx *Ctx[CliqueTask, CliqueResult], t CliqueTask) {
-		bkPlain(g, ctx, t.R, t.P, t.X, collect)
+		bk(g, ctx, t.R, t.P, t.X, collect)
 	}
-	return Run(cliqueRootTasks(g), process, mergeCliqueResults, cfg)
+	res, stats := Run(roots, process, mergeCliqueResults, cfg)
+	sort.Slice(res.Cliques, func(i, j int) bool { return lessVSlice(res.Cliques[i], res.Cliques[j]) })
+	return res, stats
 }
 
 // bkPlain is Bron–Kerbosch without pivoting.
 func bkPlain(g *graph.Graph, ctx *Ctx[CliqueTask, CliqueResult], r, p, x []graph.V, collect bool) {
 	ctx.Tick()
 	if len(p) == 0 && len(x) == 0 {
-		res := CliqueResult{Count: 1, Largest: append([]graph.V(nil), r...)}
-		if collect {
-			res.Cliques = [][]graph.V{append([]graph.V(nil), r...)}
-		}
-		ctx.Emit(res)
+		emitClique(ctx, r, collect)
 		return
 	}
 	p2 := append([]graph.V(nil), p...)
@@ -135,11 +156,7 @@ func bkPlain(g *graph.Graph, ctx *Ctx[CliqueTask, CliqueResult], r, p, x []graph
 func bkPivot(g *graph.Graph, ctx *Ctx[CliqueTask, CliqueResult], r, p, x []graph.V, collect bool) {
 	ctx.Tick()
 	if len(p) == 0 && len(x) == 0 {
-		res := CliqueResult{Count: 1, Largest: append([]graph.V(nil), r...)}
-		if collect {
-			res.Cliques = [][]graph.V{append([]graph.V(nil), r...)}
-		}
-		ctx.Emit(res)
+		emitClique(ctx, r, collect)
 		return
 	}
 	if len(p) == 0 {
@@ -208,9 +225,11 @@ func remove(set []graph.V, v graph.V) []graph.V {
 	return set
 }
 
-// MaximumClique finds one maximum clique using task-parallel branch-and-bound
+// MaximumClique finds the maximum clique using task-parallel branch-and-bound
 // with a globally shared incumbent size (the shared bound is how G-thinker's
-// distributed B&B prunes across workers).
+// distributed B&B prunes across workers). Among maximum cliques it returns
+// the lexicographically least sorted list, so it equals
+// MaximalCliques(g, ...).Largest whatever the schedule.
 func MaximumClique(g *graph.Graph, cfg Config) ([]graph.V, Stats) {
 	var best atomic.Int64
 	type res = CliqueResult
@@ -226,25 +245,24 @@ func MaximumClique(g *graph.Graph, cfg Config) ([]graph.V, Stats) {
 
 func maxCliqueBB(g *graph.Graph, ctx *Ctx[CliqueTask, CliqueResult], best *atomic.Int64, r, p []graph.V) {
 	ctx.Tick()
-	if int64(len(r)) > best.Load() {
-		// try to install the new incumbent
+	// ties with the incumbent are emitted too, and only strictly smaller
+	// bounds are pruned, so every maximum clique reaches the merge and the
+	// least one wins
+	if int64(len(r)) >= best.Load() {
 		for {
 			cur := best.Load()
-			if int64(len(r)) <= cur {
-				break
-			}
-			if best.CompareAndSwap(cur, int64(len(r))) {
-				ctx.Emit(CliqueResult{Largest: append([]graph.V(nil), r...)})
+			if int64(len(r)) <= cur || best.CompareAndSwap(cur, int64(len(r))) {
 				break
 			}
 		}
+		ctx.Emit(CliqueResult{Largest: sortedClique(r)})
 	}
-	if int64(len(r)+len(p)) <= best.Load() {
-		return // bound: cannot beat incumbent
+	if int64(len(r)+len(p)) < best.Load() {
+		return // bound: cannot reach incumbent
 	}
 	p2 := append([]graph.V(nil), p...)
 	for len(p2) > 0 {
-		if int64(len(r)+len(p2)) <= best.Load() {
+		if int64(len(r)+len(p2)) < best.Load() {
 			return
 		}
 		v := p2[len(p2)-1]

@@ -1,18 +1,19 @@
 // Package tthinker implements the think-like-a-task (T-thinker / G-thinker)
 // computing model the paper presents as the answer to subgraph search: work
 // is decomposed into independent subgraph tasks that backtrack depth-first
-// WITHOUT materialising intermediate subgraph instances, with per-worker task
-// queues, work stealing for load balancing, and budget-based task splitting
-// so that a straggler task (e.g. a dense community) is divided rather than
-// serialising the run — the key G-thinker design points (Yan et al., ICDE'20
-// / VLDBJ'22).
+// WITHOUT materialising intermediate subgraph instances, on a shared task
+// pool, with budget-based task splitting so that a straggler task (e.g. a
+// dense community) is divided rather than serialising the run — the key
+// G-thinker design points (Yan et al., ICDE'20 / VLDBJ'22). The pool is
+// serve.Pool, the runtime that also serves G-thinkerQ's online queries: an
+// offline run is one query whose task tree is the whole computation.
 package tthinker
 
 import (
-	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"graphsys/internal/serve"
 )
 
 // Config controls a task engine run.
@@ -28,7 +29,6 @@ type Config struct {
 // G-thinker papers report.
 type Stats struct {
 	Tasks  int64 // tasks executed
-	Steals int64 // successful steals
 	Splits int64 // tasks that elected to split (reported by app via Splitted)
 	Ticks  int64 // total Tick() calls — the search-tree size across all tasks
 	// MaxTaskTicks is the largest single task (in ticks): the granularity
@@ -39,32 +39,25 @@ type Stats struct {
 
 // Ctx is passed to every task execution.
 type Ctx[T, R any] struct {
-	eng    *engine[T, R]
-	worker int
+	tc     *serve.TaskContext[T]
+	run    *run[R]
 	ticks  int64
 	budget int64
 	local  R
 	merged bool
 }
 
-// Spawn enqueues a new task on the current worker's queue (LIFO, so DFS
-// order is preserved locally; thieves steal from the opposite end).
-func (c *Ctx[T, R]) Spawn(t T) {
-	c.eng.pending.Add(1)
-	q := &c.eng.queues[c.worker]
-	q.mu.Lock()
-	q.tasks = append(q.tasks, t)
-	q.mu.Unlock()
-}
+// Spawn queues a new task of the same run.
+func (c *Ctx[T, R]) Spawn(t T) { c.tc.Spawn(t) }
 
-// Emit merges a partial result into the worker-local accumulator.
+// Emit merges a partial result into the task's accumulator.
 func (c *Ctx[T, R]) Emit(r R) {
 	if !c.merged {
 		c.local = r
 		c.merged = true
 		return
 	}
-	c.local = c.eng.merge(c.local, r)
+	c.local = c.run.merge(c.local, r)
 }
 
 // Tick consumes one unit of task budget. Apps call it once per elementary
@@ -78,144 +71,68 @@ func (c *Ctx[T, R]) ShouldSplit() bool {
 }
 
 // Splitted records that the app split a task (for Stats).
-func (c *Ctx[T, R]) Splitted() { c.eng.splits.Add(1) }
+func (c *Ctx[T, R]) Splitted() { c.run.splits.Add(1) }
 
-// Worker returns the executing worker id.
-func (c *Ctx[T, R]) Worker() int { return c.worker }
-
-type workQueue[T any] struct {
-	mu    sync.Mutex
-	tasks []T
-}
-
-type engine[T, R any] struct {
-	queues  []workQueue[T]
-	pending atomic.Int64
+// run is one Run's shared state: the app's merge and the Stats counters.
+type run[R any] struct {
+	merge   func(R, R) R
 	tasks   atomic.Int64
-	steals  atomic.Int64
 	splits  atomic.Int64
 	ticks   atomic.Int64
 	maxTask atomic.Int64
-	merge   func(R, R) R
+}
+
+// partial is one task's accumulator; ok is false when it emitted nothing,
+// so merge never sees a value the app did not emit.
+type partial[R any] struct {
+	r  R
+	ok bool
+}
+
+func (e *run[R]) fold(a, b partial[R]) partial[R] {
+	if !b.ok {
+		return a
+	}
+	if !a.ok {
+		return b
+	}
+	return partial[R]{e.merge(a.r, b.r), true}
 }
 
 // Run executes the task tree rooted at roots: process is called for each
 // task and may Spawn subtasks and Emit partial results, which are combined
 // with merge (must be associative and commutative). It returns the merged
-// result (zero if nothing was emitted) and engine stats.
+// result (zero if nothing was emitted) and engine stats. roots is not
+// modified.
 func Run[T, R any](roots []T, process func(ctx *Ctx[T, R], t T), merge func(R, R) R, cfg Config) (R, Stats) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	eng := &engine[T, R]{
-		queues: make([]workQueue[T], cfg.Workers),
-		merge:  merge,
-	}
-	// distribute roots round-robin
-	for i, t := range roots {
-		eng.pending.Add(1)
-		q := &eng.queues[i%cfg.Workers]
-		q.tasks = append(q.tasks, t)
-	}
-	results := make([]R, cfg.Workers)
-	hasResult := make([]bool, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		//lint:allow nakedgo task-engine worker pool with work stealing, joined via WaitGroup; stealing needs long-lived per-worker deques cluster.Run does not model
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) + 1))
-			ctx := &Ctx[T, R]{eng: eng, worker: w, budget: cfg.Budget}
-			for {
-				t, ok := eng.pop(w)
-				if !ok {
-					t, ok = eng.steal(w, rng)
-				}
-				if !ok {
-					if eng.pending.Load() == 0 {
-						break
-					}
-					runtime.Gosched()
-					continue
-				}
-				ctx.ticks = 0
-				eng.tasks.Add(1)
-				process(ctx, t)
-				eng.ticks.Add(ctx.ticks)
-				for {
-					cur := eng.maxTask.Load()
-					if ctx.ticks <= cur || eng.maxTask.CompareAndSwap(cur, ctx.ticks) {
-						break
-					}
-				}
-				eng.pending.Add(-1)
+	e := &run[R]{merge: merge}
+	exec := func(tc *serve.TaskContext[T], t T) partial[R] {
+		ctx := &Ctx[T, R]{tc: tc, run: e, budget: cfg.Budget}
+		process(ctx, t)
+		e.tasks.Add(1)
+		e.ticks.Add(ctx.ticks)
+		for {
+			cur := e.maxTask.Load()
+			if ctx.ticks <= cur || e.maxTask.CompareAndSwap(cur, ctx.ticks) {
+				break
 			}
-			if ctx.merged {
-				results[w] = ctx.local
-				hasResult[w] = true
-			}
-		}(w)
-	}
-	wg.Wait()
-	var out R
-	first := true
-	for w := range results {
-		if !hasResult[w] {
-			continue
 		}
-		if first {
-			out = results[w]
-			first = false
-		} else {
-			out = merge(out, results[w])
-		}
+		return partial[R]{ctx.local, ctx.merged}
 	}
-	return out, Stats{
-		Tasks:        eng.tasks.Load(),
-		Steals:       eng.steals.Load(),
-		Splits:       eng.splits.Load(),
-		Ticks:        eng.ticks.Load(),
-		MaxTaskTicks: eng.maxTask.Load(),
+	// NewPool fails only for a nil func or an unknown policy, Submit only on
+	// a closed pool or a queue limit, Wait only on cancel or deadline, and
+	// Close never: none of them can happen here.
+	pool, _ := serve.NewPool(serve.Options{Workers: cfg.Workers}, exec, e.fold)
+	tk, _ := pool.Submit(serve.JobSpec[T, partial[R]]{Roots: append([]T(nil), roots...)})
+	out, _ := tk.Wait()
+	_ = pool.Close()
+	return out.r, Stats{
+		Tasks:        e.tasks.Load(),
+		Splits:       e.splits.Load(),
+		Ticks:        e.ticks.Load(),
+		MaxTaskTicks: e.maxTask.Load(),
 	}
-}
-
-// pop takes from the tail of w's own queue (LIFO / DFS order).
-func (e *engine[T, R]) pop(w int) (T, bool) {
-	q := &e.queues[w]
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var zero T
-	if len(q.tasks) == 0 {
-		return zero, false
-	}
-	t := q.tasks[len(q.tasks)-1]
-	q.tasks = q.tasks[:len(q.tasks)-1]
-	return t, true
-}
-
-// steal takes from the head of a random victim's queue (FIFO end: the
-// biggest, shallowest tasks — the classic work-stealing heuristic that also
-// implements G-thinker's "split heavy tasks" policy at the queue level).
-func (e *engine[T, R]) steal(thief int, rng *rand.Rand) (T, bool) {
-	var zero T
-	n := len(e.queues)
-	start := rng.Intn(n)
-	for i := 0; i < n; i++ {
-		v := (start + i) % n
-		if v == thief {
-			continue
-		}
-		q := &e.queues[v]
-		q.mu.Lock()
-		if len(q.tasks) > 0 {
-			t := q.tasks[0]
-			q.tasks = q.tasks[1:]
-			q.mu.Unlock()
-			e.steals.Add(1)
-			return t, true
-		}
-		q.mu.Unlock()
-	}
-	return zero, false
 }

@@ -1,6 +1,7 @@
 package tthinker
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -165,8 +166,8 @@ func TestMaximumCliqueEqualsBKLargest(t *testing.T) {
 		g := gen.ErdosRenyi(40, 250, seed)
 		bk, _ := MaximalCliques(g, false, Config{Workers: 4})
 		mc, _ := MaximumClique(g, Config{Workers: 4, Budget: 50})
-		if len(mc) != len(bk.Largest) {
-			t.Fatalf("seed %d: B&B found %d, BK found %d", seed, len(mc), len(bk.Largest))
+		if !reflect.DeepEqual(mc, bk.Largest) {
+			t.Fatalf("seed %d: B&B found %v, BK found %v", seed, mc, bk.Largest)
 		}
 	}
 }
@@ -259,16 +260,41 @@ func TestKTrussSubgraph(t *testing.T) {
 	}
 }
 
-func TestEngineWorkStealingOccurs(t *testing.T) {
-	// all roots on worker 0's queue initially? roots are round-robin, so make
-	// a skewed workload: one heavy root that splits, many trivial ones.
-	g := gen.ErdosRenyi(80, 1200, 1)
-	_, stats := MaximalCliques(g, false, Config{Workers: 8, Budget: 3})
-	if stats.Steals == 0 {
-		t.Log("no steals observed (may legitimately happen on balanced queues)")
+// TestCliqueResultsScheduleIndependent checks that the answer is a function
+// of the graph alone: every worker count and split budget, repeated, gives
+// one CliqueResult (Cliques order included) and one MaximumClique, and
+// Largest is the least (sorted) maximum clique.
+func TestCliqueResultsScheduleIndependent(t *testing.T) {
+	g := gen.BarabasiAlbert(400, 8, 1)
+	var want CliqueResult
+	var wantMax []graph.V
+	runs := 0
+	for rep := 0; rep < 4; rep++ {
+		for _, workers := range []int{1, 2, 4, 8} {
+			for _, budget := range []int64{0, 100, 1000} {
+				cfg := Config{Workers: workers, Budget: budget}
+				res, _ := MaximalCliques(g, true, cfg)
+				mc, _ := MaximumClique(g, cfg)
+				if runs == 0 {
+					want, wantMax = res, mc
+				} else if !reflect.DeepEqual(res, want) || !reflect.DeepEqual(mc, wantMax) {
+					t.Fatalf("workers %d budget %d: result differs from the first run", workers, budget)
+				}
+				runs++
+			}
+		}
 	}
-	if stats.Tasks == 0 {
-		t.Fatal("no tasks ran")
+	if !sort.SliceIsSorted(want.Largest, func(i, j int) bool { return want.Largest[i] < want.Largest[j] }) {
+		t.Fatalf("Largest %v is not sorted", want.Largest)
+	}
+	var least []graph.V
+	for _, c := range want.Cliques {
+		if len(c) > len(least) || (len(c) == len(least) && lessVSlice(c, least)) {
+			least = c
+		}
+	}
+	if !reflect.DeepEqual(want.Largest, least) || !reflect.DeepEqual(wantMax, least) {
+		t.Fatalf("Largest %v, MaximumClique %v; least maximum clique is %v", want.Largest, wantMax, least)
 	}
 }
 
@@ -292,5 +318,10 @@ func TestRunMergesAcrossWorkers(t *testing.T) {
 	}
 	if stats.Tasks != 100 {
 		t.Fatalf("tasks=%d", stats.Tasks)
+	}
+	for i, r := range roots {
+		if r != i {
+			t.Fatalf("Run changed roots[%d] to %d", i, r)
+		}
 	}
 }
