@@ -3,7 +3,9 @@ package gnndist
 import (
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graphsys/internal/gnn"
@@ -141,5 +143,37 @@ func TestTrainSyncStorageBudgetError(t *testing.T) {
 	_, err := TrainSync(task, TrainerConfig{Workers: 2, TimeBudget: 2})
 	if !errors.Is(err, storage.ErrBudget) {
 		t.Fatalf("got %v, want wrapped storage.ErrBudget", err)
+	}
+}
+
+// TestTrainSyncCorruptBlock: a flipped payload byte in the task's block file
+// surfaces from TrainSync as the round barrier's typed error, wrapping
+// storage.ErrCorrupt, not as a panic or a trained model.
+func TestTrainSyncCorruptBlock(t *testing.T) {
+	task := gnn.SyntheticCommunityTask(400, 4, 8, 0.5, 13)
+	path := filepath.Join(t.TempDir(), "g.gsb")
+	info, err := storage.Write(path, task.G, storage.Options{BlockBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-5] ^= 0xff // the last payload byte of the last block, before its CRC
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prov, err := storage.OpenCached(path, info.ResidentBytes+2*info.MaxDecodedBytes, 2, storage.LRU)
+	if err != nil {
+		t.Fatalf("OpenCached after corruption: %v", err)
+	}
+	defer prov.Close()
+	_, err = TrainSync(task, TrainerConfig{Workers: 2, TimeBudget: 8, BatchSize: 16, Seed: 9, Source: prov})
+	if !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("got %v, want a wrapped storage.ErrCorrupt", err)
+	}
+	if !strings.HasPrefix(err.Error(), "gnndist: round ") {
+		t.Fatalf("error %q does not come from the round barrier", err)
 	}
 }

@@ -237,8 +237,9 @@ func MaximumClique(g *graph.Graph, cfg Config) ([]graph.V, Stats) {
 		maxCliqueBB(g, ctx, &best, t.R, t.P)
 	}
 	roots := cliqueRootTasks(g)
-	// larger candidate sets first: improves the incumbent early
-	sort.Slice(roots, func(i, j int) bool { return len(roots[i].P) > len(roots[j].P) })
+	// larger candidate sets first, to improve the incumbent early: the task
+	// pool pops its stack LIFO, so they go last
+	sort.Slice(roots, func(i, j int) bool { return len(roots[i].P) < len(roots[j].P) })
 	out, stats := Run(roots, process, mergeCliqueResults, cfg)
 	return out.Largest, stats
 }

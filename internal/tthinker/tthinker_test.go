@@ -172,6 +172,22 @@ func TestMaximumCliqueEqualsBKLargest(t *testing.T) {
 	}
 }
 
+// TestMaximumCliqueLargestRootFirst: the roots with the largest candidate
+// sets run first, so the incumbent is large early and prunes most of the
+// search. At one worker BA(400,8,1) takes 2,467 ticks; run smallest-first it
+// took 3,533.
+func TestMaximumCliqueLargestRootFirst(t *testing.T) {
+	g := gen.BarabasiAlbert(400, 8, 1)
+	mc, st := MaximumClique(g, Config{Workers: 1})
+	if st.Ticks > 2600 {
+		t.Fatalf("MaximumClique took %d ticks, want at most 2,600", st.Ticks)
+	}
+	bk, _ := MaximalCliques(g, false, Config{Workers: 1})
+	if !reflect.DeepEqual(mc, bk.Largest) {
+		t.Fatalf("B&B found %v, BK found %v", mc, bk.Largest)
+	}
+}
+
 func TestQuasiCliquesGamma1IsCliques(t *testing.T) {
 	// with γ=1 quasi-cliques are cliques
 	g := gen.Clique(4)
