@@ -59,8 +59,8 @@ bench-seeds:
 # Every fuzzer for 10 s each, beyond its committed seeds (which run with the
 # unit tests). Every fuzzer runs; the target fails if any found a failing
 # input, which go test saves under the package's testdata/fuzz. Kept out of
-# verify and tier-1 because it takes fifty seconds; CI runs it as a job.
-FUZZ_TARGETS = FuzzCodec:./internal/storage/ FuzzPregelVsReference:./internal/pregel/ FuzzServeSim:./internal/serve/ FuzzQuegelVsBFS:./internal/quegel/ FuzzNeighborSampleSource:./internal/gnn/
+# verify and tier-1 because it takes a minute; CI runs it as a job.
+FUZZ_TARGETS = FuzzCodec:./internal/storage/ FuzzPregelVsReference:./internal/pregel/ FuzzServeSim:./internal/serve/ FuzzQuegelVsBFS:./internal/quegel/ FuzzNeighborSampleSource:./internal/gnn/ FuzzOutboxVsModel:./internal/cluster/
 fuzz:
 	@failed=""; \
 	for t in $(FUZZ_TARGETS); do \

@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -50,7 +51,7 @@ func TestDenseCombinerSlotReset(t *testing.T) {
 // TestDenseCombinerSlotFromSentMessages: a combined message's class is the
 // class of its first message — the slot is read from the messages Send
 // receives, never from a combined result — so a combine that rewrites the
-// slot bits still resets the right table entry at Exchange.
+// slot bits still leaves every round's classes intact.
 func TestDenseCombinerSlotFromSentMessages(t *testing.T) {
 	mb := NewMailboxes[kv](NewNetwork(2), nil)
 	mb.SetDenseCombiner(
@@ -72,34 +73,74 @@ func TestDenseCombinerSlotFromSentMessages(t *testing.T) {
 	}
 }
 
-// TestDenseCombinerTableWraps: a lane whose next round could overflow the
-// int32 table entries clears its table and starts again, combining as
-// before on both sides of the wrap.
-func TestDenseCombinerTableWraps(t *testing.T) {
-	const slots = 8
-	mb := NewMailboxes[kv](NewNetwork(2), nil)
-	mb.SetDenseCombiner(
-		func(dest int) int { return slots },
-		func(m kv) int { return int(m.k) },
-		func(a, b kv) kv { return kv{a.k, a.v + b.v} },
-	)
-	ob := mb.Outbox(0)
-	ob.base[1] = math.MaxInt32 - 3*slots
-	for round := 0; round < 6; round++ {
-		for i := 0; i < 4*slots; i++ {
-			ob.Send(1, kv{int64(i % slots), 1})
+// TestDenseCombinerLanesStartEmpty: over 1,000 rounds that mix full rounds
+// (every sender hits every slot of every destination, several times), empty
+// rounds and single-sender rounds, each round combines from empty lanes:
+// every inbox holds exactly this round's sums in first-touch order, and
+// after every Exchange no lane keeps a queued slot, an occupancy bit or a
+// payload. Slot counts span more than one occupancy word.
+func TestDenseCombinerLanesStartEmpty(t *testing.T) {
+	const workers, rounds = 3, 1000
+	slots := func(dest int) int { return 60 + 7*dest } // 60, 67, 74
+	mb := NewMailboxes[kv](NewNetwork(workers), nil)
+	mb.SetDenseCombiner(slots, func(m kv) int { return int(m.k) }, func(a, b kv) kv { return kv{a.k, a.v + b.v} })
+	rng := rand.New(rand.NewPCG(5, 9))
+	for r := 0; r < rounds; r++ {
+		var want [workers][]kv
+		send := func(from, to, slot int) {
+			ob := mb.Outbox(from)
+			ob.Send(to, kv{int64(slot), 1})
+			for i := range want[to] {
+				if want[to][i].k == int64(slot) && int(want[to][i].v>>32) == from {
+					want[to][i].v++
+					return
+				}
+			}
+			want[to] = append(want[to], kv{int64(slot), int64(from)<<32 | 1})
 		}
-		if got := mb.Exchange(); got != slots {
-			t.Fatalf("round %d (base %d) delivered %d messages, want %d", round, ob.base[1], got, slots)
-		}
-		for i, m := range mb.Receive(1) {
-			if m.k != int64(i) || m.v != 4 {
-				t.Fatalf("round %d: message %d = %+v, want key %d sum 4", round, i, m, i)
+		switch kind := r % 3; kind {
+		case 0: // full: every slot of every lane, in a shuffled order, twice
+			for from := 0; from < workers; from++ {
+				for to := 0; to < workers; to++ {
+					order := rng.Perm(slots(to))
+					for _, s := range append(order, order...) {
+						send(from, to, s)
+					}
+				}
+			}
+		case 1: // empty
+		case 2: // one sender, a few slots on one destination
+			from, to := rng.IntN(workers), rng.IntN(workers)
+			for i := 0; i < 1+rng.IntN(5); i++ {
+				send(from, to, rng.IntN(slots(to)))
 			}
 		}
-	}
-	if ob.base[1] > slots*6 {
-		t.Fatalf("base %d: the table never wrapped", ob.base[1])
+		var total int64
+		for to := range want {
+			total += int64(len(want[to]))
+		}
+		if got := mb.Exchange(); got != total {
+			t.Fatalf("round %d: delivered %d, want %d", r, got, total)
+		}
+		for to := range want {
+			in, sl := mb.Receive(to), mb.ReceiveSlots(to)
+			if len(in) != len(want[to]) || len(sl) != len(in) {
+				t.Fatalf("round %d: inbox %d holds %d messages (%d slots), want %d", r, to, len(in), len(sl), len(want[to]))
+			}
+			for i, w := range want[to] {
+				if in[i] != (kv{w.k, w.v & 0xffffffff}) || sl[i] != int32(w.k) {
+					t.Fatalf("round %d: inbox %d message %d = %+v slot %d, want %+v slot %d", r, to, i, in[i], sl[i], kv{w.k, w.v & 0xffffffff}, w.k)
+				}
+			}
+		}
+		for from, ob := range mb.outs {
+			for to, ln := range ob.lanes {
+				if len(ln.slots) != 0 || slices.ContainsFunc(ln.occ, func(x uint64) bool { return x != 0 }) ||
+					slices.ContainsFunc(ln.table, func(m kv) bool { return m != kv{} }) {
+					t.Fatalf("round %d: lane %d→%d not empty after Exchange", r, from, to)
+				}
+			}
+		}
 	}
 }
 
@@ -129,32 +170,4 @@ func TestDenseCombinerMisusePanics(t *testing.T) {
 		mb.SetDenseCombiner(slots, slot, comb)
 		mb.SetDenseCombiner(slots, slot, comb)
 	})
-}
-
-// BenchmarkSendDenseCombiner drives a single-sender combining workload: `slots` distinct
-// destination-local targets, 8 sends per target per round — the shape of a
-// PageRank superstep where several local vertices share out-neighbors on one
-// destination worker.
-func BenchmarkSendDenseCombiner(b *testing.B) {
-	const slots = 1 << 12
-	net := NewNetwork(2)
-	mb := NewMailboxes[int64](net, nil)
-	combine := func(a, b int64) int64 { return a&^0xffffffff | (a&0xffffffff + b&0xffffffff) }
-	mb.SetDenseCombiner(
-		func(dest int) int { return slots },
-		func(m int64) int { return int(m >> 32) },
-		combine,
-	)
-	ob := mb.Outbox(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	sent := 0
-	for sent < b.N {
-		n := min(b.N-sent, slots*8)
-		for i := 0; i < n; i++ {
-			ob.Send(1, int64(i%slots)<<32|1)
-		}
-		mb.Exchange()
-		sent += n
-	}
 }

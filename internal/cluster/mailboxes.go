@@ -1,22 +1,26 @@
 package cluster
 
-import "math"
-
 // Mailboxes is a double-buffered, superstep-oriented message store: messages
 // sent during round r become visible after Exchange(), matching the BSP
 // semantics of Pregel-style systems.
 //
+// A message is addressed by its destination worker and its SLOT there: an
+// integer the destination understands without a lookup (pregel's is
+// localIdx·K + key, the destination-local vertex id refined by one of K
+// program keys). The slot travels beside the payload into the inbox, so
+// receivers read it back with ReceiveSlots.
+//
 // Messages travel through per-sender STAGED outboxes: each sender owns a
-// private Outbox with one staging buffer per destination, so Send is a plain
-// append — no locks, no atomics, no network metering on the hot path.
-// All metering is deferred to Exchange, which flushes each sender's
-// per-destination totals to the Network under one lock acquisition per
-// sender per round (instead of two lock acquisitions per message), draws any
-// FaultPlan drops at flush time with the same per-message semantics, and
-// merges staged buffers into the inboxes in sender-rank order — so inbox
-// contents are a deterministic function of each sender's send sequence,
-// independent of goroutine scheduling. Staging buffers, inbox arrays and
-// combiner slot tables are all reused across rounds.
+// private Outbox with one lane per destination, so SendSlot is a plain
+// append (or, with a combiner, an in-place merge) — no locks, no atomics,
+// no network metering on the hot path. All metering is deferred to
+// Exchange, which flushes each sender's per-destination totals to the
+// Network under one lock acquisition per sender per round (instead of two
+// lock acquisitions per message), draws any FaultPlan drops at flush time
+// with the same per-message semantics, and merges the lanes into the
+// inboxes in sender-rank order — so inbox contents are a deterministic
+// function of each sender's send sequence, independent of goroutine
+// scheduling. Lanes and inbox arrays are reused across rounds.
 //
 // Concurrency contract: each sender rank must be driven by at most one
 // goroutine at a time — the natural shape of a BSP engine, where worker w is
@@ -29,11 +33,11 @@ import "math"
 type Mailboxes[M any] struct {
 	net   *Network
 	size  func(M) int64
-	inbox [][]M // visible to receivers this round
+	inbox [][]M     // visible to receivers this round
+	slots [][]int32 // slots[w][i] is the slot inbox[w][i] was sent to
 
-	outs    []*Outbox[M]
-	slot    func(M) int    // combining class of a message at its destination worker
-	combine func(a, b M) M // non-nil ⇒ sender-side combining; merges two messages of one class
+	outs []*Outbox[M]
+	slot func(M) int // Send's slot of a message; non-nil ⇔ a combiner is installed
 	// flush scratch, reused every round (one entry per destination)
 	fmsgs     []int64
 	fattempts []int64
@@ -41,18 +45,25 @@ type Mailboxes[M any] struct {
 	fsizes    []int64 // per-message sizes for fault-plan drop draws
 }
 
-// Outbox is one sender's private staging area: stage[d] holds the messages
+// Outbox is one sender's private staging area: lanes[d] holds the messages
 // queued for destination worker d this round. It is owned by the sender's
-// goroutine — Send never synchronises — and is drained by Exchange.
+// goroutine — SendSlot never synchronises — and is drained by Exchange.
 type Outbox[M any] struct {
-	mb    *Mailboxes[M]
-	stage [][]M
-	// per destination, nil without a combiner: slotTab[d][s] - base[d] is
-	// the index into stage[d] of the message occupying slot s this round,
-	// negative when s is empty. Exchange empties every table without
-	// touching it by raising base[d] past the round's entries.
-	slotTab [][]int32
-	base    []int32
+	mb      *Mailboxes[M]
+	combine func(a, b M) M // non-nil ⇒ sender-side combining; merges two messages of one slot
+	lanes   []lane[M]
+}
+
+// lane is one (sender, destination) pair's staging area. An uncombined lane
+// queues (msg, slot) pairs in send order in msgs and slots. A combined lane
+// holds at most one message per slot: table[s] is slot s's payload while bit
+// s of occ is set, and slots lists the occupied slots in first-touch order.
+// slots is allocated at the lane's slot count, so it never grows.
+type lane[M any] struct {
+	msgs  []M
+	slots []int32
+	table []M
+	occ   []uint64
 }
 
 // NewMailboxes creates mailboxes for n workers on net. size reports
@@ -67,50 +78,51 @@ func NewMailboxes[M any](net *Network, size func(M) int64) *Mailboxes[M] {
 		net:       net,
 		size:      size,
 		inbox:     make([][]M, n),
+		slots:     make([][]int32, n),
 		outs:      make([]*Outbox[M], n),
 		fmsgs:     make([]int64, n),
 		fattempts: make([]int64, n),
 		fbytes:    make([]int64, n),
 	}
 	for w := range mb.outs {
-		mb.outs[w] = &Outbox[M]{mb: mb, stage: make([][]M, n)}
+		mb.outs[w] = &Outbox[M]{mb: mb, lanes: make([]lane[M], n)}
 	}
 	return mb
 }
 
 // SetDenseCombiner enables sender-side combining (Pregel's combiner, hoisted
 // into the runtime so every engine on the substrate gets it): two messages
-// queued by the same sender for the same destination worker with equal
-// slot(msg) are merged by combine before they ever reach the wire, in send
-// order — combine(queued, incoming) — and the class keeps the buffer
-// position of its first message. slot(msg) must return an integer in
-// [0, slots(dest)) naming the combining class of msg at its destination
-// worker: pregel's is localIdx·K + key, the destination-local vertex id
-// refined by one of K program keys (quegel's query ids). A combined send is
-// one []int32 load and one compare, no hash, which keeps the engine hot path
-// allocation-free (DESIGN.md §3.12). slot is evaluated on the messages Send
-// receives only, never on a combined result.
+// queued by the same sender for the same destination worker and slot are
+// merged by combine before they ever reach the wire, in send order —
+// combine(queued, incoming) — and the slot keeps the inbox position of its
+// first message. Slots at destination dest lie in [0, slots(dest)). Send
+// addresses a message to slot(msg); SendSlot takes the slot from the caller
+// and never calls slot. A combined send is a bitset test and one load and
+// store of the lane's payload table, no hash, which keeps the engine hot
+// path allocation-free (DESIGN.md §3.12).
 //
-// The slot tables cost 4·slots(dest) bytes per (sender, destination) pair,
-// i.e. 4·K·n bytes per sender for pregel. Call before the first Send.
+// Each (sender, destination) lane costs (sizeof(M) + 4)·slots(dest) bytes
+// plus a one-bit-per-slot occupancy set, i.e. about (sizeof(M) + 4)·K·n
+// bytes per sender for pregel. Call before the first Send.
 func (mb *Mailboxes[M]) SetDenseCombiner(slots func(dest int) int, slot func(M) int, combine func(a, b M) M) {
 	if slots == nil || slot == nil || combine == nil {
 		//lint:allow panicpolicy nil combiner parts are a programmer error at wiring time, before any run starts
 		panic("cluster: SetDenseCombiner needs slots, slot and combine functions")
 	}
-	if mb.combine != nil {
+	if mb.slot != nil {
 		//lint:allow panicpolicy double combiner installation is a wiring-time programmer error
 		panic("cluster: mailboxes already have a combiner")
 	}
 	mb.slot = slot
-	mb.combine = combine
-	n := len(mb.inbox)
 	for _, ob := range mb.outs {
-		ob.slotTab = make([][]int32, n)
-		ob.base = make([]int32, n)
-		for d := range ob.slotTab {
-			ob.slotTab[d] = make([]int32, slots(d))
-			ob.base[d] = 1
+		ob.combine = combine
+		for d := range ob.lanes {
+			k := slots(d)
+			ob.lanes[d] = lane[M]{
+				slots: make([]int32, 0, k),
+				table: make([]M, k),
+				occ:   make([]uint64, (k+63)/64),
+			}
 		}
 	}
 }
@@ -120,21 +132,37 @@ func (mb *Mailboxes[M]) SetDenseCombiner(slots func(dest int) int, slot func(M) 
 func (mb *Mailboxes[M]) Outbox(w int) *Outbox[M] { return mb.outs[w] }
 
 // Send queues msg for destination worker `to`, delivered at the next
-// Exchange. It is a lock-free append into the sender's staging buffer (plus
-// the combiner merge when one is installed).
+// Exchange: SendSlot(to, slot(msg), msg) with the combiner's slot function,
+// or slot 0 on mailboxes without a combiner.
 func (ob *Outbox[M]) Send(to int, msg M) {
-	mb := ob.mb
-	if mb.combine != nil {
-		tab := ob.slotTab[to]
-		s := mb.slot(msg)
-		if i := tab[s] - ob.base[to]; i >= 0 {
-			ob.stage[to][i] = mb.combine(ob.stage[to][i], msg)
-			return
-		}
-		tab[s] = ob.base[to] + int32(len(ob.stage[to]))
+	s := 0
+	if ob.combine != nil {
+		s = ob.mb.slot(msg)
 	}
-	//lint:allow hotalloc warm-up growth only: staging buffers reach their per-destination high-water mark, then Reset keeps the capacity across rounds
-	ob.stage[to] = append(ob.stage[to], msg)
+	ob.SendSlot(to, s, msg)
+}
+
+// SendSlot queues msg for slot `slot` of destination worker `to`, delivered
+// at the next Exchange. Without a combiner it is a lock-free append to the
+// sender's lane; with one, a message to an occupied slot is merged into the
+// queued one in place, and the first message to a slot claims it.
+func (ob *Outbox[M]) SendSlot(to, slot int, msg M) {
+	ln := &ob.lanes[to]
+	if ob.combine == nil {
+		//lint:allow hotalloc warm-up growth only: uncombined lanes reach their per-destination high-water mark, then Exchange keeps the capacity across rounds
+		ln.msgs, ln.slots = append(ln.msgs, msg), append(ln.slots, int32(slot))
+		return
+	}
+	word, bit := slot>>6, uint64(1)<<(slot&63)
+	if ln.occ[word]&bit != 0 {
+		ln.table[slot] = ob.combine(ln.table[slot], msg)
+		return
+	}
+	ln.occ[word] |= bit
+	ln.table[slot] = msg
+	n := len(ln.slots)
+	ln.slots = ln.slots[:n+1] // within capacity: each slot is claimed once per round
+	ln.slots[n] = int32(slot)
 }
 
 // Exchange makes all queued messages visible and clears the previous round's
@@ -148,71 +176,57 @@ func (ob *Outbox[M]) Send(to int, msg M) {
 // per-destination message and byte totals, draws fault-plan drops per
 // message (the same accounting as one Network.Account per message), flushes
 // the totals to the Network under one lock acquisition, and merges the
-// staging buffers into the inboxes in sender-rank order.
+// lanes into the inboxes in sender-rank order.
 func (mb *Mailboxes[M]) Exchange() int64 {
-	var zero M
 	// recycle inboxes: zero before truncating so pointer-bearing M from last
 	// round does not stay reachable through the retained backing arrays
 	for w := range mb.inbox {
-		in := mb.inbox[w]
-		for i := range in {
-			in[i] = zero
-		}
-		mb.inbox[w] = in[:0]
+		clear(mb.inbox[w])
+		mb.inbox[w] = mb.inbox[w][:0]
+		mb.slots[w] = mb.slots[w][:0]
 	}
 	fi := mb.net.faults.Load()
 	drops := fi != nil && fi.plan.DropProb > 0
 	var delivered int64
 	for s, ob := range mb.outs {
 		var localMsgs int64
-		for d := range ob.stage {
-			st := ob.stage[d]
-			if len(st) == 0 {
+		for d := range ob.lanes {
+			ln := &ob.lanes[d]
+			if len(ln.slots) == 0 {
 				continue
 			}
+			// deterministic merge: senders are visited in rank order, and
+			// within a sender messages keep their lane order
+			start := len(mb.inbox[d])
+			mb.inbox[d] = ln.flush(mb.inbox[d])
+			mb.slots[d] = append(mb.slots[d], ln.slots...)
+			ln.slots = ln.slots[:0]
+			st := mb.inbox[d][start:]
 			m := int64(len(st))
 			delivered += m
 			if d == s {
 				localMsgs += m
+				continue
+			}
+			var bytes int64
+			if drops {
+				mb.fsizes = mb.fsizes[:0]
+				for _, msg := range st {
+					sz := mb.size(msg)
+					bytes += sz
+					mb.fsizes = append(mb.fsizes, sz)
+				}
+				nd, retryBytes := fi.drawDropsBatch(mb.fsizes)
+				mb.fattempts[d] = m + nd
+				mb.fbytes[d] = bytes + retryBytes
 			} else {
-				var bytes int64
-				if drops {
-					mb.fsizes = mb.fsizes[:0]
-					for _, msg := range st {
-						sz := mb.size(msg)
-						bytes += sz
-						mb.fsizes = append(mb.fsizes, sz)
-					}
-					nd, retryBytes := fi.drawDropsBatch(mb.fsizes)
-					mb.fattempts[d] = m + nd
-					mb.fbytes[d] = bytes + retryBytes
-				} else {
-					for _, msg := range st {
-						bytes += mb.size(msg)
-					}
-					mb.fattempts[d] = m
-					mb.fbytes[d] = bytes
+				for _, msg := range st {
+					bytes += mb.size(msg)
 				}
-				mb.fmsgs[d] = m
+				mb.fattempts[d] = m
+				mb.fbytes[d] = bytes
 			}
-			// deterministic merge: senders are visited in rank order, and
-			// within a sender messages keep their send order
-			mb.inbox[d] = append(mb.inbox[d], st...)
-			for i := range st {
-				st[i] = zero
-			}
-			ob.stage[d] = st[:0]
-			if ob.slotTab != nil {
-				// this round's entries are base..base+len(st)-1: raising base
-				// past them empties the table in O(1). A table is cleared
-				// only when the next round's entries could overflow int32.
-				tab := ob.slotTab[d]
-				ob.base[d] += int32(len(st))
-				if int(ob.base[d]) > math.MaxInt32-len(tab) {
-					clear(tab)
-					ob.base[d] = 1
-				}
-			}
+			mb.fmsgs[d] = m
 		}
 		mb.net.flushSender(s, mb.fmsgs, mb.fattempts, mb.fbytes, localMsgs)
 		for d := range mb.fmsgs {
@@ -223,6 +237,30 @@ func (mb *Mailboxes[M]) Exchange() int64 {
 	return delivered
 }
 
+// flush appends the lane's messages to in, in lane order, and empties the
+// lane's payloads; the caller copies and truncates ln.slots.
+func (ln *lane[M]) flush(in []M) []M {
+	if ln.table == nil {
+		in = append(in, ln.msgs...)
+		clear(ln.msgs)
+		ln.msgs = ln.msgs[:0]
+		return in
+	}
+	var zero M
+	for _, s := range ln.slots {
+		in = append(in, ln.table[s])
+		ln.table[s] = zero
+		ln.occ[s>>6] = 0 // every set bit belongs to a listed slot
+	}
+	return in
+}
+
 // Receive returns the messages visible to worker w this round. The slice is
-// valid until the next Exchange. Its order is deterministic: ascending sender rank, send order within a sender.
+// valid until the next Exchange. Its order is deterministic: ascending
+// sender rank, then each sender's lane order — send order on uncombined
+// lanes, first-touch order of the slots on combined ones.
 func (mb *Mailboxes[M]) Receive(w int) []M { return mb.inbox[w] }
+
+// ReceiveSlots returns the slots of Receive(w)'s messages, index for index.
+// Like Receive, it is valid until the next Exchange.
+func (mb *Mailboxes[M]) ReceiveSlots(w int) []int32 { return mb.slots[w] }

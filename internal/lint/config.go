@@ -112,8 +112,8 @@ func Default() *Config {
 		PanicExempt: []string{"internal/tensor", "internal/nn"},
 
 		// The declared zero-alloc hot paths, mirroring the dynamic gates:
-		// the Gang dispatch + worker loop and the dense combiner send feed
-		// TestSteadyStateAllocsPerRound, the cache-hit path feeds
+		// the Gang dispatch + worker loop, the vertex-to-slot send and the
+		// lane send feed TestSteadyStateAllocsPerRound, the cache-hit path feeds
 		// TestHitPathZeroAllocs, and the serve pick paths are
 		// the per-task scheduler inner loops. The pregel superstep closures
 		// (computePhase/demuxPhase) are rooted in-source via //lint:hotpath.
@@ -121,6 +121,8 @@ func Default() *Config {
 			"internal/cluster.(*Gang).Run",
 			"internal/cluster.(*Gang).worker",
 			"internal/cluster.(*Outbox).Send",
+			"internal/cluster.(*Outbox).SendSlot",
+			"internal/pregel.(*Context).Send",
 			"internal/pregel.(*delivery).scatter",
 			"internal/serve.(*Batcher).orderLocked",
 			"internal/serve.(*Pool).pickLocked",

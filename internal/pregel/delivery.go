@@ -6,15 +6,16 @@ import (
 
 // delivery is the engine's columnar inbox (DESIGN.md §3.12). Each worker's
 // round of inbound messages is scattered — by a stable counting sort on the
-// destination-local vertex id — into one flat per-worker payload buffer, and
+// destination-local vertex id, slot / K, read off each message's slot with
+// no lookup — into one flat per-worker payload buffer, and
 // msgs[v] becomes a view into that buffer instead of an owned per-vertex
 // slice. The demux loop therefore touches only the owner worker's own flat
 // buffer, count table and touched list (no cross-worker active[] stores,
 // no per-vertex append growth), and every buffer is reused across rounds, so
 // a steady-state demux performs no allocation.
 type delivery[M any] struct {
-	owned    [][]graph.V
-	localIdx []int32 // global vertex id → index into the owner's owned list
+	owned [][]graph.V
+	keys  int32 // K: slots per vertex; a message to slot s is for owned[s/K]
 
 	// per worker, reused every round
 	flat    [][]M     // round payloads in scatter order; msgs[v] are views
@@ -23,37 +24,41 @@ type delivery[M any] struct {
 	touched [][]int32 // local ids that received ≥1 message, discovery order
 }
 
-func newDelivery[M any](owned [][]graph.V, localIdx []int32) *delivery[M] {
+func newDelivery[M any](owned [][]graph.V, keys int) *delivery[M] {
 	n := len(owned)
 	d := &delivery[M]{
-		owned:    owned,
-		localIdx: localIdx,
-		flat:     make([][]M, n),
-		counts:   make([][]int32, n),
-		cursor:   make([][]int32, n),
-		touched:  make([][]int32, n),
+		owned:   owned,
+		keys:    int32(keys),
+		flat:    make([][]M, n),
+		counts:  make([][]int32, n),
+		cursor:  make([][]int32, n),
+		touched: make([][]int32, n),
 	}
 	for w := range owned {
 		d.counts[w] = make([]int32, len(owned[w]))
 		d.cursor[w] = make([]int32, len(owned[w]))
+		d.touched[w] = make([]int32, 0, len(owned[w]))
 	}
 	return d
 }
 
-// scatter groups worker w's inbound stream by destination vertex into the
-// worker's flat buffer, installs msgs[v] views and activates recipients.
-// Only entries owned by w are touched, so concurrent per-worker scatters are
-// race-free. Returns the number of vertices newly activated.
-func (d *delivery[M]) scatter(w int, stream []vmsg[M], msgs [][]M, active []bool) int64 {
+// scatter groups worker w's inbound stream — payloads and, index for index,
+// their slots — by destination vertex into the worker's flat buffer,
+// installs msgs[v] views and activates recipients. Only entries owned by w
+// are touched, so concurrent per-worker scatters are race-free. Returns the
+// number of vertices newly activated.
+func (d *delivery[M]) scatter(w int, stream []M, slots []int32, msgs [][]M, active []bool) int64 {
 	if len(stream) == 0 {
 		return 0
 	}
 	counts, cursor, touched := d.counts[w], d.cursor[w], d.touched[w]
-	for i := range stream {
-		lid := d.localIdx[stream[i].to]
+	k := d.keys
+	for _, s := range slots {
+		lid := s / k
 		if counts[lid] == 0 {
-			//lint:allow hotalloc warm-up growth only: touched tops out at the worker's owned-vertex count and keeps its capacity across rounds
-			touched = append(touched, lid)
+			n := len(touched)
+			touched = touched[:n+1] // within capacity: one entry per owned vertex
+			touched[n] = lid
 		}
 		counts[lid]++
 	}
@@ -72,9 +77,9 @@ func (d *delivery[M]) scatter(w int, stream []vmsg[M], msgs [][]M, active []bool
 		cursor[lid] = off
 		off += counts[lid]
 	}
-	for i := range stream {
-		lid := d.localIdx[stream[i].to]
-		flat[cursor[lid]] = stream[i].m
+	for i, s := range slots {
+		lid := s / k
+		flat[cursor[lid]] = stream[i]
 		cursor[lid]++
 	}
 	var activated int64

@@ -12,7 +12,6 @@ package pregel
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"graphsys/internal/cluster"
 	"graphsys/internal/det"
@@ -108,15 +107,15 @@ type Program[S, M any] struct {
 	// CombineKey, if non-nil, refines the combining classes: only messages to
 	// the same vertex with equal CombineKey(m) are merged. The key must lie
 	// in [0, CombineKeys); Run addresses the class (vertex, key) as slot
-	// localIdx(vertex)·CombineKeys + key of a dense table
+	// localIdx(vertex)·CombineKeys + key at the owner worker
 	// (cluster.Mailboxes.SetDenseCombiner) and fails with an error when a key
 	// falls outside the range. Quegel keys on the query id, so concurrent
 	// queries' frontiers never mix. Leave nil to combine all messages
 	// addressed to one vertex (classic Pregel: one class per vertex).
 	CombineKey func(m M) int32
 	// CombineKeys is the number of CombineKey classes per vertex; it must be
-	// at least 1 when CombineKey is set. The slot tables cost
-	// 4·CombineKeys·n bytes per worker.
+	// at least 1 when CombineKey is set. The combining lanes cost about
+	// (sizeof(M)+4)·CombineKeys·n bytes per worker.
 	CombineKeys int
 }
 
@@ -129,19 +128,19 @@ type Context[M any] struct {
 	superstep int
 	halted    bool // set per vertex via VoteToHalt; reset by engine
 
-	out       *cluster.Outbox[vmsg[M]] // this worker's staging outbox
-	partition []int
+	out    *cluster.Outbox[M] // this worker's staging outbox
+	routes []route            // per vertex: where its messages go
+	key    func(m M) int32    // Program.CombineKey on combined runs, else nil
+	keys   int                // K: slots per vertex (1 without a key)
+	badKey bool               // key returned a value outside [0, keys); checked at the superstep barrier
 
 	aggLocal map[string]float64
 }
 
-// vmsg is the wire envelope: destination vertex and payload only. The
-// sender's rank is implied by the outbox lane it travels in
-// (cluster.Mailboxes merges lanes in sender-rank order), so carrying it per
-// message would be 4 dead bytes on the hot path.
-type vmsg[M any] struct {
-	to graph.V
-	m  M
+// route addresses a vertex's messages: its owner worker and its index in the
+// owner's owned list, the slot base at the destination.
+type route struct {
+	worker, local int32
 }
 
 type engineIface[M any] interface {
@@ -181,11 +180,23 @@ func (c *Context[M]) Neighbors(v graph.V) []graph.V {
 }
 
 // Send sends m to vertex to, delivered at the next superstep. The message
-// goes straight into the sending worker's staging outbox — a lock-free
-// append, combined on the fly when the program has a combiner (one slot-table
-// load per send, with or without CombineKey).
+// goes straight into the sending worker's staging outbox at slot
+// local(to)·K + key — a lock-free append, combined in place when the program
+// has a combiner. One route load addresses it; the receiver needs no lookup.
 func (c *Context[M]) Send(to graph.V, m M) {
-	c.out.Send(c.partition[to], vmsg[M]{to: to, m: m})
+	r := c.routes[to]
+	slot := int(r.local)
+	if c.key != nil {
+		k := c.key(m)
+		if k < 0 || int(k) >= c.keys {
+			// never alias the next vertex's classes: park the message in
+			// the vertex's first class and fail the run
+			c.badKey = true
+			k = 0
+		}
+		slot = slot*c.keys + int(k)
+	}
+	c.out.SendSlot(int(r.worker), slot, m)
 }
 
 // SendToNeighbors sends m to every neighbor of v.
@@ -267,10 +278,10 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	states := make([]S, n)
 	active := make([]bool, n)
 	owned := make([][]graph.V, cfg.Workers)
-	localIdx := make([]int32, n) // global vertex → owner-local dense id
+	routes := make([]route, n) // global vertex → owner and owner-local dense id
 	for v := 0; v < n; v++ {
 		p := cfg.Partition[v]
-		localIdx[v] = int32(len(owned[p]))
+		routes[v] = route{worker: int32(p), local: int32(len(owned[p]))}
 		owned[p] = append(owned[p], graph.V(v))
 	}
 	// per-worker active-vertex counters, maintained at halt/reactivate time so
@@ -281,36 +292,23 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	// owner worker touches an entry)
 	msgs := make([][]M, n)
 
-	mb := cluster.NewMailboxes[vmsg[M]](net, func(vmsg[M]) int64 { return cfg.MsgBytes })
-	// badKey is raised by a worker whose program returned a CombineKey
-	// outside [0, CombineKeys); Run fails at the next barrier
-	var badKey atomic.Bool
+	mb := cluster.NewMailboxes[M](net, func(M) int64 { return cfg.MsgBytes })
+	// a message's slot at its owner is local·k + key; without a combine key
+	// k = 1 and key 0, i.e. the slot is the owner-local vertex id
+	k := 1
+	var key func(M) int32
 	if prog.Combine != nil {
 		// hoist the program's combiner into the substrate, combining inside
-		// the sender's staging buffer before anything reaches the wire; the
-		// class (vertex, key) is slot localIdx·k + key, where a nil key means
-		// k = 1 and key 0, i.e. slot localIdx
-		combine := func(a, b vmsg[M]) vmsg[M] {
-			return vmsg[M]{to: a.to, m: prog.Combine(a.m, b.m)}
+		// the sender's lane before anything reaches the wire
+		if prog.CombineKey != nil {
+			k, key = prog.CombineKeys, prog.CombineKey
 		}
-		k := 1
-		slot := func(vm vmsg[M]) int { return int(localIdx[vm.to]) }
-		if key := prog.CombineKey; key != nil {
-			k = prog.CombineKeys
-			slot = func(vm vmsg[M]) int {
-				c := key(vm.m)
-				if c < 0 || int(c) >= k {
-					// never alias the next vertex's classes: park the message
-					// in the vertex's first class and fail the run
-					badKey.Store(true)
-					c = 0
-				}
-				return int(localIdx[vm.to])*k + int(c)
-			}
-		}
-		mb.SetDenseCombiner(func(dest int) int { return k * len(owned[dest]) }, slot, combine)
+		// Context.Send addresses every message through SendSlot, so the
+		// slot function Outbox.Send would call is never used
+		unused := func(M) int { return 0 }
+		mb.SetDenseCombiner(func(dest int) int { return k * len(owned[dest]) }, unused, prog.Combine)
 	}
-	dlv := newDelivery[M](owned, localIdx)
+	dlv := newDelivery[M](owned, k)
 
 	// one long-lived Context per worker; superstep/halted are rewritten each
 	// round and the aggregator map is cleared (never reallocated) after merge
@@ -319,9 +317,11 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	for w := 0; w < cfg.Workers; w++ {
 		ctx := &Context[M]{
 			eng: eng, g: g,
-			out:       mb.Outbox(w),
-			partition: cfg.Partition,
-			aggLocal:  map[string]float64{},
+			out:      mb.Outbox(w),
+			routes:   routes,
+			key:      key,
+			keys:     k,
+			aggLocal: map[string]float64{},
 		}
 		if prov != nil {
 			ctx.src = prov.Handle(w)
@@ -414,7 +414,7 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	}
 	//lint:hotpath per-round demux phase: groups every inbound message by destination
 	demuxPhase := func(w int) {
-		activeCnt[w] += dlv.scatter(w, mb.Receive(w), msgs, active)
+		activeCnt[w] += dlv.scatter(w, mb.Receive(w), mb.ReceiveSlots(w), msgs, active)
 	}
 
 	// aggNext and eng.agg are two maps swapped every round: merge into the
@@ -485,8 +485,10 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 				return nil, fmt.Errorf("pregel: superstep %d: %w", step, ctx.srcErr)
 			}
 		}
-		if badKey.Load() {
-			return nil, fmt.Errorf("pregel: superstep %d: CombineKey returned a key outside [0, %d)", step, prog.CombineKeys)
+		for _, ctx := range ctxs {
+			if ctx.badKey {
+				return nil, fmt.Errorf("pregel: superstep %d: CombineKey returned a key outside [0, %d)", step, prog.CombineKeys)
+			}
 		}
 		if collectRounds {
 			cur := prov.Stats()
