@@ -33,10 +33,12 @@ test:
 # Race-enabled subset: the packages with real concurrency (the cluster
 # runtime and the engines that drive it, including the fault-injection /
 # crash-recovery paths, the parallel tensor/aggregation kernels, the
-# serving tier's worker pools and batchers, and the offline task engines
-# that run on the serving tier's Pool).
+# serving tier's worker pools and batchers, the offline task engines
+# that run on the serving tier's Pool, and the packages that start
+# goroutines of their own: the GPU simulator and the matching and mining
+# engines).
 race:
-	$(GO) test -race ./internal/cluster/ ./internal/pregel/ ./internal/gnndist/ ./internal/tensor/ ./internal/gnn/ ./internal/serve/ ./internal/gthinkerq/ ./internal/quegel/ ./internal/tthinker/ ./internal/fsm/
+	$(GO) test -race ./internal/cluster/ ./internal/pregel/ ./internal/blogel/ ./internal/gnndist/ ./internal/tensor/ ./internal/gnn/ ./internal/gpusim/ ./internal/serve/ ./internal/gthinkerq/ ./internal/quegel/ ./internal/tthinker/ ./internal/fsm/ ./internal/match/ ./internal/mining/
 
 # The benchmark (bench/, its own module; `bash bench/run.sh` runs it) vetted
 # and smoke-tested at probe sizes, so a change that breaks it fails verify.

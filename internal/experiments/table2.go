@@ -99,10 +99,10 @@ func Table2Caching() *Table {
 		Header: []string{"cache size", "remote fetches", "cache hits", "net bytes", "test acc"}}
 	task := table2Task()
 	for _, size := range []int{0, 16, 64, 256} {
-		res := must2(gnndist.TrainSyncWithStats(task, gnndist.TrainerConfig{
+		res := must2(gnndist.TrainSync(task, gnndist.TrainerConfig{
 			Workers: 4, TimeBudget: 15, Seed: 9, CacheSize: size,
 		}))
-		t.AddRow(size, res.Misses, res.Hits, res.Result.Net.Bytes, res.Result.TestAcc)
+		t.AddRow(size, res.Misses, res.Hits, res.Net.Bytes, res.TestAcc)
 	}
 	t.Note("caching the high-degree vertices absorbs most remote fetches on skewed graphs")
 	return t

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"graphsys/internal/graph"
-	"graphsys/internal/nn"
 	"graphsys/internal/storage"
 	"graphsys/internal/tensor"
 )
@@ -187,92 +186,8 @@ func (s *SampledSubgraph) Features(x *tensor.Matrix) *tensor.Matrix {
 	return tensor.SelectRows(x, idx)
 }
 
-// MinibatchConfig controls sampled training.
-type MinibatchConfig struct {
-	Epochs    int
-	BatchSize int
-	Fanouts   []int
-	LR        float64
-	Hidden    int
-	Kind      ModelKind
-	Seed      int64
-}
-
-// TrainMinibatch trains with neighbor-sampled minibatches (the
-// Euler/AliGraph/ByteGNN regime) and returns test accuracy. A fresh model is
-// built per batch subgraph sharing one parameter set via weight copying is
-// complex; instead the standard trick for this scale is full weight reuse:
-// we keep one set of parameter matrices and rebuild layers per batch bound
-// to the batch subgraph.
-func TrainMinibatch(g *graph.Graph, x *tensor.Matrix, labels []int, trainSeeds []graph.V, testMask []bool, cfg MinibatchConfig) (float64, *Model) {
-	if cfg.Epochs == 0 {
-		cfg.Epochs = 5
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 64
-	}
-	if cfg.LR == 0 {
-		cfg.LR = 0.01
-	}
-	if cfg.Hidden == 0 {
-		cfg.Hidden = 16
-	}
-	if len(cfg.Fanouts) == 0 {
-		cfg.Fanouts = []int{10, 10}
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	numClasses := 0
-	for _, l := range labels {
-		if l+1 > numClasses {
-			numClasses = l + 1
-		}
-	}
-	dims := []int{x.Cols, cfg.Hidden, numClasses}
-
-	// persistent parameters: one model on the full graph whose weights are
-	// copied into per-batch models and gradients copied back
-	master := NewModel(g, cfg.Kind, dims, cfg.Seed)
-	opt := nn.NewAdam(cfg.LR)
-
-	for ep := 0; ep < cfg.Epochs; ep++ {
-		perm := rng.Perm(len(trainSeeds))
-		for lo := 0; lo < len(perm); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(perm) {
-				hi = len(perm)
-			}
-			batch := make([]graph.V, 0, hi-lo)
-			for _, i := range perm[lo:hi] {
-				batch = append(batch, trainSeeds[i])
-			}
-			sub := NeighborSample(g, batch, cfg.Fanouts, rng)
-			bx := sub.Features(x)
-			blabels := make([]int, sub.Graph.NumVertices())
-			for i := range blabels {
-				blabels[i] = -1
-			}
-			for _, loc := range sub.SeedLoc {
-				blabels[loc] = labels[sub.NewToOld[loc]]
-			}
-			bm := NewModel(sub.Graph, cfg.Kind, dims, cfg.Seed)
-			copyParams(bm, master)
-			logits := bm.Forward(bx)
-			_, dLogits := nn.SoftmaxCrossEntropy(logits, blabels)
-			bm.Backward(dLogits)
-			addGrads(master, bm)
-			opt.Step(master.Params())
-		}
-	}
-	return evalFullGraph(g, master, x, labels, testMask, dims, cfg), master
-}
-
-func evalFullGraph(g *graph.Graph, master *Model, x *tensor.Matrix, labels []int, testMask []bool, dims []int, cfg MinibatchConfig) float64 {
-	eval := NewModel(g, cfg.Kind, dims, cfg.Seed)
-	copyParams(eval, master)
-	logits := eval.Forward(x)
-	return nn.Accuracy(logits, labels, testMask)
-}
-
+// copyParams copies src's weights into dst, a model of the same shape: a
+// per-graph model shares one parameter set with its template this way.
 func copyParams(dst, src *Model) {
 	dp, sp := dst.Params(), src.Params()
 	for i := range dp {
@@ -280,6 +195,7 @@ func copyParams(dst, src *Model) {
 	}
 }
 
+// addGrads accumulates src's gradients into dst and zeroes src's.
 func addGrads(dst, src *Model) {
 	dp, sp := dst.Params(), src.Params()
 	for i := range dp {

@@ -49,22 +49,6 @@ func TestFullGraphTrainingAllModels(t *testing.T) {
 	}
 }
 
-func TestMinibatchTraining(t *testing.T) {
-	g, x, labels, train, test := communityTask(300, 3, 4)
-	var seeds []graph.V
-	for v, tr := range train {
-		if tr {
-			seeds = append(seeds, graph.V(v))
-		}
-	}
-	acc, _ := TrainMinibatch(g, x, labels, seeds, test, MinibatchConfig{
-		Epochs: 4, BatchSize: 32, Fanouts: []int{8, 8}, LR: 0.02, Hidden: 16, Kind: GCN, Seed: 3,
-	})
-	if acc < 0.8 {
-		t.Fatalf("minibatch GCN accuracy %.3f < 0.8", acc)
-	}
-}
-
 func TestNeighborSampleShape(t *testing.T) {
 	g := gen.BarabasiAlbert(500, 6, 2)
 	rng := rand.New(rand.NewSource(1))

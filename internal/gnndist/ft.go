@@ -9,9 +9,9 @@ import (
 
 // This file holds the crash-recovery machinery of the distributed trainers:
 // a training checkpoint bundles everything a replay needs to be bit-identical
-// to the fault-free run — master weights, Adam moments, each worker's RNG
-// position, the quantizers' error-feedback residuals, and the result counters
-// at snapshot time. Restoring and replaying the lost rounds therefore
+// to the fault-free run — master weights, the weight copies workers hold,
+// Adam moments, each worker's RNG position, the quantizers' error-feedback
+// residuals, and the result counters at snapshot time. Restoring and replaying the lost rounds therefore
 // converges to the exact same final loss; the extra work shows up only in the
 // network/recovery meters.
 
@@ -55,28 +55,34 @@ func (s *countedSource) rewind(n uint64) {
 }
 
 // syncCkpt is one training checkpoint (the state shared by all modes; see
-// TrainBoundedStale for the per-worker extras asynchronous training adds).
+// TrainBoundedStale for the scheduler extras asynchronous training adds).
 type syncCkpt struct {
 	round  int
 	res    DistResult
 	master weights
+	held   []weights // workers' own weight copies: Sancus' last broadcast, bounded staleness' per-worker copies
 	adam   nn.AdamState
 	draws  []uint64                 // per worker RNG positions
 	resid  []map[int]*tensor.Matrix // per worker error-feedback residuals
 }
 
-// bytes is the metered checkpoint volume: weights plus both Adam moments.
-func (c *syncCkpt) bytes() int64 { return 3 * weightBytes(c.master) }
+// bytes is the metered checkpoint volume: weights, both Adam moments and the
+// held copies.
+func (c *syncCkpt) bytes() int64 { return int64(3+len(c.held)) * weightBytes(c.master) }
 
 // snapshot deep-copies the training state at the top of the given round.
-func (d *dist) snapshot(round int, res DistResult, master weights, opt *nn.Adam, params []*nn.Param) *syncCkpt {
+func (d *dist) snapshot(round int, res DistResult, master weights, held []weights, opt *nn.Adam, params []*nn.Param) *syncCkpt {
 	c := &syncCkpt{
 		round:  round,
 		res:    res,
 		master: cloneWeights(master),
+		held:   make([]weights, len(held)),
 		adam:   opt.Snapshot(params),
 		draws:  make([]uint64, len(d.srcs)),
 		resid:  make([]map[int]*tensor.Matrix, len(d.quant)),
+	}
+	for i, h := range held {
+		c.held[i] = cloneWeights(h)
 	}
 	for w, s := range d.srcs {
 		c.draws[w] = s.n
@@ -93,9 +99,10 @@ func (d *dist) snapshot(round int, res DistResult, master weights, opt *nn.Adam,
 // restore rewinds the training state to a checkpoint and returns the result
 // counters as of that round. The checkpoint stays intact, so it can serve
 // repeated rollbacks.
-func (d *dist) restore(c *syncCkpt, master weights, opt *nn.Adam, params []*nn.Param) DistResult {
-	for i := range master {
-		copy(master[i].Data, c.master[i].Data)
+func (d *dist) restore(c *syncCkpt, master weights, held []weights, opt *nn.Adam, params []*nn.Param) DistResult {
+	copyWeights(master, c.master)
+	for i, h := range held {
+		copyWeights(h, c.held[i])
 	}
 	opt.Restore(params, c.adam)
 	for _, p := range params {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graphsys/internal/cluster"
+	"graphsys/internal/gnn"
 	"graphsys/internal/tensor"
 )
 
@@ -14,49 +15,63 @@ func crashPlan(r int) cluster.RunOptions {
 	return cluster.RunOptions{Trace: true, Faults: &cluster.FaultPlan{CrashAtRound: r, CrashWorker: 1}}
 }
 
+// syncTrainers are the synchronous round loop's two broadcast rules. At
+// SancusTau 5e-3 Sancus really skips broadcasts on distTask, so its held
+// weight copy diverges from master and must be part of the checkpoint.
+var syncTrainers = []struct {
+	name  string
+	train func(*gnn.Task, TrainerConfig) (DistResult, error)
+}{{"sync", TrainSync}, {"sancus", TrainSancus}}
+
 // TestSyncCrashRecoveryExactLoss is the tentpole acceptance check: a crash
 // mid-training must roll back to the last checkpoint and replay to the EXACT
-// fault-free result — same loss, same accuracy, same step count — because the
-// snapshot carries weights, Adam moments and every worker's RNG position.
+// fault-free result — same loss, same accuracy, same step count, same skipped
+// broadcasts — because the snapshot carries weights, the workers' held copy,
+// Adam moments and every worker's RNG position.
 func TestSyncCrashRecoveryExactLoss(t *testing.T) {
 	task := distTask()
-	base := TrainerConfig{Workers: 4, TimeBudget: 12, Seed: 21}
-	clean, err := TrainSync(task, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulty := base
-	faulty.CheckpointEvery = 2
-	faulty.RunOptions = crashPlan(5)
-	got, err := TrainSync(task, faulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Loss != clean.Loss || got.TestAcc != clean.TestAcc {
-		t.Fatalf("recovered run diverged: loss %v vs %v, acc %v vs %v",
-			got.Loss, clean.Loss, got.TestAcc, clean.TestAcc)
-	}
-	if got.Steps != clean.Steps || got.SimTime != clean.SimTime {
-		t.Fatalf("committed schedule differs: steps %d vs %d, time %v vs %v",
-			got.Steps, clean.Steps, got.SimTime, clean.SimTime)
-	}
-	// the replayed round is visible as recovery cost, not hidden
-	if got.Trace == nil || got.Trace.Recovery == nil {
-		t.Fatal("recovery stats missing from trace")
-	}
-	r := got.Trace.Recovery
-	if r.Crashes != 1 {
-		t.Fatalf("crashes = %d", r.Crashes)
-	}
-	if r.RecoveredRounds != 1 { // crashed at 5, checkpoint at 4
-		t.Fatalf("recovered rounds = %d, want 1", r.RecoveredRounds)
-	}
-	if r.Checkpoints == 0 || r.CheckpointBytes == 0 {
-		t.Fatalf("checkpoint volume not metered: %+v", r)
-	}
-	// replayed rounds re-send real traffic
-	if got.Net.Bytes <= clean.Net.Bytes {
-		t.Fatalf("recovery traffic invisible: %d vs %d bytes", got.Net.Bytes, clean.Net.Bytes)
+	for _, tr := range syncTrainers {
+		base := TrainerConfig{Workers: 4, TimeBudget: 12, Seed: 21, SancusTau: 5e-3}
+		clean, err := tr.train(task, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulty := base
+		faulty.CheckpointEvery = 2
+		faulty.RunOptions = crashPlan(5)
+		got, err := tr.train(task, faulty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Loss != clean.Loss || got.TestAcc != clean.TestAcc {
+			t.Fatalf("%s: recovered run diverged: loss %v vs %v, acc %v vs %v",
+				tr.name, got.Loss, clean.Loss, got.TestAcc, clean.TestAcc)
+		}
+		if got.Steps != clean.Steps || got.SimTime != clean.SimTime || got.Skipped != clean.Skipped {
+			t.Fatalf("%s: committed schedule differs: steps %d vs %d, time %v vs %v, skipped %d vs %d",
+				tr.name, got.Steps, clean.Steps, got.SimTime, clean.SimTime, got.Skipped, clean.Skipped)
+		}
+		if tr.name == "sancus" && clean.Skipped == 0 {
+			t.Fatal("sancus: no broadcast skipped, so the held copy is never stale")
+		}
+		// the replayed round is visible as recovery cost, not hidden
+		if got.Trace == nil || got.Trace.Recovery == nil {
+			t.Fatalf("%s: recovery stats missing from trace", tr.name)
+		}
+		r := got.Trace.Recovery
+		if r.Crashes != 1 {
+			t.Fatalf("%s: crashes = %d", tr.name, r.Crashes)
+		}
+		if r.RecoveredRounds != 1 { // crashed at 5, checkpoint at 4
+			t.Fatalf("%s: recovered rounds = %d, want 1", tr.name, r.RecoveredRounds)
+		}
+		if r.Checkpoints == 0 || r.CheckpointBytes == 0 {
+			t.Fatalf("%s: checkpoint volume not metered: %+v", tr.name, r)
+		}
+		// replayed rounds re-send real traffic
+		if got.Net.Bytes <= clean.Net.Bytes {
+			t.Fatalf("%s: recovery traffic invisible: %d vs %d bytes", tr.name, got.Net.Bytes, clean.Net.Bytes)
+		}
 	}
 }
 
@@ -64,19 +79,25 @@ func TestSyncCrashRecoveryExactLoss(t *testing.T) {
 // snapshot — more recomputation, same exact final model.
 func TestSyncCrashWithoutCheckpointRestarts(t *testing.T) {
 	task := distTask()
-	base := TrainerConfig{Workers: 4, TimeBudget: 10, Seed: 22}
-	clean, _ := TrainSync(task, base)
-	faulty := base
-	faulty.RunOptions = crashPlan(4)
-	got, err := TrainSync(task, faulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Loss != clean.Loss || got.Steps != clean.Steps {
-		t.Fatalf("restart diverged: loss %v vs %v", got.Loss, clean.Loss)
-	}
-	if r := got.Trace.Recovery; r.RecoveredRounds != 4 {
-		t.Fatalf("full restart should replay 4 rounds, got %d", r.RecoveredRounds)
+	for _, tr := range syncTrainers {
+		base := TrainerConfig{Workers: 4, TimeBudget: 10, Seed: 22, SancusTau: 5e-3}
+		clean, err := tr.train(task, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulty := base
+		faulty.RunOptions = crashPlan(4)
+		got, err := tr.train(task, faulty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Loss != clean.Loss || got.Steps != clean.Steps || got.Skipped != clean.Skipped {
+			t.Fatalf("%s: restart diverged: loss %v vs %v, steps %d vs %d, skipped %d vs %d",
+				tr.name, got.Loss, clean.Loss, got.Steps, clean.Steps, got.Skipped, clean.Skipped)
+		}
+		if r := got.Trace.Recovery; r == nil || r.Crashes != 1 || r.RecoveredRounds != 4 {
+			t.Fatalf("%s: full restart should replay 4 rounds after 1 crash, got %+v", tr.name, r)
+		}
 	}
 }
 
@@ -188,7 +209,7 @@ func TestTrainerConfigValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Staleness") {
 		t.Fatalf("bad Staleness not rejected: %v", err)
 	}
-	_, err = TrainSyncWithStats(task, TrainerConfig{FeatureBits: 33})
+	_, err = TrainSync(task, TrainerConfig{FeatureBits: 33})
 	if err == nil || !strings.Contains(err.Error(), "FeatureBits") {
 		t.Fatalf("bad FeatureBits not rejected: %v", err)
 	}

@@ -51,12 +51,3 @@ func PipelinedMakespan(t StageTimes) float64 {
 	}
 	return finish[stages-1][batches-1]
 }
-
-// Speedup returns sequential/pipelined makespan.
-func Speedup(t StageTimes) float64 {
-	p := PipelinedMakespan(t)
-	if p == 0 {
-		return 1
-	}
-	return SequentialMakespan(t) / p
-}

@@ -37,32 +37,35 @@ func openDisk(t *testing.T, task *gnn.Task, workers int) *storage.CachedProvider
 // TestTrainSyncDiskEquivalence is the tentpole gate for the GNN engine:
 // sampled training epochs whose adjacency comes through the disk-backed block
 // cache must produce a bitwise-identical model trajectory (accuracy, loss,
-// steps, gradient bytes) to the in-memory run, at workers 1, 2 and 8.
+// steps, gradient bytes, skipped broadcasts) to the in-memory run, at workers
+// 1, 2 and 8, under both broadcast rules of the synchronous loop.
 func TestTrainSyncDiskEquivalence(t *testing.T) {
 	task := gnn.SyntheticCommunityTask(600, 4, 8, 0.5, 7)
-	for _, workers := range []int{1, 2, 8} {
-		cfg := TrainerConfig{Workers: workers, TimeBudget: 12, BatchSize: 16, Seed: 3}
-		mem, err := TrainSync(task, cfg)
-		if err != nil {
-			t.Fatalf("in-memory TrainSync: %v", err)
-		}
-		prov := openDisk(t, task, workers)
-		cfg.Source = prov
-		disk, err := TrainSync(task, cfg)
-		if err != nil {
-			t.Fatalf("disk TrainSync (w=%d): %v", workers, err)
-		}
-		if math.Float64bits(mem.TestAcc) != math.Float64bits(disk.TestAcc) ||
-			math.Float64bits(mem.Loss) != math.Float64bits(disk.Loss) {
-			t.Fatalf("w=%d: acc/loss differ: mem (%v, %v) disk (%v, %v)",
-				workers, mem.TestAcc, mem.Loss, disk.TestAcc, disk.Loss)
-		}
-		if mem.Steps != disk.Steps || mem.GradBytes != disk.GradBytes {
-			t.Fatalf("w=%d: trajectory differs: steps %d/%d gradBytes %d/%d",
-				workers, mem.Steps, disk.Steps, mem.GradBytes, disk.GradBytes)
-		}
-		if prov.Stats().BlocksRead == 0 {
-			t.Fatalf("w=%d: disk run read no blocks", workers)
+	for _, tr := range syncTrainers {
+		for _, workers := range []int{1, 2, 8} {
+			cfg := TrainerConfig{Workers: workers, TimeBudget: 12, BatchSize: 16, Seed: 3, SancusTau: 5e-3}
+			mem, err := tr.train(task, cfg)
+			if err != nil {
+				t.Fatalf("in-memory %s: %v", tr.name, err)
+			}
+			prov := openDisk(t, task, workers)
+			cfg.Source = prov
+			disk, err := tr.train(task, cfg)
+			if err != nil {
+				t.Fatalf("disk %s (w=%d): %v", tr.name, workers, err)
+			}
+			if math.Float64bits(mem.TestAcc) != math.Float64bits(disk.TestAcc) ||
+				math.Float64bits(mem.Loss) != math.Float64bits(disk.Loss) {
+				t.Fatalf("%s w=%d: acc/loss differ: mem (%v, %v) disk (%v, %v)",
+					tr.name, workers, mem.TestAcc, mem.Loss, disk.TestAcc, disk.Loss)
+			}
+			if mem.Steps != disk.Steps || mem.GradBytes != disk.GradBytes || mem.Skipped != disk.Skipped {
+				t.Fatalf("%s w=%d: trajectory differs: steps %d/%d gradBytes %d/%d skipped %d/%d",
+					tr.name, workers, mem.Steps, disk.Steps, mem.GradBytes, disk.GradBytes, mem.Skipped, disk.Skipped)
+			}
+			if prov.Stats().BlocksRead == 0 {
+				t.Fatalf("%s w=%d: disk run read no blocks", tr.name, workers)
+			}
 		}
 	}
 }

@@ -26,7 +26,8 @@ type TrainerConfig struct {
 	// byte-identical between the two paths, so the whole training trajectory
 	// is too. The caller keeps ownership (the trainer does not Close it).
 	// When nil and the process-wide storage.Policy requests disk, the trainer
-	// spills task.G to a temp block file itself.
+	// spills task.G to a temp block file itself; otherwise it samples task.G
+	// through storage.InMemory.
 	Source storage.Provider
 
 	Kind      gnn.ModelKind
@@ -47,7 +48,7 @@ type TrainerConfig struct {
 	// Staleness bounds the version lag in TrainBoundedStale.
 	Staleness int
 	// SancusTau is the relative weight-change threshold below which a
-	// broadcast round is skipped in TrainSancus.
+	// broadcast round is skipped in TrainSancus (default 1e-4).
 	SancusTau float64
 
 	// QuantBits/QuantCompensate compress gradient pushes (32 = off).
@@ -98,6 +99,9 @@ func (c *TrainerConfig) defaults() {
 	if c.QuantBits == 0 {
 		c.QuantBits = 32
 	}
+	if c.SancusTau == 0 {
+		c.SancusTau = 1e-4
+	}
 }
 
 // validate rejects inconsistent configurations with a clear error from the
@@ -141,6 +145,10 @@ type DistResult struct {
 	RemoteFrac float64 // fraction of feature fetches that were remote
 	GradBytes  int64   // gradient payload actually sent (post-quantisation)
 
+	// Hits, Misses and Local count feature-row fetches served by the
+	// hot-vertex cache, by a remote owner and from the worker's own rows.
+	Hits, Misses, Local int64
+
 	// Trace is the observability snapshot of the run (nil unless
 	// TrainerConfig.Trace was set). Worker busy time is simulated time.
 	Trace *obs.Trace
@@ -159,7 +167,7 @@ type dist struct {
 	rngs  []*rand.Rand
 	quant []map[int]*Quantizer // per worker, per parameter index
 
-	prov     storage.Provider        // nil = sample from task.G
+	prov     storage.Provider        // sampling adjacency: Source, the policy spill, or task.G in memory
 	ownProv  *storage.CachedProvider // policy spill owned by the trainer; closed in finish
 	srcErr   error                   // first storage failure, surfaced at the round barrier
 	stRounds []obs.StorageRound      // per-round I/O deltas (trace runs only)
@@ -197,16 +205,17 @@ func newDist(task *gnn.Task, cfg TrainerConfig) (*dist, error) {
 		d.rngs[w] = rand.New(d.srcs[w])
 		d.quant[w] = map[int]*Quantizer{}
 	}
-	d.prov = cfg.Source
-	if d.prov == nil {
-		if pol := storage.Default(); pol != nil && pol.Disk {
-			sp, err := pol.Spill(task.G, cfg.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("gnndist: %w", err)
-			}
-			d.prov = sp
-			d.ownProv = sp
+	switch pol := storage.Default(); {
+	case cfg.Source != nil:
+		d.prov = cfg.Source
+	case pol != nil && pol.Disk:
+		sp, err := pol.Spill(task.G, cfg.Workers)
+		if err != nil {
+			return nil, fmt.Errorf("gnndist: %w", err)
 		}
+		d.prov, d.ownProv = sp, sp
+	default:
+		d.prov = storage.InMemory(task.G)
 	}
 	return d, nil
 }
@@ -214,7 +223,7 @@ func newDist(task *gnn.Task, cfg TrainerConfig) (*dist, error) {
 // meterStorage reports whether the run reads adjacency through a metered
 // (disk-backed) provider.
 func (d *dist) meterStorage() bool {
-	return d.prov != nil && d.prov.Footprint().Metered()
+	return d.prov.Footprint().Metered()
 }
 
 // noteRound records the round's I/O delta into the per-round trace series.
@@ -259,6 +268,12 @@ func cloneWeights(w weights) weights {
 		out[i] = m.Clone()
 	}
 	return out
+}
+
+func copyWeights(dst, src weights) {
+	for i := range dst {
+		copy(dst[i].Data, src[i].Data)
+	}
 }
 
 func weightBytes(w weights) int64 {
@@ -307,18 +322,12 @@ func (d *dist) gradStep(w int, snapshot weights) (weights, int64) {
 			uniq = append(uniq, s)
 		}
 	}
-	var sub *gnn.SampledSubgraph
-	if d.prov != nil {
-		var err error
-		sub, err = gnn.NeighborSampleSource(d.prov.Handle(w), uniq, d.cfg.Fanouts, rng)
-		if err != nil {
-			if d.srcErr == nil {
-				d.srcErr = err
-			}
-			return nil, 0
+	sub, err := gnn.NeighborSampleSource(d.prov.Handle(w), uniq, d.cfg.Fanouts, rng)
+	if err != nil {
+		if d.srcErr == nil {
+			d.srcErr = err
 		}
-	} else {
-		sub = gnn.NeighborSample(d.task.G, uniq, d.cfg.Fanouts, rng)
+		return nil, 0
 	}
 	bx := d.fs.Fetch(w, sub.NewToOld)
 	blabels := make([]int, sub.Graph.NumVertices())
@@ -374,6 +383,7 @@ func (d *dist) finish(res *DistResult, master weights, workload string) {
 	res.TestAcc, res.Loss = d.evaluate(master)
 	res.Net = d.clst.Network().Stats()
 	res.RemoteFrac = d.fs.RemoteFraction()
+	res.Hits, res.Misses, res.Local = d.fs.Hits, d.fs.Misses, d.fs.Local
 	res.Trace = obs.Finish(d.cfg.RunOptions, workload, d.clst)
 	if res.Trace != nil && d.meterStorage() {
 		st := d.prov.Stats()
@@ -424,30 +434,27 @@ func (d *dist) storageFailed(round int) error {
 // model matches the fault-free run exactly; the replayed work is metered in
 // the trace's recovery section.
 func TrainSync(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
-	res, _, err := trainSync(task, cfg)
-	return res, err
+	return trainSync(task, cfg, false)
 }
 
-// SyncStats bundles a sync-training result with feature-store counters.
-type SyncStats struct {
-	Result              DistResult
-	Hits, Misses, Local int64
+// TrainSancus is TrainSync with Sancus' staleness-aware communication
+// avoidance: after the parameter server applies a round's gradients, the
+// fresh weights are broadcast only if they changed by more than
+// cfg.SancusTau relative to the last broadcast; otherwise workers keep
+// computing on their (bounded-stale) copy and the broadcast is skipped —
+// saving bytes with negligible accuracy impact when updates are small. The
+// copy is checkpoint state, so crash recovery is as exact as TrainSync's.
+func TrainSancus(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
+	return trainSync(task, cfg, true)
 }
 
-// TrainSyncWithStats is TrainSync plus the feature-store cache counters
-// (used by the Table-2 caching experiment).
-func TrainSyncWithStats(task *gnn.Task, cfg TrainerConfig) (SyncStats, error) {
-	res, d, err := trainSync(task, cfg)
-	if err != nil {
-		return SyncStats{}, err
-	}
-	return SyncStats{Result: res, Hits: d.fs.Hits, Misses: d.fs.Misses, Local: d.fs.Local}, nil
-}
-
-func trainSync(task *gnn.Task, cfg TrainerConfig) (DistResult, *dist, error) {
+// trainSync is the synchronous round loop. Workers compute on the weights
+// they hold: master itself under sync, which broadcasts every round, or
+// under Sancus a copy that only a broadcast refreshes.
+func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, error) {
 	d, err := newDist(task, cfg)
 	if err != nil {
-		return DistResult{}, nil, err
+		return DistResult{}, err
 	}
 	cfg = d.cfg
 	masterModel, master := newMaster(d)
@@ -455,13 +462,18 @@ func trainSync(task *gnn.Task, cfg TrainerConfig) (DistResult, *dist, error) {
 	params := masterModel.Params()
 	ps := 0 // parameter-server worker
 	var res DistResult
+	workload, held, copies := "gnndist/sync", master, []weights(nil)
+	if sancus {
+		held = cloneWeights(master)
+		workload, copies = "gnndist/sancus", []weights{held}
+	}
 
 	// implicit restart point: the freshly initialised model costs nothing to
 	// "checkpoint" (every worker can rebuild it from the seed)
-	last := d.snapshot(0, res, master, opt, params)
+	last := d.snapshot(0, res, master, copies, opt, params)
 	for r := 0; res.SimTime < cfg.TimeBudget; r++ {
 		if cfg.CheckpointEvery > 0 && r > 0 && r%cfg.CheckpointEvery == 0 {
-			last = d.snapshot(r, res, master, opt, params)
+			last = d.snapshot(r, res, master, copies, opt, params)
 			d.fi.NoteCheckpoint(last.bytes())
 		}
 		if d.fi.CrashDue(r) {
@@ -469,13 +481,13 @@ func trainSync(task *gnn.Task, cfg TrainerConfig) (DistResult, *dist, error) {
 			// last snapshot and the lost rounds are replayed (deterministic —
 			// RNG positions and optimiser moments are part of the snapshot)
 			d.fi.NoteRecovery(r-last.round, res.SimTime-last.res.SimTime)
-			res = d.restore(last, master, opt, params)
+			res = d.restore(last, master, copies, opt, params)
 			r = last.round
 		}
 		// all workers compute on the same version
 		var roundMax float64
 		for w := 0; w < cfg.Workers; w++ {
-			grads, sent := d.gradStep(w, master)
+			grads, sent := d.gradStep(w, held)
 			res.GradBytes += sent
 			if grads != nil {
 				d.clst.Network().Account(w, ps, sent)
@@ -490,24 +502,30 @@ func trainSync(task *gnn.Task, cfg TrainerConfig) (DistResult, *dist, error) {
 			}
 		}
 		if err := d.storageFailed(r); err != nil {
-			return DistResult{}, nil, err
+			return DistResult{}, err
 		}
 		d.noteRound(r)
 		opt.Step(params)
 		res.Steps++
 		res.SyncRounds++
-		// broadcast new weights
-		wb := weightBytes(master)
-		for w := 0; w < cfg.Workers; w++ {
-			if w != ps {
-				d.clst.Network().Account(ps, w, wb)
+		if !sancus || relChange(master, held) > cfg.SancusTau {
+			wb := weightBytes(master)
+			for w := 0; w < cfg.Workers; w++ {
+				if w != ps {
+					d.clst.Network().Account(ps, w, wb)
+				}
 			}
+			if sancus {
+				copyWeights(held, master)
+			}
+		} else {
+			res.Skipped++
 		}
 		d.clst.Network().AccountRound()
 		res.SimTime += roundMax
 	}
-	d.finish(&res, master, "gnndist/sync")
-	return res, d, nil
+	d.finish(&res, master, workload)
+	return res, nil
 }
 
 // TrainBoundedStale runs asynchronous training with bounded staleness
@@ -538,24 +556,18 @@ func TrainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
 		local[w] = cloneWeights(master)
 	}
 	type staleCkpt struct {
-		base          *syncCkpt
+		base          *syncCkpt // holds the per-worker stale copies too
 		clock         []float64
-		local         []weights
 		version       []int64
 		masterVersion int64
 	}
 	takeStale := func(ev int) *staleCkpt {
-		s := &staleCkpt{
-			base:          d.snapshot(ev, res, master, opt, params),
+		return &staleCkpt{
+			base:          d.snapshot(ev, res, master, local, opt, params),
 			clock:         append([]float64(nil), clock...),
 			version:       append([]int64(nil), version...),
 			masterVersion: masterVersion,
-			local:         make([]weights, len(local)),
 		}
-		for w := range local {
-			s.local[w] = cloneWeights(local[w])
-		}
-		return s
 	}
 	last := takeStale(0)
 	maxClock := func(c []float64) float64 {
@@ -570,20 +582,14 @@ func TrainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
 	for ev := 0; ; ev++ {
 		if cfg.CheckpointEvery > 0 && ev > 0 && ev%cfg.CheckpointEvery == 0 {
 			last = takeStale(ev)
-			// the per-worker stale copies are checkpoint state too
-			d.fi.NoteCheckpoint(last.base.bytes() + int64(cfg.Workers)*weightBytes(master))
+			d.fi.NoteCheckpoint(last.base.bytes())
 		}
 		if d.fi.CrashDue(ev) {
 			d.fi.NoteRecovery(ev-last.base.round, maxClock(clock)-maxClock(last.clock))
-			res = d.restore(last.base, master, opt, params)
+			res = d.restore(last.base, master, local, opt, params)
 			copy(clock, last.clock)
 			copy(version, last.version)
 			masterVersion = last.masterVersion
-			for w := range local {
-				for i := range local[w] {
-					copy(local[w][i].Data, last.local[w][i].Data)
-				}
-			}
 			ev = last.base.round
 		}
 		// next worker to finish a step
@@ -601,9 +607,7 @@ func TrainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
 		d.clst.AddBusy(w, d.speed(w))
 		// pull if too stale
 		if masterVersion-version[w] > int64(cfg.Staleness) {
-			for i := range local[w] {
-				copy(local[w][i].Data, master[i].Data)
-			}
+			copyWeights(local[w], master)
 			version[w] = masterVersion
 			d.clst.Network().Account(ps, w, weightBytes(master))
 		}
@@ -625,70 +629,5 @@ func TrainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
 	}
 	res.SimTime = maxClock(clock)
 	d.finish(&res, master, "gnndist/bounded-stale")
-	return res, nil
-}
-
-// TrainSancus runs synchronous rounds but with Sancus' staleness-aware
-// communication avoidance: after the parameter server applies a round's
-// gradients, the fresh weights are broadcast only if they changed by more
-// than cfg.SancusTau relative to the last broadcast; otherwise workers keep
-// computing on their (bounded-stale) cached weights and the broadcast is
-// skipped — saving bytes with negligible accuracy impact when updates are
-// small.
-func TrainSancus(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
-	d, err := newDist(task, cfg)
-	if err != nil {
-		return DistResult{}, err
-	}
-	cfg = d.cfg
-	if cfg.SancusTau == 0 {
-		cfg.SancusTau = 1e-4
-	}
-	masterModel, master := newMaster(d)
-	opt := nn.NewAdam(cfg.LR)
-	ps := 0
-	var res DistResult
-	broadcast := cloneWeights(master) // what workers currently hold
-	for res.SimTime < cfg.TimeBudget {
-		var roundMax float64
-		for w := 0; w < cfg.Workers; w++ {
-			grads, sent := d.gradStep(w, broadcast)
-			res.GradBytes += sent
-			if grads != nil {
-				d.clst.Network().Account(w, ps, sent)
-				for i, p := range masterModel.Params() {
-					p.Grad.AddScaled(grads[i], 1/float32(cfg.Workers))
-				}
-			}
-			sp := d.speed(w)
-			d.clst.AddBusy(w, sp)
-			if sp > roundMax {
-				roundMax = sp
-			}
-		}
-		if err := d.storageFailed(int(res.SyncRounds)); err != nil {
-			return DistResult{}, err
-		}
-		d.noteRound(int(res.SyncRounds))
-		opt.Step(masterModel.Params())
-		res.Steps++
-		res.SyncRounds++
-		if relChange(master, broadcast) > cfg.SancusTau {
-			wb := weightBytes(master)
-			for w := 0; w < cfg.Workers; w++ {
-				if w != ps {
-					d.clst.Network().Account(ps, w, wb)
-				}
-			}
-			for i := range broadcast {
-				copy(broadcast[i].Data, master[i].Data)
-			}
-		} else {
-			res.Skipped++
-		}
-		d.clst.Network().AccountRound()
-		res.SimTime += roundMax
-	}
-	d.finish(&res, master, "gnndist/sancus")
 	return res, nil
 }

@@ -25,7 +25,6 @@ type Config struct {
 	Workers       int   // number of simulated workers (default 4)
 	MaxSupersteps int   // safety bound (default 1000)
 	Partition     []int // vertex → worker; nil = hash placement
-	MsgBytes      int64 // metered wire size per message (default 8)
 
 	// Source, if non-nil, serves adjacency through the out-of-core storage
 	// layer: every worker reads Degree/Neighbors from its private
@@ -44,10 +43,9 @@ type Config struct {
 	// states, activity flags and delivered messages, and a crash injected by
 	// the runtime fault plan (RunOptions.Faults.CrashAtRound) rolls every
 	// worker back to the latest checkpoint — or restarts when there is none —
-	// and recomputes. StateBytes sizes the metered checkpoint volume
-	// (default 8 bytes/vertex).
+	// and recomputes. A checkpoint is metered at 8 bytes per vertex state
+	// and per message, the wire size every message is metered at.
 	CheckpointEvery int
-	StateBytes      int64
 
 	// RunOptions is the cross-cutting runtime configuration shared by every
 	// engine: Trace (observability opt-in), Topology (link costs), Faults
@@ -61,9 +59,6 @@ func (c *Config) defaults(n int) {
 	}
 	if c.MaxSupersteps <= 0 {
 		c.MaxSupersteps = 1000
-	}
-	if c.MsgBytes <= 0 {
-		c.MsgBytes = 8
 	}
 	if c.Partition == nil {
 		c.Partition = make([]int, n)
@@ -292,7 +287,7 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	// owner worker touches an entry)
 	msgs := make([][]M, n)
 
-	mb := cluster.NewMailboxes[M](net, func(M) int64 { return cfg.MsgBytes })
+	mb := cluster.NewMailboxes[M](net, nil) // 8 bytes a message
 	// a message's slot at its owner is local·k + key; without a combine key
 	// k = 1 and key 0, i.e. the slot is the owner-local vertex id
 	k := 1
@@ -353,9 +348,6 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	}
 	gang.Run(initPhase)
 
-	if cfg.StateBytes <= 0 {
-		cfg.StateBytes = 8
-	}
 	// LWCP checkpointing state
 	type snapshot struct {
 		step   int
@@ -376,7 +368,7 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 			msgCount += int64(len(msgs[v]))
 		}
 		ckpt = s
-		bytes := int64(n)*cfg.StateBytes + msgCount*cfg.MsgBytes
+		bytes := (int64(n) + msgCount) * 8
 		ckptBytes += bytes
 		ckptCount++
 		fi.NoteCheckpoint(bytes)

@@ -2,12 +2,14 @@ package quegel
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"graphsys/internal/cluster"
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
 	"graphsys/internal/pregel"
+	"graphsys/internal/storage"
 )
 
 // bfsDist is the oracle: a plain queue BFS from src, sharing no code with
@@ -86,6 +88,29 @@ func TestQuegelCrashSweep(t *testing.T) {
 	}
 	if bad > 0 {
 		t.Fatalf("%d/%d cells wrong", bad, cells)
+	}
+}
+
+// TestBatchedReadsThroughSource: on an out-of-core run every adjacency read
+// goes through the engine's block cache, and the answers still equal BFS.
+func TestBatchedReadsThroughSource(t *testing.T) {
+	g := gen.ErdosRenyi(300, 900, 1)
+	path := filepath.Join(t.TempDir(), "g.gsb")
+	info, err := storage.Write(path, g, storage.Options{BlockBytes: 1 << 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	prov, err := storage.OpenCached(path, info.ResidentBytes+workers*info.MaxDecodedBytes, workers, storage.LRU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prov.Close()
+	if w := wrongAnswers(t, g, randomQueries(g, 16, 2), pregel.Config{Workers: workers, Source: prov}); w > 0 {
+		t.Fatalf("%d of 16 answers wrong", w)
+	}
+	if prov.Stats().BlocksRead == 0 {
+		t.Fatal("the run read no blocks: adjacency bypassed the source")
 	}
 }
 

@@ -107,12 +107,16 @@ func answerRun(g *graph.Graph, queries []Query, out []Answer, cfg pregel.Config)
 				*seen |= fresh
 			}
 			// ascending query id, each to every neighbor: the send order
+			var ns []graph.V
+			if fresh != 0 {
+				ns = ctx.Neighbors(v) // through the engine's source on out-of-core runs
+			}
 			for ; fresh != 0; fresh &= fresh - 1 {
 				q := int32(bits.TrailingZeros64(fresh))
 				if queries[q].Dst == v {
 					out[q].Dist = int32(ctx.Superstep())
 				}
-				for _, u := range ctx.Graph().Neighbors(v) {
+				for _, u := range ns {
 					ctx.Send(u, q)
 				}
 			}
