@@ -132,28 +132,16 @@ func distTask() *gnn.Task {
 	return gnn.SyntheticCommunityTask(240, 3, 2, 0.3, 11)
 }
 
-// TestTrainSyncReachesAccuracy: sampled GCN training reaches 0.8 test
-// accuracy, data-parallel at 4 workers and serially at 1 (twelve 32-seed
-// minibatches, about four epochs of the 300-vertex task's training seeds).
 func TestTrainSyncReachesAccuracy(t *testing.T) {
-	for _, in := range []struct {
-		task *gnn.Task
-		cfg  TrainerConfig
-	}{
-		{distTask(), TrainerConfig{Workers: 4, TimeBudget: 30, Seed: 1}},
-		{gnn.SyntheticCommunityTask(300, 3, 2, 0.3, 4), TrainerConfig{Workers: 1, Kind: gnn.GCN,
-			TimeBudget: 12, BatchSize: 32, Fanouts: []int{8, 8}, LR: 0.02, Hidden: 16, Seed: 3}},
-	} {
-		res, err := TrainSync(in.task, in.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.TestAcc < 0.8 {
-			t.Fatalf("workers=%d: sync accuracy %.3f", in.cfg.Workers, res.TestAcc)
-		}
-		if res.SyncRounds == 0 || (in.cfg.Workers > 1 && res.Net.Bytes == 0) {
-			t.Fatalf("workers=%d: no rounds or traffic recorded", in.cfg.Workers)
-		}
+	res, err := TrainSync(distTask(), TrainerConfig{Workers: 4, TimeBudget: 30, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TestAcc < 0.8 {
+		t.Fatalf("sync accuracy %.3f", res.TestAcc)
+	}
+	if res.SyncRounds == 0 || res.Net.Bytes == 0 {
+		t.Fatal("no rounds or traffic recorded")
 	}
 }
 
