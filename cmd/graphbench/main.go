@@ -46,7 +46,7 @@ func run() int {
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 	mutexProf := flag.String("mutexprofile", "", "write a mutex-contention profile to this file — the messaging path's lock behaviour under load")
 	source := flag.String("source", "mem", "graph adjacency source: mem (in-memory CSR) or disk (engines spill each graph to a compressed block file and read it through a bounded block cache; results are byte-identical)")
-	memBudget := flag.Int64("memory-budget", 0, "with -source disk: total adjacency memory budget in bytes (resident index/degrees + decoded-block cache; 0 = half the raw CSR per graph); a budget too small for even one block per worker is a typed storage.ErrBudget, never an OOM")
+	memBudget := flag.Int64("memory-budget", 0, "with -source disk: total adjacency memory budget in bytes (resident index/degrees + block cache charged at decoded block size; 0 = half the raw CSR per graph); a budget too small for even one block per worker is a typed storage.ErrBudget, never an OOM")
 	blockBytes := flag.Int("block-bytes", 0, "with -source disk: target compressed block size in bytes (0 = storage default)")
 	evict := flag.String("evict", "lru", "with -source disk: block-cache eviction policy, lru or mru (mru wins on cyclic full scans)")
 	flag.Usage = func() {

@@ -7,7 +7,6 @@ import (
 
 	"graphsys/internal/graph"
 	"graphsys/internal/storage"
-	"graphsys/internal/tensor"
 )
 
 // SampledSubgraph is a minibatch training block: the induced subgraph over a
@@ -175,15 +174,6 @@ func inducedFromSource(src storage.GraphSource, vs []graph.V) (*graph.Graph, err
 		}
 	}
 	return b.Build(), nil
-}
-
-// Features extracts the feature rows for the sampled vertices.
-func (s *SampledSubgraph) Features(x *tensor.Matrix) *tensor.Matrix {
-	idx := make([]int, len(s.NewToOld))
-	for i, v := range s.NewToOld {
-		idx[i] = int(v)
-	}
-	return tensor.SelectRows(x, idx)
 }
 
 // copyParams copies src's weights into dst, a model of the same shape: a

@@ -106,21 +106,6 @@ func TestKHopMaterialize(t *testing.T) {
 	}
 }
 
-func TestFeaturesExtraction(t *testing.T) {
-	g := gen.Grid(3, 3)
-	x := tensor.New(9, 2)
-	for v := 0; v < 9; v++ {
-		x.Set(v, 0, float32(v))
-	}
-	sub := NeighborSample(g, []graph.V{4}, []int{4}, rand.New(rand.NewSource(1)))
-	bx := sub.Features(x)
-	for i, old := range sub.NewToOld {
-		if bx.At(i, 0) != float32(old) {
-			t.Fatalf("feature row %d mismatched", i)
-		}
-	}
-}
-
 func TestModelKindString(t *testing.T) {
 	if GCN.String() != "GCN" || SAGE.String() != "GraphSAGE" || GAT.String() != "GAT" {
 		t.Fatal("names wrong")

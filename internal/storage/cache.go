@@ -41,15 +41,21 @@ func ParseEvictPolicy(s string) (EvictPolicy, error) {
 	return LRU, errFormat("unknown eviction policy %q (want lru or mru)", s)
 }
 
-// entry is one cached decoded block, threaded on the recency list (head is
-// most recent) and recycled through a freelist so steady-state misses reuse
-// decode buffers instead of allocating.
+// entry is one cached block: its CRC-checked encoded payload, in a buffer
+// the entry owns, and the byte offset at which each vertex's list starts
+// (Count+1 entries, from the structure pass on the miss). A list is decoded
+// only when Neighbors asks for it. bytes, the budget charge, is the block's
+// decoded size (BlockMeta.decodedBytes), not the smaller size the entry
+// holds (2.7× smaller on an R-MAT(16,16) file), so eviction and every
+// counter are those of a decoded-block cache of the same budget. Entries
+// thread on the recency list (head is most recent) and recycle through a
+// freelist, buffers included, so steady-state misses do not allocate.
 type entry struct {
 	block      int32
 	first      graph.V
 	count      int32
 	offs       []int32
-	adj        []graph.V
+	enc        []byte
 	bytes      int64
 	prev, next *entry
 }
@@ -69,13 +75,14 @@ type CachedSource struct {
 	free       *entry
 	last       *entry
 
-	raw   []byte
+	adj   []graph.V // the last decoded list, grown to the largest degree read
 	sbuf  scanBuf
 	stats IOStats
 }
 
-// newCachedSource builds a handle with a decoded-block budget of
-// budgetBytes, which must hold the largest block (checked by the provider).
+// newCachedSource builds a handle with a block budget of budgetBytes,
+// charged at each block's decoded size, which must hold the largest block
+// (checked by the provider).
 func newCachedSource(f *File, budgetBytes int64, pol EvictPolicy) *CachedSource {
 	return &CachedSource{
 		f:      f,
@@ -100,12 +107,13 @@ func (s *CachedSource) Degree(v graph.V) int { return int(s.f.degs[v]) }
 // Stats returns the handle's cumulative I/O counters.
 func (s *CachedSource) Stats() IOStats { return s.stats }
 
-// CacheBytes returns the handle's decoded-block budget.
+// CacheBytes returns the handle's block budget (charged at decoded size).
 func (s *CachedSource) CacheBytes() int64 { return s.budget }
 
-// Neighbors returns v's sorted neighbor list as a view into the cached
-// decoded block, valid until the next Neighbors or Scan call on this handle.
-// A cache hit performs no allocation and no disk I/O.
+// Neighbors returns v's sorted neighbor list, decoded from the cached block
+// into a buffer the handle owns and valid until the next Neighbors or Scan
+// call on this handle. Only v's list is decoded, every id range-checked; a
+// cache hit performs no allocation and no disk I/O.
 func (s *CachedSource) Neighbors(v graph.V) ([]graph.V, error) {
 	e := s.last
 	if e == nil || v < e.first || v >= e.first+graph.V(e.count) {
@@ -116,11 +124,20 @@ func (s *CachedSource) Neighbors(v graph.V) ([]graph.V, error) {
 	} else {
 		s.stats.Hits++
 	}
-	i := v - e.first
-	return e.adj[e.offs[i]:e.offs[i+1]], nil
+	deg := int(s.f.degs[v])
+	if cap(s.adj) < deg {
+		//lint:allow hotalloc warm-up growth only: the list buffer grows to the largest degree read, then is reused for every list
+		s.adj = make([]graph.V, deg)
+	}
+	adj := s.adj[:deg]
+	if err := s.f.decodeList(int(e.block), e.enc, e.offs, v, adj); err != nil {
+		return nil, err
+	}
+	return adj, nil
 }
 
-// get returns the entry for block b, fetching and decoding on a miss.
+// get returns the entry for block b; on a miss it reads and CRC-checks the
+// payload into the entry's buffer and runs the structure pass.
 func (s *CachedSource) get(b int32) (*entry, error) {
 	if e, ok := s.table[b]; ok {
 		s.stats.Hits++
@@ -134,20 +151,20 @@ func (s *CachedSource) get(b int32) (*entry, error) {
 	for s.used+need > s.budget && s.head != nil {
 		s.evict()
 	}
-	e := s.alloc(int(m.Count)+1, int(m.ArcCount))
+	e := s.alloc(int(m.Count) + 1)
 	e.block = b
 	e.first = m.First
 	e.count = m.Count
 	e.bytes = need
-	payload, err := s.f.readBlock(int(b), s.raw)
+	payload, err := s.f.readBlock(int(b), e.enc[:cap(e.enc)])
 	if err != nil {
 		s.release(e)
 		return nil, err
 	}
-	s.raw = payload[:cap(payload)]
+	e.enc = payload
 	s.stats.BlocksRead++
 	s.stats.BytesRead += int64(m.EncLen) + crcBytes
-	if err := s.f.decodeBlock(int(b), payload, e.offs, e.adj); err != nil {
+	if err := s.f.indexBlock(int(b), payload, e.offs); err != nil {
 		s.release(e)
 		return nil, err
 	}
@@ -183,9 +200,9 @@ func (s *CachedSource) evict() {
 	s.release(victim)
 }
 
-// alloc pops a freelist entry (growing its buffers if needed) or makes a new
-// one.
-func (s *CachedSource) alloc(offsLen, adjLen int) *entry {
+// alloc pops a freelist entry (growing its offset table if needed) or makes
+// a new one; readBlock grows the payload buffer.
+func (s *CachedSource) alloc(offsLen int) *entry {
 	e := s.free
 	if e != nil {
 		s.free = e.next
@@ -199,11 +216,6 @@ func (s *CachedSource) alloc(offsLen, adjLen int) *entry {
 		e.offs = make([]int32, offsLen)
 	}
 	e.offs = e.offs[:offsLen]
-	if cap(e.adj) < adjLen {
-		//lint:allow hotalloc warm-up growth only: adj grows to the largest block's arc count, then the freelist recycles it
-		e.adj = make([]graph.V, adjLen)
-	}
-	e.adj = e.adj[:adjLen]
 	return e
 }
 
@@ -262,9 +274,9 @@ type CachedProvider struct {
 // NewCachedProvider builds per-worker cached handles over f. budgetBytes is
 // the total memory budget for the graph: the resident part (degree table +
 // block index) comes off the top and the remainder is split evenly across
-// workers as decoded-block cache. If any worker's share cannot hold the
-// largest decoded block, the budget is rejected with a wrapped ErrBudget —
-// at construction, not as an OOM mid-run. The provider takes ownership of f.
+// workers as block cache, charged at decoded size. If any worker's share
+// cannot hold the largest decoded block, the budget is rejected with a
+// wrapped ErrBudget — at construction, not as an OOM mid-run. The provider takes ownership of f.
 func NewCachedProvider(f *File, budgetBytes int64, workers int, pol EvictPolicy) (*CachedProvider, error) {
 	if workers <= 0 {
 		workers = 1

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"graphsys/internal/graph"
 )
@@ -35,40 +36,57 @@ func appendAdj(dst []byte, adj []graph.V) ([]byte, error) {
 	return dst, nil
 }
 
+// The block and list failures. They are built once, so a decode path
+// returns one without allocating; File.corrupt adds the file, block and
+// vertex.
+var (
+	errTruncated  = fmt.Errorf("%w: truncated list or malformed varint", ErrCorrupt)
+	errOutOfRange = fmt.Errorf("%w: neighbor id out of range", ErrCorrupt)
+	errArcCount   = fmt.Errorf("%w: degrees disagree with the block's arc count", ErrCorrupt)
+	errTrailing   = fmt.Errorf("%w: trailing bytes after the last list", ErrCorrupt)
+)
+
 // decodeAdj reads deg gap-encoded ids from data into out (which must have
 // length deg), validating ids stay in [0, n). It returns the remaining data.
+// Gaps of one and two bytes, the common case in a sorted list, take an
+// inline fast path; longer ones go through binary.Uvarint.
 func decodeAdj(out []graph.V, data []byte, deg int, n int) ([]byte, error) {
 	if deg == 0 {
 		return data, nil
 	}
+	out = out[:deg]
 	first, k := binary.Uvarint(data)
 	if k <= 0 {
-		return nil, errCorrupt("truncated varint at first neighbor")
+		return nil, errTruncated
 	}
-	data = data[k:]
 	if first >= uint64(n) {
-		//lint:allow hotalloc corruption error path: boxing the ids into the message is free, decoding already failed
-		return nil, errCorrupt("neighbor id %d out of range [0,%d)", first, n)
+		return nil, errOutOfRange
 	}
 	out[0] = graph.V(first)
-	prev := uint64(first)
-	for i := 1; i < deg; i++ {
-		gap, k := binary.Uvarint(data)
-		if k <= 0 {
-			//lint:allow hotalloc corruption error path: boxing the ids into the message is free, decoding already failed
-			return nil, errCorrupt("truncated varint at neighbor %d", i)
+	prev, p := first, k
+	for i := 1; i < len(out); i++ {
+		var gap uint64
+		if p < len(data) && data[p] < 0x80 {
+			gap = uint64(data[p])
+			p++
+		} else if p+1 < len(data) && data[p+1] < 0x80 {
+			gap = uint64(data[p]&0x7f) | uint64(data[p+1])<<7
+			p += 2
+		} else {
+			gap, k = binary.Uvarint(data[p:])
+			if k <= 0 {
+				return nil, errTruncated
+			}
+			p += k
+			if gap >= uint64(n) { // also guards the prev += gap+1 below against wraparound
+				return nil, errOutOfRange
+			}
 		}
-		data = data[k:]
-		if gap >= uint64(n) { // also guards the prev += gap+1 below against wraparound
-			//lint:allow hotalloc corruption error path: boxing the ids into the message is free, decoding already failed
-			return nil, errCorrupt("neighbor gap %d out of range at neighbor %d", gap, i)
-		}
-		prev += gap + 1
+		prev += gap + 1 // a one- or two-byte gap is below 2^14: prev < n keeps this from wrapping
 		if prev >= uint64(n) {
-			//lint:allow hotalloc corruption error path: boxing the ids into the message is free, decoding already failed
-			return nil, errCorrupt("neighbor id %d out of range [0,%d)", prev, n)
+			return nil, errOutOfRange
 		}
 		out[i] = graph.V(prev)
 	}
-	return data, nil
+	return data[p:], nil
 }

@@ -2,8 +2,10 @@ package storage
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"sort"
 
@@ -47,8 +49,9 @@ type BlockMeta struct {
 	Off      int64
 }
 
-// decodedBytes is the in-memory footprint of the decoded block: the local
-// offset table (Count+1 int32s) plus the neighbor ids.
+// decodedBytes is the footprint of the decoded block — the local offset
+// table (Count+1 int32s) plus the neighbor ids — and what a cached block is
+// charged against the budget, although the cache holds it encoded.
 func (m BlockMeta) decodedBytes() int64 {
 	return int64(m.Count+1)*4 + int64(m.ArcCount)*4
 }
@@ -262,37 +265,75 @@ func (bf *File) readBlock(b int, raw []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeBlock decodes block b's payload into offs (local CSR offsets,
-// Count+1 entries) and adj (ArcCount neighbor ids). Both must be presized by
-// the caller; payload must come from readBlock.
-func (bf *File) decodeBlock(b int, payload []byte, offs []int32, adj []graph.V) error {
+// indexBlock is the structure pass over block b's CRC-checked payload: it
+// records in offs (Count+1 entries) the byte offset at which each vertex's
+// list starts, by counting varint terminators (bytes below 0x80) against the
+// resident degrees. It checks that the degrees sum to the block's ArcCount
+// and that the last list ends exactly at the payload's end; the ids
+// themselves are range-checked when decodeList decodes a list.
+func (bf *File) indexBlock(b int, payload []byte, offs []int32) error {
 	m := bf.idx[b]
-	off := int32(0)
-	for i := int32(0); i < m.Count; i++ {
-		offs[i] = off
-		deg := int(bf.degs[m.First+graph.V(i)])
-		if int64(off)+int64(deg) > int64(m.ArcCount) {
-			//lint:allow hotalloc corruption error path: formatting the failure is free, the block is already bad
-			return errCorrupt("%s: block %d: degrees overflow arc count", bf.path, b)
-		}
-		rest, err := decodeAdj(adj[off:off+int32(deg)], payload, deg, bf.n)
-		if err != nil {
-			//lint:allow hotalloc corruption error path: formatting the failure is free, the block is already bad
-			return errCorrupt("%s: block %d vertex %d: %v", bf.path, b, m.First+graph.V(i), err)
-		}
-		payload = rest
-		off += int32(deg)
+	degs := bf.degs[m.First : m.First+graph.V(m.Count)]
+	var arcs int64
+	for _, d := range degs {
+		arcs += int64(d)
 	}
-	offs[m.Count] = off
-	if off != m.ArcCount {
-		//lint:allow hotalloc corruption error path: formatting the failure is free, the block is already bad
-		return errCorrupt("%s: block %d: decoded %d arcs, index says %d", bf.path, b, off, m.ArcCount)
+	if arcs != int64(m.ArcCount) {
+		return bf.corrupt(b, m.First, errArcCount)
 	}
-	if len(payload) != 0 {
-		//lint:allow hotalloc corruption error path: formatting the failure is free, the block is already bad
-		return errCorrupt("%s: block %d: %d trailing bytes after last vertex", bf.path, b, len(payload))
+	pos := 0
+	for i, d := range degs {
+		offs[i] = int32(pos)
+		need := int(d)
+		// eight bytes at a time: the terminators of a word are its clear
+		// high bits
+		for need > 0 && pos+8 <= len(payload) {
+			t := ^binary.LittleEndian.Uint64(payload[pos:]) & 0x8080808080808080
+			if c := bits.OnesCount64(t); c < need {
+				need -= c
+				pos += 8
+				continue
+			}
+			for ; need > 1; need-- {
+				t &= t - 1
+			}
+			pos += bits.TrailingZeros64(t)/8 + 1
+			need = 0
+		}
+		for ; need > 0; need-- { // the payload's last few bytes
+			for pos < len(payload) && payload[pos] >= 0x80 {
+				pos++
+			}
+			if pos == len(payload) {
+				return bf.corrupt(b, m.First+graph.V(i), errTruncated)
+			}
+			pos++
+		}
+	}
+	offs[len(degs)] = int32(pos)
+	if pos != len(payload) {
+		return bf.corrupt(b, m.First+graph.V(max(m.Count-1, 0)), errTrailing)
 	}
 	return nil
+}
+
+// decodeList decodes vertex v's list out of block b's payload, using the
+// list offsets indexBlock recorded in offs, into out (length Degree(v)).
+func (bf *File) decodeList(b int, payload []byte, offs []int32, v graph.V, out []graph.V) error {
+	i := v - bf.idx[b].First
+	if _, err := decodeAdj(out, payload[offs[i]:offs[i+1]], len(out), bf.n); err != nil {
+		return bf.corrupt(b, v, err)
+	}
+	return nil
+}
+
+// corrupt is the one place a structure or decode failure in block b, found
+// at vertex v, gets its file, block and vertex attached. Failures come here
+// bare (the codec's sentinels), so no path that reaches it formats anything
+// until a block is already bad.
+func (bf *File) corrupt(b int, v graph.V, cause error) error {
+	//lint:allow hotalloc corruption error path: formatting the failure is free, the block is already bad
+	return fmt.Errorf("%s: block %d vertex %d: %w", bf.path, b, v, cause)
 }
 
 // scanBuf holds the reusable buffers of a sequential block scan, so a
@@ -321,15 +362,19 @@ func (bf *File) scanBlocks(buf *scanBuf, fn func(u graph.V, adj []graph.V) error
 			buf.offs = make([]int32, m.Count+1)
 		}
 		offs := buf.offs[:m.Count+1]
-		if int(m.ArcCount) > cap(buf.adj) {
-			buf.adj = make([]graph.V, m.ArcCount)
-		}
-		adj := buf.adj[:m.ArcCount]
-		if err := bf.decodeBlock(b, payload, offs, adj); err != nil {
+		if err := bf.indexBlock(b, payload, offs); err != nil {
 			return bytesRead, blocksRead, err
 		}
-		for i := int32(0); i < m.Count; i++ {
-			if err := fn(m.First+graph.V(i), adj[offs[i]:offs[i+1]]); err != nil {
+		for u := m.First; u < m.First+graph.V(m.Count); u++ {
+			deg := int(bf.degs[u])
+			if deg > cap(buf.adj) {
+				buf.adj = make([]graph.V, deg)
+			}
+			adj := buf.adj[:deg]
+			if err := bf.decodeList(b, payload, offs, u, adj); err != nil {
+				return bytesRead, blocksRead, err
+			}
+			if err := fn(u, adj); err != nil {
 				return bytesRead, blocksRead, err
 			}
 		}

@@ -16,11 +16,13 @@
 //     and the block index. Adjacency comes through a bounded block cache
 //     (LRU or MRU eviction) whose budget is enforced up front — a budget too
 //     small to hold even one decoded block is ErrBudget at open time, not an
-//     OOM mid-run. Decode buffers are recycled through evicted entries, so a
-//     steady-state cache hit performs zero allocations.
+//     OOM mid-run. A cached block stays encoded, with an offset per list, and
+//     is charged its decoded size; Neighbors decodes the one list it returns.
+//     Buffers are recycled through evicted entries, so a steady-state cache
+//     hit performs zero allocations.
 //
-//   - Engines see a GraphSource: Degree, Neighbors(v) (a view into the
-//     decoded block, valid until the next call on the same handle), a
+//   - Engines see a GraphSource: Degree, Neighbors(v) (a view into
+//     handle-owned storage, valid until the next call on the same handle), a
 //     sequential block Scan, and cumulative IOStats (hits, misses,
 //     evictions, bytes read). InMemory wraps today's *graph.Graph — the
 //     equivalence oracle — and CachedProvider serves the same interface from
@@ -103,10 +105,10 @@ type GraphSource interface {
 	// Degree returns the out-degree of v from resident state (no disk I/O).
 	Degree(v graph.V) int
 	// Neighbors returns the sorted neighbor list of v. The returned slice is
-	// a view into source-owned storage (the decoded block for disk-backed
-	// sources) and is valid until the next Neighbors or Scan call on the
-	// same handle; copy it to retain. A decode failure (corrupt block)
-	// returns a wrapped ErrCorrupt.
+	// a view into source-owned storage (for disk-backed sources, a per-handle
+	// buffer that v's list alone was decoded into) and is valid until the
+	// next Neighbors or Scan call on the same handle; copy it to retain. A
+	// corrupt block or list returns a wrapped ErrCorrupt.
 	Neighbors(v graph.V) ([]graph.V, error)
 	// Scan streams every vertex's adjacency in ascending vertex order — the
 	// sequential block scan of semi-external algorithms (graphd's
@@ -141,7 +143,7 @@ type Footprint struct {
 	Kind          string // "mem" | "disk"
 	FileBytes     int64  // on-disk compressed size (0 for in-memory)
 	ResidentBytes int64  // bytes held in memory outside the cache (CSR for mem; degrees+index for disk)
-	CacheBytes    int64  // total decoded-block cache budget across handles (0 for mem)
+	CacheBytes    int64  // total block-cache budget across handles, charged at decoded size (0 for mem)
 }
 
 // Metered reports whether the provider performs (and meters) disk I/O.

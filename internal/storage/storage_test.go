@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"graphsys/internal/graph"
@@ -239,6 +242,135 @@ func TestCorruptBlockReturnsError(t *testing.T) {
 	}
 	if err := h.Scan(func(graph.V, []graph.V) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Scan over corrupt file: got %v, want wrapped ErrCorrupt", err)
+	}
+}
+
+// plantCorruption rewrites block b of the file at path with edit applied to
+// its payload and a fresh CRC, moving the later blocks, so the damage passes
+// the checksum and only the structure pass and the list decode can catch it.
+func plantCorruption(t *testing.T, path string, b int, edit func(payload []byte) []byte) {
+	t.Helper()
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := f.idx
+	f.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	out := slices.Clone(raw[:idx[0].Off])
+	for i, m := range idx {
+		payload := slices.Clone(raw[m.Off : m.Off+int64(m.EncLen)])
+		if i == b {
+			payload = edit(payload)
+		}
+		ent := out[headerBytes+i*indexEntryBytes:]
+		le.PutUint32(ent[12:16], uint32(len(payload)))
+		le.PutUint64(ent[16:24], uint64(len(out)))
+		out = append(out, payload...)
+		out = le.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptListsBehindValidCRC pins the checks a cached block runs after
+// its CRC: the structure pass on the miss (a list cut short, bytes after the
+// last list) fails the first access to the block, and the per-list decode
+// fails only the vertex whose list holds an out-of-range id. Scan fails in
+// every case, and no access panics or returns an out-of-range id.
+func TestCorruptListsBehindValidCRC(t *testing.T) {
+	g := gen.RMAT(9, 8, 3)
+	n := g.NumVertices()
+	path, info := writeTemp(t, g, Options{BlockBytes: 512})
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := info.NumBlocks / 2
+	m := f.idx[b]
+	f.Close()
+	// the victim: a vertex past the block's first with at least two ids
+	v := m.First + 1
+	for g.Degree(v) < 2 {
+		v++
+	}
+	if v >= m.First+graph.V(m.Count) {
+		t.Fatalf("block %d has no vertex of degree ≥ 2 after its first", b)
+	}
+	var start, end int // v's list within the payload
+	for u := m.First; u <= v; u++ {
+		enc, err := appendAdj(nil, g.Neighbors(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, end = end, end+len(enc)
+	}
+	for _, tc := range []struct {
+		name     string
+		edit     func(p []byte) []byte
+		wholeBad bool // the whole block fails, not only v
+	}{
+		{"out-of-range id", func(p []byte) []byte {
+			bad := slices.Clone(g.Neighbors(v))
+			bad[len(bad)-1] = graph.V(n + 3)
+			enc, err := appendAdj(nil, bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return slices.Concat(p[:start], enc, p[end:])
+		}, false},
+		{"list cut short", func(p []byte) []byte { return slices.Concat(p[:end-1], p[end:]) }, true},
+		{"trailing bytes", func(p []byte) []byte { return append(p, 0) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := filepath.Join(t.TempDir(), "bad.gsb")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(cp, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			plantCorruption(t, cp, b, tc.edit)
+			p, err := OpenCached(cp, 1<<30, 1, LRU)
+			if err != nil {
+				t.Fatalf("OpenCached: %v (the corruption must surface at read)", err)
+			}
+			defer p.Close()
+			h := p.Handle(0)
+			for u := graph.V(0); int(u) < n; u++ {
+				adj, err := h.Neighbors(u)
+				inBlock := u >= m.First && u < m.First+graph.V(m.Count)
+				if wantErr := u == v || (tc.wholeBad && inBlock); wantErr {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("Neighbors(%d): got %v, want wrapped ErrCorrupt", u, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("Neighbors(%d): %v", u, err)
+				}
+				if !slices.Equal(adj, g.Neighbors(u)) {
+					t.Fatalf("Neighbors(%d) = %v, want %v", u, adj, g.Neighbors(u))
+				}
+			}
+			err = h.Scan(func(u graph.V, adj []graph.V) error {
+				for _, w := range adj {
+					if w < 0 || int(w) >= n {
+						t.Fatalf("Scan(%d) passed out-of-range id %d", u, w)
+					}
+				}
+				return nil
+			})
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Scan: got %v, want wrapped ErrCorrupt", err)
+			}
+		})
 	}
 }
 
