@@ -19,6 +19,7 @@ import (
 	"graphsys/internal/partition"
 	"graphsys/internal/pregel"
 	"graphsys/internal/quegel"
+	"graphsys/internal/storage"
 )
 
 func main() {
@@ -56,7 +57,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	blocks := blogel.Build(g, partition.Metis(g, 16))
+	blocks, err := blogel.BuildSource(storage.InMemory(g).Handle(0), partition.Metis(g, 16))
+	if err != nil {
+		log.Fatal(err)
+	}
 	bres, err := blocks.ConnectedComponents(4)
 	if err != nil {
 		log.Fatal(err)
@@ -72,11 +76,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	ef, err := graphd.WriteEdgeFile(g, filepath.Join(dir, "edges.bin"))
+	bf, err := graphd.SpillBlocks(g, filepath.Join(dir, "g.gsb"), storage.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	labels, st, err := ef.ConnectedComponents(g.NumVertices())
+	defer bf.Close()
+	labels, st, err := bf.ConnectedComponents()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,9 +89,8 @@ func main() {
 	for _, l := range labels {
 		comps[l] = true
 	}
-	fmt.Println("== GraphD: semi-external processing (edges streamed from disk) ==")
-	fmt.Printf("  edge file: %d bytes on disk; resident state: %d bytes (%.1f%% of in-memory)\n",
-		ef.Bytes, st.ResidentBytes, 100*float64(st.ResidentBytes)/float64(st.ResidentBytes+ef.Bytes))
+	fmt.Println("== GraphD: semi-external processing (compressed blocks streamed from disk) ==")
+	fmt.Printf("  block file: %d bytes on disk; resident state: %d bytes\n", bf.FileBytes(), st.ResidentBytes)
 	fmt.Printf("  %d components found in %d streaming passes (%d bytes read)\n",
 		len(comps), st.Passes, st.BytesRead)
 }

@@ -20,60 +20,23 @@ import (
 
 // Blocks is a block decomposition of a graph: a partition whose parts have
 // been refined into connected blocks, plus the quotient (block-level) graph.
-// G is nil for decompositions built from an out-of-core GraphSource
-// (BuildSource); the quotient and the vertex→block map are all that
-// block-centric algorithms over the quotient need.
+// The quotient and the vertex→block map are all that block-centric
+// algorithms over the quotient need; the adjacency stays with its source.
 type Blocks struct {
-	G        *graph.Graph
 	BlockOf  []int32 // vertex -> block id
 	NumBlock int
 	Quotient *graph.Graph // one vertex per block; edge iff some cross edge
 }
 
-// Build refines an arbitrary partition into connected blocks (each part is
-// split into its connected components — Blogel's Voronoi/partitioner step
-// guarantees connectivity the same way) and constructs the quotient graph.
-func Build(g *graph.Graph, part *partition.Partition) *Blocks {
-	n := g.NumVertices()
-	blockOf := make([]int32, n)
-	for i := range blockOf {
-		blockOf[i] = -1
-	}
-	next := int32(0)
-	var stack []graph.V
-	for s := 0; s < n; s++ {
-		if blockOf[s] != -1 {
-			continue
-		}
-		id := next
-		next++
-		blockOf[s] = id
-		stack = append(stack[:0], graph.V(s))
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.Neighbors(v) {
-				if blockOf[w] == -1 && part.Assign[w] == part.Assign[s] {
-					blockOf[w] = id
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	qb := graph.NewBuilder(int(next), false)
-	g.EdgesOnce(func(u, v graph.V) {
-		if blockOf[u] != blockOf[v] {
-			qb.AddEdge(graph.V(blockOf[u]), graph.V(blockOf[v]))
-		}
-	})
-	return &Blocks{G: g, BlockOf: blockOf, NumBlock: int(next), Quotient: qb.Build()}
-}
-
-// BuildSource is Build over an out-of-core GraphSource: the refinement BFS
-// reads adjacency through the handle (block-cached for disk sources) and the
-// quotient construction uses one sequential block scan, so the peak memory is
-// the O(|V|) blockOf array plus the quotient — never the full adjacency. The
-// decomposition is identical to Build on the same graph; only I/O differs.
+// BuildSource refines an arbitrary partition into connected blocks (each
+// part is split into its connected components — Blogel's Voronoi/partitioner
+// step guarantees connectivity the same way) and constructs the quotient
+// graph. It reads adjacency through a GraphSource: an in-memory graph is
+// storage.InMemory(g).Handle(0); for disk sources the refinement BFS reads
+// through the handle's block cache and the quotient construction is one
+// sequential block scan, so the peak memory is the O(|V|) blockOf array plus
+// the quotient — never the full adjacency. The decomposition depends only
+// on the graph and the partition, not on the source.
 func BuildSource(src storage.GraphSource, part *partition.Partition) (*Blocks, error) {
 	n := src.NumVertices()
 	blockOf := make([]int32, n)
@@ -182,9 +145,10 @@ func (b *Blocks) BlockSizes() []int {
 // PageRank, but with a block-level warm start — each block first runs
 // PageRank on its local subgraph to convergence and uses the local scores as
 // the initial guess, which cuts the global iterations needed for a given
-// residual (Blogel's "block-level computation first" pattern).
-func (b *Blocks) PageRank(globalIters int, workers int) ([]float64, error) {
-	n := b.G.NumVertices()
+// residual (Blogel's "block-level computation first" pattern). g is the
+// graph the blocks were built from.
+func (b *Blocks) PageRank(g *graph.Graph, globalIters int, workers int) ([]float64, error) {
+	n := g.NumVertices()
 	// local phase: exact PageRank on each block's induced subgraph
 	init := make([]float64, n)
 	byBlock := make([][]graph.V, b.NumBlock)
@@ -195,7 +159,7 @@ func (b *Blocks) PageRank(globalIters int, workers int) ([]float64, error) {
 		if len(vs) == 0 {
 			continue
 		}
-		sub, newToOld := b.G.InducedSubgraph(vs)
+		sub, newToOld := g.InducedSubgraph(vs)
 		local, _, err := pregel.PageRank(sub, 15, pregel.Config{Workers: 1})
 		if err != nil {
 			return nil, err
@@ -211,12 +175,12 @@ func (b *Blocks) PageRank(globalIters int, workers int) ([]float64, error) {
 	for it := 0; it < globalIters; it++ {
 		next := make([]float64, n)
 		for v := 0; v < n; v++ {
-			deg := b.G.Degree(graph.V(v))
+			deg := g.Degree(graph.V(v))
 			if deg == 0 {
 				continue
 			}
 			share := cur[v] / float64(deg)
-			for _, u := range b.G.Neighbors(graph.V(v)) {
+			for _, u := range g.Neighbors(graph.V(v)) {
 				next[u] += share
 			}
 		}

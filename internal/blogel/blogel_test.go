@@ -8,11 +8,22 @@ import (
 	"graphsys/internal/graph/gen"
 	"graphsys/internal/partition"
 	"graphsys/internal/pregel"
+	"graphsys/internal/storage"
 )
+
+// build decomposes an in-memory graph through its InMemory source.
+func build(t *testing.T, g *graph.Graph, part *partition.Partition) *Blocks {
+	t.Helper()
+	b, err := BuildSource(storage.InMemory(g).Handle(0), part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 func TestBuildBlocksAreConnectedAndCover(t *testing.T) {
 	g := gen.PlantedPartitionSparse(400, 4, 8, 1, 3).Graph
-	b := Build(g, partition.Metis(g, 4))
+	b := build(t, g, partition.Metis(g, 4))
 	if b.NumBlock <= 0 {
 		t.Fatal("no blocks")
 	}
@@ -54,7 +65,7 @@ func TestBuildBlocksAreConnectedAndCover(t *testing.T) {
 func TestBlockCCMatchesSerial(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g := gen.ErdosRenyi(300, 350, seed) // sparse: several components
-		b := Build(g, partition.Hash(g, 4))
+		b := build(t, g, partition.Hash(g, 4))
 		res, err := b.ConnectedComponents(4)
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +98,7 @@ func TestBlockCCBeatsVertexCentric(t *testing.T) {
 	}
 	g := bld.Build()
 	_, vres, _ := pregel.HashMinCC(g, pregel.Config{Workers: 4, MaxSupersteps: 10000})
-	b := Build(g, partition.Range(g, 8))
+	b := build(t, g, partition.Range(g, 8))
 	bres, _ := b.ConnectedComponents(4)
 	if bres.Supersteps >= vres.Supersteps/10 {
 		t.Fatalf("block-centric %d rounds not ≪ vertex-centric %d", bres.Supersteps, vres.Supersteps)
@@ -100,8 +111,8 @@ func TestBlockCCBeatsVertexCentric(t *testing.T) {
 func TestBlockPageRankApproximatesExact(t *testing.T) {
 	g := gen.PlantedPartitionSparse(300, 3, 10, 1, 5).Graph
 	exact, _, _ := pregel.PageRank(g, 50, pregel.Config{Workers: 4})
-	b := Build(g, partition.Metis(g, 3))
-	approx, _ := b.PageRank(10, 4)
+	b := build(t, g, partition.Metis(g, 3))
+	approx, _ := b.PageRank(g, 10, 4)
 	// warm-started run with few global iterations should land close
 	var maxDiff float64
 	for v := range exact {
@@ -124,7 +135,7 @@ func TestBlockPageRankApproximatesExact(t *testing.T) {
 
 func TestBlocksDisconnectedGraph(t *testing.T) {
 	g := graph.FromEdges(6, [][2]graph.V{{0, 1}, {2, 3}, {4, 5}})
-	b := Build(g, partition.Hash(g, 2))
+	b := build(t, g, partition.Hash(g, 2))
 	res, _ := b.ConnectedComponents(2)
 	seen := map[int32]bool{}
 	for _, l := range res.Labels {

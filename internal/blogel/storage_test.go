@@ -9,13 +9,13 @@ import (
 	"graphsys/internal/storage"
 )
 
-// TestBuildSourceMatchesBuild pins the equivalence contract: the block
-// decomposition, quotient graph and CC labels from an out-of-core build must
-// be identical to the in-memory build of the same graph.
-func TestBuildSourceMatchesBuild(t *testing.T) {
+// TestBuildSourceDiskMatchesMemory pins the equivalence contract: the block
+// decomposition, quotient graph and CC labels built from a block file through
+// a bounded cache must be identical to those built from storage.InMemory.
+func TestBuildSourceDiskMatchesMemory(t *testing.T) {
 	g := gen.RMAT(10, 6, 41)
 	part := partition.Hash(g, 4)
-	mem := Build(g, part)
+	mem := build(t, g, part)
 
 	path := filepath.Join(t.TempDir(), "g.gsb")
 	info, err := storage.Write(path, g, storage.Options{BlockBytes: 1 << 11})

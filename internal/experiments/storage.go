@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"graphsys/internal/blogel"
 	"graphsys/internal/gnn"
@@ -13,6 +14,7 @@ import (
 	"graphsys/internal/hypo"
 	"graphsys/internal/partition"
 	"graphsys/internal/pregel"
+	"graphsys/internal/refmodel"
 	"graphsys/internal/storage"
 )
 
@@ -77,7 +79,7 @@ func CapStorage() *Table {
 
 	// blogel: block construction AND connected components from the source
 	part := partition.Hash(g, 4)
-	memBlocks := blogel.Build(g, part)
+	memBlocks := must2(blogel.BuildSource(storage.InMemory(g).Handle(0), part))
 	memCC := must2(memBlocks.ConnectedComponents(4))
 	{
 		prov := must2(storage.OpenCached(path, budget(0.50), 1, storage.LRU))
@@ -113,20 +115,14 @@ func CapStorage() *Table {
 		t.AddRow("gnndist/sync", "lru", 0.50, st.HitRatio(), st.BytesRead, ident)
 	}
 
-	// graphd: the semi-external engine rebuilt on the block layer, against
-	// its own raw-edge-file baseline (per-pass sequential scans, no cache)
+	// graphd: the semi-external engine on the block layer (per-pass
+	// sequential scans, no cache), against the spec: union-find labels and
+	// the in-place sweep's pass count
 	{
-		ef := must2(graphd.WriteEdgeFile(g, filepath.Join(dir, "edges.bin")))
-		memLabels, memSt := must3(ef.ConnectedComponents(g.NumVertices()))
 		bf := must2(graphd.OpenBlocks(path))
 		labels, st := must3(bf.ConnectedComponents())
-		ident := memSt.Passes == st.Passes && len(labels) == len(memLabels)
-		for v := range labels {
-			if labels[v] != memLabels[v] {
-				ident = false
-				break
-			}
-		}
+		_, wantPasses := refmodel.ScanCC(g)
+		ident := st.Passes == wantPasses && slices.Equal(labels, refmodel.CC(g))
 		must2(0, bf.Close())
 		t.AddRow("graphd/cc", "scan", "-", "-", st.BytesRead, ident)
 	}

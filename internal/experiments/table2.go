@@ -37,7 +37,7 @@ func Table2Features() *Table {
 	t.AddRow("TrainSync (DistDGL-style)", "yes", "yes", "-", "-", "opt", "opt", "-", "-")
 	t.AddRow("TrainBoundedStale (Dorylus/P³)", "yes", "yes", "-", "yes", "opt", "opt", "-", "-")
 	t.AddRow("TrainSancus (Sancus)", "yes", "yes", "-", "adaptive", "opt", "opt", "-", "-")
-	t.AddRow("TrainDistGNN (DistGNN)", "vertex-cut", "-", "-", "delayed", "-", "-", "-", "-")
+	t.AddRow("TrainDistGNN (DistGNN)", "edge-cut (METIS)", "-", "-", "delayed", "-", "-", "-", "-")
 	t.AddRow("OffloadedGCNForward (HongTu)", "chunked", "-", "-", "-", "-", "-", "-", "yes")
 	t.AddRow("PushPullLayer1 (P³)", "feature-dim", "yes", "-", "-", "-", "-", "-", "-")
 	t.AddRow("Pipeline scheduler (ByteGNN/BGL)", "-", "-", "yes", "-", "-", "-", "-", "-")

@@ -193,48 +193,3 @@ func addGrads(dst, src *Model) {
 		sp[i].ZeroGrad()
 	}
 }
-
-// KHopStats reports the storage blowup of AGL-style k-hop materialisation.
-type KHopStats struct {
-	Subgraphs     int
-	TotalVertices int64
-	TotalEdges    int64
-	// BlowupFactor = total materialised vertices / graph vertices
-	BlowupFactor float64
-}
-
-// KHopMaterialize precomputes the full (unsampled) k-hop neighborhood
-// subgraph of every seed, AGL's MapReduce preprocessing that eliminates
-// graph-data communication during training at the cost of massive storage
-// redundancy — the trade-off the stats expose.
-func KHopMaterialize(g *graph.Graph, seeds []graph.V, k int) ([]*SampledSubgraph, KHopStats) {
-	var out []*SampledSubgraph
-	var st KHopStats
-	for _, s := range seeds {
-		visited := map[graph.V]bool{s: true}
-		order := []graph.V{s}
-		frontier := []graph.V{s}
-		for hop := 0; hop < k; hop++ {
-			var next []graph.V
-			for _, v := range frontier {
-				for _, u := range g.Neighbors(v) {
-					if !visited[u] {
-						visited[u] = true
-						order = append(order, u)
-						next = append(next, u)
-					}
-				}
-			}
-			frontier = next
-		}
-		sub, newToOld := g.InducedSubgraph(order)
-		out = append(out, &SampledSubgraph{Graph: sub, NewToOld: newToOld, SeedLoc: []int{0}})
-		st.TotalVertices += int64(sub.NumVertices())
-		st.TotalEdges += int64(sub.NumEdges())
-	}
-	st.Subgraphs = len(out)
-	if g.NumVertices() > 0 {
-		st.BlowupFactor = float64(st.TotalVertices) / float64(g.NumVertices())
-	}
-	return out, st
-}

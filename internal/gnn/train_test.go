@@ -85,27 +85,6 @@ func TestNeighborSampleSmallFanoutShrinks(t *testing.T) {
 	}
 }
 
-func TestKHopMaterialize(t *testing.T) {
-	g := gen.ErdosRenyi(100, 500, 5)
-	seeds := []graph.V{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	subs, st := KHopMaterialize(g, seeds, 2)
-	if len(subs) != 10 || st.Subgraphs != 10 {
-		t.Fatal("wrong subgraph count")
-	}
-	// AGL's storage redundancy: 2-hop balls on a dense graph overlap heavily
-	if st.BlowupFactor <= 1 {
-		t.Fatalf("expected storage blowup > 1, got %f", st.BlowupFactor)
-	}
-	for _, s := range subs {
-		if s.Graph.NumVertices() == 0 {
-			t.Fatal("empty materialised subgraph")
-		}
-		if s.NewToOld[s.SeedLoc[0]] != seeds[0] && s.SeedLoc[0] != 0 {
-			t.Fatal("seed not first")
-		}
-	}
-}
-
 func TestModelKindString(t *testing.T) {
 	if GCN.String() != "GCN" || SAGE.String() != "GraphSAGE" || GAT.String() != "GAT" {
 		t.Fatal("names wrong")

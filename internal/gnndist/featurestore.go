@@ -6,7 +6,7 @@
 // (Dorylus/P³) and staleness-aware skipping (Sancus), quantised message
 // compression with error compensation (EC-Graph/EXACT/F²CGT/Sylvie),
 // push-pull intra-layer model parallelism (P³), delayed-update full-graph
-// training on a vertex-cut (DistGNN), and CPU-offloaded full-graph training
+// training on a METIS edge-cut (DistGNN), and CPU-offloaded full-graph training
 // (HongTu). Every mechanism is a runnable implementation whose communication
 // is accounted by cluster.Network, so the Table-2 benchmarks report measured
 // bytes/rounds/accuracy rather than estimates.

@@ -7,193 +7,158 @@
 // per round — which this package meters exactly — against the O(|V|+|E|)
 // resident footprint of the in-memory engine.
 //
-// The engine proper is BlockFile, built on the shared out-of-core layer
-// (internal/storage): compressed block-CSR on disk, one sequential block
-// scan per pass. EdgeFile is the original raw 8-bytes-per-arc format, kept
-// as the uncompressed baseline the storage benchmark compares against (and
-// as the interchange format of the pathqueries example).
+// The one on-disk format is BlockFile: the shared out-of-core layer's
+// compressed block-CSR (internal/storage), read by one sequential block
+// scan per pass. internal/refmodel's ScanCC and ScanPageRank are its
+// specification.
 package graphd
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 
 	"graphsys/internal/graph"
+	"graphsys/internal/storage"
 )
-
-// EdgeFile is an on-disk edge list in a fixed binary format (u, v as
-// little-endian int32 pairs, both directions for undirected graphs).
-type EdgeFile struct {
-	Path  string
-	Arcs  int64
-	Bytes int64
-}
-
-// WriteEdgeFile spills g's arcs to a binary edge file at path.
-func WriteEdgeFile(g *graph.Graph, path string) (*EdgeFile, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("graphd: %w", err)
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	var buf [8]byte
-	var arcs int64
-	var writeErr error
-	g.Edges(func(u, v graph.V) {
-		if writeErr != nil {
-			return
-		}
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(u))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(v))
-		if _, err := w.Write(buf[:]); err != nil {
-			writeErr = err
-		}
-		arcs++
-	})
-	if writeErr != nil {
-		return nil, fmt.Errorf("graphd: %w", writeErr)
-	}
-	if err := w.Flush(); err != nil {
-		return nil, fmt.Errorf("graphd: %w", err)
-	}
-	return &EdgeFile{Path: path, Arcs: arcs, Bytes: arcs * 8}, nil
-}
 
 // Stats reports the I/O cost of a semi-external run.
 type Stats struct {
 	Passes    int
 	BytesRead int64
-	// ResidentBytes is the in-memory footprint: one int32 state per vertex.
+	// ResidentBytes is the in-memory footprint: the block file's degree
+	// table and block index plus the per-vertex states.
 	ResidentBytes int64
 }
 
-// ConnectedComponents computes connected components with vertex states in
-// memory and the edge list streamed from disk once per pass (HashMin over a
-// streamed edge file), until a pass changes nothing. Results match the
-// in-memory algorithms exactly; Stats meters the disk traffic that replaces
-// the O(|E|) resident adjacency.
-func (ef *EdgeFile) ConnectedComponents(numVertices int) ([]int32, Stats, error) {
-	labels := make([]int32, numVertices)
+// BlockFile is the semi-external engine on the shared out-of-core storage
+// layer (internal/storage): adjacency lives in compressed block-CSR on disk
+// and each iteration is one sequential block scan in ascending vertex
+// order. The resident degree table means no pass is spent on degrees.
+type BlockFile struct {
+	prov *storage.CachedProvider
+	path string
+}
+
+// SpillBlocks writes g to a compressed block file at path and opens it for
+// semi-external processing.
+func SpillBlocks(g *graph.Graph, path string, opts storage.Options) (*BlockFile, error) {
+	if _, err := storage.Write(path, g, opts); err != nil {
+		return nil, fmt.Errorf("graphd: %w", err)
+	}
+	return OpenBlocks(path)
+}
+
+// OpenBlocks opens an existing block-CSR file for semi-external processing.
+// Sequential scans stream through one private block buffer, so the cache
+// budget is the minimum the storage layer accepts.
+func OpenBlocks(path string) (*BlockFile, error) {
+	f, err := storage.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("graphd: %w", err)
+	}
+	budget := f.ResidentBytes() + f.MaxDecodedBytes()
+	if err := f.Close(); err != nil {
+		return nil, fmt.Errorf("graphd: %w", err)
+	}
+	prov, err := storage.OpenCached(path, budget, 1, storage.LRU)
+	if err != nil {
+		return nil, fmt.Errorf("graphd: %w", err)
+	}
+	return &BlockFile{prov: prov, path: path}, nil
+}
+
+// Close releases the underlying file handle.
+func (bf *BlockFile) Close() error { return bf.prov.Close() }
+
+// Path returns the block file's path.
+func (bf *BlockFile) Path() string { return bf.path }
+
+// NumVertices returns the number of vertices.
+func (bf *BlockFile) NumVertices() int { return bf.prov.NumVertices() }
+
+// NumArcs returns the number of stored arcs.
+func (bf *BlockFile) NumArcs() int64 { return bf.prov.NumArcs() }
+
+// FileBytes returns the compressed on-disk size.
+func (bf *BlockFile) FileBytes() int64 { return bf.prov.File().FileBytes() }
+
+// stats converts the provider's cumulative I/O into graphd accounting.
+func (bf *BlockFile) stats(passes int, before storage.IOStats, stateBytes int64) Stats {
+	d := bf.prov.Stats().Sub(before)
+	return Stats{
+		Passes:        passes,
+		BytesRead:     d.BytesRead,
+		ResidentBytes: bf.prov.Footprint().ResidentBytes + stateBytes,
+	}
+}
+
+// ConnectedComponents runs HashMin label propagation with states in memory,
+// one sequential scan per pass, until a pass changes nothing. Labels are
+// updated in place as the scan goes, so labels and pass count are those of
+// refmodel.ScanCC.
+func (bf *BlockFile) ConnectedComponents() ([]int32, Stats, error) {
+	n := bf.prov.NumVertices()
+	labels := make([]int32, n)
 	for i := range labels {
 		labels[i] = int32(i)
 	}
-	st := Stats{ResidentBytes: int64(numVertices) * 4}
+	src := bf.prov.Handle(0)
+	before := src.Stats()
+	passes := 0
 	for {
-		changed, n, err := ef.pass(labels)
-		st.Passes++
-		st.BytesRead += n
+		changed := false
+		err := src.Scan(func(u graph.V, adj []graph.V) error {
+			lu := labels[u]
+			for _, v := range adj {
+				if lu < labels[v] {
+					labels[v] = lu
+					changed = true
+				}
+			}
+			return nil
+		})
+		passes++
 		if err != nil {
-			return nil, st, err
+			return nil, bf.stats(passes, before, int64(n)*4), fmt.Errorf("graphd: %w", err)
 		}
 		if !changed {
-			return labels, st, nil
+			return labels, bf.stats(passes, before, int64(n)*4), nil
 		}
 	}
 }
 
-// pass streams the edge file once, propagating min labels in both directions
-// (the file already stores both arc directions).
-func (ef *EdgeFile) pass(labels []int32) (bool, int64, error) {
-	f, err := os.Open(ef.Path)
-	if err != nil {
-		return false, 0, fmt.Errorf("graphd: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var buf [8]byte
-	changed := false
-	var bytesRead int64
-	for {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return false, bytesRead, fmt.Errorf("graphd: %w", err)
-		}
-		bytesRead += 8
-		u := int32(binary.LittleEndian.Uint32(buf[0:4]))
-		v := int32(binary.LittleEndian.Uint32(buf[4:8]))
-		if labels[u] < labels[v] {
-			labels[v] = labels[u]
-			changed = true
-		}
-	}
-	return changed, bytesRead, nil
-}
-
-// DegreeSum streams the file once and returns per-vertex out-degrees — the
-// building block for streamed PageRank-style passes.
-func (ef *EdgeFile) DegreeSum(numVertices int) ([]int32, int64, error) {
-	deg := make([]int32, numVertices)
-	f, err := os.Open(ef.Path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("graphd: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var buf [8]byte
-	var n int64
-	for {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, n, fmt.Errorf("graphd: %w", err)
-		}
-		n += 8
-		deg[int32(binary.LittleEndian.Uint32(buf[0:4]))]++
-	}
-	return deg, n, nil
-}
-
-// PageRank runs iters streamed PageRank passes: ranks in memory, edges
-// streamed per pass. Returns ranks and I/O stats.
-func (ef *EdgeFile) PageRank(numVertices, iters int) ([]float64, Stats, error) {
+// PageRank keeps ranks in memory and runs one scan per iteration, summing in
+// scan order, so the ranks are refmodel.ScanPageRank's bit for bit. Degrees
+// come from the resident table, so a run costs exactly iters passes.
+func (bf *BlockFile) PageRank(iters int) ([]float64, Stats, error) {
 	const d = 0.85
-	st := Stats{ResidentBytes: int64(numVertices) * 8 * 2}
-	deg, n, err := ef.DegreeSum(numVertices)
-	if err != nil {
-		return nil, st, err
-	}
-	st.Passes++
-	st.BytesRead += n
-	ranks := make([]float64, numVertices)
+	n := bf.prov.NumVertices()
+	src := bf.prov.Handle(0)
+	before := src.Stats()
+	stateBytes := int64(n) * 8 * 2
+	ranks := make([]float64, n)
 	for i := range ranks {
-		ranks[i] = 1 / float64(numVertices)
+		ranks[i] = 1 / float64(n)
 	}
+	passes := 0
 	for it := 0; it < iters; it++ {
-		next := make([]float64, numVertices)
-		f, err := os.Open(ef.Path)
-		if err != nil {
-			return nil, st, fmt.Errorf("graphd: %w", err)
-		}
-		r := bufio.NewReaderSize(f, 1<<16)
-		var buf [8]byte
-		for {
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
-				if err == io.EOF {
-					break
+		next := make([]float64, n)
+		err := src.Scan(func(u graph.V, adj []graph.V) error {
+			if deg := len(adj); deg > 0 {
+				share := ranks[u] / float64(deg)
+				for _, v := range adj {
+					next[v] += share
 				}
-				f.Close()
-				return nil, st, fmt.Errorf("graphd: %w", err)
 			}
-			st.BytesRead += 8
-			u := int32(binary.LittleEndian.Uint32(buf[0:4]))
-			v := int32(binary.LittleEndian.Uint32(buf[4:8]))
-			if deg[u] > 0 {
-				next[v] += ranks[u] / float64(deg[u])
-			}
+			return nil
+		})
+		passes++
+		if err != nil {
+			return nil, bf.stats(passes, before, stateBytes), fmt.Errorf("graphd: %w", err)
 		}
-		f.Close()
-		st.Passes++
 		for v := range next {
-			next[v] = (1-d)/float64(numVertices) + d*next[v]
+			next[v] = (1-d)/float64(n) + d*next[v]
 		}
 		ranks = next
 	}
-	return ranks, st, nil
+	return ranks, bf.stats(passes, before, stateBytes), nil
 }

@@ -7,95 +7,98 @@ import (
 
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
-	"graphsys/internal/pregel"
+	"graphsys/internal/refmodel"
+	"graphsys/internal/storage"
 )
 
-func spill(t *testing.T, g *graph.Graph) *EdgeFile {
+func spillBlocks(t *testing.T, g *graph.Graph) *BlockFile {
 	t.Helper()
-	ef, err := WriteEdgeFile(g, filepath.Join(t.TempDir(), "edges.bin"))
+	bf, err := SpillBlocks(g, filepath.Join(t.TempDir(), "g.gsb"), storage.Options{BlockBytes: 1 << 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ef
+	t.Cleanup(func() { bf.Close() })
+	return bf
 }
 
-func TestEdgeFileRoundTrip(t *testing.T) {
-	g := gen.ErdosRenyi(100, 300, 1)
-	ef := spill(t, g)
-	if ef.Arcs != g.NumArcs() {
-		t.Fatalf("arcs %d want %d", ef.Arcs, g.NumArcs())
-	}
-	if ef.Bytes != g.NumArcs()*8 {
-		t.Fatalf("bytes %d", ef.Bytes)
-	}
-}
-
-func TestStreamedCCMatchesInMemory(t *testing.T) {
+// TestBlockCCMatchesSpec: the block engine's labels are refmodel.CC's and
+// its pass count is refmodel.ScanCC's; resident state is O(|V|), below the
+// in-memory CSR the file replaces, and every pass reads the same bytes (a
+// scan streams the blocks through a private buffer, bypassing the cache).
+func TestBlockCCMatchesSpec(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g := gen.ErdosRenyi(300, 350, seed)
-		ef := spill(t, g)
-		labels, st, err := ef.ConnectedComponents(300)
+		bf := spillBlocks(t, g)
+		got, st, err := bf.ConnectedComponents()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantCount := graph.ConnectedComponents(g)
-		seen := map[int32]bool{}
-		for _, l := range labels {
-			seen[l] = true
-		}
-		if len(seen) != wantCount {
-			t.Fatalf("seed %d: %d components want %d", seed, len(seen), wantCount)
-		}
-		for u := 0; u < 300; u++ {
-			for v := u + 1; v < 300; v += 13 {
-				if (want[u] == want[v]) != (labels[u] == labels[v]) {
-					t.Fatalf("seed %d: %d,%d disagree", seed, u, v)
-				}
+		want := refmodel.CC(g)
+		for v := range want {
+			if want[v] != got[v] {
+				t.Fatalf("seed %d: label[%d] = %d, spec %d", seed, v, got[v], want[v])
 			}
 		}
-		// I/O accounting: bytes = passes × file size
-		if st.BytesRead != int64(st.Passes)*ef.Bytes {
-			t.Fatalf("bytes %d != passes %d × size %d", st.BytesRead, st.Passes, ef.Bytes)
+		if _, passes := refmodel.ScanCC(g); st.Passes != passes {
+			t.Fatalf("seed %d: %d passes, spec %d", seed, st.Passes, passes)
 		}
-		// semi-external residency is O(V), far below O(V+E)
-		if st.ResidentBytes >= ef.Bytes {
-			t.Fatalf("resident %d not below edge bytes %d", st.ResidentBytes, ef.Bytes)
+		if csr := int64(g.NumVertices()+1)*8 + g.NumArcs()*4; st.ResidentBytes >= csr {
+			t.Fatalf("seed %d: resident %d B not below the %d B in-memory CSR", seed, st.ResidentBytes, csr)
+		}
+		_, one, err := bf.PageRank(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.BytesRead <= 0 || st.BytesRead != int64(st.Passes)*one.BytesRead {
+			t.Fatalf("seed %d: %d bytes over %d passes, one pass reads %d", seed, st.BytesRead, st.Passes, one.BytesRead)
 		}
 	}
 }
 
-func TestStreamedPageRankMatchesPregel(t *testing.T) {
+// TestBlockPageRankMatchesSpec requires bitwise-identical ranks: the block
+// scan sums in refmodel.ScanPageRank's order with the same float operations,
+// and the resident degree table saves a degree pass.
+func TestBlockPageRankMatchesSpec(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 4, 3)
-	ef := spill(t, g)
-	want, _, _ := pregel.PageRank(g, 20, pregel.Config{Workers: 4})
-	got, st, err := ef.PageRank(200, 20)
+	bf := spillBlocks(t, g)
+	const iters = 20
+	want := refmodel.ScanPageRank(g, iters)
+	got, st, err := bf.PageRank(iters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var maxDiff float64
 	for v := range want {
-		if d := math.Abs(want[v] - got[v]); d > maxDiff {
-			maxDiff = d
+		if math.Float64bits(want[v]) != math.Float64bits(got[v]) {
+			t.Fatalf("rank[%d] = %v, spec %v", v, got[v], want[v])
 		}
 	}
-	if maxDiff > 1e-9 {
-		t.Fatalf("streamed PageRank deviates by %g", maxDiff)
+	if st.Passes != iters {
+		t.Fatalf("%d passes, want %d", st.Passes, iters)
 	}
-	if st.Passes != 21 { // 1 degree pass + 20 rank passes
-		t.Fatalf("passes = %d", st.Passes)
+	// per-pass bytes are the compressed blocks exactly
+	if st.BytesRead != int64(iters)*(st.BytesRead/int64(iters)) || st.BytesRead <= 0 {
+		t.Fatalf("block bytes read %d", st.BytesRead)
 	}
 }
 
-func TestDegreeSum(t *testing.T) {
-	g := gen.Grid(4, 4)
-	ef := spill(t, g)
-	deg, _, err := ef.DegreeSum(16)
+// TestOpenBlocksReopens covers the open-existing path: a block file written
+// once and reopened by a later run.
+func TestOpenBlocksReopens(t *testing.T) {
+	g := gen.Grid(8, 8)
+	path := filepath.Join(t.TempDir(), "grid.gsb")
+	bf, err := SpillBlocks(g, path, storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := graph.V(0); v < 16; v++ {
-		if int(deg[v]) != g.Degree(v) {
-			t.Fatalf("degree[%d]=%d want %d", v, deg[v], g.Degree(v))
-		}
+	if err := bf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bf2, err := OpenBlocks(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bf2.Close()
+	if bf2.NumVertices() != 64 || bf2.NumArcs() != g.NumArcs() {
+		t.Fatalf("reopened geometry: %d vertices %d arcs", bf2.NumVertices(), bf2.NumArcs())
 	}
 }

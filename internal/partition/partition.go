@@ -1,8 +1,9 @@
 // Package partition implements the graph partitioning strategies the paper's
 // GNN section compares: hash and range placement, LDG streaming, a METIS-like
-// multilevel edge-cut minimiser (DistDGL/DGCL), BFS-Voronoi over-partitioning
-// from seed vertices (ByteGNN/BGL), vertex-cut edge partitioning (DistGNN),
-// and P³-style feature-dimension partitioning.
+// multilevel edge-cut minimiser (DistDGL/DGCL, and DistGNN's trainer here),
+// BFS-Voronoi over-partitioning from seed vertices (ByteGNN/BGL), and
+// P³-style feature-dimension partitioning. DistGNN's vertex-cut edge
+// partitioning is not reproduced.
 package partition
 
 import (

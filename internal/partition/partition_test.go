@@ -107,33 +107,6 @@ func TestBFSVoronoiUnreachable(t *testing.T) {
 	checkValid(t, p, 6, 2)
 }
 
-func TestVertexCut(t *testing.T) {
-	c := gen.PlantedPartitionSparse(400, 4, 8, 1, 5)
-	vc := NewVertexCut(c.Graph, 4)
-	if vc.Replication < 1 {
-		t.Fatalf("replication %f < 1", vc.Replication)
-	}
-	// every edge assigned; endpoints replicated on the edge's part
-	count := 0
-	c.Graph.EdgesOnce(func(u, v graph.V) {
-		p, ok := vc.EdgePart[[2]graph.V{u, v}]
-		if !ok {
-			t.Fatalf("edge (%d,%d) unassigned", u, v)
-		}
-		if !vc.Replicas[u][p] || !vc.Replicas[v][p] {
-			t.Fatalf("edge (%d,%d) endpoints not replicated on part %d", u, v, p)
-		}
-		count++
-	})
-	if count == 0 {
-		t.Fatal("no edges")
-	}
-	// greedy vertex cut should replicate far less than full replication
-	if vc.Replication > float64(vc.K) {
-		t.Fatalf("replication %f exceeds k", vc.Replication)
-	}
-}
-
 func TestFeatureDim(t *testing.T) {
 	fd := NewFeatureDim(10, 4)
 	total := 0
@@ -194,55 +167,5 @@ func TestPartitionersValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVertexCutCoversAllEdgesProperty(t *testing.T) {
-	f := func(seedRaw uint16) bool {
-		n := 20 + int(seedRaw%60)
-		g := gen.ErdosRenyi(n, int64(3*n), int64(seedRaw))
-		vc := NewVertexCut(g, 3)
-		ok := true
-		g.EdgesOnce(func(u, v graph.V) {
-			if _, assigned := vc.EdgePart[[2]graph.V{u, v}]; !assigned {
-				ok = false
-			}
-		})
-		return ok && vc.Replication >= 1 && vc.Replication <= 3
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestVertexCutReplicatesIsolatedVertices: a vertex with no edge still lives
-// somewhere, so it gets exactly one replica, on a valid part. Input 0x2db of
-// TestVertexCutCoversAllEdgesProperty draws such a vertex; before the fix it
-// got none and Replication fell below 1.
-func TestVertexCutReplicatesIsolatedVertices(t *testing.T) {
-	const seedRaw = 0x2db
-	n := 20 + seedRaw%60
-	g := gen.ErdosRenyi(n, int64(3*n), seedRaw)
-	vc := NewVertexCut(g, 3)
-	isolated := 0
-	for v := 0; v < n; v++ {
-		if g.Degree(graph.V(v)) > 0 {
-			continue
-		}
-		isolated++
-		if len(vc.Replicas[v]) != 1 {
-			t.Fatalf("edgeless vertex %d has %d replicas, want 1", v, len(vc.Replicas[v]))
-		}
-		for p := range vc.Replicas[v] {
-			if p < 0 || p >= vc.K {
-				t.Fatalf("edgeless vertex %d replicated on part %d of %d", v, p, vc.K)
-			}
-		}
-	}
-	if isolated == 0 {
-		t.Fatal("input has no edgeless vertex; the test no longer covers its case")
-	}
-	if vc.Replication < 1 {
-		t.Fatalf("replication %f < 1", vc.Replication)
 	}
 }

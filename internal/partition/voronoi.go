@@ -95,76 +95,6 @@ func BFSVoronoi(g *graph.Graph, seeds []graph.V, k int) *Partition {
 	return p
 }
 
-// VertexCut is an edge partitioning: each edge is assigned to a part, and a
-// vertex is replicated on every part that holds one of its edges (the
-// PowerGraph/DistGNN model; DistGNN's communication reduction comes from a
-// minimum vertex-cut). Greedy placement assigns each edge to the part already
-// holding most of its endpoints' replicas, breaking ties by load. A vertex
-// with no edge gets one replica, on the least-loaded part.
-type VertexCut struct {
-	K           int
-	EdgePart    map[[2]graph.V]int
-	Replicas    []map[int]bool // per vertex: parts holding a replica
-	Replication float64        // avg replicas per vertex
-}
-
-// NewVertexCut computes a greedy vertex-cut of g into k parts.
-func NewVertexCut(g *graph.Graph, k int) *VertexCut {
-	n := g.NumVertices()
-	vc := &VertexCut{
-		K:        k,
-		EdgePart: make(map[[2]graph.V]int),
-		Replicas: make([]map[int]bool, n),
-	}
-	for i := range vc.Replicas {
-		vc.Replicas[i] = make(map[int]bool, 2)
-	}
-	loads := make([]int64, k)
-	g.EdgesOnce(func(u, v graph.V) {
-		best, bestScore := 0, int64(-1<<62)
-		for p := 0; p < k; p++ {
-			var score int64
-			if vc.Replicas[u][p] {
-				score += 1 << 20
-			}
-			if vc.Replicas[v][p] {
-				score += 1 << 20
-			}
-			score -= loads[p]
-			if score > bestScore {
-				best, bestScore = p, score
-			}
-		}
-		vc.EdgePart[[2]graph.V{u, v}] = best
-		vc.Replicas[u][best] = true
-		vc.Replicas[v][best] = true
-		loads[best]++
-	})
-	// a vertex with no edge still lives somewhere: one replica on the
-	// least-loaded part, counted as one unit of load so a run of them spreads
-	for v, r := range vc.Replicas {
-		if len(r) > 0 {
-			continue
-		}
-		best := 0
-		for p := 1; p < k; p++ {
-			if loads[p] < loads[best] {
-				best = p
-			}
-		}
-		vc.Replicas[v][best] = true
-		loads[best]++
-	}
-	var totalReplicas int64
-	for _, r := range vc.Replicas {
-		totalReplicas += int64(len(r))
-	}
-	if n > 0 {
-		vc.Replication = float64(totalReplicas) / float64(n)
-	}
-	return vc
-}
-
 // FeatureDim describes P³'s partitioning: instead of partitioning the graph
 // topology, the vertex feature matrix is split along the feature dimension,
 // with worker w owning dims [Lo[w], Hi[w]) of every vertex. Hidden-layer

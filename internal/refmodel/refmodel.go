@@ -1,0 +1,104 @@
+// Package refmodel holds executable specifications of the analytics
+// engines: single-threaded, plain implementations of what the engines
+// compute, sharing no code with them. Engine tests check their results
+// against these functions, so no production path is its own oracle. The
+// package imports only internal/graph, so any engine package's own tests
+// can import it without a cycle.
+package refmodel
+
+import "graphsys/internal/graph"
+
+// CC labels every vertex with the smallest vertex id of its connected
+// component, by union-find over every arc (arcs are taken as undirected).
+// Each root is the smallest id of its set: a union always hangs the larger
+// root under the smaller.
+func CC(g *graph.Graph) []int32 {
+	n := g.NumVertices()
+	parent := make([]int32, n)
+	for v := range parent {
+		parent[v] = int32(v)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]] // path halving
+			x = parent[x]
+		}
+		return x
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(graph.V(u)) {
+			ru, rv := find(int32(u)), find(int32(v))
+			if ru < rv {
+				parent[rv] = ru
+			} else if rv < ru {
+				parent[ru] = rv
+			}
+		}
+	}
+	labels := make([]int32, n)
+	for v := range labels {
+		labels[v] = find(int32(v))
+	}
+	return labels
+}
+
+// ScanCC is GraphD's semi-external sweep: labels start at the vertex ids,
+// and each pass visits u in ascending order and lowers labels[v] to
+// labels[u] in place for every arc (u, v). Passes repeat until one changes
+// nothing. It returns the labels and the number of passes, the last
+// (unchanged) one included. The labels equal CC's on undirected graphs; the
+// pass count is the sweep's own contract.
+func ScanCC(g *graph.Graph) ([]int32, int) {
+	n := g.NumVertices()
+	labels := make([]int32, n)
+	for v := range labels {
+		labels[v] = int32(v)
+	}
+	for passes := 1; ; passes++ {
+		changed := false
+		for u := 0; u < n; u++ {
+			for _, v := range g.Neighbors(graph.V(u)) {
+				if labels[u] < labels[v] {
+					labels[v] = labels[u]
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			return labels, passes
+		}
+	}
+}
+
+// ScanPageRank runs iters damped (d = 0.85) PageRank iterations from the
+// uniform vector 1/n. Each iteration visits u in ascending order and adds
+// rank[u]/deg(u) to every neighbour in g.Neighbors order, then sets each
+// rank to (1-d)/n + d·sum. A vertex without arcs passes nothing on, so its
+// mass leaks, as in the engines. The summation order is part of the spec:
+// an engine that sums in this order matches it bit for bit.
+func ScanPageRank(g *graph.Graph, iters int) []float64 {
+	const d = 0.85
+	n := g.NumVertices()
+	ranks := make([]float64, n)
+	for v := range ranks {
+		ranks[v] = 1 / float64(n)
+	}
+	for it := 0; it < iters; it++ {
+		sum := make([]float64, n)
+		for u := 0; u < n; u++ {
+			adj := g.Neighbors(graph.V(u))
+			if len(adj) == 0 {
+				continue
+			}
+			share := ranks[u] / float64(len(adj))
+			for _, v := range adj {
+				sum[v] += share
+			}
+		}
+		for v := range sum {
+			sum[v] = (1-d)/float64(n) + d*sum[v]
+		}
+		ranks = sum
+	}
+	return ranks
+}
