@@ -5,8 +5,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# The arm64 pass builds and vets the kernels' Go body, which is the only one
+# off amd64 (internal/tensor's Axpy and Axpy4 are SSE2 assembly on amd64).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/gnn/
 
 # gofmt gate: fails when any Go file needs gofmt. The lint fixtures under
 # internal/lint/testdata keep deliberate shapes and are exempt, as are the
@@ -36,7 +39,8 @@ test:
 # serving tier's worker pools and batchers, the offline task engines
 # that run on the serving tier's Pool, and the packages that start
 # goroutines of their own: the GPU simulator and the matching and mining
-# engines).
+# engines). Under -race internal/tensor builds its Go kernel bodies in place
+# of the SSE2 assembly, so the detector sees every kernel store.
 race:
 	$(GO) test -race ./internal/cluster/ ./internal/pregel/ ./internal/blogel/ ./internal/gnndist/ ./internal/tensor/ ./internal/gnn/ ./internal/gpusim/ ./internal/serve/ ./internal/gthinkerq/ ./internal/quegel/ ./internal/tthinker/ ./internal/fsm/ ./internal/match/ ./internal/mining/
 
@@ -62,7 +66,7 @@ bench-seeds:
 # unit tests). Every fuzzer runs; the target fails if any found a failing
 # input, which go test saves under the package's testdata/fuzz. Kept out of
 # verify and tier-1 because it takes a minute; CI runs it as a job.
-FUZZ_TARGETS = FuzzCodec:./internal/storage/ FuzzPregelVsReference:./internal/pregel/ FuzzServeSim:./internal/serve/ FuzzQuegelVsBFS:./internal/quegel/ FuzzNeighborSampleSource:./internal/gnn/ FuzzOutboxVsModel:./internal/cluster/ FuzzCachedSourceVsModel:./internal/storage/ FuzzAnalyticsVsSpec:./internal/refmodel/
+FUZZ_TARGETS = FuzzCodec:./internal/storage/ FuzzPregelVsReference:./internal/pregel/ FuzzServeSim:./internal/serve/ FuzzQuegelVsBFS:./internal/quegel/ FuzzNeighborSampleSource:./internal/gnn/ FuzzOutboxVsModel:./internal/cluster/ FuzzCachedSourceVsModel:./internal/storage/ FuzzAnalyticsVsSpec:./internal/refmodel/ FuzzAxpyVsLoop:./internal/tensor/
 fuzz:
 	@failed=""; \
 	for t in $(FUZZ_TARGETS); do \

@@ -147,7 +147,7 @@ func (b *Blocks) BlockSizes() []int {
 // the initial guess, which cuts the global iterations needed for a given
 // residual (Blogel's "block-level computation first" pattern). g is the
 // graph the blocks were built from.
-func (b *Blocks) PageRank(g *graph.Graph, globalIters int, workers int) ([]float64, error) {
+func (b *Blocks) PageRank(g *graph.Graph, globalIters int) ([]float64, error) {
 	n := g.NumVertices()
 	// local phase: exact PageRank on each block's induced subgraph
 	init := make([]float64, n)

@@ -112,7 +112,7 @@ func TestBlockPageRankApproximatesExact(t *testing.T) {
 	g := gen.PlantedPartitionSparse(300, 3, 10, 1, 5).Graph
 	exact, _, _ := pregel.PageRank(g, 50, pregel.Config{Workers: 4})
 	b := build(t, g, partition.Metis(g, 3))
-	approx, _ := b.PageRank(g, 10, 4)
+	approx, _ := b.PageRank(g, 10)
 	// warm-started run with few global iterations should land close
 	var maxDiff float64
 	for v := range exact {

@@ -2,16 +2,19 @@ package blogel
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
 	"graphsys/internal/partition"
 	"graphsys/internal/storage"
 )
 
 // TestBuildSourceDiskMatchesMemory pins the equivalence contract: the block
-// decomposition, quotient graph and CC labels built from a block file through
-// a bounded cache must be identical to those built from storage.InMemory.
+// decomposition, quotient graph (every block's neighbour list) and CC labels
+// built from a block file through a bounded cache must be identical to those
+// built from storage.InMemory.
 func TestBuildSourceDiskMatchesMemory(t *testing.T) {
 	g := gen.RMAT(10, 6, 41)
 	part := partition.Hash(g, 4)
@@ -40,9 +43,15 @@ func TestBuildSourceDiskMatchesMemory(t *testing.T) {
 			t.Fatalf("BlockOf[%d] differs: mem %d disk %d", v, mem.BlockOf[v], disk.BlockOf[v])
 		}
 	}
-	if mq, dq := mem.Quotient, disk.Quotient; mq.NumVertices() != dq.NumVertices() || mq.NumArcs() != dq.NumArcs() {
+	mq, dq := mem.Quotient, disk.Quotient
+	if mq.NumVertices() != dq.NumVertices() || mq.NumArcs() != dq.NumArcs() {
 		t.Fatalf("quotients differ: mem (%d,%d) disk (%d,%d)",
 			mq.NumVertices(), mq.NumArcs(), dq.NumVertices(), dq.NumArcs())
+	}
+	for q := 0; q < mq.NumVertices(); q++ {
+		if mn, dn := mq.Neighbors(graph.V(q)), dq.Neighbors(graph.V(q)); !slices.Equal(mn, dn) {
+			t.Fatalf("quotient vertex %d's neighbours differ: mem %v disk %v", q, mn, dn)
+		}
 	}
 	if prov.Stats().BlocksRead == 0 {
 		t.Fatal("disk build read no blocks")

@@ -67,9 +67,9 @@ type GINLayer struct {
 	dh *tensor.Matrix // reused backward output
 }
 
-// NewGINLayer builds a GIN-0 layer over g.
-func NewGINLayer(g *graph.Graph, in, out int, last bool, seed int64) *GINLayer {
-	return &GINLayer{agg: NewSumAgg(g), lin: nn.NewDense(in, out, seed), act: &nn.ReLU{}, last: last}
+// newGINLayer builds a GIN-0 layer over the aggregator agg.
+func newGINLayer(agg *SumAgg, in, out int, last bool, seed int64) *GINLayer {
+	return &GINLayer{agg: agg, lin: nn.NewDense(in, out, seed), act: &nn.ReLU{}, last: last}
 }
 
 // Forward computes σ(W·(h + A·h) + b).

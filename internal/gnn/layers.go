@@ -36,9 +36,9 @@ type GCNLayer struct {
 	dAgg *tensor.Matrix // reused backward Â·dZ buffer
 }
 
-// NewGCNLayer builds a GCN layer over g.
-func NewGCNLayer(g *graph.Graph, in, out int, last bool, seed int64) *GCNLayer {
-	return &GCNLayer{adj: NewNormAdj(g), lin: nn.NewDense(in, out, seed), act: &nn.ReLU{}, last: last}
+// newGCNLayer builds a GCN layer over the operator adj.
+func newGCNLayer(adj *NormAdj, in, out int, last bool, seed int64) *GCNLayer {
+	return &GCNLayer{adj: adj, lin: nn.NewDense(in, out, seed), act: &nn.ReLU{}, last: last}
 }
 
 // Forward runs graph data retrieving (Â·H) then model computation (·W, σ).
@@ -82,9 +82,9 @@ type SAGELayer struct {
 	dH     *tensor.Matrix // reused backward output
 }
 
-// NewSAGELayer builds a GraphSAGE layer over g.
-func NewSAGELayer(g *graph.Graph, in, out int, last bool, seed int64) *SAGELayer {
-	return &SAGELayer{agg: NewMeanAgg(g), lin: nn.NewDense(2*in, out, seed), act: &nn.ReLU{}, last: last, inD: in}
+// newSAGELayer builds a GraphSAGE layer over the aggregator agg.
+func newSAGELayer(agg *MeanAgg, in, out int, last bool, seed int64) *SAGELayer {
+	return &SAGELayer{agg: agg, lin: nn.NewDense(2*in, out, seed), act: &nn.ReLU{}, last: last, inD: in}
 }
 
 // Forward aggregates neighbor features and applies the dense transform.
@@ -151,22 +151,41 @@ type GATLayer struct {
 	dalpha []float32 // scratch, cap = max row length
 }
 
-// NewGATLayer builds a single-head GAT layer over g.
-func NewGATLayer(g *graph.Graph, in, out int, last bool, seed int64) *GATLayer {
+// gatAdj is GAT's neighbourhood CSR over N(v)∪{v}, self-loop last, with the
+// longest row's length.
+type gatAdj struct {
+	rowPtr []int32
+	nbrs   []graph.V
+	maxRow int
+}
+
+func newGATAdj(g *graph.Graph) *gatAdj {
 	n := g.NumVertices()
 	nnz := 0
-	maxRow := 0
+	a := &gatAdj{rowPtr: make([]int32, n+1)}
 	for v := 0; v < n; v++ {
 		d := g.Degree(graph.V(v)) + 1
 		nnz += d
-		if d > maxRow {
-			maxRow = d
+		if d > a.maxRow {
+			a.maxRow = d
 		}
 	}
-	l := &GATLayer{
+	a.nbrs = make([]graph.V, 0, nnz)
+	for v := 0; v < n; v++ {
+		a.nbrs = append(a.nbrs, g.Neighbors(graph.V(v))...)
+		a.nbrs = append(a.nbrs, graph.V(v)) // self-loop last
+		a.rowPtr[v+1] = int32(len(a.nbrs))
+	}
+	return a
+}
+
+// newGATLayer builds a single-head GAT layer over the neighbourhoods adj.
+func newGATLayer(adj *gatAdj, in, out int, last bool, seed int64) *GATLayer {
+	n, nnz := len(adj.rowPtr)-1, len(adj.nbrs)
+	return &GATLayer{
 		n:        n,
-		rowPtr:   make([]int32, n+1),
-		nbrs:     make([]graph.V, 0, nnz),
+		rowPtr:   adj.rowPtr,
+		nbrs:     adj.nbrs,
 		W:        nn.NewParam(tensor.Xavier(in, out, seed)),
 		AL:       nn.NewParam(tensor.Xavier(1, out, seed+1)),
 		AR:       nn.NewParam(tensor.Xavier(1, out, seed+2)),
@@ -179,14 +198,8 @@ func NewGATLayer(g *graph.Graph, in, out int, last bool, seed int64) *GATLayer {
 		sR:       make([]float32, n),
 		dsL:      make([]float32, n),
 		dsR:      make([]float32, n),
-		dalpha:   make([]float32, maxRow),
+		dalpha:   make([]float32, adj.maxRow),
 	}
-	for v := 0; v < n; v++ {
-		l.nbrs = append(l.nbrs, g.Neighbors(graph.V(v))...)
-		l.nbrs = append(l.nbrs, graph.V(v)) // self-loop last
-		l.rowPtr[v+1] = int32(len(l.nbrs))
-	}
-	return l
 }
 
 // Forward computes attention-weighted aggregation.

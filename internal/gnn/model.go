@@ -46,23 +46,29 @@ func NewModel(g *graph.Graph, kind ModelKind, dims []int, seed int64) *Model {
 		//lint:allow panicpolicy architecture literals are fixed at call sites; an invalid dims slice is a programmer error at construction
 		panic("gnn: need at least input and output dims")
 	}
+	// The graph operator is read-only after construction, so every layer of
+	// the model shares one.
+	var newLayer func(in, out int, last bool, seed int64) Layer
+	switch kind {
+	case GCN:
+		adj := NewNormAdj(g)
+		newLayer = func(in, out int, last bool, seed int64) Layer { return newGCNLayer(adj, in, out, last, seed) }
+	case SAGE:
+		agg := NewMeanAgg(g)
+		newLayer = func(in, out int, last bool, seed int64) Layer { return newSAGELayer(agg, in, out, last, seed) }
+	case GAT:
+		adj := newGATAdj(g)
+		newLayer = func(in, out int, last bool, seed int64) Layer { return newGATLayer(adj, in, out, last, seed) }
+	case GIN:
+		agg := NewSumAgg(g)
+		newLayer = func(in, out int, last bool, seed int64) Layer { return newGINLayer(agg, in, out, last, seed) }
+	default:
+		//lint:allow panicpolicy ModelKind is a closed enum; an unknown value is a programmer error at construction
+		panic("gnn: unknown model kind")
+	}
 	m := &Model{Kind: kind}
 	for i := 0; i < len(dims)-1; i++ {
-		last := i == len(dims)-2
-		s := seed + int64(i)*101
-		switch kind {
-		case GCN:
-			m.Layers = append(m.Layers, NewGCNLayer(g, dims[i], dims[i+1], last, s))
-		case SAGE:
-			m.Layers = append(m.Layers, NewSAGELayer(g, dims[i], dims[i+1], last, s))
-		case GAT:
-			m.Layers = append(m.Layers, NewGATLayer(g, dims[i], dims[i+1], last, s))
-		case GIN:
-			m.Layers = append(m.Layers, NewGINLayer(g, dims[i], dims[i+1], last, s))
-		default:
-			//lint:allow panicpolicy ModelKind is a closed enum; an unknown value is a programmer error at construction
-			panic("gnn: unknown model kind")
-		}
+		m.Layers = append(m.Layers, newLayer(dims[i], dims[i+1], i == len(dims)-2, seed+int64(i)*101))
 	}
 	return m
 }

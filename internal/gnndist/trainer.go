@@ -366,12 +366,9 @@ func (d *dist) gradStep(w int, snapshot weights) (weights, int64) {
 	return grads, sent
 }
 
-func (d *dist) evaluate(master weights) (acc, loss float64) {
-	eval := gnn.NewModel(d.task.G, d.cfg.Kind, d.dims, d.cfg.Seed)
-	for i, p := range eval.Params() {
-		copy(p.W.Data, master[i].Data)
-	}
-	logits := eval.Forward(d.task.X)
+// evaluate runs the trained master model forward over the full graph.
+func (d *dist) evaluate(master *gnn.Model) (acc, loss float64) {
+	logits := master.Forward(d.task.X)
 	loss, _ = nn.SoftmaxCrossEntropy(logits, d.task.Labels)
 	return nn.Accuracy(logits, d.task.Labels, d.task.TestMask), loss
 }
@@ -379,7 +376,7 @@ func (d *dist) evaluate(master weights) (acc, loss float64) {
 // finish fills the result fields common to all training modes, attaches the
 // storage section to the trace for metered runs, and closes a policy-spilled
 // provider the trainer owns.
-func (d *dist) finish(res *DistResult, master weights, workload string) {
+func (d *dist) finish(res *DistResult, master *gnn.Model, workload string) {
 	res.TestAcc, res.Loss = d.evaluate(master)
 	res.Net = d.clst.Network().Stats()
 	res.RemoteFrac = d.fs.RemoteFraction()
@@ -524,7 +521,7 @@ func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, erro
 		d.clst.Network().AccountRound()
 		res.SimTime += roundMax
 	}
-	d.finish(&res, master, workload)
+	d.finish(&res, masterModel, workload)
 	return res, nil
 }
 
@@ -628,6 +625,6 @@ func TrainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
 		}
 	}
 	res.SimTime = maxClock(clock)
-	d.finish(&res, master, "gnndist/bounded-stale")
+	d.finish(&res, masterModel, "gnndist/bounded-stale")
 	return res, nil
 }

@@ -87,45 +87,6 @@ const kBlock = 128
 // registers: lin2 of a GCN (hidden × classes) is this narrow.
 const narrowCols = 8
 
-// Axpy adds w·x[j] into y[j] for every j (x at least as long as y). Each
-// product is rounded to float32 before it is added, so no target fuses the
-// two.
-func Axpy(y []float32, w float32, x []float32) {
-	x = x[:len(y)]
-	for j, xv := range x {
-		y[j] += float32(w * xv)
-	}
-}
-
-// Axpy4 adds w0·x0[j], w1·x1[j], w2·x2[j] and w3·x3[j] into y[j], in that
-// order, loading and storing y[j] once for the four terms: bitwise the same
-// as four Axpy calls in a row, with a quarter of their loads and stores of y.
-// This is the inner step of every dense and sparse kernel here and in
-// internal/gnn. Each product is rounded to float32 before it is added.
-//
-// It is kept out of line: inlined into a kernel's loop nest it competes
-// with the caller's live values for registers and spills its own index,
-// which costs more than the call.
-//
-//go:noinline
-func Axpy4(y []float32, w0, w1, w2, w3 float32, x0, x1, x2, x3 []float32) {
-	x0, x1, x2, x3 = x0[:len(y)], x1[:len(y)], x2[:len(y)], x3[:len(y)]
-	for j, s := range y {
-		s += float32(w0 * x0[j])
-		s += float32(w1 * x1[j])
-		s += float32(w2 * x2[j])
-		s += float32(w3 * x3[j])
-		y[j] = s
-	}
-}
-
-// axpyNonzero is Axpy skipping a zero w, as every matmul kernel here does.
-func axpyNonzero(y []float32, w float32, x []float32) {
-	if w != 0 {
-		Axpy(y, w, x)
-	}
-}
-
 // MatMul returns a×b. The kernel is cache-blocked and runs on the worker
 // pool above SerialWorkThreshold; results are bitwise identical at any
 // parallelism level (see the determinism contract in parallel.go).
@@ -286,19 +247,48 @@ func MatMulT2Into(a, b, out *Matrix) {
 	}
 	checkInto("matmulT2", out, a.Rows, b.Rows, a, b)
 	ParallelFor(a.Rows, int64(a.Rows)*int64(b.Rows)*int64(a.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Row(i)
-			or := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				br := b.Row(j)
-				var s float32
-				for k, av := range ar {
-					s += av * br[k]
+		matMulT2Range(a, b, out, lo, hi)
+	})
+}
+
+// t2Cols is the widest block of output columns (rows of b) whose transpose
+// matMulT2Range holds in one panel.
+const t2Cols = 64
+
+// matMulT2Range computes output rows [lo, hi) of a×bᵀ. It copies the
+// transpose of a block of at most t2Cols rows of b over one k-panel into a
+// fixed-size array, and adds the panel's rows into each output row through
+// Axpy4, in k order and with no zero skipping: every element is bitwise the
+// dot product Σ_k a[i][k]·b[j][k] summed from zero in k order.
+func matMulT2Range(a, b, out *Matrix, lo, hi int) {
+	var panel [kBlock * t2Cols]float32
+	for i := lo; i < hi; i++ {
+		clear(out.Row(i))
+	}
+	for j0 := 0; j0 < b.Rows; j0 += t2Cols {
+		j1 := min(j0+t2Cols, b.Rows)
+		w := j1 - j0
+		for k0 := 0; k0 < a.Cols; k0 += kBlock {
+			k1 := min(k0+kBlock, a.Cols)
+			for j := j0; j < j1; j++ {
+				for d, v := range b.Row(j)[k0:k1] {
+					panel[d*w+j-j0] = v
 				}
-				or[j] = s
+			}
+			for i := lo; i < hi; i++ {
+				ar := a.Row(i)[k0:k1]
+				or := out.Row(i)[j0:j1]
+				d := 0
+				for ; d+4 <= len(ar); d += 4 {
+					Axpy4(or, ar[d], ar[d+1], ar[d+2], ar[d+3],
+						panel[d*w:], panel[(d+1)*w:], panel[(d+2)*w:], panel[(d+3)*w:])
+				}
+				for ; d < len(ar); d++ {
+					Axpy(or, ar[d], panel[d*w:])
+				}
 			}
 		}
-	})
+	}
 }
 
 // checkInto validates the output operand of an *Into kernel: exact shape and
