@@ -39,10 +39,12 @@ test:
 # serving tier's worker pools and batchers, the offline task engines
 # that run on the serving tier's Pool, and the packages that start
 # goroutines of their own: the GPU simulator and the matching and mining
-# engines). Under -race internal/tensor builds its Go kernel bodies in place
-# of the SSE2 assembly, so the detector sees every kernel store.
+# engines), plus internal/refmodel, whose FuzzAnalyticsVsSpec seeds run pregel
+# and blogel over one shared CachedProvider at 2 and 4 workers. Under -race
+# internal/tensor builds its Go kernel bodies in place of the SSE2 assembly,
+# so the detector sees every kernel store.
 race:
-	$(GO) test -race ./internal/cluster/ ./internal/pregel/ ./internal/blogel/ ./internal/gnndist/ ./internal/tensor/ ./internal/gnn/ ./internal/gpusim/ ./internal/serve/ ./internal/gthinkerq/ ./internal/quegel/ ./internal/tthinker/ ./internal/fsm/ ./internal/match/ ./internal/mining/
+	$(GO) test -race ./internal/cluster/ ./internal/pregel/ ./internal/blogel/ ./internal/gnndist/ ./internal/tensor/ ./internal/gnn/ ./internal/gpusim/ ./internal/serve/ ./internal/gthinkerq/ ./internal/quegel/ ./internal/tthinker/ ./internal/fsm/ ./internal/match/ ./internal/mining/ ./internal/refmodel/
 
 # The benchmark (bench/, its own module; `bash bench/run.sh` runs it) vetted
 # and smoke-tested at probe sizes, so a change that breaks it fails verify.

@@ -102,11 +102,12 @@ func TestTrainSyncStoragePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
 	storage.SetDefault(&storage.Policy{
 		Disk:        true,
 		BudgetBytes: 1 << 22,
 		BlockBytes:  1 << 10,
-		Dir:         t.TempDir(),
+		Dir:         dir,
 	})
 	defer storage.SetDefault(nil)
 	cfg.Trace = true
@@ -135,18 +136,33 @@ func TestTrainSyncStoragePolicy(t *testing.T) {
 	if roundBytes != st.BytesRead {
 		t.Fatalf("per-round bytes %d do not sum to total %d", roundBytes, st.BytesRead)
 	}
+	noSpillLeft(t, dir)
+}
+
+// noSpillLeft fails t when a spill file is left in dir.
+func noSpillLeft(t *testing.T, dir string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range left {
+		t.Errorf("spill file %s left behind", f.Name())
+	}
 }
 
 // TestTrainSyncStorageBudgetError pins the typed-error contract: an
 // impossible budget fails fast from the entry point, not mid-epoch.
 func TestTrainSyncStorageBudgetError(t *testing.T) {
 	task := gnn.SyntheticCommunityTask(400, 4, 8, 0.5, 13)
-	storage.SetDefault(&storage.Policy{Disk: true, BudgetBytes: 64, Dir: t.TempDir()})
+	dir := t.TempDir()
+	storage.SetDefault(&storage.Policy{Disk: true, BudgetBytes: 64, Dir: dir})
 	defer storage.SetDefault(nil)
 	_, err := TrainSync(task, TrainerConfig{Workers: 2, TimeBudget: 2})
 	if !errors.Is(err, storage.ErrBudget) {
 		t.Fatalf("got %v, want wrapped storage.ErrBudget", err)
 	}
+	noSpillLeft(t, dir)
 }
 
 // TestTrainSyncCorruptBlock: a flipped payload byte in the task's block file

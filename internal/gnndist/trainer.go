@@ -25,9 +25,9 @@ type TrainerConfig struct {
 	// per-worker handle w instead of task.G's in-memory CSR. Sampling is
 	// byte-identical between the two paths, so the whole training trajectory
 	// is too. The caller keeps ownership (the trainer does not Close it).
-	// When nil and the process-wide storage.Policy requests disk, the trainer
-	// spills task.G to a temp block file itself; otherwise it samples task.G
-	// through storage.InMemory.
+	// When nil, storage.ProviderFor picks the provider: a spill of task.G
+	// under the process-global storage policy when that selects disk, else
+	// task.G in memory.
 	Source storage.Provider
 
 	Kind      gnn.ModelKind
@@ -167,11 +167,10 @@ type dist struct {
 	rngs  []*rand.Rand
 	quant []map[int]*Quantizer // per worker, per parameter index
 
-	prov     storage.Provider        // sampling adjacency: Source, the policy spill, or task.G in memory
-	ownProv  *storage.CachedProvider // policy spill owned by the trainer; closed in finish
-	srcErr   error                   // first storage failure, surfaced at the round barrier
-	stRounds []obs.StorageRound      // per-round I/O deltas (trace runs only)
-	stLast   storage.IOStats
+	prov     storage.Provider // sampling adjacency: Source, a policy spill, or task.G in memory
+	ownsProv bool             // prov is a spill the trainer closes
+	meter    *storage.Meter   // per-round I/O of traced disk-backed runs; nil otherwise
+	srcErr   error            // first storage failure, surfaced at the round barrier
 }
 
 func newDist(task *gnn.Task, cfg TrainerConfig) (*dist, error) {
@@ -205,43 +204,21 @@ func newDist(task *gnn.Task, cfg TrainerConfig) (*dist, error) {
 		d.rngs[w] = rand.New(d.srcs[w])
 		d.quant[w] = map[int]*Quantizer{}
 	}
-	switch pol := storage.Default(); {
-	case cfg.Source != nil:
-		d.prov = cfg.Source
-	case pol != nil && pol.Disk:
-		sp, err := pol.Spill(task.G, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("gnndist: %w", err)
-		}
-		d.prov, d.ownProv = sp, sp
-	default:
-		d.prov = storage.InMemory(task.G)
+	prov, owns, err := storage.ProviderFor(task.G, cfg.Source, cfg.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("gnndist: %w", err)
 	}
+	d.prov, d.ownsProv = prov, owns
+	d.meter = storage.NewMeter(prov, cfg.Trace)
 	return d, nil
 }
 
-// meterStorage reports whether the run reads adjacency through a metered
-// (disk-backed) provider.
-func (d *dist) meterStorage() bool {
-	return d.prov.Footprint().Metered()
-}
-
-// noteRound records the round's I/O delta into the per-round trace series.
-func (d *dist) noteRound(round int) {
-	if !d.meterStorage() || !d.cfg.RunOptions.Trace {
-		return
+// close releases a provider the trainer owns (a policy spill and its block
+// file). Best-effort: by the time it runs the spill has been fully read.
+func (d *dist) close() {
+	if d.ownsProv {
+		_ = d.prov.Close()
 	}
-	cur := d.prov.Stats()
-	delta := cur.Sub(d.stLast)
-	d.stLast = cur
-	d.stRounds = append(d.stRounds, obs.StorageRound{
-		Round:      round,
-		Hits:       delta.Hits,
-		Misses:     delta.Misses,
-		Evictions:  delta.Evictions,
-		BlocksRead: delta.BlocksRead,
-		BytesRead:  delta.BytesRead,
-	})
 }
 
 // speed is the simulated cost of one step on worker w, including any injected
@@ -373,52 +350,25 @@ func (d *dist) evaluate(master *gnn.Model) (acc, loss float64) {
 	return nn.Accuracy(logits, d.task.Labels, d.task.TestMask), loss
 }
 
-// finish fills the result fields common to all training modes, attaches the
-// storage section to the trace for metered runs, and closes a policy-spilled
-// provider the trainer owns.
+// finish fills the result fields common to all training modes and attaches
+// the storage section to the trace of metered runs.
 func (d *dist) finish(res *DistResult, master *gnn.Model, workload string) {
 	res.TestAcc, res.Loss = d.evaluate(master)
 	res.Net = d.clst.Network().Stats()
 	res.RemoteFrac = d.fs.RemoteFraction()
 	res.Hits, res.Misses, res.Local = d.fs.Hits, d.fs.Misses, d.fs.Local
 	res.Trace = obs.Finish(d.cfg.RunOptions, workload, d.clst)
-	if res.Trace != nil && d.meterStorage() {
-		st := d.prov.Stats()
-		fp := d.prov.Footprint()
-		res.Trace.Storage = &obs.StorageTrace{
-			Kind:          fp.Kind,
-			FileBytes:     fp.FileBytes,
-			ResidentBytes: fp.ResidentBytes,
-			CacheBytes:    fp.CacheBytes,
-			Hits:          st.Hits,
-			Misses:        st.Misses,
-			Evictions:     st.Evictions,
-			BlocksRead:    st.BlocksRead,
-			BytesRead:     st.BytesRead,
-			HitRatio:      st.HitRatio(),
-			Rounds:        d.stRounds,
-		}
-	}
-	d.closeOwned()
-}
-
-// closeOwned releases a policy-spilled provider (and its temp block file).
-// Best-effort: by the time it runs the spill has been fully read.
-func (d *dist) closeOwned() {
-	if d.ownProv != nil {
-		_ = d.ownProv.Close()
-		d.ownProv = nil
+	if res.Trace != nil {
+		res.Trace.Storage = d.meter.Trace()
 	}
 }
 
 // storageFailed surfaces the first sampling I/O error as a typed error at the
-// round barrier (mirroring pregel's superstep-barrier check), releasing any
-// owned spill first.
+// round barrier (mirroring pregel's superstep-barrier check).
 func (d *dist) storageFailed(round int) error {
 	if d.srcErr == nil {
 		return nil
 	}
-	d.closeOwned()
 	return fmt.Errorf("gnndist: round %d: %w", round, d.srcErr)
 }
 
@@ -453,6 +403,7 @@ func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, erro
 	if err != nil {
 		return DistResult{}, err
 	}
+	defer d.close()
 	cfg = d.cfg
 	masterModel, master := newMaster(d)
 	opt := nn.NewAdam(cfg.LR)
@@ -501,7 +452,7 @@ func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, erro
 		if err := d.storageFailed(r); err != nil {
 			return DistResult{}, err
 		}
-		d.noteRound(r)
+		d.meter.Round(r)
 		opt.Step(params)
 		res.Steps++
 		res.SyncRounds++
@@ -538,6 +489,7 @@ func TrainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
 	if err != nil {
 		return DistResult{}, err
 	}
+	defer d.close()
 	cfg = d.cfg
 	masterModel, master := newMaster(d)
 	opt := nn.NewAdam(cfg.LR)
@@ -612,7 +564,7 @@ func TrainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
 		if err := d.storageFailed(ev); err != nil {
 			return DistResult{}, err
 		}
-		d.noteRound(ev)
+		d.meter.Round(ev)
 		res.GradBytes += sent
 		if grads != nil {
 			d.clst.Network().Account(w, ps, sent)

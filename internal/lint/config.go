@@ -115,8 +115,9 @@ func Default() *Config {
 		// the Gang dispatch + worker loop, the vertex-to-slot send and the
 		// lane send feed TestSteadyStateAllocsPerRound, the cache-hit path feeds
 		// TestHitPathZeroAllocs, and the serve pick paths are
-		// the per-task scheduler inner loops. The pregel superstep closures
-		// (computePhase/demuxPhase) are rooted in-source via //lint:hotpath.
+		// the per-task scheduler inner loops. The pregel superstep phases,
+		// the methods (*run).computePhase and (*run).demuxPhase, are rooted
+		// in-source via //lint:hotpath.
 		HotPathRoots: []string{
 			"internal/cluster.(*Gang).Run",
 			"internal/cluster.(*Gang).worker",

@@ -61,8 +61,8 @@ type Trace struct {
 
 // StorageTrace is the disk-I/O section of a trace: the provider's footprint,
 // run totals, and the per-round series engines record at each superstep (or
-// training round) barrier. Engines fill it from storage.IOStats; obs stays
-// free of a storage dependency.
+// training round) barrier. storage.Meter fills it from storage.IOStats;
+// obs stays free of a storage dependency.
 type StorageTrace struct {
 	Kind          string  `json:"kind"` // "disk"
 	FileBytes     int64   `json:"file_bytes"`

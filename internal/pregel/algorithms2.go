@@ -117,7 +117,7 @@ func PageRankConverged(g *graph.Graph, eps float64, maxIters int, cfg Config) ([
 				ctx.VoteToHalt()
 				return
 			}
-			deg := ctx.Graph().Degree(v)
+			deg := ctx.Degree(v)
 			if deg > 0 {
 				ctx.SendToNeighbors(v, st.rank/float64(deg))
 			}

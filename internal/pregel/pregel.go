@@ -11,7 +11,6 @@ package pregel
 
 import (
 	"fmt"
-	"sync"
 
 	"graphsys/internal/cluster"
 	"graphsys/internal/det"
@@ -26,16 +25,15 @@ type Config struct {
 	MaxSupersteps int   // safety bound (default 1000)
 	Partition     []int // vertex → worker; nil = hash placement
 
-	// Source, if non-nil, serves adjacency through the out-of-core storage
-	// layer: every worker reads Degree/Neighbors from its private
-	// storage.GraphSource handle instead of the in-memory CSR, with disk I/O
-	// metered into the trace. Run may then be called with a nil graph, in
-	// which case Compute must reach adjacency only through the Context
-	// (ctx.Degree / ctx.Neighbors / ctx.SendToNeighbors — ctx.Graph() is
-	// nil). When Source is nil and the process-global storage policy
-	// (storage.SetDefault) selects disk mode, the engine spills the graph to
-	// a temporary block file and runs through it under the policy's memory
-	// budget. The provider is not closed by Run.
+	// Source, if non-nil, is the storage.Provider every worker reads
+	// Degree/Neighbors through, from its own storage.GraphSource handle;
+	// a disk-backed Source meters its I/O into the trace. Run may then be
+	// called with a nil graph, in which case Compute must reach adjacency
+	// only through the Context (ctx.Degree / ctx.Neighbors /
+	// ctx.SendToNeighbors — ctx.Graph() is nil). When Source is nil,
+	// storage.ProviderFor picks the provider: a spill of the graph under the
+	// process-global storage policy when that selects disk, else the graph
+	// in memory. Run does not close a Source it was given.
 	Source storage.Provider
 
 	// Fault tolerance (LWCP-style lightweight checkpointing, Yan et al.
@@ -53,25 +51,27 @@ type Config struct {
 	cluster.RunOptions
 }
 
-func (c *Config) defaults(n int) {
+func (c *Config) defaults() {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
 	if c.MaxSupersteps <= 0 {
 		c.MaxSupersteps = 1000
 	}
+}
+
+// place fills in the hash placement when Partition is nil and otherwise
+// checks the user's Partition up front, so a bad placement fails with a
+// clear error instead of an opaque index panic mid-superstep.
+func (c *Config) place(n int) error {
 	if c.Partition == nil {
 		c.Partition = make([]int, n)
 		for v := 0; v < n; v++ {
 			h := uint64(v) * 0x9e3779b97f4a7c15
 			c.Partition[v] = int(h % uint64(c.Workers))
 		}
+		return nil
 	}
-}
-
-// validate checks a user-supplied Partition up front, so a bad placement
-// fails with a clear error instead of an opaque index panic mid-superstep.
-func (c *Config) validate(n int) error {
 	if len(c.Partition) != n {
 		return fmt.Errorf("pregel: Config.Partition has %d entries for a graph with %d vertices", len(c.Partition), n)
 	}
@@ -116,9 +116,9 @@ type Program[S, M any] struct {
 
 // Context is the per-worker handle passed to Compute.
 type Context[M any] struct {
-	eng       engineIface[M]
+	agg       *aggregators
 	g         *graph.Graph
-	src       storage.GraphSource // per-worker out-of-core handle (nil on in-memory runs)
+	src       storage.GraphSource // this worker's adjacency handle
 	srcErr    error               // first adjacency read failure; checked at the superstep barrier
 	superstep int
 	halted    bool // set per vertex via VoteToHalt; reset by engine
@@ -138,40 +138,29 @@ type route struct {
 	worker, local int32
 }
 
-type engineIface[M any] interface {
-	aggPrev(name string) float64
-}
-
 // Superstep returns the current superstep number (0-based).
 func (c *Context[M]) Superstep() int { return c.superstep }
 
-// Graph returns the input graph. It is nil on Source-only runs (Config.Source
-// set, Run called with a nil graph); programs meant to run out-of-core must
-// use ctx.Degree / ctx.Neighbors / ctx.SendToNeighbors instead.
+// Graph returns the input graph, for programs that need edge weights or
+// HasEdge. It is nil on Source-only runs (Config.Source set, Run called
+// with a nil graph); programs meant to run out-of-core must use ctx.Degree /
+// ctx.Neighbors / ctx.SendToNeighbors instead.
 func (c *Context[M]) Graph() *graph.Graph { return c.g }
 
 // Degree returns the out-degree of v, from the storage layer's resident
 // degree table on out-of-core runs.
-func (c *Context[M]) Degree(v graph.V) int {
-	if c.src != nil {
-		return c.src.Degree(v)
-	}
-	return c.g.Degree(v)
-}
+func (c *Context[M]) Degree(v graph.V) int { return c.src.Degree(v) }
 
 // Neighbors returns the sorted neighbor list of v, valid until the next
 // adjacency access on this worker. On out-of-core runs a block decode
 // failure records the error (surfaced by Run at the superstep barrier) and
 // returns nil, so Compute code stays free of error plumbing.
 func (c *Context[M]) Neighbors(v graph.V) []graph.V {
-	if c.src != nil {
-		ns, err := c.src.Neighbors(v)
-		if err != nil && c.srcErr == nil {
-			c.srcErr = err
-		}
-		return ns
+	ns, err := c.src.Neighbors(v)
+	if err != nil && c.srcErr == nil {
+		c.srcErr = err
 	}
-	return c.g.Neighbors(v)
+	return ns
 }
 
 // Send sends m to vertex to, delivered at the next superstep. The message
@@ -211,7 +200,7 @@ func (c *Context[M]) Aggregate(name string, v float64) {
 }
 
 // Agg returns the value of the named aggregator from the previous superstep.
-func (c *Context[M]) Agg(name string) float64 { return c.eng.aggPrev(name) }
+func (c *Context[M]) Agg(name string) float64 { return c.agg.cur[name] }
 
 // Result of a run.
 type Result[S any] struct {
@@ -237,57 +226,110 @@ type Result[S any] struct {
 // is set (out-of-core run); adjacency then comes from per-worker storage
 // handles and a mid-run read failure aborts with a wrapped storage error.
 func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], error) {
+	r, err := newRun(g, prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	r.gang.Run(r.initFn)
+	for r.step = 0; r.step < r.cfg.MaxSupersteps; r.step++ {
+		r.checkpointOrRecover()
+		r.res.Supersteps = r.step
+		if r.live() == 0 {
+			break
+		}
+		r.res.Supersteps++
+		done, err := r.superstep()
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			break
+		}
+	}
+	return r.finish(), nil
+}
+
+// run is the state of one Run: the vertex arrays its phases share, the
+// per-worker contexts, the runtime machinery and the checkpoint. Vertex
+// entries are touched only by their owner worker.
+type run[S, M any] struct {
+	g    *graph.Graph
+	prog Program[S, M]
+	cfg  Config
+
+	prov     storage.Provider // adjacency: Config.Source, a policy spill, or g in memory
+	ownsProv bool             // prov is a spill this run closes
+	meter    *storage.Meter   // per-round I/O of traced disk-backed runs; nil otherwise
+
+	c    *cluster.Cluster
+	fi   *cluster.FaultInjector
+	mb   *cluster.Mailboxes[M]
+	dlv  *delivery[M]
+	gang *cluster.Gang
+
+	owned     [][]graph.V // per worker, the vertices it owns
+	states    []S
+	active    []bool
+	msgs      [][]M   // per vertex, a view into the delivery's flat buffers
+	activeCnt []int64 // per worker, kept at halt/reactivate time so liveness is O(workers)
+	ctxs      []*Context[M]
+	agg       *aggregators
+
+	// the phases, bound once so dispatching a superstep allocates nothing
+	initFn, computeFn, demuxFn func(w int)
+
+	step int             // published to the workers by the gang's handoff
+	ckpt *snapshot[S, M] // latest LWCP checkpoint
+	res  Result[S]       // supersteps and fault-tolerance accounting so far
+}
+
+// snapshot is an LWCP checkpoint: states, activity flags (with their
+// per-worker counts) and delivered messages at the start of superstep step.
+type snapshot[S, M any] struct {
+	step      int
+	states    []S
+	active    []bool
+	activeCnt []int64
+	msgs      [][]M
+}
+
+// newRun validates the input, picks the provider and builds the routes,
+// mailboxes, delivery, contexts and gang.
+func newRun[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*run[S, M], error) {
 	if g == nil && cfg.Source == nil {
 		return nil, fmt.Errorf("pregel: nil graph requires Config.Source")
 	}
-	n := 0
-	if g != nil {
-		n = g.NumVertices()
-	} else {
-		n = cfg.Source.NumVertices()
+	cfg.defaults()
+	prov, owns, err := storage.ProviderFor(g, cfg.Source, cfg.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("pregel: spilling graph under storage policy: %w", err)
 	}
-	cfg.defaults(n)
-	if err := cfg.validate(n); err != nil {
+	r := &run[S, M]{g: g, prog: prog, cfg: cfg, prov: prov, ownsProv: owns}
+	n := prov.NumVertices()
+	err = r.cfg.place(n)
+	if err == nil && prog.CombineKey != nil && prog.CombineKeys < 1 {
+		err = fmt.Errorf("pregel: Program.CombineKey needs CombineKeys ≥ 1, got %d", prog.CombineKeys)
+	}
+	if err != nil {
+		if owns {
+			prov.Close()
+		}
 		return nil, err
 	}
-	if prog.CombineKey != nil && prog.CombineKeys < 1 {
-		return nil, fmt.Errorf("pregel: Program.CombineKey needs CombineKeys ≥ 1, got %d", prog.CombineKeys)
-	}
-	prov := cfg.Source
-	if prov == nil {
-		if pol := storage.Default(); pol != nil && pol.Disk {
-			sp, err := pol.Spill(g, cfg.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("pregel: spilling graph under storage policy: %w", err)
-			}
-			defer sp.Close()
-			prov = sp
-		}
-	}
-	c := cluster.New(cfg.Workers)
-	net := c.Network()
-	fi := cfg.RunOptions.Apply(c)
-
-	eng := &engine[S, M]{agg: map[string]float64{}}
-
-	states := make([]S, n)
-	active := make([]bool, n)
-	owned := make([][]graph.V, cfg.Workers)
+	r.meter = storage.NewMeter(prov, r.cfg.Trace)
+	r.c = cluster.New(r.cfg.Workers)
+	r.fi = r.cfg.RunOptions.Apply(r.c)
+	r.states, r.active, r.msgs = make([]S, n), make([]bool, n), make([][]M, n)
+	r.owned, r.activeCnt = make([][]graph.V, r.cfg.Workers), make([]int64, r.cfg.Workers)
 	routes := make([]route, n) // global vertex → owner and owner-local dense id
 	for v := 0; v < n; v++ {
-		p := cfg.Partition[v]
-		routes[v] = route{worker: int32(p), local: int32(len(owned[p]))}
-		owned[p] = append(owned[p], graph.V(v))
+		p := r.cfg.Partition[v]
+		routes[v] = route{worker: int32(p), local: int32(len(r.owned[p]))}
+		r.owned[p] = append(r.owned[p], graph.V(v))
 	}
-	// per-worker active-vertex counters, maintained at halt/reactivate time so
-	// the per-superstep liveness check is O(workers), not O(n)
-	activeCnt := make([]int64, cfg.Workers)
 
-	// per-vertex message views into the delivery's flat buffers (only the
-	// owner worker touches an entry)
-	msgs := make([][]M, n)
-
-	mb := cluster.NewMailboxes[M](net, nil) // 8 bytes a message
+	r.mb = cluster.NewMailboxes[M](r.c.Network(), nil) // 8 bytes a message
 	// a message's slot at its owner is local·k + key; without a combine key
 	// k = 1 and key 0, i.e. the slot is the owner-local vertex id
 	k := 1
@@ -301,263 +343,229 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 		// Context.Send addresses every message through SendSlot, so the
 		// slot function Outbox.Send would call is never used
 		unused := func(M) int { return 0 }
-		mb.SetDenseCombiner(func(dest int) int { return k * len(owned[dest]) }, unused, prog.Combine)
+		r.mb.SetDenseCombiner(func(dest int) int { return k * len(r.owned[dest]) }, unused, prog.Combine)
 	}
-	dlv := newDelivery[M](owned, k)
+	r.dlv = newDelivery[M](r.owned, k)
 
 	// one long-lived Context per worker; superstep/halted are rewritten each
 	// round and the aggregator map is cleared (never reallocated) after merge
-	ctxs := make([]*Context[M], cfg.Workers)
-	aggLocals := make([]map[string]float64, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		ctx := &Context[M]{
-			eng: eng, g: g,
-			out:      mb.Outbox(w),
+	r.agg = &aggregators{cur: map[string]float64{}}
+	r.ctxs = make([]*Context[M], r.cfg.Workers)
+	for w := range r.ctxs {
+		r.ctxs[w] = &Context[M]{
+			agg: r.agg, g: g, src: prov.Handle(w),
+			out:      r.mb.Outbox(w),
 			routes:   routes,
 			key:      key,
 			keys:     k,
 			aggLocal: map[string]float64{},
 		}
-		if prov != nil {
-			ctx.src = prov.Handle(w)
-		}
-		ctxs[w] = ctx
-		aggLocals[w] = ctx.aggLocal
+		r.agg.locals = append(r.agg.locals, r.ctxs[w].aggLocal)
 	}
+	// the persistent gang replaces per-phase goroutine spawning
+	r.initFn, r.computeFn, r.demuxFn = r.initPhase, r.computePhase, r.demuxPhase
+	r.gang = r.c.NewGang()
+	return r, nil
+}
 
-	// the persistent gang replaces per-phase goroutine spawning: the phase
-	// closures below are created once and reused every round, so dispatching
-	// a superstep allocates nothing
-	gang := c.NewGang()
-	defer gang.Close()
-
-	// without Init every state starts (and restarts after a crash) at the
-	// zero S
+// initPhase gives worker w's vertices their initial state, active and with
+// no messages. Without Init every state starts (and restarts after a crash)
+// at the zero S.
+func (r *run[S, M]) initPhase(w int) {
 	var zero S
-	initPhase := func(w int) {
-		for _, v := range owned[w] {
-			if prog.Init != nil {
-				states[v] = prog.Init(g, v)
-			} else {
-				states[v] = zero
-			}
-			active[v] = true
-			msgs[v] = nil
+	for _, v := range r.owned[w] {
+		if r.prog.Init != nil {
+			r.states[v] = r.prog.Init(r.g, v)
+		} else {
+			r.states[v] = zero
 		}
-		activeCnt[w] = int64(len(owned[w]))
+		r.active[v] = true
+		r.msgs[v] = nil
 	}
-	gang.Run(initPhase)
+	r.activeCnt[w] = int64(len(r.owned[w]))
+}
 
-	// LWCP checkpointing state
-	type snapshot struct {
-		step   int
-		states []S
-		active []bool
-		msgs   [][]M
-	}
-	var ckpt *snapshot
-	var ckptBytes int64
-	var ckptCount int
-	recovered := 0
-	takeCheckpoint := func(step int) {
-		s := &snapshot{step: step, states: append([]S(nil), states...), active: append([]bool(nil), active...)}
-		s.msgs = make([][]M, n)
-		var msgCount int64
-		for v := range msgs {
-			s.msgs[v] = append([]M(nil), msgs[v]...)
-			msgCount += int64(len(msgs[v]))
-		}
-		ckpt = s
-		bytes := (int64(n) + msgCount) * 8
-		ckptBytes += bytes
-		ckptCount++
-		fi.NoteCheckpoint(bytes)
-	}
-
-	// the two hot-path phases, created once and reused every round; `step`
-	// is published to the workers through the gang's mutex handoff
-	step := 0
-	//lint:hotpath per-round compute phase: one call per active vertex per superstep
-	computePhase := func(w int) {
-		ctx := ctxs[w]
-		ctx.superstep = step
-		cnt := activeCnt[w]
-		for _, v := range owned[w] {
-			if !active[v] {
-				continue
-			}
-			ctx.halted = false
-			prog.Compute(ctx, v, &states[v], msgs[v])
-			// msgs[v] is a view into the delivery's flat buffer — drop it so
-			// the buffer can be recycled next round
-			msgs[v] = nil
-			if ctx.halted {
-				active[v] = false
-				cnt--
-			}
-		}
-		// outgoing messages are already staged in the worker's outbox;
-		// Exchange at the barrier meters and delivers them. Aggregator
-		// contributions land in the worker's own map — merging happens after
-		// the barrier, in worker-rank order, so float sums are bitwise
-		// identical run to run (merging under a mutex here would add in
-		// worker-completion order, i.e. scheduling order).
-		activeCnt[w] = cnt
-	}
-	//lint:hotpath per-round demux phase: groups every inbound message by destination
-	demuxPhase := func(w int) {
-		activeCnt[w] += dlv.scatter(w, mb.Receive(w), mb.ReceiveSlots(w), msgs, active)
-	}
-
-	// aggNext and eng.agg are two maps swapped every round: merge into the
-	// spare, publish it under the lock, clear the stale one for next round
-	aggNext := map[string]float64{}
-
-	// per-round disk I/O series for the trace (out-of-core runs only)
-	var stRounds []obs.StorageRound
-	var stPrev storage.IOStats
-	meterStorage := prov != nil && prov.Footprint().Metered()
-	collectRounds := meterStorage && cfg.RunOptions.Trace
-
-	steps := 0
-	for step = 0; step < cfg.MaxSupersteps; step++ {
-		if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 {
-			takeCheckpoint(step)
-		}
-		if fi.CrashDue(step) {
-			// a worker dies at the superstep barrier: roll every worker back
-			// to the last checkpoint (synchronous recovery, the Pregel/LWCP
-			// model)
-			if ckpt != nil {
-				copy(states, ckpt.states)
-				copy(active, ckpt.active)
-				for v := range msgs {
-					// the snapshot's buffers are copied out, not aliased: the
-					// flat delivery buffers still hold failed-epoch data and
-					// will be recycled on the next demux
-					if len(ckpt.msgs[v]) == 0 {
-						msgs[v] = nil
-					} else {
-						msgs[v] = append([]M(nil), ckpt.msgs[v]...)
-					}
-				}
-				for w := range owned {
-					var cnt int64
-					for _, v := range owned[w] {
-						if active[v] {
-							cnt++
-						}
-					}
-					activeCnt[w] = cnt
-				}
-				recovered = step - ckpt.step
-				mb.Exchange() // drop in-flight messages from the failed epoch
-				step = ckpt.step
-			} else {
-				// no checkpoint: full restart
-				recovered = step
-				gang.Run(initPhase)
-				mb.Exchange()
-				step = 0
-			}
-			fi.NoteRecovery(recovered, float64(recovered))
-		}
-		steps = step + 1
-		var totalActive int64
-		for _, a := range activeCnt {
-			totalActive += a
-		}
-		if totalActive == 0 {
-			steps = step
-			break
-		}
-		gang.Run(computePhase)
-		for _, ctx := range ctxs {
-			if ctx.srcErr != nil {
-				return nil, fmt.Errorf("pregel: superstep %d: %w", step, ctx.srcErr)
-			}
-		}
-		for _, ctx := range ctxs {
-			if ctx.badKey {
-				return nil, fmt.Errorf("pregel: superstep %d: CombineKey returned a key outside [0, %d)", step, prog.CombineKeys)
-			}
-		}
-		if collectRounds {
-			cur := prov.Stats()
-			d := cur.Sub(stPrev)
-			stPrev = cur
-			stRounds = append(stRounds, obs.StorageRound{
-				Round: step, Hits: d.Hits, Misses: d.Misses, Evictions: d.Evictions,
-				BlocksRead: d.BlocksRead, BytesRead: d.BytesRead,
-			})
-		}
-		delivered := mb.Exchange()
-		for _, local := range aggLocals { // ascending worker rank
-			if len(local) == 0 {
-				continue
-			}
-			for _, k := range det.SortedKeys(local) {
-				aggNext[k] += local[k]
-			}
-			clear(local)
-		}
-		eng.mu.Lock()
-		eng.agg, aggNext = aggNext, eng.agg
-		eng.mu.Unlock()
-		clear(aggNext) // last round's published values, now stale
-		if delivered == 0 {
-			// no messages: if nothing re-activates, engine can stop after
-			// letting still-active vertices run next loop iteration
-			var stillActive int64
-			for _, a := range activeCnt {
-				stillActive += a
-			}
-			if stillActive == 0 {
-				break
-			}
+// computePhase runs Compute on worker w's active vertices.
+//
+//lint:hotpath per-round compute phase: one call per active vertex per superstep
+func (r *run[S, M]) computePhase(w int) {
+	ctx := r.ctxs[w]
+	ctx.superstep = r.step
+	compute, states, active, msgs := r.prog.Compute, r.states, r.active, r.msgs
+	cnt := r.activeCnt[w]
+	for _, v := range r.owned[w] {
+		if !active[v] {
 			continue
 		}
-		// demux into the columnar per-worker buffers and reactivate recipients
-		gang.Run(demuxPhase)
+		ctx.halted = false
+		compute(ctx, v, &states[v], msgs[v])
+		// msgs[v] is a view into the delivery's flat buffer — drop it so
+		// the buffer can be recycled next round
+		msgs[v] = nil
+		if ctx.halted {
+			active[v] = false
+			cnt--
+		}
 	}
-	res := &Result[S]{
-		States: states, Supersteps: steps, Net: net.Stats(),
-		CheckpointBytes: ckptBytes, Checkpoints: ckptCount, RecoveredSteps: recovered,
-	}
-	res.Trace = obs.Finish(cfg.RunOptions, "pregel", c)
-	if res.Trace != nil && meterStorage {
-		res.Trace.Storage = storageTrace(prov, stRounds)
-	}
-	return res, nil
+	// outgoing messages are already staged in the worker's outbox;
+	// Exchange at the barrier meters and delivers them. Aggregator
+	// contributions land in the worker's own map — merging happens after
+	// the barrier, in worker-rank order, so float sums are bitwise
+	// identical run to run (merging under a mutex here would add in
+	// worker-completion order, i.e. scheduling order).
+	r.activeCnt[w] = cnt
 }
 
-// storageTrace assembles the obs storage section from a metered provider's
-// footprint, run totals and the per-round series.
-func storageTrace(prov storage.Provider, rounds []obs.StorageRound) *obs.StorageTrace {
-	fp := prov.Footprint()
-	st := prov.Stats()
-	return &obs.StorageTrace{
-		Kind:          fp.Kind,
-		FileBytes:     fp.FileBytes,
-		ResidentBytes: fp.ResidentBytes,
-		CacheBytes:    fp.CacheBytes,
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		Evictions:     st.Evictions,
-		BlocksRead:    st.BlocksRead,
-		BytesRead:     st.BytesRead,
-		HitRatio:      st.HitRatio(),
-		Rounds:        rounds,
+// demuxPhase groups worker w's inbound messages by destination and
+// reactivates their recipients.
+//
+//lint:hotpath per-round demux phase: groups every inbound message by destination
+func (r *run[S, M]) demuxPhase(w int) {
+	r.activeCnt[w] += r.dlv.scatter(w, r.mb.Receive(w), r.mb.ReceiveSlots(w), r.msgs, r.active)
+}
+
+// superstep runs the compute phase of r.step, checks its barrier, exchanges
+// the staged messages, publishes the aggregators and demuxes the delivery.
+// done reports that nothing was delivered and no vertex is still active.
+func (r *run[S, M]) superstep() (done bool, err error) {
+	r.gang.Run(r.computeFn)
+	for _, ctx := range r.ctxs {
+		if ctx.srcErr != nil {
+			return false, fmt.Errorf("pregel: superstep %d: %w", r.step, ctx.srcErr)
+		}
+	}
+	for _, ctx := range r.ctxs {
+		if ctx.badKey {
+			return false, fmt.Errorf("pregel: superstep %d: CombineKey returned a key outside [0, %d)", r.step, r.prog.CombineKeys)
+		}
+	}
+	r.meter.Round(r.step)
+	delivered := r.mb.Exchange()
+	r.agg.publish()
+	if delivered == 0 {
+		// no messages: the run stops unless a vertex is still active, and
+		// those run again next superstep
+		return r.live() == 0, nil
+	}
+	r.gang.Run(r.demuxFn)
+	return false, nil
+}
+
+// live returns the number of active vertices.
+func (r *run[S, M]) live() int64 {
+	var total int64
+	for _, a := range r.activeCnt {
+		total += a
+	}
+	return total
+}
+
+// checkpointOrRecover takes the checkpoint due at r.step and, when the
+// fault plan crashes a worker at this barrier, rolls every worker back to
+// the latest checkpoint — or restarts without one — and resets r.step
+// (synchronous recovery, the Pregel/LWCP model).
+func (r *run[S, M]) checkpointOrRecover() {
+	if r.cfg.CheckpointEvery > 0 && r.step%r.cfg.CheckpointEvery == 0 {
+		r.checkpoint()
+	}
+	if !r.fi.CrashDue(r.step) {
+		return
+	}
+	if r.ckpt != nil {
+		r.rollback()
+	} else {
+		// no checkpoint: full restart
+		r.res.RecoveredSteps = r.step
+		r.gang.Run(r.initFn)
+		r.mb.Exchange()
+		r.step = 0
+	}
+	r.fi.NoteRecovery(r.res.RecoveredSteps, float64(r.res.RecoveredSteps))
+}
+
+// checkpoint snapshots the run at the start of r.step.
+func (r *run[S, M]) checkpoint() {
+	s := &snapshot[S, M]{
+		step:      r.step,
+		states:    append([]S(nil), r.states...),
+		active:    append([]bool(nil), r.active...),
+		activeCnt: append([]int64(nil), r.activeCnt...),
+		msgs:      make([][]M, len(r.msgs)),
+	}
+	var msgCount int64
+	for v := range r.msgs {
+		s.msgs[v] = append([]M(nil), r.msgs[v]...)
+		msgCount += int64(len(r.msgs[v]))
+	}
+	r.ckpt = s
+	bytes := (int64(len(r.states)) + msgCount) * 8
+	r.res.CheckpointBytes += bytes
+	r.res.Checkpoints++
+	r.fi.NoteCheckpoint(bytes)
+}
+
+// rollback restores the latest checkpoint and drops the failed epoch's
+// in-flight messages.
+func (r *run[S, M]) rollback() {
+	copy(r.states, r.ckpt.states)
+	copy(r.active, r.ckpt.active)
+	copy(r.activeCnt, r.ckpt.activeCnt)
+	for v := range r.msgs {
+		// the snapshot's buffers are copied out, not aliased: the flat
+		// delivery buffers still hold failed-epoch data and will be
+		// recycled on the next demux
+		if len(r.ckpt.msgs[v]) == 0 {
+			r.msgs[v] = nil
+		} else {
+			r.msgs[v] = append([]M(nil), r.ckpt.msgs[v]...)
+		}
+	}
+	r.res.RecoveredSteps = r.step - r.ckpt.step
+	r.mb.Exchange()
+	r.step = r.ckpt.step
+}
+
+// finish assembles the Result, with the trace and its storage section.
+func (r *run[S, M]) finish() *Result[S] {
+	res := &r.res
+	res.States, res.Net = r.states, r.c.Network().Stats()
+	res.Trace = obs.Finish(r.cfg.RunOptions, "pregel", r.c)
+	if res.Trace != nil {
+		res.Trace.Storage = r.meter.Trace()
+	}
+	return res
+}
+
+// close stops the gang and closes a provider the run owns.
+func (r *run[S, M]) close() {
+	r.gang.Close()
+	if r.ownsProv {
+		r.prov.Close()
 	}
 }
 
-type engine[S, M any] struct {
-	mu  sync.Mutex
-	agg map[string]float64
+// aggregators carries the float-sum aggregators across the barrier: each
+// worker adds into its own local map during compute, and publish merges
+// them into the values Agg reads next superstep. Compute reads cur only
+// while the gang runs and publish writes it only between gang runs, and the
+// gang's handoff orders the two.
+type aggregators struct {
+	locals []map[string]float64 // per worker, the Context's aggLocal
+	cur    map[string]float64
 }
 
-func (e *engine[S, M]) aggPrev(name string) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.agg[name]
+// publish replaces cur with the merge of the workers' contributions, added
+// in ascending worker rank so float sums are bitwise identical run to run,
+// and clears the contributions.
+func (a *aggregators) publish() {
+	clear(a.cur)
+	for _, local := range a.locals {
+		if len(local) == 0 {
+			continue
+		}
+		for _, k := range det.SortedKeys(local) {
+			a.cur[k] += local[k]
+		}
+		clear(local)
+	}
 }

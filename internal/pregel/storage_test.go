@@ -2,7 +2,9 @@ package pregel
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -104,11 +106,12 @@ func TestStoragePolicySpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
 	storage.SetDefault(&storage.Policy{
 		Disk:        true,
 		BudgetBytes: 1 << 22,
 		BlockBytes:  1 << 11,
-		Dir:         t.TempDir(),
+		Dir:         dir,
 		Evict:       storage.MRU,
 	})
 	defer storage.SetDefault(nil)
@@ -140,16 +143,105 @@ func TestStoragePolicySpill(t *testing.T) {
 	if roundBytes != st.BytesRead {
 		t.Fatalf("per-round bytes %d do not sum to total %d", roundBytes, st.BytesRead)
 	}
+	noSpillLeft(t, dir)
+}
+
+// noSpillLeft fails t when a spill file is left in dir.
+func noSpillLeft(t *testing.T, dir string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range left {
+		t.Errorf("spill file %s left behind", f.Name())
+	}
 }
 
 // TestStoragePolicyBudgetError pins the satellite contract: an impossible
 // budget is a typed error from Run, not an OOM.
 func TestStoragePolicyBudgetError(t *testing.T) {
 	g := gen.RMAT(10, 8, 31)
-	storage.SetDefault(&storage.Policy{Disk: true, BudgetBytes: 128, Dir: t.TempDir()})
+	dir := t.TempDir()
+	storage.SetDefault(&storage.Policy{Disk: true, BudgetBytes: 128, Dir: dir})
 	defer storage.SetDefault(nil)
 	_, _, err := PageRank(g, 3, Config{Workers: 2})
 	if !errors.Is(err, storage.ErrBudget) {
 		t.Fatalf("got %v, want wrapped storage.ErrBudget", err)
 	}
+	noSpillLeft(t, dir)
+}
+
+// TestStoragePolicySpillClosedOnError: a spill the run made is closed, its
+// file removed, when the run fails after making it — on a Config rejected
+// once the provider is open, and on a block that turns corrupt mid-run.
+func TestStoragePolicySpillClosedOnError(t *testing.T) {
+	g := gen.RMAT(10, 8, 37)
+	info, err := storage.Write(filepath.Join(t.TempDir(), "probe.gsb"), g, storage.Options{BlockBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	// one decoded block of cache: every superstep's sweep rereads the file
+	storage.SetDefault(&storage.Policy{Disk: true, BlockBytes: 1 << 10, Dir: dir,
+		BudgetBytes: info.ResidentBytes + info.MaxDecodedBytes})
+	defer storage.SetDefault(nil)
+
+	if _, _, err := PageRank(g, 3, Config{Workers: 1, Partition: []int{0}}); err == nil {
+		t.Fatal("a one-entry Partition was accepted")
+	}
+	noSpillLeft(t, dir)
+
+	// Compute runs on a gang goroutine, so the corruption's own failure is
+	// checked after the run
+	corrupted, corruptErr := false, error(nil)
+	prog := Program[int, int]{
+		Compute: func(ctx *Context[int], v graph.V, s *int, msgs []int) {
+			if ctx.Superstep() == 1 && !corrupted {
+				corrupted = true
+				corruptErr = corruptLastBlock(dir)
+			}
+			if ctx.Superstep() == 3 {
+				ctx.VoteToHalt()
+				return
+			}
+			ctx.SendToNeighbors(v, 1)
+		},
+	}
+	_, err = Run(g, prog, Config{Workers: 1})
+	if corruptErr != nil {
+		t.Fatal(corruptErr)
+	}
+	if !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("got %v, want a wrapped storage.ErrCorrupt", err)
+	}
+	noSpillLeft(t, dir)
+}
+
+// corruptLastBlock flips the last payload byte of the last block (just
+// before its CRC) of the one spill file in dir, in place.
+func corruptLastBlock(dir string) error {
+	spills, err := filepath.Glob(filepath.Join(dir, "spill-*.gsb"))
+	if err != nil {
+		return err
+	}
+	if len(spills) != 1 {
+		return fmt.Errorf("want one spill file in %s, got %v", dir, spills)
+	}
+	f, err := os.OpenFile(spills[0], os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, fi.Size()-5); err != nil {
+		return err
+	}
+	b[0] ^= 0xff
+	_, err = f.WriteAt(b, fi.Size()-5)
+	return err
 }

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"os"
+
 	"graphsys/internal/graph"
 )
 
@@ -271,13 +273,13 @@ type CachedProvider struct {
 	removeOnClose string
 }
 
-// NewCachedProvider builds per-worker cached handles over f. budgetBytes is
+// newCachedProvider builds per-worker cached handles over f. budgetBytes is
 // the total memory budget for the graph: the resident part (degree table +
 // block index) comes off the top and the remainder is split evenly across
 // workers as block cache, charged at decoded size. If any worker's share
 // cannot hold the largest decoded block, the budget is rejected with a
 // wrapped ErrBudget — at construction, not as an OOM mid-run. The provider takes ownership of f.
-func NewCachedProvider(f *File, budgetBytes int64, workers int, pol EvictPolicy) (*CachedProvider, error) {
+func newCachedProvider(f *File, budgetBytes int64, workers int, pol EvictPolicy) (*CachedProvider, error) {
 	if workers <= 0 {
 		workers = 1
 	}
@@ -303,7 +305,7 @@ func OpenCached(path string, budgetBytes int64, workers int, pol EvictPolicy) (*
 	if err != nil {
 		return nil, err
 	}
-	p, err := NewCachedProvider(f, budgetBytes, workers, pol)
+	p, err := newCachedProvider(f, budgetBytes, workers, pol)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -322,9 +324,6 @@ func (p *CachedProvider) NumArcs() int64 { return p.f.arcs }
 
 // Handle returns worker w's private source handle.
 func (p *CachedProvider) Handle(w int) GraphSource { return p.handles[w] }
-
-// Workers returns the number of handles.
-func (p *CachedProvider) Workers() int { return len(p.handles) }
 
 // Stats returns the sum of all handles' I/O counters.
 func (p *CachedProvider) Stats() IOStats {
@@ -349,9 +348,8 @@ func (p *CachedProvider) Footprint() Footprint {
 func (p *CachedProvider) Close() error {
 	err := p.f.Close()
 	if p.removeOnClose != "" {
-		removeErr := removeFile(p.removeOnClose)
-		if err == nil {
-			err = removeErr
+		if rerr := os.Remove(p.removeOnClose); err == nil && !os.IsNotExist(rerr) {
+			err = rerr
 		}
 	}
 	return err

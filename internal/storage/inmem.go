@@ -43,23 +43,19 @@ func (s *MemSource) Stats() IOStats { return IOStats{} }
 // MemProvider serves an in-memory graph to any number of workers. Handles
 // share the immutable CSR arrays, so one handle serves all workers.
 type MemProvider struct {
-	g *graph.Graph
 	h MemSource
 }
 
 // InMemory wraps g as a Provider.
 func InMemory(g *graph.Graph) *MemProvider {
-	return &MemProvider{g: g, h: MemSource{g: g}}
+	return &MemProvider{h: MemSource{g: g}}
 }
 
-// Graph returns the wrapped graph.
-func (p *MemProvider) Graph() *graph.Graph { return p.g }
-
 // NumVertices returns the number of vertices.
-func (p *MemProvider) NumVertices() int { return p.g.NumVertices() }
+func (p *MemProvider) NumVertices() int { return p.h.g.NumVertices() }
 
 // NumArcs returns the number of stored directed arcs.
-func (p *MemProvider) NumArcs() int64 { return p.g.NumArcs() }
+func (p *MemProvider) NumArcs() int64 { return p.h.g.NumArcs() }
 
 // Handle returns the shared in-memory handle (immutable, so one suffices).
 func (p *MemProvider) Handle(w int) GraphSource { return &p.h }
@@ -71,7 +67,7 @@ func (p *MemProvider) Stats() IOStats { return IOStats{} }
 func (p *MemProvider) Footprint() Footprint {
 	return Footprint{
 		Kind:          "mem",
-		ResidentBytes: int64(p.g.NumVertices()+1)*8 + p.g.NumArcs()*4,
+		ResidentBytes: int64(p.h.g.NumVertices()+1)*8 + p.h.g.NumArcs()*4,
 	}
 }
 

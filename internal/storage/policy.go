@@ -2,18 +2,17 @@ package storage
 
 import (
 	"os"
-	"path/filepath"
 	"sync"
 
 	"graphsys/internal/graph"
 )
 
 // Policy is the process-global storage mode, the hook behind graphbench's
-// `-source disk -memory-budget N` flags: when Disk is set, engines whose
-// Config carries no explicit Source spill their in-memory graph to a
-// temporary block file and run through the bounded cache instead of the CSR
-// arrays. Like tensor.SetParallelism, it is set once at process startup
-// before any engine runs.
+// `-source disk -memory-budget N` flags: when Disk is set, ProviderFor
+// spills the in-memory graph of every engine run that brings no Source of
+// its own to a temporary block file and serves it through the bounded cache
+// instead of the CSR arrays. Like tensor.SetParallelism, it is set once at
+// process startup before any engine runs.
 type Policy struct {
 	// Disk routes engine adjacency access through a spilled block file.
 	Disk bool
@@ -44,23 +43,35 @@ func SetDefault(p *Policy) {
 	policyMu.Unlock()
 }
 
-// Default returns the current process-global policy, or nil if none is set.
-func Default() *Policy {
+// ProviderFor picks the provider one engine run over g reads adjacency
+// through, with handles for workers workers. It is the one place the
+// process-global policy is read: src when the caller passed one; else, when
+// the policy selects disk, a spill of g; else InMemory(g). owned reports
+// that the provider is a spill made here, which the run must Close — that
+// removes the spill file. A budget the spill cannot meet is a wrapped
+// ErrBudget, before the run starts.
+func ProviderFor(g *graph.Graph, src Provider, workers int) (prov Provider, owned bool, err error) {
+	if src != nil {
+		return src, false, nil
+	}
 	policyMu.Lock()
-	defer policyMu.Unlock()
-	return defaultPolicy
+	pol := defaultPolicy
+	policyMu.Unlock()
+	if pol != nil && pol.Disk {
+		sp, err := pol.spill(g, workers)
+		if err != nil {
+			return nil, false, err
+		}
+		return sp, true, nil
+	}
+	return InMemory(g), false, nil
 }
 
-// Spill writes g to a temporary block file under the policy's directory and
+// spill writes g to a temporary block file under the policy's directory and
 // opens a cached provider over it with per-worker handles. Closing the
-// provider removes the spill file. Budget violations surface as a wrapped
-// ErrBudget at spill time, not as an OOM mid-run.
-func (p *Policy) Spill(g *graph.Graph, workers int) (*CachedProvider, error) {
-	dir := p.Dir
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	tmp, err := os.CreateTemp(dir, "spill-*.gsb")
+// provider removes the spill file.
+func (p *Policy) spill(g *graph.Graph, workers int) (*CachedProvider, error) {
+	tmp, err := os.CreateTemp(p.Dir, "spill-*.gsb")
 	if err != nil {
 		return nil, err
 	}
@@ -85,29 +96,4 @@ func (p *Policy) Spill(g *graph.Graph, workers int) (*CachedProvider, error) {
 	}
 	cp.removeOnClose = path
 	return cp, nil
-}
-
-// removeFile removes a spill file, tolerating an already-removed path.
-func removeFile(path string) error {
-	err := os.Remove(path)
-	if err != nil && os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
-// TempPath returns a fresh path for a block file under dir (or os.TempDir())
-// without creating it, for callers that build files via Write/WriteStream.
-func TempPath(dir, pattern string) (string, error) {
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	f, err := os.CreateTemp(dir, pattern)
-	if err != nil {
-		return "", err
-	}
-	path := f.Name()
-	f.Close()
-	os.Remove(path)
-	return filepath.Clean(path), nil
 }

@@ -146,9 +146,6 @@ type Footprint struct {
 	CacheBytes    int64  // total block-cache budget across handles, charged at decoded size (0 for mem)
 }
 
-// Metered reports whether the provider performs (and meters) disk I/O.
-func (f Footprint) Metered() bool { return f.Kind == "disk" }
-
 func errBudget(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBudget, fmt.Sprintf(format, args...))
 }

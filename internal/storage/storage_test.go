@@ -594,9 +594,9 @@ func TestFreelistReusesBuffers(t *testing.T) {
 func TestSpillProviderLifecycle(t *testing.T) {
 	g := gen.RMAT(9, 8, 11)
 	pol := &Policy{Disk: true, BudgetBytes: 1 << 30, BlockBytes: 1 << 10, Dir: t.TempDir()}
-	p, err := pol.Spill(g, 2)
+	p, err := pol.spill(g, 2)
 	if err != nil {
-		t.Fatalf("Spill: %v", err)
+		t.Fatalf("spill: %v", err)
 	}
 	spillPath := p.File().Path()
 	if _, err := os.Stat(spillPath); err != nil {
@@ -604,7 +604,7 @@ func TestSpillProviderLifecycle(t *testing.T) {
 	}
 	checkSourceMatchesGraph(t, p.Handle(0), g)
 	fp := p.Footprint()
-	if !fp.Metered() || fp.FileBytes <= 0 || fp.CacheBytes <= 0 {
+	if fp.Kind != "disk" || fp.FileBytes <= 0 || fp.CacheBytes <= 0 {
 		t.Fatalf("bad footprint: %+v", fp)
 	}
 	if err := p.Close(); err != nil {
@@ -618,8 +618,8 @@ func TestSpillProviderLifecycle(t *testing.T) {
 func TestSpillBudgetTyped(t *testing.T) {
 	g := gen.RMAT(9, 8, 12)
 	pol := &Policy{Disk: true, BudgetBytes: 64, BlockBytes: 1 << 10, Dir: t.TempDir()}
-	if _, err := pol.Spill(g, 2); !errors.Is(err, ErrBudget) {
-		t.Fatalf("Spill with 64-byte budget: got %v, want wrapped ErrBudget", err)
+	if _, err := pol.spill(g, 2); !errors.Is(err, ErrBudget) {
+		t.Fatalf("spill with 64-byte budget: got %v, want wrapped ErrBudget", err)
 	}
 }
 
