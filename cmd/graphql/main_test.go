@@ -12,6 +12,7 @@ import (
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
 	"graphsys/internal/match"
+	"graphsys/internal/refmodel"
 )
 
 // buildTool compiles graphql into a temp dir and returns the executable path.
@@ -79,7 +80,7 @@ func TestScriptMatchesOracles(t *testing.T) {
 		u, _ := strconv.Atoi(m[1])
 		v, _ := strconv.Atoi(m[2])
 		got, _ := strconv.Atoi(m[3])
-		if want := int(graph.BFSLevels(g, graph.V(u))[v]); got != want {
+		if want := int(refmodel.BFS(g, graph.V(u))[v]); got != want {
 			t.Errorf("%q: BFS says %d", m[0], want)
 		}
 	}

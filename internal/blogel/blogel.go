@@ -132,15 +132,6 @@ func (b *Blocks) ConnectedComponentsCfg(cfg pregel.Config) (CCResult, error) {
 	}, nil
 }
 
-// BlockSizes returns the number of vertices per block.
-func (b *Blocks) BlockSizes() []int {
-	sizes := make([]int, b.NumBlock)
-	for _, id := range b.BlockOf {
-		sizes[id]++
-	}
-	return sizes
-}
-
 // PageRank runs Blogel-style two-phase PageRank: standard vertex-centric
 // PageRank, but with a block-level warm start — each block first runs
 // PageRank on its local subgraph to convergence and uses the local scores as

@@ -33,15 +33,10 @@ func TestBuildBlocksAreConnectedAndCover(t *testing.T) {
 			t.Fatalf("vertex %d block %d", v, id)
 		}
 	}
+	if len(b.BlockOf) != g.NumVertices() {
+		t.Fatalf("blocks cover %d of %d vertices", len(b.BlockOf), g.NumVertices())
+	}
 	// each block is connected within the original graph
-	sizes := b.BlockSizes()
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	if total != g.NumVertices() {
-		t.Fatalf("blocks cover %d of %d vertices", total, g.NumVertices())
-	}
 	for id := int32(0); int(id) < b.NumBlock; id++ {
 		var vs []graph.V
 		for v, bid := range b.BlockOf {

@@ -114,73 +114,3 @@ func (c *Cluster) WorkerBusy() []float64 {
 	defer c.mu.Unlock()
 	return append([]float64(nil), c.busy...)
 }
-
-// Owner returns the worker owning item id under hash placement.
-func (c *Cluster) Owner(id int64) int {
-	h := uint64(id) * 0x9e3779b97f4a7c15
-	return int(h % uint64(c.n))
-}
-
-// Barrier is a reusable synchronisation barrier for n parties.
-type Barrier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	count  int
-	round  int
-	action func()
-	broken any // non-nil once a round action has panicked
-}
-
-// NewBarrier creates a barrier for n parties. If action is non-nil it runs
-// exactly once per round, by the last arriving party, before others release.
-func NewBarrier(n int, action func()) *Barrier {
-	b := &Barrier{n: n, action: action}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Wait blocks until all n parties have called Wait for the current round.
-//
-// If the round action panics, the barrier still releases every waiting party
-// (no deadlock) and the barrier is permanently broken: every party — the
-// waiters of that round and any later arrival — panics with the action's
-// panic value, so the failure surfaces through Cluster.Run instead of
-// hanging the cluster.
-func (b *Barrier) Wait() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.broken != nil {
-		//lint:allow panicpolicy a broken barrier must crash every later arrival; the panic propagates through Cluster.Run, never past an engine API
-		panic(fmt.Sprintf("cluster: barrier broken by earlier action panic: %v", b.broken))
-	}
-	round := b.round
-	b.count++
-	if b.count == b.n {
-		if b.action != nil {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						b.broken = r
-					}
-				}()
-				b.action()
-			}()
-		}
-		b.count = 0
-		b.round++
-		b.cond.Broadcast()
-		if b.broken != nil {
-			//lint:allow panicpolicy rethrow of the round action panic to the releasing waiter; surfaces through Cluster.Run
-			panic(fmt.Sprintf("cluster: barrier action panicked: %v", b.broken))
-		}
-		return
-	}
-	for b.round == round {
-		b.cond.Wait()
-	}
-	if b.broken != nil {
-		//lint:allow panicpolicy rethrow of the round action panic to released waiters; surfaces through Cluster.Run
-		panic(fmt.Sprintf("cluster: barrier action panicked: %v", b.broken))
-	}
-}

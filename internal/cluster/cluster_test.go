@@ -37,55 +37,6 @@ func TestRunPropagatesPanic(t *testing.T) {
 	})
 }
 
-func TestOwnerStableAndInRange(t *testing.T) {
-	c := New(5)
-	for id := int64(0); id < 1000; id++ {
-		o := c.Owner(id)
-		if o < 0 || o >= 5 {
-			t.Fatalf("owner out of range: %d", o)
-		}
-		if o != c.Owner(id) {
-			t.Fatal("owner not stable")
-		}
-	}
-}
-
-func TestBarrierRounds(t *testing.T) {
-	const n = 6
-	b := NewBarrier(n, nil)
-	c := New(n)
-	counters := make([]int, n)
-	c.Run(func(w int) {
-		for round := 0; round < 10; round++ {
-			counters[w]++
-			b.Wait()
-			// after the barrier every worker must have completed this round
-			for _, cnt := range counters {
-				if cnt < round+1 {
-					t.Errorf("barrier leak: counter %d at round %d", cnt, round)
-					return
-				}
-			}
-			b.Wait()
-		}
-	})
-}
-
-func TestBarrierActionRunsOncePerRound(t *testing.T) {
-	const n = 4
-	var actions atomic.Int64
-	b := NewBarrier(n, func() { actions.Add(1) })
-	c := New(n)
-	c.Run(func(w int) {
-		for i := 0; i < 5; i++ {
-			b.Wait()
-		}
-	})
-	if actions.Load() != 5 {
-		t.Fatalf("action ran %d times, want 5", actions.Load())
-	}
-}
-
 func TestNetworkAccounting(t *testing.T) {
 	net := NewNetwork(3)
 	net.Account(0, 1, 100)
@@ -202,26 +153,5 @@ func TestCommPlanRelay(t *testing.T) {
 	relay := plan.Execute(net, ts)
 	if relay >= direct {
 		t.Fatalf("relay cost %f >= direct %f", relay, direct)
-	}
-}
-
-func TestBalanceAssign(t *testing.T) {
-	weights := []int64{10, 9, 8, 1, 1, 1}
-	assign, loads := BalanceAssign(weights, 3)
-	if len(assign) != 6 {
-		t.Fatal("assign length")
-	}
-	var max, sum int64
-	for _, l := range loads {
-		if l > max {
-			max = l
-		}
-		sum += l
-	}
-	if sum != 30 {
-		t.Fatalf("load sum %d", sum)
-	}
-	if max > 11 { // LPT gives 10/10/10 or 11 at worst here
-		t.Fatalf("max load %d too high", max)
 	}
 }

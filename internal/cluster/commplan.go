@@ -1,7 +1,5 @@
 package cluster
 
-import "sort"
-
 // Transfer is one logical data movement of Size bytes from worker From to
 // worker To.
 type Transfer struct {
@@ -81,33 +79,4 @@ func RingTopology(net *Network, perHost int, fastCost float64) {
 			}
 		}
 	}
-}
-
-// BalanceAssign greedily assigns weighted items to k workers minimising the
-// maximum load (longest-processing-time heuristic). Returns the assignment
-// and the resulting per-worker loads. Used by schedulers that balance
-// sampling/aggregation operators across workers.
-func BalanceAssign(weights []int64, k int) (assign []int, loads []int64) {
-	type item struct {
-		idx int
-		w   int64
-	}
-	items := make([]item, len(weights))
-	for i, w := range weights {
-		items[i] = item{i, w}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].w > items[j].w })
-	assign = make([]int, len(weights))
-	loads = make([]int64, k)
-	for _, it := range items {
-		best := 0
-		for w := 1; w < k; w++ {
-			if loads[w] < loads[best] {
-				best = w
-			}
-		}
-		assign[it.idx] = best
-		loads[best] += it.w
-	}
-	return assign, loads
 }

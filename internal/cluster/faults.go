@@ -123,14 +123,6 @@ func (fi *FaultInjector) SlowFactor(w int) float64 {
 	return fi.plan.StragglerFactor
 }
 
-// drawDrops returns how many transmissions of one message fail before it
-// gets through (0 = delivered first try), and meters the retries. Called
-// with the wire size of the message.
-func (fi *FaultInjector) drawDrops(size int64) int {
-	drops, _ := fi.drawDropsUniform(1, size)
-	return int(drops)
-}
-
 // drawOne draws the drop count for a single message of the given size and
 // meters the retries. Caller holds fi.mu.
 func (fi *FaultInjector) drawOne(size int64) int64 {

@@ -14,7 +14,7 @@ func TestNilInjectorIsSafe(t *testing.T) {
 	if fi.SlowFactor(0) != 1 {
 		t.Fatal("nil injector slows workers")
 	}
-	if fi.drawDrops(8) != 0 {
+	if drops, _ := fi.drawDropsUniform(1, 8); drops != 0 {
 		t.Fatal("nil injector drops messages")
 	}
 	fi.NoteCheckpoint(100)
@@ -146,7 +146,7 @@ func TestRunOptionsApply(t *testing.T) {
 	if !topoCalled || c.Network().LinkCost(0, 1) != 0.5 {
 		t.Fatal("topology not applied")
 	}
-	if !c.Network().Tracing() {
+	if !c.Network().traceOn.Load() {
 		t.Fatal("trace not enabled")
 	}
 	if fi == nil || c.Faults() != fi {
@@ -154,7 +154,7 @@ func TestRunOptionsApply(t *testing.T) {
 	}
 	// zero options: nothing installed, nil injector returned
 	c2 := New(2)
-	if fi2 := (RunOptions{}).Apply(c2); fi2 != nil || c2.Faults() != nil || c2.Network().Tracing() {
+	if fi2 := (RunOptions{}).Apply(c2); fi2 != nil || c2.Faults() != nil || c2.Network().traceOn.Load() {
 		t.Fatal("zero RunOptions had side effects")
 	}
 	// an inactive plan (all zero) is not installed either

@@ -113,9 +113,6 @@ func (net *Network) EnableTrace() {
 	net.traceOn.Store(true)
 }
 
-// Tracing reports whether per-link/per-round tracing is enabled.
-func (net *Network) Tracing() bool { return net.traceOn.Load() }
-
 // setFaults attaches a fault injector; subsequent cross-worker transfers are
 // subject to the plan's message drops with metered retransmission.
 func (net *Network) setFaults(fi *FaultInjector) { net.faults.Store(fi) }

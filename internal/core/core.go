@@ -2,14 +2,13 @@
 // this repository into the four-path graph analytics + machine learning
 // pipeline of the paper's Figure 1:
 //
-//	Path 1 — Vertex Analytics:              per-vertex scores (PageRank,
-//	         degree centrality, random-walk visit counts).
-//	Path 2 — Vertex Analytics + ML:         vertex embeddings (DeepWalk /
-//	         node2vec) or classic structural features, feeding a node
-//	         classifier (logistic regression, SVM or a GNN).
+//	Path 1 — Vertex Analytics:              per-vertex scores and labels
+//	         (PageRank, connected components).
+//	Path 2 — Vertex Analytics + ML:         vertex embeddings (DeepWalk)
+//	         or classic structural features, feeding a node classifier
+//	         (logistic regression or a GNN).
 //	Path 3 — Structure Analytics:           subgraph structures (maximal
-//	         cliques, quasi-cliques, k-truss communities, motifs, frequent
-//	         patterns).
+//	         cliques, k-truss communities, motifs, pattern counts).
 //	Path 4 — Structure Analytics + ML:      frequent-pattern features for
 //	         whole-graph classification (the biochemistry workload).
 //
@@ -52,41 +51,10 @@ func (p *Pipeline) PageRank(iters int) []float64 {
 	return scores
 }
 
-// DegreeCentrality returns per-vertex degrees as scores.
-func (p *Pipeline) DegreeCentrality() []float64 {
-	d, _ := pregel.DegreeCentrality(p.G, pregel.Config{Workers: p.Workers})
-	return d
-}
-
-// RandomWalkScores returns random-walk visit counts (PPR-style scoring).
-func (p *Pipeline) RandomWalkScores(walksPerVertex, walkLen int, seed int64) []int64 {
-	visits, _, _ := pregel.RandomWalkVisits(p.G, walksPerVertex, walkLen, seed, pregel.Config{Workers: p.Workers})
-	return visits
-}
-
 // ConnectedComponents returns per-vertex component labels (HashMin).
 func (p *Pipeline) ConnectedComponents() []int32 {
 	labels, _, _ := pregel.HashMinCC(p.G, pregel.Config{Workers: p.Workers})
 	return labels
-}
-
-// LabelPropagation returns community labels after the given rounds of
-// majority label propagation.
-func (p *Pipeline) LabelPropagation(rounds int) []int32 {
-	labels, _ := pregel.LabelPropagation(p.G, rounds, pregel.Config{Workers: p.Workers})
-	return labels
-}
-
-// KCoreMembers returns the vertices of the k-core (distributed peeling).
-func (p *Pipeline) KCoreMembers(k int32) []graph.V {
-	member, _ := pregel.KCore(p.G, k, pregel.Config{Workers: p.Workers})
-	var out []graph.V
-	for v, m := range member {
-		if m {
-			out = append(out, graph.V(v))
-		}
-	}
-	return out
 }
 
 // ---------- Path 2: vertex analytics + ML ----------
@@ -94,11 +62,6 @@ func (p *Pipeline) KCoreMembers(k int32) []graph.V {
 // DeepWalkEmbeddings learns topology embeddings.
 func (p *Pipeline) DeepWalkEmbeddings(dim int, seed int64) *tensor.Matrix {
 	return embed.DeepWalk(p.G, 6, 20, embed.SkipGramConfig{Dim: dim, Epochs: 3, Seed: seed})
-}
-
-// Node2VecEmbeddings learns biased-walk embeddings.
-func (p *Pipeline) Node2VecEmbeddings(dim int, pRet, q float64, seed int64) *tensor.Matrix {
-	return embed.Node2Vec(p.G, 6, 20, pRet, q, embed.SkipGramConfig{Dim: dim, Epochs: 3, Seed: seed})
 }
 
 // StructuralFeatureMatrix returns the classic structural features (degree,
@@ -140,18 +103,6 @@ func (p *Pipeline) MaximalCliques(collect bool) tthinker.CliqueResult {
 	return res
 }
 
-// MaximumClique returns one maximum clique.
-func (p *Pipeline) MaximumClique() []graph.V {
-	best, _ := tthinker.MaximumClique(p.G, tthinker.Config{Workers: p.Workers, Budget: 256})
-	return best
-}
-
-// QuasiCliques mines maximal γ-quasi-cliques of size ≥ minSize.
-func (p *Pipeline) QuasiCliques(gamma float64, minSize int) [][]graph.V {
-	sets, _ := tthinker.QuasiCliques(p.G, gamma, minSize, tthinker.Config{Workers: p.Workers, Budget: 256})
-	return sets
-}
-
 // KTrussCommunity returns the vertices of the maximal k-truss.
 func (p *Pipeline) KTrussCommunity(k int32) []graph.V {
 	return tthinker.KTrussSubgraph(p.G, k)
@@ -167,12 +118,6 @@ func (p *Pipeline) MotifCounts(k int) map[string]int64 {
 func (p *Pipeline) CountPattern(pattern *graph.Graph) int64 {
 	n, _ := match.Count(p.G, match.OptimizedPlan(pattern), p.Workers)
 	return n
-}
-
-// FrequentPatterns mines frequent patterns of the (single, labeled) graph
-// with MNI support.
-func (p *Pipeline) FrequentPatterns(minSupport, maxEdges int) []fsm.Pattern {
-	return fsm.MineSingleGraph(p.G, fsm.MineConfig{MinSupport: minSupport, MaxEdges: maxEdges, Workers: p.Workers})
 }
 
 // ---------- Path 4: structure analytics + ML (transactional) ----------

@@ -26,20 +26,6 @@ func TestPath1VertexAnalytics(t *testing.T) {
 	if sum < 0.99 || sum > 1.01 {
 		t.Fatalf("pagerank sum %f", sum)
 	}
-	deg := p.DegreeCentrality()
-	for v := graph.V(0); int(v) < 200; v++ {
-		if deg[v] != float64(g.Degree(v)) {
-			t.Fatal("degree centrality wrong")
-		}
-	}
-	visits := p.RandomWalkScores(2, 5, 7)
-	var tot int64
-	for _, c := range visits {
-		tot += c
-	}
-	if tot == 0 {
-		t.Fatal("no walk visits")
-	}
 	cc := p.ConnectedComponents()
 	if len(cc) != 200 {
 		t.Fatal("cc length")
@@ -82,12 +68,9 @@ func TestPath3Structures(t *testing.T) {
 	gen.ErdosRenyi(40, 60, 2).EdgesOnce(func(u, v graph.V) { b.AddEdge(u, v) })
 	g := b.Build()
 	p := NewPipeline(g, 4)
-	if mc := p.MaximumClique(); len(mc) < 6 {
-		t.Fatalf("max clique %d", len(mc))
-	}
 	res := p.MaximalCliques(false)
-	if res.Count == 0 {
-		t.Fatal("no maximal cliques")
+	if res.Count == 0 || len(res.Largest) < 6 {
+		t.Fatalf("%d maximal cliques, the largest %v; want the planted K6", res.Count, res.Largest)
 	}
 	truss := p.KTrussCommunity(5)
 	if len(truss) < 6 {
@@ -100,23 +83,6 @@ func TestPath3Structures(t *testing.T) {
 	}
 	if n := p.CountPattern(gen.Clique(3)); n != motifs[tri] {
 		t.Fatalf("pattern count %d vs motif count %d", n, motifs[tri])
-	}
-}
-
-func TestPath3QuasiCliquesAndFSM(t *testing.T) {
-	g := gen.WithRandomLabels(gen.ErdosRenyi(25, 60, 3), 2, 4)
-	p := NewPipeline(g, 4)
-	qc := p.QuasiCliques(0.9, 3)
-	for _, s := range qc {
-		if len(s) < 3 {
-			t.Fatal("quasi-clique below min size")
-		}
-	}
-	pats := p.FrequentPatterns(5, 2)
-	for _, pat := range pats {
-		if pat.Support < 5 {
-			t.Fatal("infrequent pattern returned")
-		}
 	}
 }
 
@@ -169,43 +135,5 @@ func TestLogRegSeparable(t *testing.T) {
 	clf := TrainLogReg(x, labels, 300, 0.1, 1)
 	if acc := clf.Accuracy(x, labels, nil); acc != 1 {
 		t.Fatalf("logreg separable accuracy %f", acc)
-	}
-}
-
-func TestSVMSeparable(t *testing.T) {
-	x := tensor.FromRows([][]float32{{2, 0}, {1.5, 0.2}, {0, 2}, {0.1, 1.8}})
-	labels := []int{0, 0, 1, 1}
-	svm := TrainSVM(x, labels, 200, 0.05, 0.001, 1)
-	if acc := svm.Accuracy(x, labels, nil); acc != 1 {
-		t.Fatalf("svm separable accuracy %f", acc)
-	}
-}
-
-func TestSVMIgnoresUnlabeled(t *testing.T) {
-	x := tensor.FromRows([][]float32{{1, 0}, {0, 1}, {5, 5}})
-	labels := []int{0, 1, -1}
-	svm := TrainSVM(x, labels, 100, 0.05, 0.001, 2)
-	if acc := svm.Accuracy(x, labels, []bool{true, true, false}); acc != 1 {
-		t.Fatalf("svm accuracy %f", acc)
-	}
-}
-
-func TestLabelPropagationAndKCore(t *testing.T) {
-	c := gen.PlantedPartitionSparse(200, 2, 12, 0.5, 8)
-	p := NewPipeline(c.Graph, 4)
-	labels := p.LabelPropagation(8)
-	if len(labels) != 200 {
-		t.Fatal("label length")
-	}
-	core3 := p.KCoreMembers(3)
-	cores := graph.CoreNumbers(c.Graph)
-	want := 0
-	for _, cn := range cores {
-		if cn >= 3 {
-			want++
-		}
-	}
-	if len(core3) != want {
-		t.Fatalf("3-core size %d want %d", len(core3), want)
 	}
 }

@@ -1,16 +1,14 @@
 package core
 
 import (
-	"math/rand"
-
 	"graphsys/internal/nn"
 	"graphsys/internal/tensor"
 )
 
 // Shallow (non-graph) downstream models: the paper notes graph
 // classification/regression were conventionally solved by shallow learning
-// (SVMs, boosting) over extracted features — these close the "+ML" paths of
-// Figure 1 when a GNN is not wanted.
+// (SVMs, boosting) over extracted features — logistic regression closes the
+// "+ML" paths of Figure 1 when a GNN is not wanted.
 
 // LogisticRegression is a multinomial logistic-regression classifier.
 type LogisticRegression struct {
@@ -45,81 +43,5 @@ func (m *LogisticRegression) Predict(x *tensor.Matrix) *tensor.Matrix {
 
 // Accuracy evaluates the classifier on rows with mask true (nil = all).
 func (m *LogisticRegression) Accuracy(x *tensor.Matrix, labels []int, mask []bool) float64 {
-	return nn.Accuracy(m.Predict(x), labels, mask)
-}
-
-// LinearSVM is a one-vs-rest linear SVM trained with hinge loss and SGD —
-// the gBoost/SVM-era baseline the paper cites for graph classification.
-type LinearSVM struct {
-	W       *tensor.Matrix // classes × dim
-	B       []float32
-	classes int
-}
-
-// TrainSVM trains a one-vs-rest linear SVM (hinge loss, L2 regularisation).
-func TrainSVM(x *tensor.Matrix, labels []int, epochs int, lr, c float64, seed int64) *LinearSVM {
-	classes := 0
-	for _, l := range labels {
-		if l+1 > classes {
-			classes = l + 1
-		}
-	}
-	m := &LinearSVM{W: tensor.Xavier(classes, x.Cols, seed), B: make([]float32, classes), classes: classes}
-	rng := rand.New(rand.NewSource(seed))
-	for ep := 0; ep < epochs; ep++ {
-		perm := rng.Perm(x.Rows)
-		for _, i := range perm {
-			if labels[i] < 0 {
-				continue
-			}
-			row := x.Row(i)
-			for cls := 0; cls < classes; cls++ {
-				y := float32(-1)
-				if labels[i] == cls {
-					y = 1
-				}
-				wr := m.W.Row(cls)
-				var score float32
-				for k, v := range row {
-					score += wr[k] * v
-				}
-				score += m.B[cls]
-				// hinge subgradient
-				if y*score < 1 {
-					for k, v := range row {
-						wr[k] += float32(lr) * (y*v - float32(c)*wr[k])
-					}
-					m.B[cls] += float32(lr) * y
-				} else {
-					for k := range row {
-						wr[k] -= float32(lr) * float32(c) * wr[k]
-					}
-				}
-			}
-		}
-	}
-	return m
-}
-
-// Predict returns per-class scores.
-func (m *LinearSVM) Predict(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(x.Rows, m.classes)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		or := out.Row(i)
-		for cls := 0; cls < m.classes; cls++ {
-			wr := m.W.Row(cls)
-			var s float32
-			for k, v := range row {
-				s += wr[k] * v
-			}
-			or[cls] = s + m.B[cls]
-		}
-	}
-	return out
-}
-
-// Accuracy evaluates the SVM on rows with mask true (nil = all).
-func (m *LinearSVM) Accuracy(x *tensor.Matrix, labels []int, mask []bool) float64 {
 	return nn.Accuracy(m.Predict(x), labels, mask)
 }

@@ -356,10 +356,3 @@ func Table2Serverless() *Table {
 	t.Note("Dorylus: above the startup-amortisation point, CPU servers + lambdas are the more cost-effective backend — and sparse GNN batches sit there")
 	return t
 }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -311,7 +311,7 @@ func TestMineSingleGraphSerialMatchesParallel(t *testing.T) {
 	g := gen.WithRandomLabels(gen.ErdosRenyi(40, 80, 3), 2, 5)
 	// relabel edges to 0 by rebuilding (WithRandomLabels keeps edges unlabeled)
 	a := MineSingleGraph(g, MineConfig{MinSupport: 8, MaxEdges: 3, Workers: 8})
-	b := MineSingleGraphSerial(g, MineConfig{MinSupport: 8, MaxEdges: 3})
+	b := MineSingleGraph(g, MineConfig{MinSupport: 8, MaxEdges: 3, Workers: 1})
 	if len(a) != len(b) {
 		t.Fatalf("parallel %d vs serial %d patterns", len(a), len(b))
 	}
@@ -329,69 +329,6 @@ func TestMaxEdgesLimit(t *testing.T) {
 	for _, p := range pats {
 		if len(p.Code) > 2 {
 			t.Fatalf("pattern with %d edges escaped MaxEdges=2", len(p.Code))
-		}
-	}
-}
-
-func TestClosedPatterns(t *testing.T) {
-	// db of identical triangles: edge ⊂ wedge ⊂ triangle all with support 3,
-	// so only the triangle is closed
-	db := &graph.TransactionDB{}
-	for i := 0; i < 3; i++ {
-		db.Add(uniform(3, [][2]graph.V{{0, 1}, {1, 2}, {0, 2}}), 0)
-	}
-	pats := MineTransactions(db, MineConfig{MinSupport: 3})
-	if len(pats) != 3 {
-		t.Fatalf("mined %d patterns", len(pats))
-	}
-	closed := ClosedPatterns(pats)
-	if len(closed) != 1 || len(closed[0].Code) != 3 {
-		t.Fatalf("closed = %d patterns (want just the triangle)", len(closed))
-	}
-	// maximal coincides here
-	maximal := MaximalPatterns(pats)
-	if len(maximal) != 1 || len(maximal[0].Code) != 3 {
-		t.Fatalf("maximal = %d patterns", len(maximal))
-	}
-}
-
-func TestClosedKeepsDifferentSupportLevels(t *testing.T) {
-	// two triangle transactions + one extra edge-only transaction:
-	// edge support 3, wedge/triangle support 2 → closed = {edge, triangle}
-	db := &graph.TransactionDB{}
-	db.Add(uniform(3, [][2]graph.V{{0, 1}, {1, 2}, {0, 2}}), 0)
-	db.Add(uniform(3, [][2]graph.V{{0, 1}, {1, 2}, {0, 2}}), 0)
-	db.Add(uniform(2, [][2]graph.V{{0, 1}}), 0)
-	pats := MineTransactions(db, MineConfig{MinSupport: 2})
-	closed := ClosedPatterns(pats)
-	if len(closed) != 2 {
-		for _, p := range closed {
-			t.Logf("closed: %v sup=%d", p.Code, p.Support)
-		}
-		t.Fatalf("closed = %d patterns, want 2 (edge@3, triangle@2)", len(closed))
-	}
-	// maximal keeps only the triangle (edge has a frequent super-pattern)
-	maximal := MaximalPatterns(pats)
-	if len(maximal) != 1 || len(maximal[0].Code) != 3 {
-		t.Fatalf("maximal = %d patterns", len(maximal))
-	}
-}
-
-func TestClosedOnLabeledPatterns(t *testing.T) {
-	db := gen.MoleculeDB(30, 6, 3, 0.9, 77)
-	pats := MineTransactions(db, MineConfig{MinSupport: 8, MaxEdges: 3})
-	closed := ClosedPatterns(pats)
-	if len(closed) == 0 || len(closed) > len(pats) {
-		t.Fatalf("closed %d of %d", len(closed), len(pats))
-	}
-	// every closed pattern is in the original set
-	codes := map[string]bool{}
-	for _, p := range pats {
-		codes[p.Code.String()] = true
-	}
-	for _, p := range closed {
-		if !codes[p.Code.String()] {
-			t.Fatal("closed pattern not from the mined set")
 		}
 	}
 }

@@ -106,11 +106,3 @@ func MineSingleGraph(g *graph.Graph, cfg MineConfig) []Pattern {
 	sort.Slice(out, func(i, j int) bool { return out[i].Code.String() < out[j].Code.String() })
 	return out
 }
-
-// MineSingleGraphSerial is the single-threaded baseline (ScaleMine's master
-// estimation phase / GraMi without task parallelism) used by the Table-1 FSM
-// benchmark to show the task-parallel speedup.
-func MineSingleGraphSerial(g *graph.Graph, cfg MineConfig) []Pattern {
-	cfg.Workers = 1
-	return MineSingleGraph(g, cfg)
-}

@@ -278,14 +278,7 @@ func (m *MeanAgg) Apply(h *tensor.Matrix) *tensor.Matrix {
 // ApplyInto is Apply into a preallocated out (fully overwritten).
 func (m *MeanAgg) ApplyInto(h, out *tensor.Matrix) { m.adj.apply(h, out, m.inv) }
 
-// ApplyT computes the transpose action (the backward pass):
-// out_u = Σ_{v : u∈N(v)} dy_v / |N(v)|. For undirected graphs this equals
-// Σ_{v∈N(u)} dy_v / |N(v)|.
-func (m *MeanAgg) ApplyT(dy *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(m.n, dy.Cols)
-	m.ApplyTInto(dy, out)
-	return out
-}
-
-// ApplyTInto is ApplyT into a preallocated out (fully overwritten).
+// ApplyTInto computes the transpose action (the backward pass) into a
+// preallocated out (fully overwritten): out_u = Σ_{v : u∈N(v)} dy_v / |N(v)|.
+// For undirected graphs this equals Σ_{v∈N(u)} dy_v / |N(v)|.
 func (m *MeanAgg) ApplyTInto(dy, out *tensor.Matrix) { m.adjT.apply(dy, out, nil) }

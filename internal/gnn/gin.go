@@ -9,7 +9,7 @@ import (
 // SumAgg is sum aggregation over open neighborhoods, stored as CSR built
 // once at construction (the old implementation re-derived g.Neighbors(v) on
 // every call). For undirected graphs the operator is symmetric, so it is its
-// own adjoint; ApplyT uses an explicit transpose CSR and so stays correct for
+// own adjoint; ApplyTInto uses an explicit transpose CSR and so stays correct for
 // directed graphs too.
 type SumAgg struct {
 	n    int
@@ -42,14 +42,8 @@ func (s *SumAgg) Apply(h *tensor.Matrix) *tensor.Matrix {
 // ApplyInto is Apply into a preallocated out (fully overwritten).
 func (s *SumAgg) ApplyInto(h, out *tensor.Matrix) { s.adj.apply(h, out, nil) }
 
-// ApplyT computes the transpose action out_u = Σ_{v : u∈N(v)} dy_v.
-func (s *SumAgg) ApplyT(dy *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(s.n, dy.Cols)
-	s.ApplyTInto(dy, out)
-	return out
-}
-
-// ApplyTInto is ApplyT into a preallocated out (fully overwritten).
+// ApplyTInto computes the transpose action out_u = Σ_{v : u∈N(v)} dy_v into a
+// preallocated out (fully overwritten).
 func (s *SumAgg) ApplyTInto(dy, out *tensor.Matrix) { s.adjT.apply(dy, out, nil) }
 
 // GINLayer is the Graph Isomorphism Network layer (Xu et al.), the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"graphsys/internal/gnn"
+	"graphsys/internal/pregel"
 	"graphsys/internal/storage"
 )
 
@@ -194,5 +195,43 @@ func TestTrainSyncCorruptBlock(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "gnndist: round ") {
 		t.Fatalf("error %q does not come from the round barrier", err)
+	}
+}
+
+// TestMeterOverReusedProvider runs a traced pregel PageRank and then a traced
+// TrainSync over one cached provider: each trace's storage section holds
+// only its own run's I/O, so the two sections sum to the provider's
+// counters, and the sampling run's first round carries none of PageRank's.
+func TestMeterOverReusedProvider(t *testing.T) {
+	task := distTask()
+	prov := openDisk(t, task, 2)
+	pcfg := pregel.Config{Workers: 2, Source: prov}
+	pcfg.Trace = true
+	_, pr, err := pregel.PageRank(nil, 3, pcfg)
+	if err != nil {
+		t.Fatalf("PageRank over the provider: %v", err)
+	}
+	afterPR := prov.Stats()
+	cfg := TrainerConfig{Workers: 2, TimeBudget: 6, BatchSize: 16, Seed: 4, Source: prov}
+	cfg.Trace = true
+	res, err := TrainSync(task, cfg)
+	if err != nil {
+		t.Fatalf("TrainSync over the provider: %v", err)
+	}
+	a, b, total := pr.Trace.Storage, res.Trace.Storage, prov.Stats()
+	if a.Misses != afterPR.Misses || a.BytesRead != afterPR.BytesRead {
+		t.Fatalf("PageRank's section: %d misses, %d bytes; the provider counted %d and %d",
+			a.Misses, a.BytesRead, afterPR.Misses, afterPR.BytesRead)
+	}
+	if a.Misses+b.Misses != total.Misses || a.BytesRead+b.BytesRead != total.BytesRead {
+		t.Fatalf("sections sum to %d misses and %d bytes; the provider counted %d and %d",
+			a.Misses+b.Misses, a.BytesRead+b.BytesRead, total.Misses, total.BytesRead)
+	}
+	var rounds int64
+	for _, r := range b.Rounds {
+		rounds += r.BytesRead
+	}
+	if b.BytesRead == 0 || rounds != b.BytesRead {
+		t.Fatalf("TrainSync's rounds read %d bytes, its section %d", rounds, b.BytesRead)
 	}
 }

@@ -24,11 +24,6 @@ type Device struct {
 	MemorySlots int64 // device memory capacity, in partial-match vertex slots
 }
 
-// DefaultDevice is a small GPU: 8 SMs × 32 lanes, 1M vertex slots.
-func DefaultDevice() *Device {
-	return &Device{NumSMs: 8, WarpSize: 32, MemorySlots: 1 << 20}
-}
-
 // Metrics accumulates simulated execution counters.
 type Metrics struct {
 	WarpCycles      int64 // total warp-steps executed (cost ∝ wall time)

@@ -27,13 +27,6 @@ func NewBuilder(n int, directed bool) *Builder {
 	return &Builder{n: n, directed: directed}
 }
 
-// Grow ensures the graph has at least n vertices.
-func (b *Builder) Grow(n int) {
-	if n > b.n {
-		b.n = n
-	}
-}
-
 // NumVertices returns the current vertex count.
 func (b *Builder) NumVertices() int { return b.n }
 
@@ -129,15 +122,6 @@ func (b *Builder) Build() *Graph {
 // FromEdges builds an undirected graph with n vertices from an edge list.
 func FromEdges(n int, edges [][2]V) *Graph {
 	b := NewBuilder(n, false)
-	for _, e := range edges {
-		b.AddEdge(e[0], e[1])
-	}
-	return b.Build()
-}
-
-// FromDirectedEdges builds a directed graph with n vertices from an arc list.
-func FromDirectedEdges(n int, edges [][2]V) *Graph {
-	b := NewBuilder(n, true)
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])
 	}

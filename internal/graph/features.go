@@ -62,26 +62,3 @@ func (f *StructuralFeatures) Matrix() [][]float32 {
 	}
 	return m
 }
-
-// GlobalClusteringCoefficient returns 3×triangles / #wedges (the transitivity
-// of the graph), or 0 for graphs with no wedge.
-func GlobalClusteringCoefficient(g *Graph) float64 {
-	var wedges int64
-	for v := V(0); int(v) < g.NumVertices(); v++ {
-		d := int64(g.Degree(v))
-		wedges += d * (d - 1) / 2
-	}
-	if wedges == 0 {
-		return 0
-	}
-	return 3 * float64(TriangleCount(g)) / float64(wedges)
-}
-
-// DegreeHistogram returns counts of vertices by degree (index = degree).
-func DegreeHistogram(g *Graph) []int64 {
-	h := make([]int64, g.MaxDegree()+1)
-	for v := V(0); int(v) < g.NumVertices(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}

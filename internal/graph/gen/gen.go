@@ -176,42 +176,18 @@ func WattsStrogatz(n, k int, p float64, seed int64) *graph.Graph {
 }
 
 // Community describes a planted-partition generation result: the graph and
-// the ground-truth community of each vertex. Intra-community edge probability
-// pIn must exceed pOut for detectable communities.
+// the ground-truth community of each vertex.
 type Community struct {
 	Graph      *graph.Graph
 	Membership []int // community id per vertex
 	K          int   // number of communities
 }
 
-// PlantedPartition generates k communities of size n/k with intra-community
-// edge probability pIn and inter-community probability pOut. It is the
-// ground-truth workload for community-detection and node-classification
-// experiments (paths 1–4 of the paper's Figure 1).
-func PlantedPartition(n, k int, pIn, pOut float64, seed int64) *Community {
-	rng := rand.New(rand.NewSource(seed))
-	member := make([]int, n)
-	for v := 0; v < n; v++ {
-		member[v] = v * k / n
-	}
-	b := graph.NewBuilder(n, false)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			p := pOut
-			if member[u] == member[v] {
-				p = pIn
-			}
-			if rng.Float64() < p {
-				b.AddEdge(graph.V(u), graph.V(v))
-			}
-		}
-	}
-	return &Community{Graph: b.Build(), Membership: member, K: k}
-}
-
-// PlantedPartitionSparse is an O(m)-time planted partition generator for
-// larger n: it samples degIn intra- and degOut inter-community edges per
-// vertex in expectation rather than testing all O(n²) pairs.
+// PlantedPartitionSparse generates k communities of size n/k in O(m) time:
+// it samples degIn intra- and degOut inter-community edges per vertex in
+// expectation rather than testing all O(n²) pairs. degIn must exceed degOut
+// for detectable communities. It is the ground-truth workload for
+// community-detection and node-classification experiments.
 func PlantedPartitionSparse(n, k int, degIn, degOut float64, seed int64) *Community {
 	rng := rand.New(rand.NewSource(seed))
 	member := make([]int, n)

@@ -153,55 +153,6 @@ func (g *Graph) MaxDegree() int {
 	return m
 }
 
-// AvgDegree returns the average out-degree.
-func (g *Graph) AvgDegree() float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
-	return float64(len(g.adj)) / float64(n)
-}
-
-// CommonNeighbors returns the number of common neighbors of u and v using an
-// ordered merge of the two sorted adjacency lists.
-func (g *Graph) CommonNeighbors(u, v V) int {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	count, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			count++
-			i++
-			j++
-		}
-	}
-	return count
-}
-
-// IntersectNeighbors appends the common neighbors of u and v to dst and
-// returns the extended slice. dst may be nil.
-func (g *Graph) IntersectNeighbors(u, v V, dst []V) []V {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
 // Intersect appends the intersection of two sorted vertex slices to dst.
 func Intersect(a, b, dst []V) []V {
 	i, j := 0, 0
@@ -257,22 +208,6 @@ func (g *Graph) InducedSubgraph(vs []V) (*Graph, []V) {
 		}
 	}
 	return b.Build(), newToOld
-}
-
-// Reverse returns the transpose of a directed graph (in-adjacency). For
-// undirected graphs it returns g itself.
-func (g *Graph) Reverse() *Graph {
-	if !g.directed {
-		return g
-	}
-	b := NewBuilder(g.NumVertices(), true)
-	if g.vlabels != nil {
-		for v, l := range g.vlabels {
-			b.SetLabel(V(v), l)
-		}
-	}
-	g.Edges(func(u, v V) { b.AddEdge(v, u) })
-	return b.Build()
 }
 
 // String returns a short diagnostic description.

@@ -67,10 +67,6 @@ func TestDirectedBuilder(t *testing.T) {
 	if g.HasEdge(1, 0) {
 		t.Fatal("directed graph must not contain reverse arc")
 	}
-	rev := g.Reverse()
-	if !rev.HasEdge(1, 0) || !rev.HasEdge(2, 1) || rev.HasEdge(0, 1) {
-		t.Fatal("reverse graph wrong")
-	}
 }
 
 func TestNeighborsSorted(t *testing.T) {
@@ -165,21 +161,6 @@ func TestEdgeLabelPanicsOnMissingEdge(t *testing.T) {
 		}
 	}()
 	g.EdgeLabel(0, 2)
-}
-
-func TestCommonNeighbors(t *testing.T) {
-	// triangle 0-1-2 plus tail 2-3
-	g := FromEdges(4, [][2]V{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	if got := g.CommonNeighbors(0, 1); got != 1 {
-		t.Fatalf("common(0,1)=%d", got)
-	}
-	if got := g.CommonNeighbors(0, 3); got != 1 { // via 2
-		t.Fatalf("common(0,3)=%d", got)
-	}
-	inter := g.IntersectNeighbors(0, 1, nil)
-	if len(inter) != 1 || inter[0] != 2 {
-		t.Fatalf("intersect = %v", inter)
-	}
 }
 
 func TestIntersectProperty(t *testing.T) {
@@ -280,15 +261,5 @@ func TestCloneIsDeep(t *testing.T) {
 	c.vlabels[0] = 99
 	if g.Label(0) == 99 {
 		t.Fatal("clone shares label storage")
-	}
-}
-
-func TestGrowBuilder(t *testing.T) {
-	b := NewBuilder(0, false)
-	b.Grow(5)
-	b.AddEdge(0, 4)
-	g := b.Build()
-	if g.NumVertices() != 5 || !g.HasEdge(0, 4) {
-		t.Fatal("grow failed")
 	}
 }

@@ -13,15 +13,6 @@ import (
 // Vertex ids may be sparse; they are compacted to [0, n) preserving numeric
 // order of first appearance rank.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	return readEdgeList(r, false)
-}
-
-// ReadDirectedEdgeList is like ReadEdgeList but builds a directed graph.
-func ReadDirectedEdgeList(r io.Reader) (*Graph, error) {
-	return readEdgeList(r, true)
-}
-
-func readEdgeList(r io.Reader, directed bool) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	ids := make(map[int64]V)
@@ -59,7 +50,7 @@ func readEdgeList(r io.Reader, directed bool) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
-	bld := NewBuilder(len(ids), directed)
+	bld := NewBuilder(len(ids), false)
 	for i := range us {
 		bld.AddEdge(us[i], vs[i])
 	}

@@ -217,28 +217,3 @@ func ConnectedComponents(g *Graph) (labels []int32, count int) {
 	}
 	return labels, count
 }
-
-// BFSLevels returns the BFS level of every vertex from source (or -1 if
-// unreachable).
-func BFSLevels(g *Graph, source V) []int32 {
-	n := g.NumVertices()
-	level := make([]int32, n)
-	for i := range level {
-		level[i] = -1
-	}
-	level[source] = 0
-	frontier := []V{source}
-	for l := int32(1); len(frontier) > 0; l++ {
-		var next []V
-		for _, v := range frontier {
-			for _, w := range g.Neighbors(v) {
-				if level[w] == -1 {
-					level[w] = l
-					next = append(next, w)
-				}
-			}
-		}
-		frontier = next
-	}
-	return level
-}

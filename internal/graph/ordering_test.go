@@ -172,22 +172,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestBFSLevels(t *testing.T) {
-	g := pathGraph(5)
-	lv := BFSLevels(g, 0)
-	for i, want := range []int32{0, 1, 2, 3, 4} {
-		if lv[i] != want {
-			t.Fatalf("level[%d]=%d want %d", i, lv[i], want)
-		}
-	}
-	// unreachable
-	g2 := FromEdges(3, [][2]V{{0, 1}})
-	lv2 := BFSLevels(g2, 0)
-	if lv2[2] != -1 {
-		t.Fatalf("unreachable vertex level = %d", lv2[2])
-	}
-}
-
 func TestStructuralFeatures(t *testing.T) {
 	g := completeGraph(4)
 	f := ComputeStructuralFeatures(g)
@@ -209,22 +193,5 @@ func TestStructuralFeatures(t *testing.T) {
 	m := f.Matrix()
 	if len(m) != 4 || len(m[0]) != FeatureDim {
 		t.Fatal("matrix shape wrong")
-	}
-}
-
-func TestGlobalClusteringCoefficient(t *testing.T) {
-	if c := GlobalClusteringCoefficient(completeGraph(5)); c < 0.999 || c > 1.001 {
-		t.Fatalf("K5 transitivity = %f", c)
-	}
-	if c := GlobalClusteringCoefficient(pathGraph(10)); c != 0 {
-		t.Fatalf("path transitivity = %f", c)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := pathGraph(4) // degrees 1,2,2,1
-	h := DegreeHistogram(g)
-	if h[1] != 2 || h[2] != 2 {
-		t.Fatalf("histogram = %v", h)
 	}
 }

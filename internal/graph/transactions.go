@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // TransactionDB is a database of small labeled graphs ("transactions"), the
@@ -24,85 +22,6 @@ func (db *TransactionDB) Len() int { return len(db.Graphs) }
 func (db *TransactionDB) Add(g *Graph, class int) {
 	db.Graphs = append(db.Graphs, g)
 	db.Class = append(db.Class, class)
-}
-
-// ReadTransactions parses the standard gSpan transaction format:
-//
-//	t # <id>
-//	v <vid> <label>
-//	e <u> <v> <label>
-//
-// Lines beginning with "c <class>" (nonstandard extension) attach a class
-// label to the current transaction.
-func ReadTransactions(r io.Reader) (*TransactionDB, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	db := &TransactionDB{}
-	var b *Builder
-	var class int
-	flush := func() {
-		if b != nil {
-			db.Graphs = append(db.Graphs, b.Build())
-			db.Class = append(db.Class, class)
-		}
-		b = nil
-		class = 0
-	}
-	line := 0
-	for sc.Scan() {
-		line++
-		t := strings.TrimSpace(sc.Text())
-		if t == "" || strings.HasPrefix(t, "#") {
-			continue
-		}
-		f := strings.Fields(t)
-		switch f[0] {
-		case "t":
-			flush()
-			b = NewBuilder(0, false)
-		case "c":
-			c, err := strconv.Atoi(f[1])
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad class: %v", line, err)
-			}
-			class = c
-		case "v":
-			if b == nil {
-				return nil, fmt.Errorf("graph: line %d: vertex before transaction header", line)
-			}
-			if len(f) < 3 {
-				return nil, fmt.Errorf("graph: line %d: v needs id and label", line)
-			}
-			id, err1 := strconv.Atoi(f[1])
-			lab, err2 := strconv.Atoi(f[2])
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("graph: line %d: bad vertex line %q", line, t)
-			}
-			b.Grow(id + 1)
-			b.SetLabel(V(id), int32(lab))
-		case "e":
-			if b == nil {
-				return nil, fmt.Errorf("graph: line %d: edge before transaction header", line)
-			}
-			if len(f) < 4 {
-				return nil, fmt.Errorf("graph: line %d: e needs u v label", line)
-			}
-			u, err1 := strconv.Atoi(f[1])
-			v, err2 := strconv.Atoi(f[2])
-			lab, err3 := strconv.Atoi(f[3])
-			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, fmt.Errorf("graph: line %d: bad edge line %q", line, t)
-			}
-			b.AddLabeledEdge(V(u), V(v), int32(lab))
-		default:
-			return nil, fmt.Errorf("graph: line %d: unknown record %q", line, f[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	flush()
-	return db, nil
 }
 
 // WriteTransactions writes db in gSpan transaction format.

@@ -1,7 +1,5 @@
 package graph
 
-import "container/heap"
-
 // Weighted-graph helpers: edge labels double as integer edge weights
 // (weight 0 is treated as 1, so unlabeled graphs behave as unit-weight).
 
@@ -12,48 +10,4 @@ func (g *Graph) Weight(u V, i int) int64 {
 		return 1
 	}
 	return w
-}
-
-// Dijkstra computes single-source shortest path distances using edge labels
-// as weights (the serial reference for pregel.WeightedSSSP). Unreachable
-// vertices get -1.
-func Dijkstra(g *Graph, source V) []int64 {
-	n := g.NumVertices()
-	dist := make([]int64, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	pq := &distHeap{{v: source, d: 0}}
-	for pq.Len() > 0 {
-		top := heap.Pop(pq).(distEntry)
-		if dist[top.v] != -1 {
-			continue
-		}
-		dist[top.v] = top.d
-		for i, u := range g.Neighbors(top.v) {
-			if dist[u] == -1 {
-				heap.Push(pq, distEntry{v: u, d: top.d + g.Weight(top.v, i)})
-			}
-		}
-	}
-	return dist
-}
-
-type distEntry struct {
-	v V
-	d int64
-}
-
-type distHeap []distEntry
-
-func (h distHeap) Len() int           { return len(h) }
-func (h distHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)        { *h = append(*h, x.(distEntry)) }
-func (h *distHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

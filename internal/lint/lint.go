@@ -184,10 +184,6 @@ func annotationAt(annos map[string]map[int]*annotation, file string, line int, c
 	}
 }
 
-func (p *Pass) annotationFor(file string, line int, check string) *annotation {
-	return annotationAt(p.annotations, file, line, check)
-}
-
 // PkgInScope reports whether the pass's package sits under any of the given
 // module-relative prefixes ("internal" covers the whole internal tree).
 func (p *Pass) PkgInScope(prefixes []string) bool {

@@ -211,18 +211,6 @@ func TestMaxEmbeddingsAborts(t *testing.T) {
 	}
 }
 
-func TestFrequentPatterns(t *testing.T) {
-	// grid has 22 wedges and nothing else at size 3
-	pats, _ := FrequentPatterns(gen.Grid(3, 3), 3, 10, Config{})
-	if len(pats) != 1 {
-		t.Fatalf("patterns: %v", pats)
-	}
-	pats, _ = FrequentPatterns(gen.Grid(3, 3), 3, 23, Config{})
-	if len(pats) != 0 {
-		t.Fatalf("min support 23 should filter all: %v", pats)
-	}
-}
-
 func TestExploreEdgeCases(t *testing.T) {
 	empty := graph.NewBuilder(0, false).Build()
 	s := Explore(empty, 3, nil, nil, Config{})

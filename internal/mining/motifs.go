@@ -178,17 +178,3 @@ func CountCliquesDFS(g *graph.Graph, k int) int64 {
 	}
 	return count
 }
-
-// FrequentPatterns aggregates size-k connected induced subgraphs by canonical
-// pattern and returns the patterns whose instance count is ≥ minSupport
-// (instance-count support, the aggregation Arabesque exposes; see
-// internal/fsm for MNI-based single-graph FSM).
-func FrequentPatterns(g *graph.Graph, k int, minSupport int64, cfg Config) (map[string]int64, Stats) {
-	counts, stats := MotifCounts(g, k, cfg)
-	for code, c := range counts {
-		if c < minSupport {
-			delete(counts, code)
-		}
-	}
-	return counts, stats
-}

@@ -314,71 +314,3 @@ func MSE(pred *tensor.Matrix, target *tensor.Matrix) (float64, *tensor.Matrix) {
 	}
 	return loss / float64(len(pred.Data)), grad
 }
-
-// Dropout zeroes each activation with probability P during training and
-// scales the survivors by 1/(1-P) (inverted dropout); Eval mode is the
-// identity. The mask is drawn from a deterministic seed sequence so runs are
-// reproducible.
-type Dropout struct {
-	P    float64
-	Eval bool
-	seed uint64
-	mask []bool
-
-	out, dout *tensor.Matrix // reused across steps; every element rewritten
-}
-
-// NewDropout creates a dropout layer with drop probability p.
-func NewDropout(p float64, seed int64) *Dropout {
-	return &Dropout{P: p, seed: uint64(seed)*2862933555777941757 + 3037000493}
-}
-
-func (d *Dropout) next() float64 {
-	d.seed ^= d.seed << 13
-	d.seed ^= d.seed >> 7
-	d.seed ^= d.seed << 17
-	return float64(d.seed%1_000_000) / 1_000_000
-}
-
-// Forward applies dropout (or identity in Eval mode). The result is valid
-// until the next Forward.
-func (d *Dropout) Forward(x *tensor.Matrix) *tensor.Matrix {
-	if d.Eval || d.P <= 0 {
-		d.mask = nil
-		return x
-	}
-	if cap(d.mask) < len(x.Data) {
-		d.mask = make([]bool, len(x.Data))
-	}
-	d.mask = d.mask[:len(x.Data)]
-	d.out = tensor.Reuse(d.out, x.Rows, x.Cols)
-	scale := float32(1 / (1 - d.P))
-	for i, v := range x.Data {
-		if d.next() < d.P {
-			d.out.Data[i] = 0
-			d.mask[i] = false
-		} else {
-			d.mask[i] = true
-			d.out.Data[i] = v * scale
-		}
-	}
-	return d.out
-}
-
-// Backward gates the gradient through the dropout mask. The result is valid
-// until the next Backward.
-func (d *Dropout) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if d.mask == nil {
-		return dy
-	}
-	d.dout = tensor.Reuse(d.dout, dy.Rows, dy.Cols)
-	scale := float32(1 / (1 - d.P))
-	for i, v := range dy.Data {
-		if d.mask[i] {
-			d.dout.Data[i] = v * scale
-		} else {
-			d.dout.Data[i] = 0
-		}
-	}
-	return d.dout
-}

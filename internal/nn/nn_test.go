@@ -27,9 +27,18 @@ func TestDenseBackwardShapes(t *testing.T) {
 	if dx.Rows != 5 || dx.Cols != 3 {
 		t.Fatal("dx shape")
 	}
-	if d.W.Grad.Norm() == 0 || d.B.Grad.Norm() == 0 {
+	if allZero(d.W.Grad) || allZero(d.B.Grad) {
 		t.Fatal("grads not accumulated")
 	}
+}
+
+func allZero(m *tensor.Matrix) bool {
+	for _, v := range m.Data {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestDenseBackwardParams: BackwardParams accumulates exactly Backward's dW
@@ -204,43 +213,6 @@ func TestMSEGradientDescentFits(t *testing.T) {
 	}
 	if math.Abs(float64(p.W.At(0, 0))-2) > 1e-2 {
 		t.Fatalf("w = %f", p.W.At(0, 0))
-	}
-}
-
-func TestDropout(t *testing.T) {
-	d := NewDropout(0.5, 1)
-	x := tensor.New(10, 100)
-	for i := range x.Data {
-		x.Data[i] = 1
-	}
-	y := d.Forward(x)
-	zeros, scaled := 0, 0
-	for _, v := range y.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			scaled++
-		default:
-			t.Fatalf("unexpected value %f", v)
-		}
-	}
-	if zeros < 300 || zeros > 700 {
-		t.Fatalf("dropout zeroed %d of 1000", zeros)
-	}
-	// backward gates identically
-	dy := x.Clone()
-	dx := d.Backward(dy)
-	for i := range dx.Data {
-		if (y.Data[i] == 0) != (dx.Data[i] == 0) {
-			t.Fatal("backward mask mismatch")
-		}
-	}
-	// eval mode is identity
-	d.Eval = true
-	y2 := d.Forward(x)
-	if tensor.MaxAbsDiff(y2, x) != 0 {
-		t.Fatal("eval mode not identity")
 	}
 }
 

@@ -196,16 +196,6 @@ func percentile(xs []int64, q float64) int64 {
 	return sorted[idx]
 }
 
-// WriteJSON writes the trace as stable, indented JSON.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	enc, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(enc, '\n'))
-	return err
-}
-
 // WriteAll writes several traces as one stable JSON document
 // ({"traces": [...]}), the format cmd/graphbench -trace emits.
 func WriteAll(w io.Writer, traces []*Trace) error {
@@ -218,21 +208,6 @@ func WriteAll(w io.Writer, traces []*Trace) error {
 	}
 	_, err = w.Write(append(enc, '\n'))
 	return err
-}
-
-// WriteCSV writes the per-round series as CSV
-// (round,messages,attempts,bytes,local_messages,weighted_cost).
-func (t *Trace) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "round,messages,attempts,bytes,local_messages,weighted_cost"); err != nil {
-		return err
-	}
-	for _, r := range t.RoundSeries {
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%g\n",
-			r.Round, r.Messages, r.Attempts, r.Bytes, r.LocalMessages, r.WeightedCost); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Summary renders a one-line human-readable digest of the trace.

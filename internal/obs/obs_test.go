@@ -120,30 +120,20 @@ const goldenJSON = `{
 }
 `
 
-// TestWriteJSONGolden pins the export format: downstream tooling parses these
-// files, so a field rename or reorder must show up as a diff here.
+// TestWriteJSONGolden pins the export format that cmd/graphbench -trace
+// writes through WriteAll: downstream tooling parses these files, so a field
+// rename or reorder must show up as a diff here.
 func TestWriteJSONGolden(t *testing.T) {
 	tr := Collect("golden", goldenCluster())
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := WriteAll(&buf, []*Trace{tr}); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.String(); got != goldenJSON {
-		t.Fatalf("JSON drifted from golden.\ngot:\n%s\nwant:\n%s", got, goldenJSON)
-	}
-}
-
-func TestWriteCSVGolden(t *testing.T) {
-	tr := Collect("golden", goldenCluster())
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "round,messages,attempts,bytes,local_messages,weighted_cost\n" +
-		"0,3,3,136,1,136\n" +
-		"1,1,1,64,0,64\n"
-	if buf.String() != want {
-		t.Fatalf("CSV drifted:\n%s", buf.String())
+	want := "{\n  \"traces\": [\n    " +
+		strings.ReplaceAll(strings.TrimSuffix(goldenJSON, "\n"), "\n", "\n    ") +
+		"\n  ]\n}\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("JSON drifted from golden.\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -195,7 +185,7 @@ func TestCollectRecoveryStats(t *testing.T) {
 		t.Fatalf("runtime-side retry accounting missing: %+v", r)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := WriteAll(&buf, []*Trace{tr}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"recovery": {`) || !strings.Contains(buf.String(), `"checkpoint_bytes": 4096`) {

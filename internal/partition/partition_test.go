@@ -112,10 +112,11 @@ func TestFeatureDim(t *testing.T) {
 	fd := NewFeatureDim(10, 4)
 	total := 0
 	for w := 0; w < 4; w++ {
-		if fd.Width(w) < 2 || fd.Width(w) > 3 {
-			t.Fatalf("worker %d width %d", w, fd.Width(w))
+		width := fd.Hi[w] - fd.Lo[w]
+		if width < 2 || width > 3 {
+			t.Fatalf("worker %d width %d", w, width)
 		}
-		total += fd.Width(w)
+		total += width
 	}
 	if total != 10 {
 		t.Fatalf("widths sum to %d", total)

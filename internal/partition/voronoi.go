@@ -114,6 +114,3 @@ func NewFeatureDim(dim, k int) *FeatureDim {
 	}
 	return fd
 }
-
-// Width returns the number of dims owned by worker w.
-func (fd *FeatureDim) Width(w int) int { return fd.Hi[w] - fd.Lo[w] }

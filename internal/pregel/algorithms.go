@@ -242,19 +242,3 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// DegreeCentrality is the trivial one-superstep vertex analytics (used by
-// pipelines needing a fast scoring pass).
-func DegreeCentrality(g *graph.Graph, cfg Config) ([]float64, error) {
-	prog := Program[float64, struct{}]{
-		Init: func(g *graph.Graph, v graph.V) float64 { return float64(g.Degree(v)) },
-		Compute: func(ctx *Context[struct{}], v graph.V, state *float64, msgs []struct{}) {
-			ctx.VoteToHalt()
-		},
-	}
-	res, err := Run(g, prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.States, nil
-}

@@ -7,6 +7,7 @@ import (
 
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
+	"graphsys/internal/refmodel"
 )
 
 func TestLabelPropagationFindsCommunities(t *testing.T) {
@@ -97,7 +98,7 @@ func TestWeightedSSSPMatchesDijkstra(t *testing.T) {
 			}
 		}
 		g := b.Build()
-		want := graph.Dijkstra(g, 0)
+		want := refmodel.Dijkstra(g, 0)
 		got, _, _ := WeightedSSSP(g, 0, Config{Workers: 4})
 		for v := range want {
 			if want[v] != got[v] {
@@ -109,7 +110,7 @@ func TestWeightedSSSPMatchesDijkstra(t *testing.T) {
 
 func TestWeightedSSSPUnitWeightsEqualBFS(t *testing.T) {
 	g := gen.ErdosRenyi(120, 360, 3) // unlabeled: weight defaults to 1
-	want := graph.BFSLevels(g, 5)
+	want := refmodel.BFS(g, 5)
 	got, _, _ := WeightedSSSP(g, 5, Config{Workers: 4})
 	for v := range want {
 		w := int64(want[v])

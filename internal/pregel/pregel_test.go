@@ -6,6 +6,7 @@ import (
 
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
+	"graphsys/internal/refmodel"
 )
 
 func TestPageRankUniformOnRegularGraph(t *testing.T) {
@@ -86,7 +87,7 @@ func TestHashMinCCRoundsNearDiameter(t *testing.T) {
 
 func TestSSSPMatchesBFS(t *testing.T) {
 	g := gen.ErdosRenyi(150, 400, 4)
-	want := graph.BFSLevels(g, 0)
+	want := refmodel.BFS(g, 0)
 	got, _, _ := SSSP(g, 0, Config{Workers: 4})
 	for v := range want {
 		if want[v] != got[v] {
@@ -139,16 +140,6 @@ func TestRandomWalkDeterminism(t *testing.T) {
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("visits differ at %d with different worker counts: %d vs %d", v, a[v], b[v])
-		}
-	}
-}
-
-func TestDegreeCentrality(t *testing.T) {
-	g := gen.Grid(4, 4)
-	d, _ := DegreeCentrality(g, Config{Workers: 2})
-	for v := graph.V(0); int(v) < g.NumVertices(); v++ {
-		if d[v] != float64(g.Degree(v)) {
-			t.Fatalf("degree[%d]=%f", v, d[v])
 		}
 	}
 }

@@ -9,30 +9,9 @@ import (
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
 	"graphsys/internal/pregel"
+	"graphsys/internal/refmodel"
 	"graphsys/internal/storage"
 )
-
-// bfsDist is the oracle: a plain queue BFS from src, sharing no code with
-// pregel. It returns the hop distance to dst, or -1.
-func bfsDist(g *graph.Graph, src, dst graph.V) int32 {
-	dist := make([]int32, g.NumVertices())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []graph.V{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.Neighbors(v) {
-			if dist[u] < 0 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return dist[dst]
-}
 
 // randomQueries draws nq queries with endpoints uniform over g's vertices.
 func randomQueries(g *graph.Graph, nq int, seed int64) []Query {
@@ -46,7 +25,7 @@ func randomQueries(g *graph.Graph, nq int, seed int64) []Query {
 }
 
 // wrongAnswers runs AnswerBatched and counts the answers that differ from
-// the oracle.
+// refmodel.BFS, a plain queue BFS that shares no code with pregel.
 func wrongAnswers(t testing.TB, g *graph.Graph, qs []Query, cfg pregel.Config) int {
 	t.Helper()
 	ans, _, err := AnswerBatched(g, qs, cfg)
@@ -55,7 +34,7 @@ func wrongAnswers(t testing.TB, g *graph.Graph, qs []Query, cfg pregel.Config) i
 	}
 	wrong := 0
 	for i, q := range qs {
-		if ans[i].Dist != bfsDist(g, q.Src, q.Dst) {
+		if ans[i].Dist != refmodel.BFS(g, q.Src)[q.Dst] {
 			wrong++
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
 	"graphsys/internal/pregel"
+	"graphsys/internal/refmodel"
 )
 
 func TestBatchedMatchesSequential(t *testing.T) {
@@ -32,7 +33,7 @@ func TestBatchedMatchesSequential(t *testing.T) {
 			t.Fatalf("query %d: batched %d vs sequential %d", i, batched[i].Dist, sequential[i].Dist)
 		}
 		// cross-check against serial BFS
-		want := graph.BFSLevels(g, queries[i].Src)[queries[i].Dst]
+		want := refmodel.BFS(g, queries[i].Src)[queries[i].Dst]
 		if batched[i].Dist != want {
 			t.Fatalf("query %d: %d, BFS says %d", i, batched[i].Dist, want)
 		}

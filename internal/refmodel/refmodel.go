@@ -102,3 +102,60 @@ func ScanPageRank(g *graph.Graph, iters int) []float64 {
 	}
 	return ranks
 }
+
+// BFS returns the hop distance from source to every vertex, or -1 where no
+// path exists, by a plain queue breadth-first search.
+func BFS(g *graph.Graph, source graph.V) []int32 {
+	level := make([]int32, g.NumVertices())
+	for v := range level {
+		level[v] = -1
+	}
+	level[source] = 0
+	queue := []graph.V{source}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range g.Neighbors(u) {
+			if level[v] == -1 {
+				level[v] = level[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return level
+}
+
+// Dijkstra returns the weighted distance from source to every vertex, or -1
+// where no path exists. An arc weighs its edge label, and a label of 0 or
+// less weighs 1, so an unlabeled graph is unit-weight. Each step settles the
+// unsettled vertex of least distance by a linear scan.
+func Dijkstra(g *graph.Graph, source graph.V) []int64 {
+	n := g.NumVertices()
+	dist := make([]int64, n)
+	for v := range dist {
+		dist[v] = -1
+	}
+	dist[source] = 0
+	settled := make([]bool, n)
+	for {
+		u := -1
+		for v := range dist {
+			if !settled[v] && dist[v] >= 0 && (u < 0 || dist[v] < dist[u]) {
+				u = v
+			}
+		}
+		if u < 0 {
+			return dist
+		}
+		settled[u] = true
+		for i, v := range g.Neighbors(graph.V(u)) {
+			w := int64(g.EdgeLabelAt(graph.V(u), i))
+			if w <= 0 {
+				w = 1
+			}
+			if d := dist[u] + w; dist[v] < 0 || d < dist[v] {
+				dist[v] = d
+			}
+		}
+	}
+}

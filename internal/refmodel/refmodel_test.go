@@ -42,6 +42,26 @@ func TestSpecsByHand(t *testing.T) {
 			t.Fatalf("rank[%d] = %v, want %v", v, ranks[v], r)
 		}
 	}
+	// BFS counts hops along the path and leaves the isolated vertex at -1
+	levels := refmodel.BFS(g, 0)
+	for v, l := range []int32{0, 2, 4, 1, 3, -1} {
+		if levels[v] != l {
+			t.Fatalf("BFS level[%d] = %d, want %d", v, levels[v], l)
+		}
+	}
+	// Dijkstra weighs an arc by its label, and an unlabeled arc by 1: the
+	// heavy edge 0-2 loses to the path 0-1-2, and 2-3 weighs 1
+	b := graph.NewBuilder(5, false)
+	b.AddLabeledEdge(0, 1, 2)
+	b.AddLabeledEdge(1, 2, 3)
+	b.AddLabeledEdge(0, 2, 9)
+	b.AddEdge(2, 3)
+	dist := refmodel.Dijkstra(b.Build(), 0)
+	for v, d := range []int64{0, 2, 5, 6, -1} {
+		if dist[v] != d {
+			t.Fatalf("Dijkstra dist[%d] = %d, want %d", v, dist[v], d)
+		}
+	}
 }
 
 // The engines FuzzAnalyticsVsSpec draws from.

@@ -248,7 +248,7 @@ func TestShapePanicsIncludeDimensions(t *testing.T) {
 	expectPanic(t, "2x3", func() { a.AddScaled(b, 2) })
 	expectPanic(t, "length 2 != cols 3", func() { a.AddRowVector(make([]float32, 2)) })
 	expectPanic(t, "concat row mismatch 2x3 vs 4x5", func() { ConcatCols(a, b) })
-	expectPanic(t, "split at 9 out of range for 2x3", func() { SplitCols(a, 9) })
+	expectPanic(t, "split at 9 out of range for 2x3", func() { SplitColsInto(a, New(2, 9), New(2, 0)) })
 	expectPanic(t, "matmul shape mismatch 2x3 × 4x5", func() { MatMul(a, b) })
 	expectPanic(t, "matmulT1 shape mismatch 2x3ᵀ × 4x5", func() { MatMulT1(a, b) })
 	expectPanic(t, "matmulT2 shape mismatch 2x3 × 2x5ᵀ", func() { MatMulT2(a, New(2, 5)) })

@@ -184,13 +184,6 @@ func matMulNarrow(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulT1 returns aᵀ×b without materialising the transpose.
-func MatMulT1(a, b *Matrix) *Matrix {
-	out := New(a.Cols, b.Cols)
-	MatMulT1Into(a, b, out)
-	return out
-}
-
 // MatMulT1Into computes aᵀ×b into out (which it zeroes first). out must have
 // shape a.Cols×b.Cols and alias neither input. Parallel goroutines own
 // disjoint output-row blocks (columns of a); each accumulates over the shared
@@ -230,13 +223,6 @@ func MatMulT1Into(a, b, out *Matrix) {
 			}
 		}
 	})
-}
-
-// MatMulT2 returns a×bᵀ without materialising the transpose.
-func MatMulT2(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Rows)
-	MatMulT2Into(a, b, out)
-	return out
 }
 
 // MatMulT2Into computes a×bᵀ into out (which it zeroes first). out must have
@@ -345,13 +331,6 @@ func (m *Matrix) AddScaled(b *Matrix, scale float32) {
 	}
 }
 
-// Scale multiplies every element by s in place.
-func (m *Matrix) Scale(s float32) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 // AddRowVector adds vector v (length Cols) to every row.
 func (m *Matrix) AddRowVector(v []float32) {
 	if len(v) != m.Cols {
@@ -393,16 +372,6 @@ func ConcatColsInto(a, b, out *Matrix) {
 	}
 }
 
-// SplitCols splits m into the first `at` columns and the rest.
-func SplitCols(m *Matrix, at int) (*Matrix, *Matrix) {
-	if at < 0 || at > m.Cols {
-		panic(fmt.Sprintf("tensor: split at %d out of range for %dx%d", at, m.Rows, m.Cols))
-	}
-	a, b := New(m.Rows, at), New(m.Rows, m.Cols-at)
-	SplitColsInto(m, a, b)
-	return a, b
-}
-
 // SplitColsInto splits m into a (the first a.Cols columns) and b (the rest).
 // a and b must have m.Rows rows and a.Cols+b.Cols must equal m.Cols.
 func SplitColsInto(m, a, b *Matrix) {
@@ -424,15 +393,6 @@ func SelectRows(m *Matrix, idx []int) *Matrix {
 		copy(out.Row(i), m.Row(r))
 	}
 	return out
-}
-
-// Norm returns the Frobenius norm.
-func (m *Matrix) Norm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbsDiff returns max |a_ij - b_ij|.
