@@ -88,14 +88,6 @@ func NewFaultInjector(plan FaultPlan) *FaultInjector {
 	}
 }
 
-// Plan returns the plan being executed (zero value on a nil injector).
-func (fi *FaultInjector) Plan() FaultPlan {
-	if fi == nil {
-		return FaultPlan{}
-	}
-	return fi.plan
-}
-
 // CrashDue reports whether the planned worker crash fires at this round. It
 // returns true exactly once, the first time round reaches CrashAtRound; the
 // engine must respond by rolling back to its latest checkpoint (or

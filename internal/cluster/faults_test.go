@@ -22,9 +22,6 @@ func TestNilInjectorIsSafe(t *testing.T) {
 	if fi.Stats() != (RecoveryStats{}) {
 		t.Fatal("nil injector accumulated stats")
 	}
-	if fi.Plan() != (FaultPlan{}) {
-		t.Fatal("nil injector has a plan")
-	}
 }
 
 func TestCrashFiresExactlyOnce(t *testing.T) {

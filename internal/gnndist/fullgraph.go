@@ -12,17 +12,16 @@ import (
 // ---- DistGNN: full-graph training with delayed remote aggregates ----
 
 // delayedAdj is a GCN normalised adjacency split by a vertex partition:
-// apply combines FRESH activations over same-partition edges with a STALE
-// snapshot over cross-partition edges — DistGNN's delayed-update
+// apply combines FRESH rows over same-partition entries with a STALE
+// snapshot over cross-partition entries — DistGNN's delayed-update
 // communication avoidance, where remote partial aggregates are refreshed
-// only every few epochs.
+// only every few epochs. Â is symmetric, so apply is the backward too, over
+// gradient rows with a gradient snapshot as the stale side.
 //
 // The entries are gnn.NewNormAdj's CSR (neighbors in graph order, self-loop
-// last) with a per-entry remote flag beside them. The backward pass gathers
-// over a transpose of the local entries only, whose row u lists its sources
-// v in ascending order: the order in which a serial scatter over v would
-// have accumulated into row u. Both kernels own their output rows, so they
-// run in parallel with results bitwise identical at any worker count.
+// last) with a per-entry remote flag beside them. apply owns its output
+// rows, so it runs in parallel with results bitwise identical at any worker
+// count.
 type delayedAdj struct {
 	n      int
 	rowPtr []int32
@@ -30,42 +29,29 @@ type delayedAdj struct {
 	wts    []float32
 	remote []bool // aligned with col: true if the edge crosses partitions
 
-	// local-edge transpose: tCol[tPtr[u]:tPtr[u+1]] are the v with a local
-	// entry (v, u), ascending, and tWts their weights
-	tPtr []int32
-	tCol []graph.V
-	tWts []float32
+	// sends[o*k+p] counts the rows owned by partition o that partition p ≠ o
+	// reads through a remote entry: what one snapshot refresh ships.
+	k     int
+	sends []int64
 }
 
 func newDelayedAdj(g *graph.Graph, part *partition.Partition) *delayedAdj {
-	n := g.NumVertices()
-	a := &delayedAdj{n: n, tPtr: make([]int32, n+1)}
+	n, k := g.NumVertices(), part.K
+	a := &delayedAdj{n: n, k: k, sends: make([]int64, k*k)}
 	a.rowPtr, a.col, a.wts = gnn.NewNormAdj(g).CSR()
 	a.remote = make([]bool, len(a.col))
+	// Â is symmetric, so the partitions that read row v are those of v's
+	// remote entries; counted[p] == v+1 once p is counted for v.
+	counted := make([]int, k)
 	for v := 0; v < n; v++ {
+		owner := part.Assign[v]
 		for idx := a.rowPtr[v]; idx < a.rowPtr[v+1]; idx++ {
-			u := a.col[idx]
-			a.remote[idx] = part.Assign[u] != part.Assign[v]
-			if !a.remote[idx] {
-				a.tPtr[u+1]++
+			p := part.Assign[a.col[idx]]
+			a.remote[idx] = p != owner
+			if a.remote[idx] && counted[p] != v+1 {
+				counted[p] = v + 1
+				a.sends[owner*k+p]++
 			}
-		}
-	}
-	for u := 0; u < n; u++ {
-		a.tPtr[u+1] += a.tPtr[u]
-	}
-	a.tCol = make([]graph.V, a.tPtr[n])
-	a.tWts = make([]float32, a.tPtr[n])
-	next := append([]int32(nil), a.tPtr[:n]...)
-	for v := 0; v < n; v++ {
-		for idx := a.rowPtr[v]; idx < a.rowPtr[v+1]; idx++ {
-			if a.remote[idx] {
-				continue
-			}
-			u := a.col[idx]
-			a.tCol[next[u]] = graph.V(v)
-			a.tWts[next[u]] = a.wts[idx]
-			next[u]++
 		}
 	}
 	return a
@@ -82,31 +68,27 @@ func (a *delayedAdj) apply(fresh, stale, out *tensor.Matrix) {
 	})
 }
 
-// applyLocalT computes out = Âᵀ·dY (fully overwritten) restricted to local
-// edges: gradients do not flow through the stale snapshot — exactly the
-// approximation delayed updates make.
-func (a *delayedAdj) applyLocalT(dy, out *tensor.Matrix) {
-	tensor.ParallelFor(a.n, int64(len(a.tCol))*int64(dy.Cols), func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			s, e := a.tPtr[u], a.tPtr[u+1]
-			gnn.SpMMRow(out.Row(u), a.tCol[s:e], a.tWts[s:e], dy, nil, nil)
-		}
-	})
-}
-
-// boundaryVertices returns the vertices having at least one cross-partition
-// neighbor (whose activations must be shipped on refresh).
-func boundaryVertices(g *graph.Graph, part *partition.Partition) []graph.V {
-	var out []graph.V
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.Neighbors(graph.V(v)) {
-			if part.Assign[u] != part.Assign[v] {
-				out = append(out, graph.V(v))
-				break
-			}
+// exchange meters one snapshot refresh of width-column rows: each owner
+// ships every row a reader partition needs once, in one batch per pair.
+func (a *delayedAdj) exchange(net *cluster.Network, width int) {
+	for i, rows := range a.sends {
+		if rows > 0 {
+			net.AccountBatch(i/a.k, i%a.k, rows, rows*int64(width)*4)
 		}
 	}
-	return out
+}
+
+// staleRows returns the rows that remote entries read this epoch: cur itself
+// when there is no owned snapshot (RefreshEvery 1), else snap, refreshed
+// from cur first on a refresh epoch.
+func staleRows(snap, cur *tensor.Matrix, refresh bool) *tensor.Matrix {
+	if snap == nil {
+		return cur
+	}
+	if refresh {
+		copy(snap.Data, cur.Data)
+	}
+	return snap
 }
 
 // DistGNNConfig configures delayed-update full-graph training.
@@ -123,17 +105,20 @@ type DistGNNConfig struct {
 // DistGNNResult reports a delayed-update run.
 type DistGNNResult struct {
 	TestAcc   float64 // of the trained model, evaluated after the last epoch
+	Loss      float64 // that evaluation's cross-entropy over labeled vertices
 	Refreshes int64   // snapshot refreshes during training
 	Net       cluster.Stats
 }
 
 // TrainDistGNN trains a 2-layer GCN full-graph with DistGNN's delayed
-// updates: layer-2 aggregation uses a snapshot of layer-1 activations for
-// cross-partition edges, refreshed (and metered) every RefreshEvery epochs.
-// After the last epoch it evaluates the trained model with one more forward
-// over fresh layer-1 rows on every edge, as gnn.TrainFullGraph does; that
-// forward's boundary exchange is metered in Net like a refresh but is not
-// counted in Refreshes.
+// updates: cross-partition edges read a snapshot of the remote rows, taken
+// (and metered) every RefreshEvery epochs — layer-1 activations in the
+// forward, their gradients in the backward. At RefreshEvery 1 the snapshots
+// are the current rows, and training is a serial GCN's bit for bit. After
+// the last epoch it evaluates the trained model with one more forward over
+// fresh layer-1 rows on every edge, as gnn.TrainFullGraph does; that
+// forward's exchange is metered in Net like a refresh's but is not counted
+// in Refreshes.
 func TrainDistGNN(task *gnn.Task, cfg DistGNNConfig) DistGNNResult {
 	res, _ := trainDistGNN(task, cfg)
 	return res
@@ -159,9 +144,8 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 	if cfg.RefreshEvery <= 0 {
 		cfg.RefreshEvery = 1
 	}
-	clst := cluster.New(cfg.Workers)
+	net := cluster.New(cfg.Workers).Network()
 	adj := newDelayedAdj(task.G, cfg.Part)
-	boundary := boundaryVertices(task.G, cfg.Part)
 
 	lin1 := nn.NewDense(task.X.Cols, cfg.Hidden, cfg.Seed)
 	lin2 := nn.NewDense(cfg.Hidden, task.NumClasses, cfg.Seed+101)
@@ -183,53 +167,39 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 	adj.apply(task.X, task.X, agg0)
 	// agg1 also holds dH1: lin2.Backward has read agg1 before dH1 is written.
 	agg1 := tensor.New(n, cfg.Hidden)
-	// At RefreshEvery 1 the snapshot is h1 itself; otherwise an owned copy.
-	var snapshot *tensor.Matrix
+	// Owned activation and gradient snapshots, past RefreshEvery 1.
+	var snapH, snapD *tensor.Matrix
 	if cfg.RefreshEvery > 1 {
-		snapshot = tensor.New(n, cfg.Hidden)
-	}
-	// exchange ships every boundary vertex's layer-1 row to the other
-	// workers, metered: a refresh, or the evaluation's fresh read.
-	exchange := func() {
-		for _, v := range boundary {
-			owner := cfg.Part.Assign[v]
-			for w := 0; w < cfg.Workers; w++ {
-				if w != owner {
-					clst.Network().Account(owner, w, int64(cfg.Hidden)*4)
-				}
-			}
-		}
+		snapH, snapD = tensor.New(n, cfg.Hidden), tensor.New(n, cfg.Hidden)
 	}
 	var res DistGNNResult
 	for ep := 0; ep < cfg.Epochs; ep++ {
-		h1 := relu.Forward(lin1.Forward(agg0))
-		staleH1 := h1
-		if snapshot != nil {
-			staleH1 = snapshot
-		}
-		if ep%cfg.RefreshEvery == 0 {
-			if snapshot != nil {
-				copy(snapshot.Data, h1.Data)
-			}
+		refresh := ep%cfg.RefreshEvery == 0
+		if refresh {
 			res.Refreshes++
-			exchange()
+			// a refresh ships both snapshots: the activations and, after
+			// the forward, their gradients
+			adj.exchange(net, cfg.Hidden)
+			adj.exchange(net, cfg.Hidden)
 		}
-		adj.apply(h1, staleH1, agg1)
+		h1 := relu.Forward(lin1.Forward(agg0))
+		adj.apply(h1, staleRows(snapH, h1, refresh), agg1)
 		logits := lin2.Forward(agg1)
 		_, dLogits := nn.SoftmaxCrossEntropy(logits, masked)
 		dAgg1 := lin2.Backward(dLogits)
 		dH1 := agg1
-		adj.applyLocalT(dAgg1, dH1)
+		adj.apply(dAgg1, staleRows(snapD, dAgg1, refresh), dH1)
 		lin1.BackwardParams(relu.Backward(dH1))
 		opt.Step(params)
 	}
 	// Evaluate the trained model: fresh layer-1 rows over every edge.
 	h1 := relu.Forward(lin1.Forward(agg0))
-	exchange()
+	adj.exchange(net, cfg.Hidden)
 	adj.apply(h1, h1, agg1)
 	logits := lin2.Forward(agg1)
 	res.TestAcc = nn.Accuracy(logits, task.Labels, task.TestMask)
-	res.Net = clst.Network().Stats()
+	res.Loss, _ = nn.SoftmaxCrossEntropy(logits, task.Labels)
+	res.Net = net.Stats()
 	return res, logits
 }
 
@@ -246,9 +216,11 @@ type OffloadStats struct {
 
 // OffloadedGCNForward computes a 2-layer GCN forward pass chunk by chunk:
 // for each layer, only `chunkRows` rows of activations are resident on the
-// "device" at a time, with inputs streamed from host memory. The returned
-// logits are bit-identical in structure to the monolithic forward; the stats
-// expose HongTu's trade: bounded device memory for extra host traffic.
+// "device" at a time, with inputs streamed from host memory. Each chunk runs
+// the shared kernels on a row view of the output, and their rows do not
+// depend on how rows are chunked, so the logits are bitwise the monolithic
+// forward's; the stats expose HongTu's trade: bounded device memory for
+// extra host traffic.
 func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, lin2B *tensor.Matrix, chunkRows int) (*tensor.Matrix, OffloadStats) {
 	n := g.NumVertices()
 	rowPtr, col, wts := gnn.NewNormAdj(g).CSR()
@@ -259,12 +231,9 @@ func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, 
 
 	layer := func(input *tensor.Matrix, w, b *tensor.Matrix, activate bool) *tensor.Matrix {
 		out := tensor.New(n, w.Cols)
-		aggRow := make([]float32, input.Cols)
+		agg := tensor.New(min(chunkRows, n), input.Cols)
 		for lo := 0; lo < n; lo += chunkRows {
-			hi := lo + chunkRows
-			if hi > n {
-				hi = n
-			}
+			hi := min(lo+chunkRows, n)
 			// device holds: chunk of aggregated inputs + chunk of outputs
 			devFloats := int64(hi-lo) * int64(input.Cols+w.Cols)
 			if devFloats > st.DevicePeakFloats {
@@ -272,22 +241,17 @@ func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, 
 			}
 			// stream the needed input rows from host (charged per chunk)
 			st.HostTransferred += int64(hi-lo) * int64(input.Cols)
+			// aggregate the chunk's rows, then run the dense layer on them
+			aggChunk := &tensor.Matrix{Rows: hi - lo, Cols: input.Cols, Data: agg.Data[:(hi-lo)*input.Cols]}
 			for v := lo; v < hi; v++ {
-				// aggregate row v on device
 				from, to := rowPtr[v], rowPtr[v+1]
-				gnn.SpMMRow(aggRow, col[from:to], wts[from:to], input, nil, nil)
-				or := out.Row(v)
-				for j := 0; j < w.Cols; j++ {
-					var s float32
-					for d, av := range aggRow {
-						s += float32(av * w.At(d, j))
-					}
-					s += b.At(0, j)
-					if activate && s < 0 {
-						s = 0
-					}
-					or[j] = s
-				}
+				gnn.SpMMRow(aggChunk.Row(v-lo), col[from:to], wts[from:to], input, nil, nil)
+			}
+			outChunk := &tensor.Matrix{Rows: hi - lo, Cols: w.Cols, Data: out.Data[lo*w.Cols : hi*w.Cols]}
+			tensor.MatMulInto(aggChunk, w, outChunk)
+			outChunk.AddRowVector(b.Row(0))
+			if activate {
+				(&nn.ReLU{}).Forward(outChunk)
 			}
 			// write results back to host
 			st.HostTransferred += int64(hi-lo) * int64(w.Cols)

@@ -11,6 +11,7 @@ import (
 
 	"graphsys/internal/gnn"
 	"graphsys/internal/graph"
+	"graphsys/internal/nn"
 	"graphsys/internal/partition"
 	"graphsys/internal/tensor"
 )
@@ -30,8 +31,9 @@ func logitsHash(m *tensor.Matrix) uint64 {
 // bit: test accuracy, refresh count, metered bytes and a hash of the
 // evaluation's logits, at kernel parallelism 1 and 2, so any rework of the
 // epoch loop or of delayedAdj must reproduce them exactly. The values were
-// recorded when the trainer first evaluated the trained model after its
-// loop; TestDistGNNEvaluationIsOneMoreForward ties them to the values before.
+// recorded when the backward became the forward's kernel over a gradient
+// snapshot; at RefreshEvery 1 TestDistGNNSyncEqualsSerial ties the logits to
+// a serial GCN's, which is why the refresh-1 hashes agree across workers.
 // Float bits depend on the instruction set (FMA fusion), hence amd64 only.
 func TestDistGNNBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -44,12 +46,12 @@ func TestDistGNNBitsPinned(t *testing.T) {
 		logits    uint64
 	}
 	want := map[[2]int]pin{ // {RefreshEvery, Workers}
-		{1, 1}: {0x3feff84fc46a3237, 7, 0, 0xbd7ceca9f97e4072},
-		{1, 2}: {0x3feff84fc46a3237, 7, 592384, 0xd127dd85a2cf7a23},
-		{1, 4}: {0x3feff84fc46a3237, 7, 4008960, 0x906958eba8b8576a},
-		{3, 1}: {0x3feff84fc46a3237, 3, 0, 0xbd7ceca9f97e4072},
-		{3, 2}: {0x3feff84fc46a3237, 3, 296192, 0xc48215abf5d7f3f6},
-		{3, 4}: {0x3feff84fc46a3237, 3, 2004480, 0xda220116cc744976},
+		{1, 1}: {0x3feff84fc46a3237, 7, 0, 0xc046e6014aed9980},
+		{1, 2}: {0x3feff84fc46a3237, 7, 1110720, 0xc046e6014aed9980},
+		{1, 4}: {0x3feff84fc46a3237, 7, 4874880, 0xc046e6014aed9980},
+		{3, 1}: {0x3feff84fc46a3237, 3, 0, 0xc046e6014aed9980},
+		{3, 2}: {0x3feff84fc46a3237, 3, 518336, 0xaa87ca237302a9d2},
+		{3, 4}: {0x3feff84fc46a3237, 3, 2274944, 0x54671c53eea2cadb},
 	}
 	task := gnn.SyntheticCommunityTask(3000, 4, 8, 0.3, 5)
 	defer tensor.SetParallelism(0)
@@ -67,36 +69,74 @@ func TestDistGNNBitsPinned(t *testing.T) {
 	}
 }
 
-// TestDistGNNEvaluationIsOneMoreForward pins what evaluating the trained
-// model adds: one forward and one metered boundary exchange, nothing else.
-// At RefreshEvery 1 every epoch's forward already reads fresh rows, so a
-// 6-epoch run must report exactly what the trainer reported for 7 epochs
-// when its accuracy and logits were those of the last training epoch's own
-// forward (recorded values below), with 6 refreshes and 7 exchanges.
-func TestDistGNNEvaluationIsOneMoreForward(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("pinned float bits are recorded on amd64")
-	}
-	type pin struct {
-		acc       uint64
-		refreshes int64
-		bytes     int64
-		logits    uint64
-	}
-	want := map[int]pin{ // by Workers
-		1: {0x3feff84fc46a3237, 6, 0, 0xe555ce72e506c492},
-		2: {0x3feff84fc46a3237, 6, 518336, 0x955ceb6d74360a4e},
-		4: {0x3fefe8ef4d3e96a5, 6, 3507840, 0x5f7f845b438d0bd4},
-	}
-	task := gnn.SyntheticCommunityTask(3000, 4, 8, 0.3, 5)
+// serialGCN trains gnn.NewModel's 2-layer GCN of cfg's width and seed with
+// gnn.TrainFullGraph for cfg's epochs at cfg's learning rate, then runs its
+// forward once: the logits and labeled-vertex loss that DistGNN must
+// reproduce at RefreshEvery 1.
+func serialGCN(task *gnn.Task, cfg DistGNNConfig) (*tensor.Matrix, float64) {
+	m := gnn.NewModel(task.G, gnn.GCN, []int{task.X.Cols, cfg.Hidden, task.NumClasses}, cfg.Seed)
+	gnn.TrainFullGraph(m, task.X, task.Labels, task.TrainMask, task.TestMask, gnn.TrainConfig{Epochs: cfg.Epochs, LR: cfg.LR})
+	logits := m.Forward(task.X)
+	loss, _ := nn.SoftmaxCrossEntropy(logits, task.Labels)
+	return logits, loss
+}
+
+// TestDistGNNSyncEqualsSerial: at RefreshEvery 1 every snapshot is the
+// current rows, so delayed-update training over any partition is a serial
+// GCN's, and the evaluation's logits and loss equal the serial model's bit
+// for bit at every worker count and kernel parallelism.
+func TestDistGNNSyncEqualsSerial(t *testing.T) {
+	task := gnn.SyntheticCommunityTask(1000, 4, 8, 0.3, 5)
 	defer tensor.SetParallelism(0)
 	for _, par := range []int{1, 2} {
 		tensor.SetParallelism(par)
-		for _, workers := range []int{1, 2, 4} {
-			res, logits := trainDistGNN(task, DistGNNConfig{Workers: workers, Epochs: 6, RefreshEvery: 1, Seed: 9})
-			got := pin{math.Float64bits(res.TestAcc), res.Refreshes, res.Net.Bytes, logitsHash(logits)}
-			if got != want[workers] {
-				t.Errorf("parallelism %d workers %d: got %#v, want %#v", par, workers, got, want[workers])
+		cfg := DistGNNConfig{Hidden: 16, Epochs: 7, LR: 0.02, RefreshEvery: 1, Seed: 9}
+		want, wantLoss := serialGCN(task, cfg)
+		for _, workers := range []int{1, 2, 4, 8} {
+			cfg.Workers = workers
+			res, got := trainDistGNN(task, cfg)
+			mustBitwiseEqual(t, fmt.Sprintf("parallelism %d workers %d logits", par, workers), got, want)
+			if math.Float64bits(res.Loss) != math.Float64bits(wantLoss) {
+				t.Errorf("parallelism %d workers %d: loss %v, want %v", par, workers, res.Loss, wantLoss)
+			}
+		}
+	}
+}
+
+// TestDistGNNEvaluationIsOneMoreForward pins what evaluating the trained
+// model adds: one forward, whose logits at RefreshEvery 1 are the serial
+// GCN's after the same epochs, and one metered exchange. A refresh ships two
+// exchanges (activations, then their gradients), so Net holds 2·Refreshes+1
+// of them; one exchange is one hidden-width row per distinct (vertex,
+// reading partition) pair, counted here from the graph's neighbor lists.
+func TestDistGNNEvaluationIsOneMoreForward(t *testing.T) {
+	task := gnn.SyntheticCommunityTask(1000, 4, 8, 0.3, 5)
+	for _, workers := range []int{1, 2, 4} {
+		part := partition.Metis(task.G, workers)
+		var rows int64
+		for v := 0; v < task.G.NumVertices(); v++ {
+			readers := map[int]bool{}
+			for _, u := range task.G.Neighbors(graph.V(v)) {
+				if p := part.Assign[u]; p != part.Assign[v] {
+					readers[p] = true
+				}
+			}
+			rows += int64(len(readers))
+		}
+		for _, refresh := range []int{1, 3} {
+			cfg := DistGNNConfig{Workers: workers, Part: part, Hidden: 16, Epochs: 6, LR: 0.02, RefreshEvery: refresh, Seed: 9}
+			res, logits := trainDistGNN(task, cfg)
+			exchanges := 2*res.Refreshes + 1
+			if res.Refreshes != int64((cfg.Epochs+refresh-1)/refresh) {
+				t.Errorf("workers %d refresh %d: %d refreshes in %d epochs", workers, refresh, res.Refreshes, cfg.Epochs)
+			}
+			if res.Net.Messages != exchanges*rows || res.Net.Bytes != exchanges*rows*16*4 {
+				t.Errorf("workers %d refresh %d: %d messages, %d bytes; want %d exchanges of %d rows of 64 B",
+					workers, refresh, res.Net.Messages, res.Net.Bytes, exchanges, rows)
+			}
+			if refresh == 1 {
+				want, _ := serialGCN(task, cfg)
+				mustBitwiseEqual(t, fmt.Sprintf("workers %d logits", workers), logits, want)
 			}
 		}
 	}
@@ -125,42 +165,35 @@ func mixedDegreeGraph() *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
-// naiveDelayed is an independent per-entry reference for delayedAdj. Row v
-// of the forward product adds w·src[u] over g.Neighbors(v) and then the
-// self-loop, src being stale for a cross-partition edge and fresh otherwise;
-// the backward product scatters w·dy[v] into row u over the same local
-// entries, v ascending. w is the float32 of 1/sqrt((deg v + 1)(deg u + 1))
-// in float64, and each product is rounded before it is added.
-func naiveDelayed(g *graph.Graph, part *partition.Partition, fresh, stale, dy *tensor.Matrix) (fwd, bwdT *tensor.Matrix) {
+// naiveDelayed is an independent per-entry reference for delayedAdj.apply.
+// Row v adds w·src[u] over g.Neighbors(v) and then the self-loop, src being
+// stale for a cross-partition edge and fresh otherwise. w is the float32 of
+// 1/sqrt((deg v + 1)(deg u + 1)) in float64, and each product is rounded
+// before it is added.
+func naiveDelayed(g *graph.Graph, part *partition.Partition, fresh, stale *tensor.Matrix) *tensor.Matrix {
 	n := g.NumVertices()
 	inv := func(v graph.V) float64 { return 1 / math.Sqrt(float64(g.Degree(v)+1)) }
-	fwd, bwdT = tensor.New(n, fresh.Cols), tensor.New(n, dy.Cols)
+	fwd := tensor.New(n, fresh.Cols)
 	for v := 0; v < n; v++ {
 		for _, u := range append(append([]graph.V(nil), g.Neighbors(graph.V(v))...), graph.V(v)) {
 			w := float32(inv(graph.V(v)) * inv(u))
-			src, local := fresh, part.Assign[u] == part.Assign[v]
-			if !local {
+			src := fresh
+			if part.Assign[u] != part.Assign[v] {
 				src = stale
 			}
 			or := fwd.Row(v)
 			for j, hv := range src.Row(int(u)) {
 				or[j] += float32(w * hv)
 			}
-			if local {
-				or := bwdT.Row(int(u))
-				for j, dv := range dy.Row(v) {
-					or[j] += float32(w * dv)
-				}
-			}
 		}
 	}
-	return fwd, bwdT
+	return fwd
 }
 
-// TestDelayedAdjMatchesNaiveReference holds apply and applyLocalT to the
-// per-entry reference bit for bit, over rows of every length class, at
-// parallelism 1, 2 and 8 (1000 columns take both kernels past
-// SerialWorkThreshold), into buffers with stale contents.
+// TestDelayedAdjMatchesNaiveReference holds apply to the per-entry reference
+// bit for bit, over rows of every length class, at parallelism 1, 2 and 8
+// (1000 columns take the kernel past SerialWorkThreshold), into a buffer
+// with stale contents.
 func TestDelayedAdjMatchesNaiveReference(t *testing.T) {
 	oldProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(oldProcs)
@@ -170,8 +203,8 @@ func TestDelayedAdjMatchesNaiveReference(t *testing.T) {
 	part := partition.Hash(g, 3)
 	adj := newDelayedAdj(g, part)
 	n := g.NumVertices()
-	fresh, stale, dy := tensor.Xavier(n, 1000, 1), tensor.Xavier(n, 1000, 2), tensor.Xavier(n, 1000, 3)
-	wantFwd, wantBwdT := naiveDelayed(g, part, fresh, stale, dy)
+	fresh, stale := tensor.Xavier(n, 1000, 1), tensor.Xavier(n, 1000, 2)
+	want := naiveDelayed(g, part, fresh, stale)
 	for _, p := range []int{1, 2, 8} {
 		tensor.SetParallelism(p)
 		out := tensor.New(n, 1000)
@@ -179,9 +212,7 @@ func TestDelayedAdjMatchesNaiveReference(t *testing.T) {
 			out.Data[i] = float32(i)
 		}
 		adj.apply(fresh, stale, out)
-		mustBitwiseEqual(t, fmt.Sprintf("apply p=%d", p), out, wantFwd)
-		adj.applyLocalT(dy, out)
-		mustBitwiseEqual(t, fmt.Sprintf("applyLocalT p=%d", p), out, wantBwdT)
+		mustBitwiseEqual(t, fmt.Sprintf("apply p=%d", p), out, want)
 	}
 }
 

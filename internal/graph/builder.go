@@ -27,9 +27,6 @@ func NewBuilder(n int, directed bool) *Builder {
 	return &Builder{n: n, directed: directed}
 }
 
-// NumVertices returns the current vertex count.
-func (b *Builder) NumVertices() int { return b.n }
-
 // AddEdge adds the edge u→v (and v→u for undirected builders). Self-loops are
 // silently dropped. Vertex ids must be in [0, n).
 func (b *Builder) AddEdge(u, v V) { b.AddLabeledEdge(u, v, 0) }

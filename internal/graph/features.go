@@ -44,11 +44,6 @@ func ComputeStructuralFeatures(g *Graph) *StructuralFeatures {
 	return f
 }
 
-// Row returns the feature vector of vertex v.
-func (f *StructuralFeatures) Row(v V) []float64 {
-	return []float64{f.Degree[v], f.LogDegree[v], f.Clustering[v], f.Core[v], f.Triangles[v]}
-}
-
 // Matrix returns the n×FeatureDim feature matrix in row-major float32 form,
 // ready for GNN input.
 func (f *StructuralFeatures) Matrix() [][]float32 {

@@ -101,10 +101,6 @@ func (g *Graph) EdgeLabelAt(u V, i int) int32 {
 	return g.elabels[g.offsets[u]+int64(i)]
 }
 
-// Labels returns the vertex label slice (nil if unlabeled). The slice aliases
-// internal storage and must not be modified.
-func (g *Graph) Labels() []int32 { return g.vlabels }
-
 // MaxLabel returns the largest vertex label, or 0 for unlabeled graphs.
 func (g *Graph) MaxLabel() int32 {
 	var m int32
@@ -217,20 +213,4 @@ func (g *Graph) String() string {
 		kind = "directed"
 	}
 	return fmt.Sprintf("graph{%s, n=%d, m=%d}", kind, g.NumVertices(), g.NumEdges())
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		offsets:  append([]int64(nil), g.offsets...),
-		adj:      append([]V(nil), g.adj...),
-		directed: g.directed,
-	}
-	if g.vlabels != nil {
-		c.vlabels = append([]int32(nil), g.vlabels...)
-	}
-	if g.elabels != nil {
-		c.elabels = append([]int32(nil), g.elabels...)
-	}
-	return c
 }

@@ -248,18 +248,3 @@ func TestEdgesOnce(t *testing.T) {
 		t.Fatalf("K5 EdgesOnce = %d", count)
 	}
 }
-
-func TestCloneIsDeep(t *testing.T) {
-	b := NewBuilder(3, false)
-	b.SetLabel(0, 1)
-	b.AddEdge(0, 1)
-	g := b.Build()
-	c := g.Clone()
-	if c.NumEdges() != g.NumEdges() || c.Label(0) != 1 {
-		t.Fatal("clone mismatch")
-	}
-	c.vlabels[0] = 99
-	if g.Label(0) == 99 {
-		t.Fatal("clone shares label storage")
-	}
-}

@@ -186,10 +186,6 @@ func TestStructuralFeatures(t *testing.T) {
 			t.Fatalf("core[%d]=%f", v, f.Core[v])
 		}
 	}
-	row := f.Row(0)
-	if len(row) != FeatureDim {
-		t.Fatalf("row dim %d", len(row))
-	}
 	m := f.Matrix()
 	if len(m) != 4 || len(m[0]) != FeatureDim {
 		t.Fatal("matrix shape wrong")

@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"math"
 	"testing"
 
 	"graphsys/internal/cluster"
@@ -36,9 +37,9 @@ func TestCheckpointRecoveryCorrectness(t *testing.T) {
 }
 
 // TestPageRankCrashRecoveryMatchesFaultFree checks the floating-point
-// workload too: a crash-and-rollback run must land on the fault-free ranks.
-// (Unlike HashMin's order-independent min, PageRank sums float messages in
-// arrival order, which varies across runs by a few ulps — hence the epsilon.)
+// workload too: a crash-and-rollback run must land on the fault-free ranks
+// bit for bit: messages are folded in ascending worker rank, so a replayed
+// superstep sums them exactly as the fault-free run did.
 func TestPageRankCrashRecoveryMatchesFaultFree(t *testing.T) {
 	g := gen.RMAT(9, 8, 4)
 	want, _, _ := PageRank(g, 15, Config{Workers: 4})
@@ -48,8 +49,8 @@ func TestPageRankCrashRecoveryMatchesFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := range want {
-		if d := got[v] - want[v]; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("vertex %d: %v vs %v after recovery", v, got[v], want[v])
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("vertex %d: %v vs %v after recovery (not bitwise equal)", v, got[v], want[v])
 		}
 	}
 	if res.RecoveredSteps != 1 { // crashed at 7, checkpoint at 6

@@ -109,9 +109,6 @@ func (s *CachedSource) Degree(v graph.V) int { return int(s.f.degs[v]) }
 // Stats returns the handle's cumulative I/O counters.
 func (s *CachedSource) Stats() IOStats { return s.stats }
 
-// CacheBytes returns the handle's block budget (charged at decoded size).
-func (s *CachedSource) CacheBytes() int64 { return s.budget }
-
 // Neighbors returns v's sorted neighbor list, decoded from the cached block
 // into a buffer the handle owns and valid until the next Neighbors or Scan
 // call on this handle. Only v's list is decoded, every id range-checked; a

@@ -187,9 +187,6 @@ func (bf *File) validate() error {
 // Close releases the underlying file handle.
 func (bf *File) Close() error { return bf.f.Close() }
 
-// Path returns the file's path.
-func (bf *File) Path() string { return bf.path }
-
 // NumVertices returns the number of vertices.
 func (bf *File) NumVertices() int { return bf.n }
 

@@ -598,7 +598,7 @@ func TestSpillProviderLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spill: %v", err)
 	}
-	spillPath := p.File().Path()
+	spillPath := p.File().path
 	if _, err := os.Stat(spillPath); err != nil {
 		t.Fatalf("spill file missing: %v", err)
 	}

@@ -294,17 +294,6 @@ func checkInto(op string, out *Matrix, rows, cols int, ins ...*Matrix) {
 	}
 }
 
-// T returns the transpose.
-func (m *Matrix) T() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
 // Add returns a+b.
 func Add(a, b *Matrix) *Matrix {
 	sameShape(a, b)
@@ -342,15 +331,6 @@ func (m *Matrix) AddRowVector(v []float32) {
 			r[j] += v[j]
 		}
 	}
-}
-
-// Apply applies f elementwise, returning a new matrix.
-func (m *Matrix) Apply(f func(float32) float32) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
-	}
-	return out
 }
 
 // ConcatCols returns [a | b] (same row count).

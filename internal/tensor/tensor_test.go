@@ -49,10 +49,6 @@ func TestAddScaleApply(t *testing.T) {
 	if c.At(0, 0) != 4 || c.At(0, 1) != 6 {
 		t.Fatal("add wrong")
 	}
-	d := c.Apply(func(x float32) float32 { return -x })
-	if d.At(0, 0) != -4 {
-		t.Fatal("apply wrong")
-	}
 	c.AddScaled(a, 10)
 	if c.At(0, 0) != 14 {
 		t.Fatal("addscaled wrong")
