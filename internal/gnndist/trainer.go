@@ -381,7 +381,8 @@ func (d *dist) storageFailed(round int) error {
 // model matches the fault-free run exactly; the replayed work is metered in
 // the trace's recovery section.
 func TrainSync(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
-	return trainSync(task, cfg, false)
+	res, _, err := trainSync(task, cfg, false)
+	return res, err
 }
 
 // TrainSancus is TrainSync with Sancus' staleness-aware communication
@@ -392,16 +393,18 @@ func TrainSync(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
 // saving bytes with negligible accuracy impact when updates are small. The
 // copy is checkpoint state, so crash recovery is as exact as TrainSync's.
 func TrainSancus(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
-	return trainSync(task, cfg, true)
+	res, _, err := trainSync(task, cfg, true)
+	return res, err
 }
 
-// trainSync is the synchronous round loop. Workers compute on the weights
-// they hold: master itself under sync, which broadcasts every round, or
-// under Sancus a copy that only a broadcast refreshes.
-func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, error) {
+// trainSync is the synchronous round loop, returning the trained master
+// weights beside the result. Workers compute on the weights they hold:
+// master itself under sync, which broadcasts every round, or under Sancus a
+// copy that only a broadcast refreshes.
+func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, weights, error) {
 	d, err := newDist(task, cfg)
 	if err != nil {
-		return DistResult{}, err
+		return DistResult{}, nil, err
 	}
 	defer d.close()
 	cfg = d.cfg
@@ -450,7 +453,7 @@ func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, erro
 			}
 		}
 		if err := d.storageFailed(r); err != nil {
-			return DistResult{}, err
+			return DistResult{}, nil, err
 		}
 		d.meter.Round(r)
 		opt.Step(params)
@@ -473,7 +476,7 @@ func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, erro
 		res.SimTime += roundMax
 	}
 	d.finish(&res, masterModel, workload)
-	return res, nil
+	return res, master, nil
 }
 
 // TrainBoundedStale runs asynchronous training with bounded staleness
@@ -485,9 +488,16 @@ func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, erro
 // CheckpointEvery/CrashAtRound, and a snapshot additionally carries each
 // worker's stale weight copy and version clock.
 func TrainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
+	res, _, err := trainBoundedStale(task, cfg)
+	return res, err
+}
+
+// trainBoundedStale is TrainBoundedStale that also returns the trained
+// master weights.
+func trainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, weights, error) {
 	d, err := newDist(task, cfg)
 	if err != nil {
-		return DistResult{}, err
+		return DistResult{}, nil, err
 	}
 	defer d.close()
 	cfg = d.cfg
@@ -562,7 +572,7 @@ func TrainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
 		}
 		grads, sent := d.gradStep(w, local[w])
 		if err := d.storageFailed(ev); err != nil {
-			return DistResult{}, err
+			return DistResult{}, nil, err
 		}
 		d.meter.Round(ev)
 		res.GradBytes += sent
@@ -578,5 +588,5 @@ func TrainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
 	}
 	res.SimTime = maxClock(clock)
 	d.finish(&res, masterModel, "gnndist/bounded-stale")
-	return res, nil
+	return res, master, nil
 }
