@@ -36,35 +36,34 @@ type csr struct {
 
 // apply computes out = op(h) where row v of the result is
 // rowScale[v] · Σ_idx wts[idx]·h[col[idx]] (rowScale/wts nil = unit). out is
+// fully overwritten.
+func (c *csr) apply(h, out *tensor.Matrix, rowScale []float32) {
+	c.applyRows(h, out, rowScale, 0, c.n)
+}
+
+// applyRows computes rows [lo, hi) of op(h) into out's rows [0, hi-lo),
 // fully overwritten. Rows are independent, each owned by one goroutine and
 // accumulated in CSR entry order, so results do not depend on how the row
-// range is split.
-func (c *csr) apply(h, out *tensor.Matrix, rowScale []float32) {
+// range is split or tiled.
+func (c *csr) applyRows(h, out *tensor.Matrix, rowScale []float32, lo, hi int) {
 	if h.Rows != c.n {
 		panic(fmt.Sprintf("gnn: aggregator input rows %d != vertices %d", h.Rows, c.n))
 	}
-	if out.Rows != c.n || out.Cols != h.Cols {
-		panic(fmt.Sprintf("gnn: aggregator output %dx%d, want %dx%d", out.Rows, out.Cols, c.n, h.Cols))
+	if out.Rows != hi-lo || out.Cols != h.Cols {
+		panic(fmt.Sprintf("gnn: aggregator output %dx%d, want %dx%d", out.Rows, out.Cols, hi-lo, h.Cols))
 	}
-	nnz := int64(c.rowPtr[c.n])
-	p := tensor.Parallelism()
-	if p <= 1 || c.n <= 1 || nnz*int64(h.Cols) < tensor.SerialWorkThreshold {
-		c.applyRange(h, out, rowScale, 0, c.n)
-		return
+	if b := rowBlocks(c.rowPtr, lo, hi, h.Cols); b != nil {
+		runBlocks(b, func(from, to int) { c.applyRange(h, out, rowScale, lo, from, to) })
+	} else {
+		c.applyRange(h, out, rowScale, lo, lo, hi)
 	}
-	bounds := splitRowsByNNZ(c.rowPtr, p)
-	fns := make([]func(), len(bounds)-1)
-	for i := range fns {
-		lo, hi := bounds[i], bounds[i+1]
-		fns[i] = func() { c.applyRange(h, out, rowScale, lo, hi) }
-	}
-	tensor.ParallelDo(fns)
 }
 
-// applyRange is the serial kernel over output rows [lo, hi).
-func (c *csr) applyRange(h, out *tensor.Matrix, rowScale []float32, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		or := out.Row(v)
+// applyRange is the serial kernel over rows [from, to), writing row v into
+// out's row v-base.
+func (c *csr) applyRange(h, out *tensor.Matrix, rowScale []float32, base, from, to int) {
+	for v := from; v < to; v++ {
+		or := out.Row(v - base)
 		s, e := c.rowPtr[v], c.rowPtr[v+1]
 		var wts []float32
 		if c.wts != nil {
@@ -78,6 +77,35 @@ func (c *csr) applyRange(h, out *tensor.Matrix, rowScale []float32, lo, hi int) 
 			}
 		}
 	}
+}
+
+// rowBlocks splits rows [lo, hi) of a CSR into at most tensor.Parallelism()
+// contiguous blocks of roughly equal nonzero count and returns their
+// boundaries, or nil when the work (nonzeros × width) is below
+// tensor.SerialWorkThreshold and the rows should run inline. Boundaries
+// affect load balance only, never results.
+func rowBlocks(rowPtr []int32, lo, hi, width int) []int {
+	nnz := int64(rowPtr[hi] - rowPtr[lo])
+	p := tensor.Parallelism()
+	if p <= 1 || hi-lo <= 1 || nnz*int64(width) < tensor.SerialWorkThreshold {
+		return nil
+	}
+	bounds := splitRowsByNNZ(rowPtr[lo:hi+1], p)
+	for i := range bounds {
+		bounds[i] += lo
+	}
+	return bounds
+}
+
+// runBlocks runs fn on every block [bounds[i], bounds[i+1]) concurrently;
+// fn must treat its block as exclusively owned.
+func runBlocks(bounds []int, fn func(lo, hi int)) {
+	fns := make([]func(), len(bounds)-1)
+	for i := range fns {
+		lo, hi := bounds[i], bounds[i+1]
+		fns[i] = func() { fn(lo, hi) }
+	}
+	tensor.ParallelDo(fns)
 }
 
 // SpMMRow overwrites or with one row of a sparse-dense product: the sum over
@@ -154,20 +182,22 @@ func (c *csr) transpose(srcScale []float32) *csr {
 	return t
 }
 
-// splitRowsByNNZ partitions rows [0, n) into at most p contiguous blocks of
-// roughly equal nonzero count (power-law graphs concentrate edges on hub
-// rows, so equal-row blocks would leave most workers idle). Returns block
-// boundaries; boundaries affect load balance only, never results.
+// splitRowsByNNZ partitions the rows [0, n) of rowPtr (n+1 offsets, which
+// need not start at 0) into at most p contiguous blocks of roughly equal
+// nonzero count (power-law graphs concentrate edges on hub rows, so
+// equal-row blocks would leave most workers idle). Returns block boundaries;
+// boundaries affect load balance only, never results.
 func splitRowsByNNZ(rowPtr []int32, p int) []int {
 	n := len(rowPtr) - 1
 	if p > n {
 		p = n
 	}
-	total := int64(rowPtr[n])
+	base := int64(rowPtr[0])
+	total := int64(rowPtr[n]) - base
 	bounds := append(make([]int, 0, p+1), 0)
 	for k := 1; k < p; k++ {
 		target := total * int64(k) / int64(p)
-		r := sort.Search(n, func(i int) bool { return int64(rowPtr[i]) >= target })
+		r := sort.Search(n, func(i int) bool { return int64(rowPtr[i])-base >= target })
 		if r <= bounds[len(bounds)-1] {
 			continue
 		}

@@ -2,7 +2,6 @@ package gnn
 
 import (
 	"graphsys/internal/graph"
-	"graphsys/internal/nn"
 	"graphsys/internal/tensor"
 )
 
@@ -52,18 +51,11 @@ func (s *SumAgg) ApplyTInto(dy, out *tensor.Matrix) { s.adjT.apply(dy, out, nil)
 // multisets that mean/max aggregators collapse, which is why GIN is the
 // standard whole-graph classification backbone.
 type GINLayer struct {
-	agg  *SumAgg
-	lin  *nn.Dense
-	act  *nn.ReLU
-	last bool
+	agg *SumAgg
+	denseAct
 
 	z  *tensor.Matrix // reused (1+ε)h + A·h buffer (cached by lin)
 	dh *tensor.Matrix // reused backward output
-}
-
-// newGINLayer builds a GIN-0 layer over the aggregator agg.
-func newGINLayer(agg *SumAgg, in, out int, last bool, seed int64) *GINLayer {
-	return &GINLayer{agg: agg, lin: nn.NewDense(in, out, seed), act: &nn.ReLU{}, last: last}
 }
 
 // Forward computes σ(W·(h + A·h) + b).
@@ -71,24 +63,21 @@ func (l *GINLayer) Forward(h *tensor.Matrix) *tensor.Matrix {
 	l.z = tensor.Reuse(l.z, h.Rows, h.Cols)
 	l.agg.ApplyInto(h, l.z)
 	l.z.AddInPlace(h) // (1+ε)h with ε=0
-	out := l.lin.Forward(l.z)
-	if l.last {
-		return out
-	}
-	return l.act.Forward(out)
+	return l.forward(l.z)
 }
 
 // Backward propagates dH = dZ + AᵀdZ (A symmetric for undirected graphs).
 func (l *GINLayer) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if !l.last {
-		dy = l.act.Backward(dy)
-	}
-	dz := l.lin.Backward(dy)
+	dz := l.lin.Backward(l.gate(dy))
 	l.dh = tensor.Reuse(l.dh, dz.Rows, dz.Cols)
 	l.agg.ApplyInto(dz, l.dh)
 	l.dh.AddInPlace(dz)
 	return l.dh
 }
 
-// Params returns the layer parameters.
-func (l *GINLayer) Params() []*nn.Param { return l.lin.Params() }
+func (l *GINLayer) infer(h *tensor.Matrix, tileRows int) *tensor.Matrix {
+	return l.inferTiles(l.agg.n, h.Cols, tileRows, func(in *tensor.Matrix, lo, hi int) {
+		l.agg.adj.applyRows(h, in, nil, lo, hi)
+		in.AddInPlace(h.SliceRows(lo, hi))
+	})
+}

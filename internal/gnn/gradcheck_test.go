@@ -32,9 +32,12 @@ func gradCheck(t *testing.T, g *graph.Graph, kind ModelKind) {
 		l, _ := nn.SoftmaxCrossEntropy(model.Forward(x), labels)
 		return l
 	}
-	// analytic gradients
-	_, dLogits := nn.SoftmaxCrossEntropy(model.Forward(x), labels)
-	dX := model.Backward(dLogits)
+	// analytic gradients, the input's through every layer's full Backward
+	// (Model.Backward stops at the first layer's parameters)
+	_, dX := nn.SoftmaxCrossEntropy(model.Forward(x), labels)
+	for i := len(model.Layers) - 1; i >= 0; i-- {
+		dX = model.Layers[i].Backward(dX)
+	}
 
 	check := func(name string, ptr *float32, analytic float32) {
 		const eps = 1e-2

@@ -10,70 +10,125 @@ import (
 
 // Layer is one graph-convolution layer with explicit backward.
 //
-// Layers own their output buffers and reuse them across training steps
-// (shapes are stable), so steady-state epochs allocate nothing; a returned
-// matrix is valid until the next call of the same method on the same layer.
+// Layers own their output buffers and only grow them (tensor.Reuse), so
+// steady-state epochs allocate nothing, and a model rebound to a batch no
+// larger than one it has run allocates no layer buffer; a returned matrix is
+// valid until the next call of the same method on the same layer.
 //
 // A hidden layer's activation (nn.ReLU) works in place: Forward rectifies
 // the layer's own dense or attention output and returns it, and Backward
 // gates dy in place before using it. So Backward may overwrite the dy it is
 // given; Model.Backward passes each layer the gradient matrix the layer
 // above returned, which that layer rewrites before reading it again.
+// BackwardParams is Backward without the input gradient, for a first layer
+// whose input is data.
+//
+// infer is Forward's inference form (see Model.Infer): the same output bits,
+// in a new matrix, with no state kept for a backward pass.
 type Layer interface {
 	Forward(h *tensor.Matrix) *tensor.Matrix
 	Backward(dy *tensor.Matrix) *tensor.Matrix
+	BackwardParams(dy *tensor.Matrix)
 	Params() []*nn.Param
+	infer(h *tensor.Matrix, tileRows int) *tensor.Matrix
+}
+
+// denseAct is the dense transform and, below the last layer, the ReLU that
+// end the GCN, SAGE and GIN layers.
+type denseAct struct {
+	lin  *nn.Dense
+	act  *nn.ReLU
+	last bool // last layer: no activation (logits)
+}
+
+func newDenseAct(in, out int, last bool, seed int64) denseAct {
+	return denseAct{lin: nn.NewDense(in, out, seed), act: &nn.ReLU{}, last: last}
+}
+
+// forward applies the dense transform to x, then the activation.
+func (d *denseAct) forward(x *tensor.Matrix) *tensor.Matrix {
+	z := d.lin.Forward(x)
+	if d.last {
+		return z
+	}
+	return d.act.Forward(z)
+}
+
+// gate propagates dy through the activation.
+func (d *denseAct) gate(dy *tensor.Matrix) *tensor.Matrix {
+	if d.last {
+		return dy
+	}
+	return d.act.Backward(dy)
+}
+
+// BackwardParams accumulates the dense parameters' gradients.
+func (d *denseAct) BackwardParams(dy *tensor.Matrix) { d.lin.BackwardParams(d.gate(dy)) }
+
+// Params returns the layer parameters.
+func (d *denseAct) Params() []*nn.Param { return d.lin.Params() }
+
+// inferTiles is forward's inference form over n output rows, tileRows at a
+// time (tileRows < 1 means one tile): fill writes rows [lo, hi) of the dense
+// input, width columns wide, into in, and the dense transform, bias and
+// activation write the tile's output rows. Only the output is n rows long;
+// the input is one tile. Every kernel here computes a row from that row's
+// inputs alone, so the output is bitwise forward's at any tiling.
+func (d *denseAct) inferTiles(n, width, tileRows int, fill func(in *tensor.Matrix, lo, hi int)) *tensor.Matrix {
+	if tileRows < 1 || tileRows > n {
+		tileRows = n
+	}
+	out := tensor.New(n, d.lin.W.W.Cols)
+	buf := tensor.New(tileRows, width)
+	var act nn.ReLU
+	for lo := 0; lo < n; lo += tileRows {
+		hi := min(lo+tileRows, n)
+		in, o := buf.SliceRows(0, hi-lo), out.SliceRows(lo, hi)
+		fill(in, lo, hi)
+		d.lin.ApplyInto(in, o)
+		if !d.last {
+			act.Forward(o)
+		}
+	}
+	return out
 }
 
 // GCNLayer computes σ(Â·H·W + b) (Kipf & Welling).
 type GCNLayer struct {
-	adj  *NormAdj
-	lin  *nn.Dense
-	act  *nn.ReLU
-	last bool // last layer: no activation (logits)
+	adj *NormAdj
+	denseAct
 
 	agg  *tensor.Matrix // reused Â·H buffer (cached by lin for backward)
 	dAgg *tensor.Matrix // reused backward Â·dZ buffer
-}
-
-// newGCNLayer builds a GCN layer over the operator adj.
-func newGCNLayer(adj *NormAdj, in, out int, last bool, seed int64) *GCNLayer {
-	return &GCNLayer{adj: adj, lin: nn.NewDense(in, out, seed), act: &nn.ReLU{}, last: last}
 }
 
 // Forward runs graph data retrieving (Â·H) then model computation (·W, σ).
 func (l *GCNLayer) Forward(h *tensor.Matrix) *tensor.Matrix {
 	l.agg = tensor.Reuse(l.agg, h.Rows, h.Cols)
 	l.adj.ApplyInto(h, l.agg)
-	z := l.lin.Forward(l.agg)
-	if l.last {
-		return z
-	}
-	return l.act.Forward(z)
+	return l.forward(l.agg)
 }
 
 // Backward propagates through σ, W and Â (Â is symmetric).
 func (l *GCNLayer) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if !l.last {
-		dy = l.act.Backward(dy)
-	}
-	dz := l.lin.Backward(dy)
+	dz := l.lin.Backward(l.gate(dy))
 	l.dAgg = tensor.Reuse(l.dAgg, dz.Rows, dz.Cols)
 	l.adj.ApplyInto(dz, l.dAgg)
 	return l.dAgg
 }
 
-// Params returns the layer parameters.
-func (l *GCNLayer) Params() []*nn.Param { return l.lin.Params() }
+func (l *GCNLayer) infer(h *tensor.Matrix, tileRows int) *tensor.Matrix {
+	return l.inferTiles(l.adj.n, h.Cols, tileRows, func(in *tensor.Matrix, lo, hi int) {
+		l.adj.adj.applyRows(h, in, nil, lo, hi)
+	})
+}
 
 // SAGELayer is the GraphSAGE mean-aggregator layer from the paper's §3
 // equation: h'_v = σ(W·CONCAT(h_v, mean_{u∈N(v)} h_u) + b).
 type SAGELayer struct {
-	agg  *MeanAgg
-	lin  *nn.Dense
-	act  *nn.ReLU
-	last bool
-	inD  int
+	agg *MeanAgg
+	denseAct
+	inD int
 
 	hn     *tensor.Matrix // reused mean-aggregated features
 	concat *tensor.Matrix // reused [h | hn] (cached by lin for backward)
@@ -82,30 +137,18 @@ type SAGELayer struct {
 	dH     *tensor.Matrix // reused backward output
 }
 
-// newSAGELayer builds a GraphSAGE layer over the aggregator agg.
-func newSAGELayer(agg *MeanAgg, in, out int, last bool, seed int64) *SAGELayer {
-	return &SAGELayer{agg: agg, lin: nn.NewDense(2*in, out, seed), act: &nn.ReLU{}, last: last, inD: in}
-}
-
 // Forward aggregates neighbor features and applies the dense transform.
 func (l *SAGELayer) Forward(h *tensor.Matrix) *tensor.Matrix {
 	l.hn = tensor.Reuse(l.hn, h.Rows, h.Cols)
 	l.agg.ApplyInto(h, l.hn)
 	l.concat = tensor.Reuse(l.concat, h.Rows, 2*h.Cols)
 	tensor.ConcatColsInto(h, l.hn, l.concat)
-	z := l.lin.Forward(l.concat)
-	if l.last {
-		return z
-	}
-	return l.act.Forward(z)
+	return l.forward(l.concat)
 }
 
 // Backward splits the concat gradient into self and neighbor parts.
 func (l *SAGELayer) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if !l.last {
-		dy = l.act.Backward(dy)
-	}
-	dConcat := l.lin.Backward(dy)
+	dConcat := l.lin.Backward(l.gate(dy))
 	l.dSelf = tensor.Reuse(l.dSelf, dConcat.Rows, l.inD)
 	l.dN = tensor.Reuse(l.dN, dConcat.Rows, dConcat.Cols-l.inD)
 	tensor.SplitColsInto(dConcat, l.dSelf, l.dN)
@@ -115,21 +158,26 @@ func (l *SAGELayer) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	return l.dH
 }
 
-// Params returns the layer parameters.
-func (l *SAGELayer) Params() []*nn.Param { return l.lin.Params() }
+func (l *SAGELayer) infer(h *tensor.Matrix, tileRows int) *tensor.Matrix {
+	var hn *tensor.Matrix
+	return l.inferTiles(l.agg.n, 2*h.Cols, tileRows, func(in *tensor.Matrix, lo, hi int) {
+		hn = tensor.Reuse(hn, hi-lo, h.Cols)
+		l.agg.adj.applyRows(h, hn, l.agg.inv, lo, hi)
+		tensor.ConcatColsInto(h.SliceRows(lo, hi), hn, in)
+	})
+}
 
 // GATLayer is a single-head graph attention layer (Veličković et al.):
 // e_uv = LeakyReLU(aᴸ·z_u + aᴿ·z_v) over u ∈ N(v)∪{v}, α = softmax_u,
 // out_v = σ(Σ_u α_uv z_u), where z = H·W. The neighborhoods (with self-loop
-// last) are hoisted into a flat CSR at construction, and the attention
-// coefficient caches are flat nnz-length arrays instead of per-vertex
-// allocations. The forward pass is parallel over destination vertices (each
-// owns its out/alpha rows — deterministic at any worker count); the backward
-// pass scatters into arbitrary neighbor rows and stays serial.
+// last) are hoisted into a flat CSR when the layer is bound to a graph, and
+// the attention coefficient caches are flat nnz-length arrays, grown only
+// when a graph needs more, instead of per-vertex allocations. The forward
+// pass is parallel over destination vertices (each owns its out/alpha rows —
+// deterministic at any worker count); the backward pass scatters into
+// arbitrary neighbor rows and stays serial.
 type GATLayer struct {
-	n        int
-	rowPtr   []int32 // CSR over N(v)∪{v}, self-loop last
-	nbrs     []graph.V
+	adj      *gatAdj
 	W        *nn.Param
 	AL, AR   *nn.Param
 	last     bool
@@ -138,7 +186,7 @@ type GATLayer struct {
 	// caches and reused buffers
 	h      *tensor.Matrix
 	z      *tensor.Matrix
-	alpha  []float32 // flat, aligned with nbrs: attention over N(v)∪{v}
+	alpha  []float32 // flat, aligned with adj.nbrs: attention over N(v)∪{v}
 	pre    []float32 // flat pre-LeakyReLU scores
 	sL, sR []float32
 	out    *tensor.Matrix
@@ -148,7 +196,7 @@ type GATLayer struct {
 	dx     *tensor.Matrix
 	dsL    []float32
 	dsR    []float32
-	dalpha []float32 // scratch, cap = max row length
+	dalpha []float32 // scratch, len = longest row
 }
 
 // gatAdj is GAT's neighbourhood CSR over N(v)∪{v}, self-loop last, with the
@@ -179,100 +227,95 @@ func newGATAdj(g *graph.Graph) *gatAdj {
 	return a
 }
 
-// newGATLayer builds a single-head GAT layer over the neighbourhoods adj.
-func newGATLayer(adj *gatAdj, in, out int, last bool, seed int64) *GATLayer {
-	n, nnz := len(adj.rowPtr)-1, len(adj.nbrs)
+// newGATLayer builds a single-head GAT layer, not yet bound to a graph.
+func newGATLayer(in, out int, last bool, seed int64) *GATLayer {
 	return &GATLayer{
-		n:        n,
-		rowPtr:   adj.rowPtr,
-		nbrs:     adj.nbrs,
 		W:        nn.NewParam(tensor.Xavier(in, out, seed)),
 		AL:       nn.NewParam(tensor.Xavier(1, out, seed+1)),
 		AR:       nn.NewParam(tensor.Xavier(1, out, seed+2)),
 		last:     last,
 		negSlope: 0.2,
 		act:      &nn.ReLU{},
-		alpha:    make([]float32, nnz),
-		pre:      make([]float32, nnz),
-		sL:       make([]float32, n),
-		sR:       make([]float32, n),
-		dsL:      make([]float32, n),
-		dsR:      make([]float32, n),
-		dalpha:   make([]float32, adj.maxRow),
 	}
 }
 
-// Forward computes attention-weighted aggregation.
-func (l *GATLayer) Forward(h *tensor.Matrix) *tensor.Matrix {
-	n := l.n
-	l.h = h
-	l.z = tensor.Reuse(l.z, h.Rows, l.W.W.Cols)
-	tensor.MatMulInto(h, l.W.W, l.z)
-	d := l.z.Cols
+// grow returns s resized to n, reallocating only past its capacity; the
+// contents are stale.
+func grow(s []float32, n int) []float32 {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]float32, n)
+}
+
+// scores computes the attention scores s_v = (aL·z_v, aR·z_v); rows are
+// independent.
+func (l *GATLayer) scores(z *tensor.Matrix, sL, sR []float32) {
+	d := z.Cols
 	al, ar := l.AL.W.Row(0), l.AR.W.Row(0)
-	// Phase 1: attention scores s_v = (aL·z_v, aR·z_v); rows independent.
-	tensor.ParallelFor(n, 2*int64(n)*int64(d), func(lo, hi int) {
+	tensor.ParallelFor(z.Rows, 2*int64(z.Rows)*int64(d), func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			zr := l.z.Row(v)
+			zr := z.Row(v)
 			var a, b float32
 			for j := 0; j < d; j++ {
 				a += al[j] * zr[j]
 				b += ar[j] * zr[j]
 			}
-			l.sL[v], l.sR[v] = a, b
+			sL[v], sR[v] = a, b
 		}
 	})
-	// Phase 2: per-destination softmax and aggregation. Each v owns its out
-	// row and its alpha/pre segment, accumulated in neighbor-list order, so
-	// the split into blocks never changes results.
-	l.out = tensor.Reuse(l.out, n, d)
-	nnz := int64(l.rowPtr[n])
-	forwardRange := func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s, e := l.rowPtr[v], l.rowPtr[v+1]
-			nbrs := l.nbrs[s:e]
-			pre := l.pre[s:e]
-			alpha := l.alpha[s:e]
-			var max float32 = -1e30
-			for i, u := range nbrs {
-				e := l.sL[u] + l.sR[v]
-				if e < 0 {
-					e *= l.negSlope
-				}
-				pre[i] = e
-				if e > max {
-					max = e
-				}
-			}
-			var sum float32
-			for i := range pre {
-				alpha[i] = expf(pre[i] - max)
-				sum += alpha[i]
-			}
-			or := l.out.Row(v)
-			for j := range or {
-				or[j] = 0
-			}
-			for i, u := range nbrs {
-				alpha[i] /= sum
-				zr := l.z.Row(int(u))
-				for j := 0; j < d; j++ {
-					or[j] += alpha[i] * zr[j]
-				}
-			}
+}
+
+// attend writes destination v's softmax over its neighbourhood into pre and
+// alpha (its pre-LeakyReLU scores and attention, one entry per neighbour)
+// and its aggregation Σ_u α_uv z_u into or, accumulated in neighbor-list
+// order.
+func (l *GATLayer) attend(v int, z *tensor.Matrix, sL, sR, pre, alpha, or []float32) {
+	nbrs := l.adj.nbrs[l.adj.rowPtr[v]:l.adj.rowPtr[v+1]]
+	var max float32 = -1e30
+	for i, u := range nbrs {
+		e := sL[u] + sR[v]
+		if e < 0 {
+			e *= l.negSlope
+		}
+		pre[i] = e
+		if e > max {
+			max = e
 		}
 	}
-	p := tensor.Parallelism()
-	if p <= 1 || n <= 1 || nnz*int64(d) < tensor.SerialWorkThreshold {
-		forwardRange(0, n)
-	} else {
-		bounds := splitRowsByNNZ(l.rowPtr, p)
-		fns := make([]func(), len(bounds)-1)
-		for i := range fns {
-			lo, hi := bounds[i], bounds[i+1]
-			fns[i] = func() { forwardRange(lo, hi) }
+	var sum float32
+	for i := range pre {
+		alpha[i] = expf(pre[i] - max)
+		sum += alpha[i]
+	}
+	for j := range or {
+		or[j] = 0
+	}
+	for i, u := range nbrs {
+		alpha[i] /= sum
+		zr := z.Row(int(u))
+		for j := range or {
+			or[j] += alpha[i] * zr[j]
 		}
-		tensor.ParallelDo(fns)
+	}
+}
+
+// Forward computes attention-weighted aggregation.
+func (l *GATLayer) Forward(h *tensor.Matrix) *tensor.Matrix {
+	n, nnz := len(l.adj.rowPtr)-1, len(l.adj.nbrs)
+	l.h = h
+	l.z = tensor.Reuse(l.z, h.Rows, l.W.W.Cols)
+	tensor.MatMulInto(h, l.W.W, l.z)
+	l.sL, l.sR = grow(l.sL, n), grow(l.sR, n)
+	l.scores(l.z, l.sL, l.sR)
+	// Each v owns its out row and its alpha/pre segment, so the split into
+	// blocks never changes results.
+	l.alpha, l.pre = grow(l.alpha, nnz), grow(l.pre, nnz)
+	l.out = tensor.Reuse(l.out, n, l.z.Cols)
+	if b := rowBlocks(l.adj.rowPtr, 0, n, l.z.Cols); b != nil {
+		runBlocks(b, l.attendRange)
+	} else {
+		l.attendRange(0, n)
 	}
 	if l.last {
 		return l.out
@@ -280,24 +323,72 @@ func (l *GATLayer) Forward(h *tensor.Matrix) *tensor.Matrix {
 	return l.act.Forward(l.out)
 }
 
-// Backward propagates through the attention mechanism exactly. The scatter
-// into neighbor rows (dz, dsL) is not row-owned, so this pass stays serial.
+// attendRange is Forward's attention over destinations [lo, hi), into the
+// layer's caches and output.
+func (l *GATLayer) attendRange(lo, hi int) {
+	for v := lo; v < hi; v++ {
+		s, e := l.adj.rowPtr[v], l.adj.rowPtr[v+1]
+		l.attend(v, l.z, l.sL, l.sR, l.pre[s:e], l.alpha[s:e], l.out.Row(v))
+	}
+}
+
+// infer is Forward keeping no attention caches: z = H·W and the scores are
+// materialised whole, since every destination reads its neighbours' rows,
+// and each block of destinations attends through its own row scratch.
+// tileRows does not apply.
+func (l *GATLayer) infer(h *tensor.Matrix, _ int) *tensor.Matrix {
+	n := len(l.adj.rowPtr) - 1
+	z := tensor.New(h.Rows, l.W.W.Cols)
+	tensor.MatMulInto(h, l.W.W, z)
+	sL, sR := make([]float32, n), make([]float32, n)
+	l.scores(z, sL, sR)
+	out := tensor.New(n, z.Cols)
+	attendRange := func(lo, hi int) {
+		pre, alpha := make([]float32, l.adj.maxRow), make([]float32, l.adj.maxRow)
+		for v := lo; v < hi; v++ {
+			k := int(l.adj.rowPtr[v+1] - l.adj.rowPtr[v])
+			l.attend(v, z, sL, sR, pre[:k], alpha[:k], out.Row(v))
+		}
+	}
+	if b := rowBlocks(l.adj.rowPtr, 0, n, z.Cols); b != nil {
+		runBlocks(b, attendRange)
+	} else {
+		attendRange(0, n)
+	}
+	if !l.last {
+		var act nn.ReLU
+		act.Forward(out)
+	}
+	return out
+}
+
+// Backward propagates through the attention mechanism exactly.
 func (l *GATLayer) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	l.BackwardParams(dy)
+	l.dx = tensor.Reuse(l.dx, l.dz.Rows, l.W.W.Rows)
+	tensor.MatMulT2Into(l.dz, l.W.W, l.dx)
+	return l.dx
+}
+
+// BackwardParams accumulates the gradients of W, aᴸ and aᴿ, leaving dz for
+// Backward's input gradient. The scatter into neighbor rows (dz, dsL) is not
+// row-owned, so this pass stays serial.
+func (l *GATLayer) BackwardParams(dy *tensor.Matrix) {
 	if !l.last {
 		dy = l.act.Backward(dy)
 	}
-	n := l.n
+	n := len(l.adj.rowPtr) - 1
 	d := l.z.Cols
 	al, ar := l.AL.W.Row(0), l.AR.W.Row(0)
 	l.dz = tensor.Reuse(l.dz, n, d)
 	l.dz.Zero()
-	for v := range l.dsL {
-		l.dsL[v] = 0
-		l.dsR[v] = 0
-	}
+	l.dsL, l.dsR = grow(l.dsL, n), grow(l.dsR, n)
+	clear(l.dsL)
+	clear(l.dsR)
+	l.dalpha = grow(l.dalpha, l.adj.maxRow)
 	for v := 0; v < n; v++ {
-		s, e := l.rowPtr[v], l.rowPtr[v+1]
-		nbrs := l.nbrs[s:e]
+		s, e := l.adj.rowPtr[v], l.adj.rowPtr[v+1]
+		nbrs := l.adj.nbrs[s:e]
 		alpha := l.alpha[s:e]
 		pre := l.pre[s:e]
 		dyv := dy.Row(v)
@@ -347,9 +438,6 @@ func (l *GATLayer) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	tensor.MatMulT1Into(l.h, l.dz, gw)
 	l.W.Grad.AddInPlace(gw)
 	tensor.Put(gw)
-	l.dx = tensor.Reuse(l.dx, n, l.W.W.Rows)
-	tensor.MatMulT2Into(l.dz, l.W.W, l.dx)
-	return l.dx
 }
 
 // Params returns the layer parameters.

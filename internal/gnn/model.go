@@ -40,28 +40,28 @@ type Model struct {
 }
 
 // NewModel builds a model with the given layer widths (dims[0] = input
-// feature dim, dims[len-1] = number of classes).
+// feature dim, dims[len-1] = number of classes), bound to g.
 func NewModel(g *graph.Graph, kind ModelKind, dims []int, seed int64) *Model {
 	if len(dims) < 2 {
 		//lint:allow panicpolicy architecture literals are fixed at call sites; an invalid dims slice is a programmer error at construction
 		panic("gnn: need at least input and output dims")
 	}
-	// The graph operator is read-only after construction, so every layer of
-	// the model shares one.
 	var newLayer func(in, out int, last bool, seed int64) Layer
 	switch kind {
 	case GCN:
-		adj := NewNormAdj(g)
-		newLayer = func(in, out int, last bool, seed int64) Layer { return newGCNLayer(adj, in, out, last, seed) }
+		newLayer = func(in, out int, last bool, seed int64) Layer {
+			return &GCNLayer{denseAct: newDenseAct(in, out, last, seed)}
+		}
 	case SAGE:
-		agg := NewMeanAgg(g)
-		newLayer = func(in, out int, last bool, seed int64) Layer { return newSAGELayer(agg, in, out, last, seed) }
+		newLayer = func(in, out int, last bool, seed int64) Layer {
+			return &SAGELayer{denseAct: newDenseAct(2*in, out, last, seed), inD: in}
+		}
 	case GAT:
-		adj := newGATAdj(g)
-		newLayer = func(in, out int, last bool, seed int64) Layer { return newGATLayer(adj, in, out, last, seed) }
+		newLayer = func(in, out int, last bool, seed int64) Layer { return newGATLayer(in, out, last, seed) }
 	case GIN:
-		agg := NewSumAgg(g)
-		newLayer = func(in, out int, last bool, seed int64) Layer { return newGINLayer(agg, in, out, last, seed) }
+		newLayer = func(in, out int, last bool, seed int64) Layer {
+			return &GINLayer{denseAct: newDenseAct(in, out, last, seed)}
+		}
 	default:
 		//lint:allow panicpolicy ModelKind is a closed enum; an unknown value is a programmer error at construction
 		panic("gnn: unknown model kind")
@@ -70,7 +70,38 @@ func NewModel(g *graph.Graph, kind ModelKind, dims []int, seed int64) *Model {
 	for i := 0; i < len(dims)-1; i++ {
 		m.Layers = append(m.Layers, newLayer(dims[i], dims[i+1], i == len(dims)-2, seed+int64(i)*101))
 	}
+	m.Rebind(g)
 	return m
+}
+
+// Rebind points every layer at g: it builds the kind's graph operator for g,
+// read-only and shared by all layers, and keeps the parameters and every
+// layer buffer. A sampled trainer rebinds one model to each minibatch's
+// subgraph; since the buffers only grow, a batch no larger than one the
+// model has run allocates none.
+func (m *Model) Rebind(g *graph.Graph) {
+	switch m.Kind {
+	case GCN:
+		adj := NewNormAdj(g)
+		for _, l := range m.Layers {
+			l.(*GCNLayer).adj = adj
+		}
+	case SAGE:
+		agg := NewMeanAgg(g)
+		for _, l := range m.Layers {
+			l.(*SAGELayer).agg = agg
+		}
+	case GAT:
+		adj := newGATAdj(g)
+		for _, l := range m.Layers {
+			l.(*GATLayer).adj = adj
+		}
+	case GIN:
+		agg := NewSumAgg(g)
+		for _, l := range m.Layers {
+			l.(*GINLayer).agg = agg
+		}
+	}
 }
 
 // Forward runs all layers.
@@ -82,12 +113,30 @@ func (m *Model) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return h
 }
 
-// Backward propagates the logits gradient through all layers.
-func (m *Model) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	for i := len(m.Layers) - 1; i >= 0; i-- {
+// Backward propagates the logits gradient through all layers, accumulating
+// every parameter's gradient. The first layer's input is data, so it
+// computes only its parameter gradients, not the input gradient.
+func (m *Model) Backward(dy *tensor.Matrix) {
+	for i := len(m.Layers) - 1; i > 0; i-- {
 		dy = m.Layers[i].Backward(dy)
 	}
-	return dy
+	m.Layers[0].BackwardParams(dy)
+}
+
+// Infer returns Forward(x)'s logits, bit for bit, in a new matrix, keeping
+// no state for a backward pass and touching no layer buffer. Each GCN, SAGE
+// or GIN layer runs tileRows output rows at a time (tileRows < 1: all rows):
+// it aggregates a tile's rows (split across tensor.Parallelism()), then
+// applies the dense transform, the bias and the activation to them, so only
+// each layer's output is materialised whole. This is the evaluation forward
+// over a full graph, where Forward's per-layer buffers would each be one
+// graph-sized matrix more.
+func (m *Model) Infer(x *tensor.Matrix, tileRows int) *tensor.Matrix {
+	h := x
+	for _, l := range m.Layers {
+		h = l.infer(h, tileRows)
+	}
+	return h
 }
 
 // Params returns all trainable parameters.
@@ -134,10 +183,11 @@ func TrainFullGraph(m *Model, x *tensor.Matrix, labels []int, trainMask, testMas
 		}
 	}
 	var res TrainResult
+	var dLogits *tensor.Matrix
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		logits := m.Forward(x)
-		loss, dLogits := nn.SoftmaxCrossEntropy(logits, masked)
-		res.Losses = append(res.Losses, loss)
+		dLogits = tensor.Reuse(dLogits, logits.Rows, logits.Cols)
+		res.Losses = append(res.Losses, nn.SoftmaxCrossEntropyInto(logits, masked, dLogits))
 		m.Backward(dLogits)
 		opt.Step(m.Params())
 	}

@@ -172,6 +172,7 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 	if cfg.RefreshEvery > 1 {
 		snapH, snapD = tensor.New(n, cfg.Hidden), tensor.New(n, cfg.Hidden)
 	}
+	dLogits := tensor.New(n, task.NumClasses)
 	var res DistGNNResult
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		refresh := ep%cfg.RefreshEvery == 0
@@ -185,7 +186,7 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 		h1 := relu.Forward(lin1.Forward(agg0))
 		adj.apply(h1, staleRows(snapH, h1, refresh), agg1)
 		logits := lin2.Forward(agg1)
-		_, dLogits := nn.SoftmaxCrossEntropy(logits, masked)
+		nn.SoftmaxCrossEntropyInto(logits, masked, dLogits)
 		dAgg1 := lin2.Backward(dLogits)
 		dH1 := agg1
 		adj.apply(dAgg1, staleRows(snapD, dAgg1, refresh), dH1)
@@ -198,7 +199,7 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 	adj.apply(h1, h1, agg1)
 	logits := lin2.Forward(agg1)
 	res.TestAcc = nn.Accuracy(logits, task.Labels, task.TestMask)
-	res.Loss, _ = nn.SoftmaxCrossEntropy(logits, task.Labels)
+	res.Loss = nn.SoftmaxCrossEntropyInto(logits, task.Labels, nil)
 	res.Net = net.Stats()
 	return res, logits
 }
@@ -216,49 +217,23 @@ type OffloadStats struct {
 
 // OffloadedGCNForward computes a 2-layer GCN forward pass chunk by chunk:
 // for each layer, only `chunkRows` rows of activations are resident on the
-// "device" at a time, with inputs streamed from host memory. Each chunk runs
-// the shared kernels on a row view of the output, and their rows do not
-// depend on how rows are chunked, so the logits are bitwise the monolithic
-// forward's; the stats expose HongTu's trade: bounded device memory for
-// extra host traffic.
+// "device" at a time, with inputs streamed from host memory. It is
+// gnn.Model.Infer with chunkRows as the row tile, so the logits are bitwise
+// the monolithic forward's; the stats, which follow from the tile geometry,
+// expose HongTu's trade: bounded device memory for extra host traffic.
 func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, lin2B *tensor.Matrix, chunkRows int) (*tensor.Matrix, OffloadStats) {
 	n := g.NumVertices()
-	rowPtr, col, wts := gnn.NewNormAdj(g).CSR()
-	var st OffloadStats
-	hidden := lin1W.Cols
-	classes := lin2W.Cols
-	st.FullGraphFloats = int64(n) * int64(x.Cols+hidden+classes)
-
-	layer := func(input *tensor.Matrix, w, b *tensor.Matrix, activate bool) *tensor.Matrix {
-		out := tensor.New(n, w.Cols)
-		agg := tensor.New(min(chunkRows, n), input.Cols)
-		for lo := 0; lo < n; lo += chunkRows {
-			hi := min(lo+chunkRows, n)
-			// device holds: chunk of aggregated inputs + chunk of outputs
-			devFloats := int64(hi-lo) * int64(input.Cols+w.Cols)
-			if devFloats > st.DevicePeakFloats {
-				st.DevicePeakFloats = devFloats
-			}
-			// stream the needed input rows from host (charged per chunk)
-			st.HostTransferred += int64(hi-lo) * int64(input.Cols)
-			// aggregate the chunk's rows, then run the dense layer on them
-			aggChunk := &tensor.Matrix{Rows: hi - lo, Cols: input.Cols, Data: agg.Data[:(hi-lo)*input.Cols]}
-			for v := lo; v < hi; v++ {
-				from, to := rowPtr[v], rowPtr[v+1]
-				gnn.SpMMRow(aggChunk.Row(v-lo), col[from:to], wts[from:to], input, nil, nil)
-			}
-			outChunk := &tensor.Matrix{Rows: hi - lo, Cols: w.Cols, Data: out.Data[lo*w.Cols : hi*w.Cols]}
-			tensor.MatMulInto(aggChunk, w, outChunk)
-			outChunk.AddRowVector(b.Row(0))
-			if activate {
-				(&nn.ReLU{}).Forward(outChunk)
-			}
-			// write results back to host
-			st.HostTransferred += int64(hi-lo) * int64(w.Cols)
-		}
-		return out
+	dims := []int{x.Cols, lin1W.Cols, lin2W.Cols}
+	m := gnn.NewModel(g, gnn.GCN, dims, 0)
+	for i, w := range []*tensor.Matrix{lin1W, lin1B, lin2W, lin2B} {
+		copy(m.Params()[i].W.Data, w.Data)
 	}
-	h1 := layer(x, lin1W, lin1B, true)
-	logits := layer(h1, lin2W, lin2B, false)
-	return logits, st
+	st := OffloadStats{FullGraphFloats: int64(n) * int64(x.Cols+lin1W.Cols+lin2W.Cols)}
+	for l := 0; l+1 < len(dims); l++ {
+		// the device holds a tile of aggregated inputs and one of outputs;
+		// every input row streams in and every output row goes back once
+		st.DevicePeakFloats = max(st.DevicePeakFloats, int64(min(chunkRows, n))*int64(dims[l]+dims[l+1]))
+		st.HostTransferred += int64(n) * int64(dims[l]+dims[l+1])
+	}
+	return m.Infer(x, chunkRows), st
 }

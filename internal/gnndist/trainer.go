@@ -3,6 +3,7 @@ package gnndist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"graphsys/internal/cluster"
 	"graphsys/internal/gnn"
@@ -152,6 +153,8 @@ type DistResult struct {
 	// Trace is the observability snapshot of the run (nil unless
 	// TrainerConfig.Trace was set). Worker busy time is simulated time.
 	Trace *obs.Trace
+
+	master []*nn.Param // the trained parameters, which this package's tests digest
 }
 
 // dist holds the shared machinery of all training modes.
@@ -166,6 +169,7 @@ type dist struct {
 	srcs  []*countedSource
 	rngs  []*rand.Rand
 	quant []map[int]*Quantizer // per worker, per parameter index
+	steps []stepState          // per worker
 
 	prov     storage.Provider // sampling adjacency: Source, a policy spill, or task.G in memory
 	ownsProv bool             // prov is a spill the trainer closes
@@ -199,10 +203,12 @@ func newDist(task *gnn.Task, cfg TrainerConfig) (*dist, error) {
 	d.srcs = make([]*countedSource, cfg.Workers)
 	d.rngs = make([]*rand.Rand, cfg.Workers)
 	d.quant = make([]map[int]*Quantizer, cfg.Workers)
+	d.steps = make([]stepState, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		d.srcs[w] = newCountedSource(cfg.Seed + int64(w)*7919)
 		d.rngs[w] = rand.New(d.srcs[w])
 		d.quant[w] = map[int]*Quantizer{}
+		d.steps[w].model = gnn.NewModel(graph.NewBuilder(0, false).Build(), cfg.Kind, d.dims, cfg.Seed)
 	}
 	prov, owns, err := storage.ProviderFor(task.G, cfg.Source, cfg.Workers)
 	if err != nil {
@@ -225,6 +231,16 @@ func (d *dist) close() {
 // straggler slowdown.
 func (d *dist) speed(w int) float64 {
 	return d.cfg.WorkerSpeed[w] * d.fi.SlowFactor(w)
+}
+
+// stepState is what a worker keeps from one minibatch to the next: its
+// model, rebound to each batch's subgraph, and the label and logits-gradient
+// buffers it refills. Every buffer only grows, so a batch no larger than one
+// the worker has run allocates none of them.
+type stepState struct {
+	model   *gnn.Model
+	labels  []int
+	dLogits *tensor.Matrix
 }
 
 // weights is a parameter snapshot.
@@ -307,35 +323,35 @@ func (d *dist) gradStep(w int, snapshot weights) (weights, int64) {
 		return nil, 0
 	}
 	bx := d.fs.Fetch(w, sub.NewToOld)
-	blabels := make([]int, sub.Graph.NumVertices())
-	for i := range blabels {
-		blabels[i] = -1
+	st := &d.steps[w]
+	st.labels = slices.Grow(st.labels[:0], sub.Graph.NumVertices())[:sub.Graph.NumVertices()]
+	for i := range st.labels {
+		st.labels[i] = -1
 	}
 	for _, loc := range sub.SeedLoc {
-		blabels[loc] = d.task.Labels[sub.NewToOld[loc]]
+		st.labels[loc] = d.task.Labels[sub.NewToOld[loc]]
 	}
-	bm := gnn.NewModel(sub.Graph, d.cfg.Kind, d.dims, d.cfg.Seed)
-	params := bm.Params()
+	st.model.Rebind(sub.Graph)
+	params := st.model.Params()
 	for i, p := range params {
 		copy(p.W.Data, snapshot[i].Data)
+		p.ZeroGrad() // +0, as a fresh model's gradients start
 	}
-	logits := bm.Forward(bx)
-	_, dLogits := nn.SoftmaxCrossEntropy(logits, blabels)
-	bm.Backward(dLogits)
-	var grads weights
-	for _, p := range params {
-		grads = append(grads, p.Grad)
-	}
+	logits := st.model.Forward(bx)
+	st.dLogits = tensor.Reuse(st.dLogits, logits.Rows, logits.Cols)
+	nn.SoftmaxCrossEntropyInto(logits, st.labels, st.dLogits)
+	st.model.Backward(st.dLogits)
 	// quantise the push (EC-Graph/EXACT-style compression); error-feedback
 	// residuals are per (worker, parameter) since shapes differ
 	var sent int64
-	for i := range grads {
+	grads := make(weights, len(params))
+	for i, p := range params {
 		q, ok := d.quant[w][i]
 		if !ok {
 			q = NewQuantizer(d.cfg.QuantBits, d.cfg.QuantCompensate)
 			d.quant[w][i] = q
 		}
-		grads[i] = q.Compress(grads[i])
+		grads[i] = q.Compress(p.Grad)
 		sent += q.BytesSent
 		q.BytesSent = 0
 		q.BytesValue = 0
@@ -343,10 +359,14 @@ func (d *dist) gradStep(w int, snapshot weights) (weights, int64) {
 	return grads, sent
 }
 
+// evalTileRows is the row tile of the final evaluation: besides each
+// layer's output, its forward holds one tile of aggregated rows.
+const evalTileRows = 1024
+
 // evaluate runs the trained master model forward over the full graph.
 func (d *dist) evaluate(master *gnn.Model) (acc, loss float64) {
-	logits := master.Forward(d.task.X)
-	loss, _ = nn.SoftmaxCrossEntropy(logits, d.task.Labels)
+	logits := master.Infer(d.task.X, evalTileRows)
+	loss = nn.SoftmaxCrossEntropyInto(logits, d.task.Labels, nil)
 	return nn.Accuracy(logits, d.task.Labels, d.task.TestMask), loss
 }
 
@@ -354,6 +374,7 @@ func (d *dist) evaluate(master *gnn.Model) (acc, loss float64) {
 // the storage section to the trace of metered runs.
 func (d *dist) finish(res *DistResult, master *gnn.Model, workload string) {
 	res.TestAcc, res.Loss = d.evaluate(master)
+	res.master = master.Params()
 	res.Net = d.clst.Network().Stats()
 	res.RemoteFrac = d.fs.RemoteFraction()
 	res.Hits, res.Misses, res.Local = d.fs.Hits, d.fs.Misses, d.fs.Local
@@ -381,8 +402,7 @@ func (d *dist) storageFailed(round int) error {
 // model matches the fault-free run exactly; the replayed work is metered in
 // the trace's recovery section.
 func TrainSync(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
-	res, _, err := trainSync(task, cfg, false)
-	return res, err
+	return trainSync(task, cfg, false)
 }
 
 // TrainSancus is TrainSync with Sancus' staleness-aware communication
@@ -393,18 +413,16 @@ func TrainSync(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
 // saving bytes with negligible accuracy impact when updates are small. The
 // copy is checkpoint state, so crash recovery is as exact as TrainSync's.
 func TrainSancus(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
-	res, _, err := trainSync(task, cfg, true)
-	return res, err
+	return trainSync(task, cfg, true)
 }
 
-// trainSync is the synchronous round loop, returning the trained master
-// weights beside the result. Workers compute on the weights they hold:
-// master itself under sync, which broadcasts every round, or under Sancus a
-// copy that only a broadcast refreshes.
-func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, weights, error) {
+// trainSync is the synchronous round loop. Workers compute on the weights
+// they hold: master itself under sync, which broadcasts every round, or
+// under Sancus a copy that only a broadcast refreshes.
+func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, error) {
 	d, err := newDist(task, cfg)
 	if err != nil {
-		return DistResult{}, nil, err
+		return DistResult{}, err
 	}
 	defer d.close()
 	cfg = d.cfg
@@ -453,7 +471,7 @@ func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, weig
 			}
 		}
 		if err := d.storageFailed(r); err != nil {
-			return DistResult{}, nil, err
+			return DistResult{}, err
 		}
 		d.meter.Round(r)
 		opt.Step(params)
@@ -476,7 +494,7 @@ func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, weig
 		res.SimTime += roundMax
 	}
 	d.finish(&res, masterModel, workload)
-	return res, master, nil
+	return res, nil
 }
 
 // TrainBoundedStale runs asynchronous training with bounded staleness
@@ -488,16 +506,9 @@ func trainSync(task *gnn.Task, cfg TrainerConfig, sancus bool) (DistResult, weig
 // CheckpointEvery/CrashAtRound, and a snapshot additionally carries each
 // worker's stale weight copy and version clock.
 func TrainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, error) {
-	res, _, err := trainBoundedStale(task, cfg)
-	return res, err
-}
-
-// trainBoundedStale is TrainBoundedStale that also returns the trained
-// master weights.
-func trainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, weights, error) {
 	d, err := newDist(task, cfg)
 	if err != nil {
-		return DistResult{}, nil, err
+		return DistResult{}, err
 	}
 	defer d.close()
 	cfg = d.cfg
@@ -572,7 +583,7 @@ func trainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, weights, 
 		}
 		grads, sent := d.gradStep(w, local[w])
 		if err := d.storageFailed(ev); err != nil {
-			return DistResult{}, nil, err
+			return DistResult{}, err
 		}
 		d.meter.Round(ev)
 		res.GradBytes += sent
@@ -588,5 +599,5 @@ func trainBoundedStale(task *gnn.Task, cfg TrainerConfig) (DistResult, weights, 
 	}
 	res.SimTime = maxClock(clock)
 	d.finish(&res, masterModel, "gnndist/bounded-stale")
-	return res, master, nil
+	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -14,13 +15,13 @@ import (
 
 // bitsDigest is the FNV-64a of the final loss's float64 bits followed by
 // every master weight's float32 bits, parameter by parameter, row-major.
-func bitsDigest(loss float64, master weights) uint64 {
+func bitsDigest(res DistResult) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(loss))
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(res.Loss))
 	h.Write(b[:])
-	for _, m := range master {
-		for _, v := range m.Data {
+	for _, p := range res.master {
+		for _, v := range p.W.Data {
 			binary.LittleEndian.PutUint32(b[:4], math.Float32bits(v))
 			h.Write(b[:4])
 		}
@@ -28,16 +29,11 @@ func bitsDigest(loss float64, master weights) uint64 {
 	return h.Sum64()
 }
 
-// pinnedTrainers are the three sampled trainers, each returning its master
-// weights beside the result.
-var pinnedTrainers = []struct {
+// sampledTrainers are the three sampled-minibatch trainers.
+var sampledTrainers = []struct {
 	name  string
-	train func(*gnn.Task, TrainerConfig) (DistResult, weights, error)
-}{
-	{"sync", func(t *gnn.Task, c TrainerConfig) (DistResult, weights, error) { return trainSync(t, c, false) }},
-	{"sancus", func(t *gnn.Task, c TrainerConfig) (DistResult, weights, error) { return trainSync(t, c, true) }},
-	{"stale", trainBoundedStale},
-}
+	train func(*gnn.Task, TrainerConfig) (DistResult, error)
+}{{"sync", TrainSync}, {"sancus", TrainSancus}, {"stale", TrainBoundedStale}}
 
 // TestTrainSyncBitsPinned pins the sampled trainers bit for bit: a digest of
 // the final loss and the master weights, with the step count and gradient
@@ -102,23 +98,72 @@ func TestTrainSyncBitsPinned(t *testing.T) {
 	defer tensor.SetParallelism(0)
 	for _, par := range []int{1, 2} {
 		for _, r := range runs {
-			for _, tr := range pinnedTrainers {
+			for _, tr := range sampledTrainers {
 				cfg := TrainerConfig{Workers: r.workers, Kind: r.kind, TimeBudget: 6, BatchSize: 16, Seed: 3,
 					SancusTau: 5e-3, Staleness: 1, WorkerSpeed: []float64{1, 1.5, 1, 2}[:r.workers]}
 				cfg.Parallelism = par
 				if r.disk {
 					cfg.Source = openDisk(t, task, r.workers)
 				}
-				res, master, err := tr.train(task, cfg)
+				res, err := tr.train(task, cfg)
 				if err != nil {
 					t.Fatalf("%s %v: %v", tr.name, r, err)
 				}
 				key := fmt.Sprintf("%s/%v/w%d/disk=%v", tr.name, r.kind, r.workers, r.disk)
-				got := pin{bitsDigest(res.Loss, master), res.Steps, res.GradBytes}
+				got := pin{bitsDigest(res), res.Steps, res.GradBytes}
 				if w, ok := want[key]; !ok || got != w {
 					t.Errorf("parallelism %d %s: got %#v, want %#v", par, key, got, w)
 				}
 			}
 		}
+	}
+}
+
+// TestWorkerStepAllocatesNoLayerBuffer: each worker keeps the one model
+// newDist built for it (the run builds workers + 1 models with the master),
+// and its layer buffers only grow. So a worker's first step allocates its
+// buffers, while replaying that step — the same batch, its RNG rewound —
+// allocates none: at least the first layer's aggregation and output fewer
+// bytes, for every layer kind, with bitwise the same gradients.
+func TestWorkerStepAllocatesNoLayerBuffer(t *testing.T) {
+	defer tensor.SetParallelism(0)
+	tensor.SetParallelism(1)
+	task := gnn.SyntheticCommunityTask(2000, 4, 8, 0.5, 7)
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, kind := range []gnn.ModelKind{gnn.GCN, gnn.SAGE, gnn.GAT, gnn.GIN} {
+		d, err := newDist(task, TrainerConfig{Workers: 2, Kind: kind, BatchSize: 32, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, master := newMaster(d)
+		for w := range d.steps {
+			model := d.steps[w].model
+			mark := d.srcs[w].n
+			var first, replay weights
+			cold := allocated(func() { first, _ = d.gradStep(w, master) })
+			d.srcs[w].rewind(mark)
+			d.rngs[w] = rand.New(d.srcs[w])
+			warm := allocated(func() { replay, _ = d.gradStep(w, master) })
+			if d.steps[w].model != model {
+				t.Fatalf("%v worker %d: gradStep replaced the worker's model", kind, w)
+			}
+			n := len(d.steps[w].labels) // the batch subgraph's vertices
+			layer := uint64(n * (d.dims[0] + d.dims[1]) * 4)
+			t.Logf("%v worker %d: %d vertices, first step %d B, replay %d B", kind, w, n, cold, warm)
+			if cold < warm+layer {
+				t.Errorf("%v worker %d: replayed step allocated %d B of the first step's %d B, want at least %d B fewer (its layer buffers)",
+					kind, w, warm, cold, layer)
+			}
+			for i := range first {
+				mustBitwiseEqual(t, fmt.Sprintf("%v worker %d grad %d", kind, w, i), replay[i], first[i])
+			}
+		}
+		d.close()
 	}
 }

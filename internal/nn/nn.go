@@ -8,6 +8,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"graphsys/internal/tensor"
@@ -28,9 +29,10 @@ func NewParam(w *tensor.Matrix) *Param {
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Dense is a fully connected layer Y = X·W + b. The layer owns its forward
-// and backward output buffers: shapes are stable across training steps, so
-// after the first step Forward/Backward allocate nothing. Each returned
-// matrix is valid until the next call of the same method on this layer.
+// and backward output buffers and only grows them (tensor.Reuse): once it
+// has run a batch of some row count, Forward/Backward on a batch no larger
+// allocate no buffer. Each returned matrix is valid until the next call of
+// the same method on this layer.
 type Dense struct {
 	W *Param
 	B *Param
@@ -53,9 +55,16 @@ func NewDense(in, out int, seed int64) *Dense {
 func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 	d.x = x
 	d.y = tensor.Reuse(d.y, x.Rows, d.W.W.Cols)
-	tensor.MatMulInto(x, d.W.W, d.y)
-	d.y.AddRowVector(d.B.W.Row(0))
+	d.ApplyInto(x, d.y)
 	return d.y
+}
+
+// ApplyInto computes X·W + b into out (x.Rows×W.Cols, fully overwritten)
+// and keeps nothing for a backward pass: the inference form of Forward, bit
+// for bit its rows.
+func (d *Dense) ApplyInto(x, out *tensor.Matrix) {
+	tensor.MatMulInto(x, d.W.W, out)
+	out.AddRowVector(d.B.W.Row(0))
 }
 
 // Backward accumulates dW, dB and returns dX.
@@ -125,11 +134,24 @@ func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 }
 
 // SoftmaxCrossEntropy computes mean cross-entropy loss over rows given
-// integer class labels, and the gradient w.r.t. the logits. Rows with
-// label < 0 are masked out (e.g. non-training vertices in full-graph GNN
-// training).
+// integer class labels, and the gradient w.r.t. the logits in a new matrix.
+// Rows with label < 0 are masked out (e.g. non-training vertices in
+// full-graph GNN training).
 func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix) {
 	grad := tensor.New(logits.Rows, logits.Cols)
+	return SoftmaxCrossEntropyInto(logits, labels, grad), grad
+}
+
+// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing the gradient into
+// a caller-owned grad of the logits' shape, fully overwritten (masked rows
+// are zeroed), or computing the loss alone when grad is nil.
+func SoftmaxCrossEntropyInto(logits *tensor.Matrix, labels []int, grad *tensor.Matrix) float64 {
+	if grad != nil {
+		if grad.Rows != logits.Rows || grad.Cols != logits.Cols {
+			panic(fmt.Sprintf("nn: loss gradient %dx%d, want %dx%d", grad.Rows, grad.Cols, logits.Rows, logits.Cols))
+		}
+		grad.Zero()
+	}
 	var loss float64
 	n := 0
 	for i := 0; i < logits.Rows; i++ {
@@ -139,7 +161,7 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.
 		n++
 	}
 	if n == 0 {
-		return 0, grad
+		return 0
 	}
 	inv := float32(1.0 / float64(n))
 	exps := make([]float64, logits.Cols) // hoisted: fully rewritten per row
@@ -162,6 +184,9 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.
 			sum += exps[j]
 		}
 		loss += -math.Log(exps[y]/sum + 1e-12)
+		if grad == nil {
+			continue
+		}
 		g := grad.Row(i)
 		for j := range row {
 			p := float32(exps[j] / sum)
@@ -171,7 +196,7 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.
 			g[j] = p * inv
 		}
 	}
-	return loss / float64(n), grad
+	return loss / float64(n)
 }
 
 // Accuracy returns the fraction of rows whose argmax equals the label,

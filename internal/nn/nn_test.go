@@ -186,6 +186,41 @@ func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 	}
 }
 
+// TestSoftmaxCrossEntropyIntoOverwrites: a caller-owned gradient is fully
+// overwritten — masked rows are zeroed over stale values — and the loss has
+// the allocating form's bits, with a gradient buffer or without one.
+func TestSoftmaxCrossEntropyIntoOverwrites(t *testing.T) {
+	logits := tensor.Xavier(50, 4, 7)
+	labels := make([]int, 50)
+	for i := range labels {
+		labels[i] = i%5 - 1 // a fifth masked
+	}
+	wantLoss, wantGrad := SoftmaxCrossEntropy(logits, labels)
+	grad := tensor.Xavier(50, 4, 8) // stale contents
+	if loss := SoftmaxCrossEntropyInto(logits, labels, grad); math.Float64bits(loss) != math.Float64bits(wantLoss) {
+		t.Fatalf("loss %v, want %v", loss, wantLoss)
+	}
+	for i := range grad.Data {
+		if math.Float32bits(grad.Data[i]) != math.Float32bits(wantGrad.Data[i]) {
+			t.Fatalf("gradient element %d = %v, want %v", i, grad.Data[i], wantGrad.Data[i])
+		}
+	}
+	if loss := SoftmaxCrossEntropyInto(logits, labels, nil); math.Float64bits(loss) != math.Float64bits(wantLoss) {
+		t.Fatalf("loss-only %v, want %v", loss, wantLoss)
+	}
+	for i := range labels {
+		labels[i] = -1
+	}
+	if loss := SoftmaxCrossEntropyInto(logits, labels, grad); loss != 0 {
+		t.Fatalf("all-masked loss %v, want 0", loss)
+	}
+	for i, v := range grad.Data {
+		if math.Float32bits(v) != 0 {
+			t.Fatalf("all-masked gradient element %d = %v, want +0", i, v)
+		}
+	}
+}
+
 func TestMSE(t *testing.T) {
 	pred := tensor.FromRows([][]float32{{1, 2}})
 	target := tensor.FromRows([][]float32{{0, 4}})

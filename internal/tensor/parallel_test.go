@@ -219,6 +219,21 @@ func TestReuse(t *testing.T) {
 	if got == m || got.Rows != 2 || got.Cols != 3 {
 		t.Fatalf("Reuse with new shape: got %dx%d, same=%v", got.Rows, got.Cols, got == m)
 	}
+	if &got.Data[0] != &m.Data[0] {
+		t.Fatal("Reuse to a smaller shape must keep the backing array")
+	}
+	if back := Reuse(got, 3, 8); len(back.Data) != 24 || &back.Data[0] != &m.Data[0] {
+		t.Fatal("Reuse within the original capacity must keep the backing array")
+	}
+	grown := Reuse(got, 5, 6)
+	if grown.Rows != 5 || grown.Cols != 6 || &grown.Data[0] == &m.Data[0] {
+		t.Fatal("Reuse past the capacity must allocate a new array")
+	}
+	for _, r := range [][2]int{{0, 0}, {0, 3}, {1, 1}} {
+		if e := Reuse(nil, r[0], r[1]); e.Rows != r[0] || e.Cols != r[1] || len(e.Data) != r[0]*r[1] {
+			t.Fatalf("Reuse(nil, %d, %d) = %dx%d len %d", r[0], r[1], e.Rows, e.Cols, len(e.Data))
+		}
+	}
 	fresh := Reuse(nil, 3, 3)
 	for _, v := range fresh.Data {
 		if v != 0 {

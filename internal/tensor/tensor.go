@@ -62,6 +62,11 @@ func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a mutable slice view.
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
+// SliceRows returns rows [lo, hi) as a matrix view sharing m's data.
+func (m *Matrix) SliceRows(lo, hi int) *Matrix {
+	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+}
+
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.Rows, m.Cols)
