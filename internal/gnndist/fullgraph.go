@@ -225,8 +225,9 @@ func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, 
 	n := g.NumVertices()
 	dims := []int{x.Cols, lin1W.Cols, lin2W.Cols}
 	m := gnn.NewModel(g, gnn.GCN, dims, 0)
+	params := m.Params()
 	for i, w := range []*tensor.Matrix{lin1W, lin1B, lin2W, lin2B} {
-		copy(m.Params()[i].W.Data, w.Data)
+		copy(params[i].W.Data, w.Data)
 	}
 	st := OffloadStats{FullGraphFloats: int64(n) * int64(x.Cols+lin1W.Cols+lin2W.Cols)}
 	for l := 0; l+1 < len(dims); l++ {

@@ -146,11 +146,8 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.
 // a caller-owned grad of the logits' shape, fully overwritten (masked rows
 // are zeroed), or computing the loss alone when grad is nil.
 func SoftmaxCrossEntropyInto(logits *tensor.Matrix, labels []int, grad *tensor.Matrix) float64 {
-	if grad != nil {
-		if grad.Rows != logits.Rows || grad.Cols != logits.Cols {
-			panic(fmt.Sprintf("nn: loss gradient %dx%d, want %dx%d", grad.Rows, grad.Cols, logits.Rows, logits.Cols))
-		}
-		grad.Zero()
+	if grad != nil && (grad.Rows != logits.Rows || grad.Cols != logits.Cols) {
+		panic(fmt.Sprintf("nn: loss gradient %dx%d, want %dx%d", grad.Rows, grad.Cols, logits.Rows, logits.Cols))
 	}
 	var loss float64
 	n := 0
@@ -161,6 +158,9 @@ func SoftmaxCrossEntropyInto(logits *tensor.Matrix, labels []int, grad *tensor.M
 		n++
 	}
 	if n == 0 {
+		if grad != nil {
+			grad.Zero()
+		}
 		return 0
 	}
 	inv := float32(1.0 / float64(n))
@@ -168,6 +168,9 @@ func SoftmaxCrossEntropyInto(logits *tensor.Matrix, labels []int, grad *tensor.M
 	for i := 0; i < logits.Rows; i++ {
 		y := labels[i]
 		if y < 0 {
+			if grad != nil {
+				clear(grad.Row(i))
+			}
 			continue
 		}
 		row := logits.Row(i)
