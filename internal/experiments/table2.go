@@ -254,12 +254,9 @@ func Table2FullGraph() *Table {
 	}
 	// HongTu offload accounting
 	const hidden = 16
-	l1w := tensor.Xavier(task.X.Cols, hidden, 1)
-	l1b := tensor.New(1, hidden)
-	l2w := tensor.Xavier(hidden, task.NumClasses, 2)
-	l2b := tensor.New(1, task.NumClasses)
+	m := gnn.NewModel(task.G, gnn.GCN, []int{task.X.Cols, hidden, task.NumClasses}, 1)
 	for _, chunk := range []int{300, 64, 16} {
-		_, st := gnndist.OffloadedGCNForward(task.G, task.X, l1w, l1b, l2w, l2b, chunk)
+		_, st := gnndist.OffloadedGCNForward(m, task.X, chunk)
 		t.AddRow(fmt.Sprintf("HongTu chunk=%d", chunk),
 			fmt.Sprintf("device peak %d / full %d floats", st.DevicePeakFloats, st.FullGraphFloats),
 			fmt.Sprintf("host xfer %d", st.HostTransferred), "n/a (identical forward)", "-")

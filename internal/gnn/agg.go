@@ -245,8 +245,8 @@ func NewNormAdj(g *graph.Graph) *NormAdj {
 	return &NormAdj{n: n, adj: c}
 }
 
-// CSR exposes Â's entries for external kernels (internal/gnndist's delayed
-// aggregation and HongTu offloading): row v's entries are
+// CSR exposes Â's entries for internal/gnndist's delayed aggregation, the
+// one kernel outside this package that reads them: row v's entries are
 // col[rowPtr[v]:rowPtr[v+1]] with weights aligned, in g.Neighbors(v) order
 // with the self-loop last. The slices are shared with a; callers must not
 // write them.
@@ -254,14 +254,8 @@ func (a *NormAdj) CSR() (rowPtr []int32, col []graph.V, wts []float32) {
 	return a.adj.rowPtr, a.adj.col, a.adj.wts
 }
 
-// Apply computes Â·H.
-func (a *NormAdj) Apply(h *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(a.n, h.Cols)
-	a.ApplyInto(h, out)
-	return out
-}
-
-// ApplyInto computes Â·H into out (fully overwritten), allocating nothing.
+// ApplyInto computes Â·H into out (fully overwritten), allocating nothing:
+// the Propagation a GCN layer runs in both directions.
 func (a *NormAdj) ApplyInto(h, out *tensor.Matrix) { a.adj.apply(h, out, nil) }
 
 // MeanAgg is GraphSAGE's mean aggregator over (open) neighborhoods. The
@@ -298,14 +292,8 @@ func NewMeanAgg(g *graph.Graph) *MeanAgg {
 	return m
 }
 
-// Apply computes row v = mean of h over N(v) (zeros for isolated vertices).
-func (m *MeanAgg) Apply(h *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(m.n, h.Cols)
-	m.ApplyInto(h, out)
-	return out
-}
-
-// ApplyInto is Apply into a preallocated out (fully overwritten).
+// ApplyInto computes row v = mean of h over N(v) (zeros for isolated
+// vertices) into a preallocated out (fully overwritten).
 func (m *MeanAgg) ApplyInto(h, out *tensor.Matrix) { m.adj.apply(h, out, m.inv) }
 
 // ApplyTInto computes the transpose action (the backward pass) into a

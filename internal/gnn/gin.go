@@ -8,15 +8,13 @@ import (
 // SumAgg is sum aggregation over open neighborhoods, stored as CSR built
 // once at construction (the old implementation re-derived g.Neighbors(v) on
 // every call). For undirected graphs the operator is symmetric, so it is its
-// own adjoint; ApplyTInto uses an explicit transpose CSR and so stays correct for
-// directed graphs too.
+// own adjoint, which is what GINLayer.Backward relies on.
 type SumAgg struct {
-	n    int
-	adj  *csr
-	adjT *csr
+	n   int
+	adj *csr
 }
 
-// NewSumAgg precomputes the aggregation CSR (and its transpose) for g.
+// NewSumAgg precomputes the aggregation CSR for g.
 func NewSumAgg(g *graph.Graph) *SumAgg {
 	n := g.NumVertices()
 	nnz := 0
@@ -28,22 +26,12 @@ func NewSumAgg(g *graph.Graph) *SumAgg {
 		c.col = append(c.col, g.Neighbors(graph.V(v))...)
 		c.rowPtr[v+1] = int32(len(c.col))
 	}
-	return &SumAgg{n: n, adj: c, adjT: c.transpose(nil)}
+	return &SumAgg{n: n, adj: c}
 }
 
-// Apply computes row v = Σ_{u∈N(v)} h_u.
-func (s *SumAgg) Apply(h *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(s.n, h.Cols)
-	s.ApplyInto(h, out)
-	return out
-}
-
-// ApplyInto is Apply into a preallocated out (fully overwritten).
+// ApplyInto computes row v = Σ_{u∈N(v)} h_u into a preallocated out (fully
+// overwritten).
 func (s *SumAgg) ApplyInto(h, out *tensor.Matrix) { s.adj.apply(h, out, nil) }
-
-// ApplyTInto computes the transpose action out_u = Σ_{v : u∈N(v)} dy_v into a
-// preallocated out (fully overwritten).
-func (s *SumAgg) ApplyTInto(dy, out *tensor.Matrix) { s.adjT.apply(dy, out, nil) }
 
 // GINLayer is the Graph Isomorphism Network layer (Xu et al.), the
 // maximally-expressive 1-WL aggregator: h'_v = σ(W·((1+ε)h_v + Σ_{u∈N(v)}

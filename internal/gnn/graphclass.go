@@ -33,16 +33,12 @@ func (c *GraphClassConfig) defaults() {
 	}
 }
 
-// GraphClassifier classifies whole graphs.
+// GraphClassifier classifies whole graphs: one model, rebound to each graph
+// it runs, and a readout head.
 type GraphClassifier struct {
-	cfg     GraphClassConfig
-	dims    []int
 	inDim   int
-	classes int
-	// shared parameters: the template model (bound to an arbitrary graph,
-	// used only as weight storage) plus the readout head
-	template *Model
-	readout  *nn.Dense
+	model   *Model
+	readout *nn.Dense
 }
 
 // oneHotFeatures encodes vertex labels as one-hot rows of width inDim.
@@ -74,15 +70,11 @@ func TrainGraphClassifier(db *graph.TransactionDB, trainMask []bool, cfg GraphCl
 	}
 	inDim := int(maxLabel) + 1
 	gc := &GraphClassifier{
-		cfg:     cfg,
 		inDim:   inDim,
-		classes: classes,
-		dims:    []int{inDim, cfg.Hidden, cfg.Hidden},
+		model:   NewModel(nil, cfg.Kind, []int{inDim, cfg.Hidden, cfg.Hidden}, cfg.Seed),
+		readout: nn.NewDense(cfg.Hidden, classes, cfg.Seed+999),
 	}
-	gc.template = NewModel(db.Graphs[0], cfg.Kind, gc.dims, cfg.Seed)
-	gc.readout = nn.NewDense(cfg.Hidden, classes, cfg.Seed+999)
-
-	params := append(gc.template.Params(), gc.readout.Params()...)
+	params := append(gc.model.Params(), gc.readout.Params()...)
 	opt := nn.NewAdam(cfg.LR)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var trainIdx []int
@@ -99,31 +91,26 @@ func TrainGraphClassifier(db *graph.TransactionDB, trainMask []bool, cfg GraphCl
 			if g.NumVertices() == 0 {
 				continue
 			}
-			// per-graph model sharing the template's weights
-			m := NewModel(g, cfg.Kind, gc.dims, cfg.Seed)
-			copyParams(m, gc.template)
-			x := oneHotFeatures(g, inDim)
-			h := m.Forward(x)
-			pooled := meanPool(h)
-			logits := gc.readout.Forward(pooled)
+			gc.model.Rebind(g)
+			h := gc.model.Forward(oneHotFeatures(g, inDim))
+			logits := gc.readout.Forward(meanPool(h))
 			_, dLogits := nn.SoftmaxCrossEntropy(logits, []int{db.Class[i]})
 			dPooled := gc.readout.Backward(dLogits)
-			m.Backward(meanPoolBackward(dPooled, h.Rows))
-			addGrads(gc.template, m)
+			gc.model.Backward(meanPoolBackward(dPooled, h.Rows))
 			opt.Step(params)
 		}
 	}
 	return gc
 }
 
-// Predict returns the predicted class of g.
+// Predict returns the predicted class of g. It rebinds the classifier's
+// model to g, so calls must not run concurrently.
 func (gc *GraphClassifier) Predict(g *graph.Graph) int {
 	if g.NumVertices() == 0 {
 		return 0
 	}
-	m := NewModel(g, gc.cfg.Kind, gc.dims, gc.cfg.Seed)
-	copyParams(m, gc.template)
-	h := m.Forward(oneHotFeatures(g, gc.inDim))
+	gc.model.Rebind(g)
+	h := gc.model.Forward(oneHotFeatures(g, gc.inDim))
 	logits := gc.readout.Forward(meanPool(h))
 	row := logits.Row(0)
 	arg := 0

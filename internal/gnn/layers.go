@@ -93,33 +93,60 @@ func (d *denseAct) inferTiles(n, width, tileRows int, fill func(in *tensor.Matri
 	return out
 }
 
+// Propagation is a GCN layer's graph operator: a self-adjoint linear map over
+// vertex rows, so ApplyInto (out fully overwritten) serves both the forward
+// Â·H and the backward Â·dZ. NewModel and Rebind install a *NormAdj; a
+// trainer may install another operator, such as DistGNN's delayed
+// aggregation, in GCNLayer.Adj. Model.Infer runs NormAdj's row kernel, so it
+// needs a *NormAdj.
+type Propagation interface {
+	ApplyInto(h, out *tensor.Matrix)
+}
+
 // GCNLayer computes σ(Â·H·W + b) (Kipf & Welling).
 type GCNLayer struct {
-	adj *NormAdj
+	Adj Propagation
 	denseAct
 
-	agg  *tensor.Matrix // reused Â·H buffer (cached by lin for backward)
-	dAgg *tensor.Matrix // reused backward Â·dZ buffer
+	agg   *tensor.Matrix // reused Â·H buffer (cached by lin); Backward's dZ
+	dAgg  *tensor.Matrix // reused backward Â·dZ buffer
+	fixed *tensor.Matrix // the input whose Â·H agg holds (Model.FixInput)
 }
 
 // Forward runs graph data retrieving (Â·H) then model computation (·W, σ).
+// While h is the fixed input, agg already holds Â·H and is not recomputed;
+// any other h drops the fix.
 func (l *GCNLayer) Forward(h *tensor.Matrix) *tensor.Matrix {
-	l.agg = tensor.Reuse(l.agg, h.Rows, h.Cols)
-	l.adj.ApplyInto(h, l.agg)
+	if h != l.fixed {
+		l.fixed = nil
+		l.aggregate(h)
+	}
 	return l.forward(l.agg)
 }
 
-// Backward propagates through σ, W and Â (Â is symmetric).
+// aggregate computes Â·h into agg.
+func (l *GCNLayer) aggregate(h *tensor.Matrix) {
+	l.agg = tensor.Reuse(l.agg, h.Rows, h.Cols)
+	l.Adj.ApplyInto(h, l.agg)
+}
+
+// Backward propagates through σ, W and Â (Â is symmetric). lin has read agg
+// by the time dZ = dY·Wᵀ is written, so dZ reuses agg (and the fixed Â·H is
+// gone); the returned Â·dZ has its own buffer.
 func (l *GCNLayer) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dz := l.lin.Backward(l.gate(dy))
-	l.dAgg = tensor.Reuse(l.dAgg, dz.Rows, dz.Cols)
-	l.adj.ApplyInto(dz, l.dAgg)
+	dy = l.gate(dy)
+	l.lin.BackwardParams(dy)
+	tensor.MatMulT2Into(dy, l.lin.W.W, l.agg)
+	l.fixed = nil
+	l.dAgg = tensor.Reuse(l.dAgg, l.agg.Rows, l.agg.Cols)
+	l.Adj.ApplyInto(l.agg, l.dAgg)
 	return l.dAgg
 }
 
 func (l *GCNLayer) infer(h *tensor.Matrix, tileRows int) *tensor.Matrix {
-	return l.inferTiles(l.adj.n, h.Cols, tileRows, func(in *tensor.Matrix, lo, hi int) {
-		l.adj.adj.applyRows(h, in, nil, lo, hi)
+	a := l.Adj.(*NormAdj)
+	return l.inferTiles(a.n, h.Cols, tileRows, func(in *tensor.Matrix, lo, hi int) {
+		a.adj.applyRows(h, in, nil, lo, hi)
 	})
 }
 

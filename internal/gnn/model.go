@@ -40,7 +40,9 @@ type Model struct {
 }
 
 // NewModel builds a model with the given layer widths (dims[0] = input
-// feature dim, dims[len-1] = number of classes), bound to g.
+// feature dim, dims[len-1] = number of classes), bound to g. A nil g leaves
+// the layers without a graph operator, for a caller that rebinds the model
+// or installs its own before the first Forward.
 func NewModel(g *graph.Graph, kind ModelKind, dims []int, seed int64) *Model {
 	if len(dims) < 2 {
 		//lint:allow panicpolicy architecture literals are fixed at call sites; an invalid dims slice is a programmer error at construction
@@ -70,21 +72,25 @@ func NewModel(g *graph.Graph, kind ModelKind, dims []int, seed int64) *Model {
 	for i := 0; i < len(dims)-1; i++ {
 		m.Layers = append(m.Layers, newLayer(dims[i], dims[i+1], i == len(dims)-2, seed+int64(i)*101))
 	}
-	m.Rebind(g)
+	if g != nil {
+		m.Rebind(g)
+	}
 	return m
 }
 
 // Rebind points every layer at g: it builds the kind's graph operator for g,
 // read-only and shared by all layers, and keeps the parameters and every
-// layer buffer. A sampled trainer rebinds one model to each minibatch's
-// subgraph; since the buffers only grow, a batch no larger than one the
-// model has run allocates none.
+// layer buffer (but drops a FixInput). A sampled trainer rebinds one model
+// to each minibatch's subgraph, and a graph-level trainer to each graph;
+// since the buffers only grow, a graph no larger than one the model has run
+// allocates none.
 func (m *Model) Rebind(g *graph.Graph) {
 	switch m.Kind {
 	case GCN:
 		adj := NewNormAdj(g)
 		for _, l := range m.Layers {
-			l.(*GCNLayer).adj = adj
+			gl := l.(*GCNLayer)
+			gl.Adj, gl.fixed = adj, nil
 		}
 	case SAGE:
 		agg := NewMeanAgg(g)
@@ -101,6 +107,23 @@ func (m *Model) Rebind(g *graph.Graph) {
 		for _, l := range m.Layers {
 			l.(*GINLayer).agg = agg
 		}
+	}
+}
+
+// FixInput computes a GCN first layer's Â·x into that layer's own buffer,
+// once: Forward(x) then skips the aggregation while x is that same matrix,
+// which must not change meanwhile. A Forward with another input, Rebind, the
+// first layer's own Backward and FixInput(nil) drop the fix; Model.Backward,
+// which stops at the first layer's parameters, keeps it. Full-graph training
+// fixes its static features this way. For other kinds it does nothing.
+func (m *Model) FixInput(x *tensor.Matrix) {
+	l, ok := m.Layers[0].(*GCNLayer)
+	if !ok {
+		return
+	}
+	l.fixed = x
+	if x != nil {
+		l.aggregate(x)
 	}
 }
 
@@ -165,7 +188,8 @@ type TrainResult struct {
 // TrainFullGraph trains the model with full-graph gradient descent (the
 // DistGNN/HongTu/Sancus regime): every epoch computes the loss over all
 // vertices with trainMask using the complete (unsampled) neighborhood.
-// labels[i] < 0 marks unlabeled vertices.
+// labels[i] < 0 marks unlabeled vertices. x is fixed (Model.FixInput) for
+// the call, so a GCN aggregates it once.
 func TrainFullGraph(m *Model, x *tensor.Matrix, labels []int, trainMask, testMask []bool, cfg TrainConfig) TrainResult {
 	if cfg.Epochs == 0 {
 		cfg.Epochs = 100
@@ -184,6 +208,8 @@ func TrainFullGraph(m *Model, x *tensor.Matrix, labels []int, trainMask, testMas
 	}
 	var res TrainResult
 	var dLogits *tensor.Matrix
+	m.FixInput(x)
+	defer m.FixInput(nil)
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		logits := m.Forward(x)
 		dLogits = tensor.Reuse(dLogits, logits.Rows, logits.Cols)

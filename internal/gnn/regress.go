@@ -16,13 +16,10 @@ import (
 // are extensive quantities, so sum — not mean — pooling is the right
 // inductive bias), and an MSE head.
 
-// GraphRegressor predicts one real value per graph.
+// GraphRegressor predicts one real value per graph: one GIN model, rebound
+// to each graph it runs, and a readout head.
 type GraphRegressor struct {
-	kind    ModelKind
-	dims    []int
-	inDim   int
-	seed    int64
-	templ   *Model
+	model   *Model
 	readout *nn.Dense
 }
 
@@ -48,14 +45,11 @@ func TrainGraphRegressor(graphs []*graph.Graph, targets []float64, trainMask []b
 	if cfg.LR == 0 {
 		cfg.LR = 0.005
 	}
-	const inDim = 2
 	r := &GraphRegressor{
-		kind: GIN, inDim: inDim, seed: cfg.Seed,
-		dims: []int{inDim, cfg.Hidden, cfg.Hidden},
+		model:   NewModel(nil, GIN, []int{regressInDim, cfg.Hidden, cfg.Hidden}, cfg.Seed),
+		readout: nn.NewDense(cfg.Hidden, 1, cfg.Seed+99),
 	}
-	r.templ = NewModel(graphs[0], GIN, r.dims, cfg.Seed)
-	r.readout = nn.NewDense(cfg.Hidden, 1, cfg.Seed+99)
-	params := append(r.templ.Params(), r.readout.Params()...)
+	params := append(r.model.Params(), r.readout.Params()...)
 	opt := nn.NewAdam(cfg.LR)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var idx []int
@@ -71,23 +65,23 @@ func TrainGraphRegressor(graphs []*graph.Graph, targets []float64, trainMask []b
 			if g.NumVertices() == 0 {
 				continue
 			}
-			m := NewModel(g, GIN, r.dims, cfg.Seed)
-			copyParams(m, r.templ)
-			h := m.Forward(r.features(g))
-			pooled := sumPool(h)
-			pred := r.readout.Forward(pooled)
+			r.model.Rebind(g)
+			h := r.model.Forward(regressFeatures(g))
+			pred := r.readout.Forward(sumPool(h))
 			_, dPred := nn.MSE(pred, tensor.FromRows([][]float32{{float32(targets[i])}}))
 			dPooled := r.readout.Backward(dPred)
-			m.Backward(sumPoolBackward(dPooled, h.Rows))
-			addGrads(r.templ, m)
+			r.model.Backward(sumPoolBackward(dPooled, h.Rows))
 			opt.Step(params)
 		}
 	}
 	return r
 }
 
-func (r *GraphRegressor) features(g *graph.Graph) *tensor.Matrix {
-	x := tensor.New(g.NumVertices(), r.inDim)
+// regressInDim is the vertex feature width: the constant 1 and the degree.
+const regressInDim = 2
+
+func regressFeatures(g *graph.Graph) *tensor.Matrix {
+	x := tensor.New(g.NumVertices(), regressInDim)
 	for v := 0; v < g.NumVertices(); v++ {
 		x.Set(v, 0, 1)
 		x.Set(v, 1, float32(g.Degree(graph.V(v)))/8) // scaled degree
@@ -95,14 +89,14 @@ func (r *GraphRegressor) features(g *graph.Graph) *tensor.Matrix {
 	return x
 }
 
-// Predict returns the regressed value for g.
+// Predict returns the regressed value for g. It rebinds the regressor's
+// model to g, so calls must not run concurrently.
 func (r *GraphRegressor) Predict(g *graph.Graph) float64 {
 	if g.NumVertices() == 0 {
 		return 0
 	}
-	m := NewModel(g, r.kind, r.dims, r.seed)
-	copyParams(m, r.templ)
-	h := m.Forward(r.features(g))
+	r.model.Rebind(g)
+	h := r.model.Forward(regressFeatures(g))
 	return float64(r.readout.Forward(sumPool(h)).At(0, 0))
 }
 

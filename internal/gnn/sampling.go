@@ -175,21 +175,3 @@ func inducedFromSource(src storage.GraphSource, vs []graph.V) (*graph.Graph, err
 	}
 	return b.Build(), nil
 }
-
-// copyParams copies src's weights into dst, a model of the same shape: a
-// per-graph model shares one parameter set with its template this way.
-func copyParams(dst, src *Model) {
-	dp, sp := dst.Params(), src.Params()
-	for i := range dp {
-		copy(dp[i].W.Data, sp[i].W.Data)
-	}
-}
-
-// addGrads accumulates src's gradients into dst and zeroes src's.
-func addGrads(dst, src *Model) {
-	dp, sp := dst.Params(), src.Params()
-	for i := range dp {
-		dp[i].Grad.AddInPlace(sp[i].Grad)
-		sp[i].ZeroGrad()
-	}
-}

@@ -18,11 +18,11 @@ import (
 // only every few epochs. Â is symmetric, so apply is the backward too, over
 // gradient rows with a gradient snapshot as the stale side.
 //
-// The entries are gnn.NewNormAdj's CSR (neighbors in graph order, self-loop
-// last) with a per-entry remote flag beside them. apply owns its output
-// rows, so it runs in parallel with results bitwise identical at any worker
-// count.
+// The entries are norm's CSR (neighbors in graph order, self-loop last) with
+// a per-entry remote flag beside them. apply owns its output rows, so it
+// runs in parallel with results bitwise identical at any worker count.
 type delayedAdj struct {
+	norm   *gnn.NormAdj // Â itself: the fresh operator, built once per run
 	n      int
 	rowPtr []int32
 	col    []graph.V
@@ -33,12 +33,17 @@ type delayedAdj struct {
 	// reads through a remote entry: what one snapshot refresh ships.
 	k     int
 	sends []int64
+
+	// ApplyInto's stale side: snap, first refreshed from the rows it is
+	// given when refresh is set, or those rows themselves when snap is nil.
+	snap    *tensor.Matrix
+	refresh bool
 }
 
 func newDelayedAdj(g *graph.Graph, part *partition.Partition) *delayedAdj {
 	n, k := g.NumVertices(), part.K
-	a := &delayedAdj{n: n, k: k, sends: make([]int64, k*k)}
-	a.rowPtr, a.col, a.wts = gnn.NewNormAdj(g).CSR()
+	a := &delayedAdj{norm: gnn.NewNormAdj(g), n: n, k: k, sends: make([]int64, k*k)}
+	a.rowPtr, a.col, a.wts = a.norm.CSR()
 	a.remote = make([]bool, len(a.col))
 	// Â is symmetric, so the partitions that read row v are those of v's
 	// remote entries; counted[p] == v+1 once p is counted for v.
@@ -68,6 +73,19 @@ func (a *delayedAdj) apply(fresh, stale, out *tensor.Matrix) {
 	})
 }
 
+// ApplyInto is the gnn.Propagation of DistGNN's second GCN layer: apply with
+// h as the fresh rows and the snapshot as the stale ones.
+func (a *delayedAdj) ApplyInto(h, out *tensor.Matrix) {
+	stale := h
+	if a.snap != nil {
+		if a.refresh {
+			copy(a.snap.Data, h.Data)
+		}
+		stale = a.snap
+	}
+	a.apply(h, stale, out)
+}
+
 // exchange meters one snapshot refresh of width-column rows: each owner
 // ships every row a reader partition needs once, in one batch per pair.
 func (a *delayedAdj) exchange(net *cluster.Network, width int) {
@@ -76,19 +94,6 @@ func (a *delayedAdj) exchange(net *cluster.Network, width int) {
 			net.AccountBatch(i/a.k, i%a.k, rows, rows*int64(width)*4)
 		}
 	}
-}
-
-// staleRows returns the rows that remote entries read this epoch: cur itself
-// when there is no owned snapshot (RefreshEvery 1), else snap, refreshed
-// from cur first on a refresh epoch.
-func staleRows(snap, cur *tensor.Matrix, refresh bool) *tensor.Matrix {
-	if snap == nil {
-		return cur
-	}
-	if refresh {
-		copy(snap.Data, cur.Data)
-	}
-	return snap
 }
 
 // DistGNNConfig configures delayed-update full-graph training.
@@ -146,12 +151,14 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 	}
 	net := cluster.New(cfg.Workers).Network()
 	adj := newDelayedAdj(task.G, cfg.Part)
-
-	lin1 := nn.NewDense(task.X.Cols, cfg.Hidden, cfg.Seed)
-	lin2 := nn.NewDense(cfg.Hidden, task.NumClasses, cfg.Seed+101)
-	relu := &nn.ReLU{}
+	// gnn's GCN with Â under layer 1 and the delayed aggregation under
+	// layer 2. X is static, so layer 1's aggregation happens once.
+	m := gnn.NewModel(nil, gnn.GCN, []int{task.X.Cols, cfg.Hidden, task.NumClasses}, cfg.Seed)
+	m.Layers[0].(*gnn.GCNLayer).Adj = adj.norm
+	m.Layers[1].(*gnn.GCNLayer).Adj = adj
+	m.FixInput(task.X)
+	params := m.Params()
 	opt := nn.NewAdam(cfg.LR)
-	params := append(lin1.Params(), lin2.Params()...)
 
 	masked := make([]int, len(task.Labels))
 	for i, l := range task.Labels {
@@ -161,13 +168,8 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 			masked[i] = l
 		}
 	}
-	// X is static, so layer 1's aggregation (and its exchange) happens once.
-	n := task.G.NumVertices()
-	agg0 := tensor.New(n, task.X.Cols)
-	adj.apply(task.X, task.X, agg0)
-	// agg1 also holds dH1: lin2.Backward has read agg1 before dH1 is written.
-	agg1 := tensor.New(n, cfg.Hidden)
 	// Owned activation and gradient snapshots, past RefreshEvery 1.
+	n := task.G.NumVertices()
 	var snapH, snapD *tensor.Matrix
 	if cfg.RefreshEvery > 1 {
 		snapH, snapD = tensor.New(n, cfg.Hidden), tensor.New(n, cfg.Hidden)
@@ -175,29 +177,24 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 	dLogits := tensor.New(n, task.NumClasses)
 	var res DistGNNResult
 	for ep := 0; ep < cfg.Epochs; ep++ {
-		refresh := ep%cfg.RefreshEvery == 0
-		if refresh {
+		adj.refresh = ep%cfg.RefreshEvery == 0
+		if adj.refresh {
 			res.Refreshes++
 			// a refresh ships both snapshots: the activations and, after
 			// the forward, their gradients
 			adj.exchange(net, cfg.Hidden)
 			adj.exchange(net, cfg.Hidden)
 		}
-		h1 := relu.Forward(lin1.Forward(agg0))
-		adj.apply(h1, staleRows(snapH, h1, refresh), agg1)
-		logits := lin2.Forward(agg1)
-		nn.SoftmaxCrossEntropyInto(logits, masked, dLogits)
-		dAgg1 := lin2.Backward(dLogits)
-		dH1 := agg1
-		adj.apply(dAgg1, staleRows(snapD, dAgg1, refresh), dH1)
-		lin1.BackwardParams(relu.Backward(dH1))
+		adj.snap = snapH
+		nn.SoftmaxCrossEntropyInto(m.Forward(task.X), masked, dLogits)
+		adj.snap = snapD
+		m.Backward(dLogits)
 		opt.Step(params)
 	}
 	// Evaluate the trained model: fresh layer-1 rows over every edge.
-	h1 := relu.Forward(lin1.Forward(agg0))
+	adj.snap = nil
 	adj.exchange(net, cfg.Hidden)
-	adj.apply(h1, h1, agg1)
-	logits := lin2.Forward(agg1)
+	logits := m.Forward(task.X)
 	res.TestAcc = nn.Accuracy(logits, task.Labels, task.TestMask)
 	res.Loss = nn.SoftmaxCrossEntropyInto(logits, task.Labels, nil)
 	res.Net = net.Stats()
@@ -215,26 +212,23 @@ type OffloadStats struct {
 	FullGraphFloats  int64 // what an all-on-device run would need resident
 }
 
-// OffloadedGCNForward computes a 2-layer GCN forward pass chunk by chunk:
-// for each layer, only `chunkRows` rows of activations are resident on the
+// OffloadedGCNForward runs GCN model m's forward pass chunk by chunk: for
+// each layer, only `chunkRows` rows of activations are resident on the
 // "device" at a time, with inputs streamed from host memory. It is
-// gnn.Model.Infer with chunkRows as the row tile, so the logits are bitwise
-// the monolithic forward's; the stats, which follow from the tile geometry,
+// m.Infer with chunkRows as the row tile, so the logits are bitwise the
+// monolithic forward's; the stats, which follow from the tile geometry,
 // expose HongTu's trade: bounded device memory for extra host traffic.
-func OffloadedGCNForward(g *graph.Graph, x *tensor.Matrix, lin1W, lin1B, lin2W, lin2B *tensor.Matrix, chunkRows int) (*tensor.Matrix, OffloadStats) {
-	n := g.NumVertices()
-	dims := []int{x.Cols, lin1W.Cols, lin2W.Cols}
-	m := gnn.NewModel(g, gnn.GCN, dims, 0)
-	params := m.Params()
-	for i, w := range []*tensor.Matrix{lin1W, lin1B, lin2W, lin2B} {
-		copy(params[i].W.Data, w.Data)
-	}
-	st := OffloadStats{FullGraphFloats: int64(n) * int64(x.Cols+lin1W.Cols+lin2W.Cols)}
-	for l := 0; l+1 < len(dims); l++ {
+func OffloadedGCNForward(m *gnn.Model, x *tensor.Matrix, chunkRows int) (*tensor.Matrix, OffloadStats) {
+	n, in := x.Rows, x.Cols
+	st := OffloadStats{FullGraphFloats: int64(n) * int64(in)}
+	for _, l := range m.Layers {
+		out := l.Params()[0].W.Cols // the layer's dense weight is in×out
+		st.FullGraphFloats += int64(n) * int64(out)
 		// the device holds a tile of aggregated inputs and one of outputs;
 		// every input row streams in and every output row goes back once
-		st.DevicePeakFloats = max(st.DevicePeakFloats, int64(min(chunkRows, n))*int64(dims[l]+dims[l+1]))
-		st.HostTransferred += int64(n) * int64(dims[l]+dims[l+1])
+		st.DevicePeakFloats = max(st.DevicePeakFloats, int64(min(chunkRows, n))*int64(in+out))
+		st.HostTransferred += int64(n) * int64(in+out)
+		in = out
 	}
 	return m.Infer(x, chunkRows), st
 }

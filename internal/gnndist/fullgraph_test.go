@@ -225,20 +225,27 @@ func mustBitwiseEqual(t *testing.T, name string, got, want *tensor.Matrix) {
 	}
 }
 
-// TestDistGNNEpochAllocs: an epoch's buffers are owned by the trainer, so
-// each extra epoch allocates only SoftmaxCrossEntropy's n×classes gradient
-// plus small change (kernel fan-out closures at parallelism 2).
+// TestDistGNNEpochAllocs: an epoch's buffers are owned by the trainer and
+// its model, so each extra epoch allocates only small change (kernel fan-out
+// closures at parallelism 2), under 8 KiB; one n×hidden activation is
+// 192 KB here. Each measurement is the least of 3 runs: an allocation
+// outside the trainer lands in one window at most, and one the trainer
+// makes shows in all of them.
 func TestDistGNNEpochAllocs(t *testing.T) {
 	task := gnn.SyntheticCommunityTask(3000, 4, 8, 0.3, 5)
 	part := partition.Metis(task.G, 4)
 	allocated := func(epochs int) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		TrainDistGNN(task, DistGNNConfig{Workers: 4, Part: part, Epochs: epochs, Seed: 9})
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		least := uint64(math.MaxUint64)
+		for rep := 0; rep < 3; rep++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			TrainDistGNN(task, DistGNNConfig{Workers: 4, Part: part, Epochs: epochs, Seed: 9})
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
 	}
-	limit := uint64(task.G.NumVertices()*task.NumClasses*4 + 8<<10)
+	const limit = 8 << 10
 	defer tensor.SetParallelism(0)
 	for _, par := range []int{1, 2} {
 		tensor.SetParallelism(par)

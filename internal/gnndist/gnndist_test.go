@@ -249,23 +249,27 @@ func TestDistGNNDelayedUpdates(t *testing.T) {
 func TestOffloadedForwardMatchesMonolithic(t *testing.T) {
 	task := gnn.SyntheticCommunityTask(120, 3, 2, 0.3, 7)
 	const hidden = 8
-	l1w := tensor.Xavier(task.X.Cols, hidden, 1)
-	l1b := tensor.New(1, hidden)
-	l2w := tensor.Xavier(hidden, task.NumClasses, 2)
-	l2b := tensor.New(1, task.NumClasses)
+	m := gnn.NewModel(task.G, gnn.GCN, []int{task.X.Cols, hidden, task.NumClasses}, 1)
+	p := m.Params()
+	l1w, l1b, l2w, l2b := p[0].W, p[1].W, p[2].W, p[3].W
 	// monolithic reference
 	adj := gnn.NewNormAdj(task.G)
-	h1 := tensor.MatMul(adj.Apply(task.X), l1w)
+	apply := func(h *tensor.Matrix) *tensor.Matrix {
+		out := tensor.New(h.Rows, h.Cols)
+		adj.ApplyInto(h, out)
+		return out
+	}
+	h1 := tensor.MatMul(apply(task.X), l1w)
 	h1.AddRowVector(l1b.Row(0))
 	for i, v := range h1.Data {
 		if v < 0 {
 			h1.Data[i] = 0
 		}
 	}
-	ref := tensor.MatMul(adj.Apply(h1), l2w)
+	ref := tensor.MatMul(apply(h1), l2w)
 	ref.AddRowVector(l2b.Row(0))
 
-	got, st := OffloadedGCNForward(task.G, task.X, l1w, l1b, l2w, l2b, 16)
+	got, st := OffloadedGCNForward(m, task.X, 16)
 	mustBitwiseEqual(t, "chunk 16", got, ref)
 	if st.DevicePeakFloats >= st.FullGraphFloats {
 		t.Fatalf("device peak %d not below full residency %d", st.DevicePeakFloats, st.FullGraphFloats)
@@ -274,7 +278,7 @@ func TestOffloadedForwardMatchesMonolithic(t *testing.T) {
 		t.Fatal("no host transfers accounted")
 	}
 	// smaller chunks → smaller peak, same result
-	got2, st2 := OffloadedGCNForward(task.G, task.X, l1w, l1b, l2w, l2b, 4)
+	got2, st2 := OffloadedGCNForward(m, task.X, 4)
 	mustBitwiseEqual(t, "chunk 4", got2, ref)
 	if st2.DevicePeakFloats >= st.DevicePeakFloats {
 		t.Fatal("smaller chunk should lower device peak")

@@ -208,7 +208,7 @@ func newDist(task *gnn.Task, cfg TrainerConfig) (*dist, error) {
 		d.srcs[w] = newCountedSource(cfg.Seed + int64(w)*7919)
 		d.rngs[w] = rand.New(d.srcs[w])
 		d.quant[w] = map[int]*Quantizer{}
-		d.steps[w].model = gnn.NewModel(graph.NewBuilder(0, false).Build(), cfg.Kind, d.dims, cfg.Seed)
+		d.steps[w].model = gnn.NewModel(nil, cfg.Kind, d.dims, cfg.Seed)
 	}
 	prov, owns, err := storage.ProviderFor(task.G, cfg.Source, cfg.Workers)
 	if err != nil {
