@@ -13,15 +13,6 @@
 //
 //	go run ./cmd/graphlint -root internal/lint/testdata/src -module fixture ./...
 //
-// Baselines let a new check land warn-only on legacy paths while gating new
-// code: -write-baseline snapshots the current diagnostics as sorted JSON;
-// -baseline filters them out of later runs (matching check+file+message with
-// multiplicity, so legacy files can move lines without churn) and only fresh
-// diagnostics fail the run.
-//
-//	go run ./cmd/graphlint -write-baseline lint-baseline.json ./...
-//	go run ./cmd/graphlint -baseline lint-baseline.json ./...
-//
 // Exit status: 0 clean, 1 diagnostics reported, 2 driver error (including a
 // blown -budget).
 package main
@@ -44,8 +35,6 @@ func main() {
 	doc := flag.Bool("doc", false, "print the checks and the contracts they enforce")
 	rootFlag := flag.String("root", "", "analyse this tree instead of the enclosing module (e.g. the lint fixtures)")
 	moduleFlag := flag.String("module", "", "module path of -root (import-resolution prefix; default: enclosing module's)")
-	baselineFlag := flag.String("baseline", "", "filter diagnostics through this accepted-diagnostics baseline file")
-	writeBaseline := flag.String("write-baseline", "", "write the run's diagnostics to this baseline file and exit 0")
 	timing := flag.Bool("timing", false, "print per-check wall time to stderr")
 	budget := flag.Duration("budget", 0, "fail (exit 2) if the whole run exceeds this duration (0 = no budget)")
 	flag.Parse()
@@ -96,31 +85,6 @@ func main() {
 			}
 		}
 		diags = kept
-	}
-
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, diags); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "graphlint: wrote %d diagnostic(s) to baseline %s\n", len(diags), *writeBaseline)
-		checkBudget(timings, *budget)
-		return
-	}
-	if *baselineFlag != "" {
-		base, err := lint.LoadBaseline(*baselineFlag)
-		if err != nil {
-			fail(err)
-		}
-		var accepted int
-		var unused []lint.BaselineEntry
-		diags, accepted, unused = lint.ApplyBaseline(diags, base)
-		if accepted > 0 {
-			fmt.Fprintf(os.Stderr, "graphlint: %d diagnostic(s) accepted by baseline %s\n", accepted, *baselineFlag)
-		}
-		for _, e := range unused {
-			fmt.Fprintf(os.Stderr, "graphlint: baseline entry no longer occurs (re-tighten the baseline): %s %s: %s (×%d)\n",
-				e.Check, e.File, e.Message, e.Count)
-		}
 	}
 
 	if *jsonOut {

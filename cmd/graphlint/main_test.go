@@ -92,35 +92,50 @@ func TestFixtureTreeFailsWithChains(t *testing.T) {
 	}
 }
 
-// TestBaselineFlagAcceptsKnownDiagnostics round-trips -write-baseline /
-// -baseline over the fixture tree: a written baseline must absorb every
-// diagnostic (exit 0), and -json must then emit an empty array.
-func TestBaselineFlagAcceptsKnownDiagnostics(t *testing.T) {
+// TestJSONFlag pins -json, the report CI uploads: over the fixture tree it
+// prints a JSON array of the same diagnostics, in the same order, as the
+// text output, and exits 1; over a clean scope it prints [], not null, and
+// exits 0.
+func TestJSONFlag(t *testing.T) {
 	tool, root := buildTool(t)
-	base := filepath.Join(t.TempDir(), "base.json")
-
-	write := exec.Command(tool, "-root", filepath.Join("internal", "lint", "testdata", "src"), "-module", "fixture", "-write-baseline", base, "./...")
-	write.Dir = root
-	if out, err := write.CombinedOutput(); err != nil {
-		t.Fatalf("-write-baseline: %v\n%s", err, out)
+	run := func(wantExit int, args ...string) []byte {
+		t.Helper()
+		cmd := exec.Command(tool, args...)
+		cmd.Dir = root
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		exit := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			exit = ee.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if exit != wantExit {
+			t.Fatalf("%v: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", args, exit, wantExit, &stdout, &stderr)
+		}
+		return stdout.Bytes()
 	}
 
-	read := exec.Command(tool, "-root", filepath.Join("internal", "lint", "testdata", "src"), "-module", "fixture", "-baseline", base, "-json", "./...")
-	read.Dir = root
-	var stdout, stderr bytes.Buffer
-	read.Stdout, read.Stderr = &stdout, &stderr
-	if err := read.Run(); err != nil {
-		t.Fatalf("-baseline run must exit 0 when the baseline absorbs everything: %v\nstderr:\n%s", err, &stderr)
-	}
+	fixture := []string{"-root", filepath.Join("internal", "lint", "testdata", "src"), "-module", "fixture"}
+	text := run(1, append(fixture, "./...")...)
 	var diags []lint.Diagnostic
-	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, &stdout)
+	if out := run(1, append(fixture, "-json", "./...")...); json.Unmarshal(out, &diags) != nil {
+		t.Fatalf("-json output over the fixtures is not a JSON array of diagnostics:\n%s", out)
 	}
-	if len(diags) != 0 {
-		t.Fatalf("baseline left %d fresh diagnostics: %+v", len(diags), diags)
+	if len(diags) == 0 {
+		t.Fatal("-json printed no diagnostics over the fixture tree")
 	}
-	if !strings.Contains(stderr.String(), "accepted by baseline") {
-		t.Fatalf("stderr does not report the accepted count:\n%s", &stderr)
+	var fromJSON strings.Builder
+	for _, d := range diags {
+		fromJSON.WriteString(d.String() + "\n")
+	}
+	if fromJSON.String() != string(text) {
+		t.Fatalf("-json diagnostics differ from the text output:\njson:\n%s\ntext:\n%s", fromJSON.String(), text)
+	}
+
+	if out := run(0, "-json", "-checks", "maprange", "./internal/det"); strings.TrimSpace(string(out)) != "[]" {
+		t.Fatalf("-json over a clean scope printed %q, want []", out)
 	}
 }
 

@@ -6,14 +6,15 @@
 // structure the paper describes — Graph Data Retrieving (neighbor feature
 // aggregation) followed by Model Computation.
 //
-// Aggregators are stored as CSR built once at construction and applied with
-// parallel SpMM kernels. Both directions are gather-form: the forward kernel
-// parallelises over destination rows, and the backward pass uses a transpose
-// CSR (built at construction) so that each goroutine owns a disjoint block of
-// OUTPUT rows instead of scattering with atomics. Per-row entries of the
-// transpose are ordered by source row ascending — the same order the old
-// serial scatter visited them — so results are bitwise identical to the
-// serial kernels at any parallelism level.
+// Every layer's aggregation is one operator, Agg: a CSR matrix A built once
+// per graph and applied with a parallel SpMM kernel, and its adjoint Aᵀ,
+// which every backward pass runs. Both directions are gather-form: the
+// kernel parallelises over output rows, so each goroutine owns a disjoint
+// block of them and nothing scatters with atomics. Neighbour lists are
+// sorted and an undirected edge is two arcs, so on an undirected graph Aᵀ
+// is applied as A itself; only a directed graph stores a transpose CSR,
+// whose rows list their entries by source row ascending. Either way results
+// are bitwise identical to the serial kernels at any parallelism level.
 package gnn
 
 import (
@@ -25,27 +26,27 @@ import (
 	"graphsys/internal/tensor"
 )
 
-// csr is a compressed-sparse-row operator over vertex feature matrices.
-// wts == nil means unit weights.
+// csr is a compressed-sparse-row operator over vertex feature matrices:
+// row v of its action is scale[v] · Σ_idx wts[idx]·h[col[idx]]. wts == nil
+// means unit weights and scale == nil unit rows.
 type csr struct {
 	n      int
 	rowPtr []int32
 	col    []graph.V
 	wts    []float32
+	scale  []float32
 }
 
-// apply computes out = op(h) where row v of the result is
-// rowScale[v] · Σ_idx wts[idx]·h[col[idx]] (rowScale/wts nil = unit). out is
-// fully overwritten.
-func (c *csr) apply(h, out *tensor.Matrix, rowScale []float32) {
-	c.applyRows(h, out, rowScale, 0, c.n)
+// apply computes out = op(h), fully overwritten.
+func (c *csr) apply(h, out *tensor.Matrix) {
+	c.applyRows(h, out, 0, c.n)
 }
 
 // applyRows computes rows [lo, hi) of op(h) into out's rows [0, hi-lo),
 // fully overwritten. Rows are independent, each owned by one goroutine and
 // accumulated in CSR entry order, so results do not depend on how the row
 // range is split or tiled.
-func (c *csr) applyRows(h, out *tensor.Matrix, rowScale []float32, lo, hi int) {
+func (c *csr) applyRows(h, out *tensor.Matrix, lo, hi int) {
 	if h.Rows != c.n {
 		panic(fmt.Sprintf("gnn: aggregator input rows %d != vertices %d", h.Rows, c.n))
 	}
@@ -53,15 +54,15 @@ func (c *csr) applyRows(h, out *tensor.Matrix, rowScale []float32, lo, hi int) {
 		panic(fmt.Sprintf("gnn: aggregator output %dx%d, want %dx%d", out.Rows, out.Cols, hi-lo, h.Cols))
 	}
 	if b := rowBlocks(c.rowPtr, lo, hi, h.Cols); b != nil {
-		runBlocks(b, func(from, to int) { c.applyRange(h, out, rowScale, lo, from, to) })
+		runBlocks(b, func(from, to int) { c.applyRange(h, out, lo, from, to) })
 	} else {
-		c.applyRange(h, out, rowScale, lo, lo, hi)
+		c.applyRange(h, out, lo, lo, hi)
 	}
 }
 
 // applyRange is the serial kernel over rows [from, to), writing row v into
 // out's row v-base.
-func (c *csr) applyRange(h, out *tensor.Matrix, rowScale []float32, base, from, to int) {
+func (c *csr) applyRange(h, out *tensor.Matrix, base, from, to int) {
 	for v := from; v < to; v++ {
 		or := out.Row(v - base)
 		s, e := c.rowPtr[v], c.rowPtr[v+1]
@@ -70,8 +71,8 @@ func (c *csr) applyRange(h, out *tensor.Matrix, rowScale []float32, base, from, 
 			wts = c.wts[s:e]
 		}
 		SpMMRow(or, c.col[s:e], wts, h, nil, nil)
-		if rowScale != nil {
-			inv := rowScale[v]
+		if c.scale != nil {
+			inv := c.scale[v]
 			for j := range or {
 				or[j] *= inv
 			}
@@ -143,14 +144,13 @@ func spmmTerm(k int, col []graph.V, wts []float32, h, alt *tensor.Matrix, useAlt
 	return w, h.Row(int(col[k]))
 }
 
-// transpose returns the CSR of the adjoint operator. Entry weights are the
-// source entry's weight times srcScale[v] (either may be nil = unit; both nil
-// keeps wts nil). Entries within each output row are ordered by source row v
+// transpose returns the CSR of c's transpose, which has no row scale.
+// Entries within each output row are ordered by source row v
 // ascending — exactly the order the serial scatter loop (v outer, ascending)
-// used to touch that row, so the gather-form backward reproduces it bitwise.
-func (c *csr) transpose(srcScale []float32) *csr {
+// used to touch that row, so the gather-form adjoint reproduces it bitwise.
+func (c *csr) transpose() *csr {
 	t := &csr{n: c.n, rowPtr: make([]int32, c.n+1), col: make([]graph.V, len(c.col))}
-	if c.wts != nil || srcScale != nil {
+	if c.wts != nil {
 		t.wts = make([]float32, len(c.col))
 	}
 	for _, u := range c.col {
@@ -168,14 +168,7 @@ func (c *csr) transpose(srcScale []float32) *csr {
 			next[u]++
 			t.col[p] = graph.V(v)
 			if t.wts != nil {
-				w := float32(1)
-				if c.wts != nil {
-					w = c.wts[idx]
-				}
-				if srcScale != nil {
-					w *= srcScale[v]
-				}
-				t.wts[p] = w
+				t.wts[p] = c.wts[idx]
 			}
 		}
 	}
@@ -209,94 +202,110 @@ func splitRowsByNNZ(rowPtr []int32, p int) []int {
 	return append(bounds, n)
 }
 
-// NormAdj is the symmetric-normalised adjacency with self-loops used by GCN:
-// Â = D̃^(-1/2) (A+I) D̃^(-1/2), stored as CSR. Â is symmetric, so it is its
-// own transpose in the backward pass.
-type NormAdj struct {
-	n   int
-	adj *csr
+// Agg is the graph operator of every GNN layer here: A over vertex feature
+// rows with an optional per-row scale s. ApplyInto computes diag(s)·A·H and
+// ApplyTInto the adjoint Aᵀ·diag(s)·dY, which every layer's backward runs.
+// Row v of A lists g.Neighbors(v) in order, then v itself for the kinds
+// with self-loops. The graph builder keeps neighbour lists sorted and stores
+// an undirected edge as two arcs, and every weight here is symmetric in its
+// two ends, so on an undirected graph Aᵀ equals A and is applied as A
+// itself; only a directed graph stores a transpose CSR, built once.
+type Agg struct {
+	csr      // A and the row scale
+	t   *csr // Aᵀ, sharing A's arrays on an undirected graph; nil for GAT
 }
 
-// NewNormAdj precomputes Â for g.
-func NewNormAdj(g *graph.Graph) *NormAdj {
-	n := g.NumVertices()
-	invSqrt := make([]float64, n)
-	nnz := 0
-	for v := 0; v < n; v++ {
-		d := g.Degree(graph.V(v))
-		invSqrt[v] = 1 / math.Sqrt(float64(d+1))
-		nnz += d + 1
+// newAgg builds g's operator: row v lists g.Neighbors(v), then v itself
+// when selfLoop is set. norm, which needs selfLoop, weighs entry (v, u)
+// float32(1/√(|N(v)|+1) · 1/√(|N(u)|+1)), making A GCN's Â; otherwise
+// weights are unit. It sets no row scale and no adjoint.
+func newAgg(g *graph.Graph, selfLoop, norm bool) *Agg {
+	n, nnz := g.NumVertices(), int(g.NumArcs())
+	if selfLoop {
+		nnz += n
 	}
-	c := &csr{
-		n:      n,
-		rowPtr: make([]int32, n+1),
-		col:    make([]graph.V, 0, nnz),
-		wts:    make([]float32, 0, nnz),
-	}
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(graph.V(v)) {
-			c.col = append(c.col, u)
-			c.wts = append(c.wts, float32(invSqrt[v]*invSqrt[u]))
+	a := &Agg{csr: csr{n: n, rowPtr: make([]int32, n+1), col: make([]graph.V, 0, nnz)}}
+	var invSqrt []float64
+	if norm {
+		invSqrt = make([]float64, n)
+		for v := range invSqrt {
+			invSqrt[v] = 1 / math.Sqrt(float64(g.Degree(graph.V(v))+1))
 		}
-		c.col = append(c.col, graph.V(v)) // self-loop last, as before
-		c.wts = append(c.wts, float32(invSqrt[v]*invSqrt[v]))
-		c.rowPtr[v+1] = int32(len(c.col))
+		a.wts = make([]float32, 0, nnz)
 	}
-	return &NormAdj{n: n, adj: c}
+	for v := 0; v < n; v++ {
+		ns := g.Neighbors(graph.V(v))
+		a.col = append(a.col, ns...)
+		if selfLoop {
+			a.col = append(a.col, graph.V(v))
+		}
+		if norm {
+			for _, u := range ns {
+				a.wts = append(a.wts, float32(invSqrt[v]*invSqrt[u]))
+			}
+			a.wts = append(a.wts, float32(invSqrt[v]*invSqrt[v])) // the self-loop
+		}
+		a.rowPtr[v+1] = int32(len(a.col))
+	}
+	return a
 }
 
-// CSR exposes Â's entries for internal/gnndist's delayed aggregation, the
+// withAdjoint sets a's adjoint Aᵀ, which has no row scale: A's own entries
+// when g is undirected, else their transpose CSR.
+func (a *Agg) withAdjoint(g *graph.Graph) *Agg {
+	a.t = &csr{n: a.n, rowPtr: a.rowPtr, col: a.col, wts: a.wts}
+	if g.Directed() {
+		a.t = a.t.transpose()
+	}
+	return a
+}
+
+// NewNormAdj builds GCN's normalised adjacency with self-loops,
+// Â = D̃^(-1/2) (A+I) D̃^(-1/2), the self-loop last in each row.
+func NewNormAdj(g *graph.Graph) *Agg { return newAgg(g, true, true).withAdjoint(g) }
+
+// NewMeanAgg builds GraphSAGE's mean aggregator over open neighbourhoods:
+// unit weights and row scale 1/|N(v)|, applied after the sum, and zero rows
+// for isolated vertices.
+func NewMeanAgg(g *graph.Graph) *Agg {
+	a := newAgg(g, false, false)
+	a.scale = make([]float32, a.n)
+	for v := range a.scale {
+		if d := a.rowPtr[v+1] - a.rowPtr[v]; d > 0 {
+			a.scale[v] = 1 / float32(d)
+		}
+	}
+	return a.withAdjoint(g)
+}
+
+// NewSumAgg builds GIN's sum aggregator over open neighbourhoods.
+func NewSumAgg(g *graph.Graph) *Agg { return newAgg(g, false, false).withAdjoint(g) }
+
+// CSR exposes A's entries for internal/gnndist's delayed aggregation, the
 // one kernel outside this package that reads them: row v's entries are
 // col[rowPtr[v]:rowPtr[v+1]] with weights aligned, in g.Neighbors(v) order
-// with the self-loop last. The slices are shared with a; callers must not
+// with any self-loop last. The slices are shared with a; callers must not
 // write them.
-func (a *NormAdj) CSR() (rowPtr []int32, col []graph.V, wts []float32) {
-	return a.adj.rowPtr, a.adj.col, a.adj.wts
+func (a *Agg) CSR() (rowPtr []int32, col []graph.V, wts []float32) {
+	return a.rowPtr, a.col, a.wts
 }
 
-// ApplyInto computes Â·H into out (fully overwritten), allocating nothing:
-// the Propagation a GCN layer runs in both directions.
-func (a *NormAdj) ApplyInto(h, out *tensor.Matrix) { a.adj.apply(h, out, nil) }
+// ApplyInto computes diag(s)·A·H into out (fully overwritten), allocating
+// nothing.
+func (a *Agg) ApplyInto(h, out *tensor.Matrix) { a.apply(h, out) }
 
-// MeanAgg is GraphSAGE's mean aggregator over (open) neighborhoods. The
-// neighbor lists are hoisted into CSR once at construction (the old
-// implementation re-derived g.Neighbors(v) on every call); the forward pass
-// keeps the sum-then-scale evaluation order (Σh)·(1/|N(v)|) of the serial
-// kernel, and isolated vertices still produce zero rows.
-type MeanAgg struct {
-	n    int
-	adj  *csr      // unit-weight open neighborhoods
-	adjT *csr      // transpose with weights 1/|N(src)|
-	inv  []float32 // 1/|N(v)|, 0 for isolated vertices
-}
-
-// NewMeanAgg precomputes the aggregation CSR (and its transpose) for g.
-func NewMeanAgg(g *graph.Graph) *MeanAgg {
-	n := g.NumVertices()
-	m := &MeanAgg{n: n, inv: make([]float32, n)}
-	nnz := 0
-	for v := 0; v < n; v++ {
-		d := g.Degree(graph.V(v))
-		nnz += d
-		if d > 0 {
-			m.inv[v] = 1 / float32(d)
+// ApplyTInto computes the adjoint Aᵀ·diag(s)·dY into out (fully
+// overwritten), allocating nothing. With a row scale it scales dy's rows in
+// place first, so dy must be the caller's scratch; with none it leaves dy
+// as it is.
+func (a *Agg) ApplyTInto(dy, out *tensor.Matrix) {
+	if a.scale != nil {
+		for v, s := range a.scale {
+			r := dy.Row(v)
+			for j := range r {
+				r[j] *= s
+			}
 		}
 	}
-	c := &csr{n: n, rowPtr: make([]int32, n+1), col: make([]graph.V, 0, nnz)}
-	for v := 0; v < n; v++ {
-		c.col = append(c.col, g.Neighbors(graph.V(v))...)
-		c.rowPtr[v+1] = int32(len(c.col))
-	}
-	m.adj = c
-	m.adjT = c.transpose(m.inv)
-	return m
+	a.t.apply(dy, out)
 }
-
-// ApplyInto computes row v = mean of h over N(v) (zeros for isolated
-// vertices) into a preallocated out (fully overwritten).
-func (m *MeanAgg) ApplyInto(h, out *tensor.Matrix) { m.adj.apply(h, out, m.inv) }
-
-// ApplyTInto computes the transpose action (the backward pass) into a
-// preallocated out (fully overwritten): out_u = Σ_{v : u∈N(v)} dy_v / |N(v)|.
-// For undirected graphs this equals Σ_{v∈N(u)} dy_v / |N(v)|.
-func (m *MeanAgg) ApplyTInto(dy, out *tensor.Matrix) { m.adjT.apply(dy, out, nil) }

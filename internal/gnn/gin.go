@@ -1,37 +1,6 @@
 package gnn
 
-import (
-	"graphsys/internal/graph"
-	"graphsys/internal/tensor"
-)
-
-// SumAgg is sum aggregation over open neighborhoods, stored as CSR built
-// once at construction (the old implementation re-derived g.Neighbors(v) on
-// every call). For undirected graphs the operator is symmetric, so it is its
-// own adjoint, which is what GINLayer.Backward relies on.
-type SumAgg struct {
-	n   int
-	adj *csr
-}
-
-// NewSumAgg precomputes the aggregation CSR for g.
-func NewSumAgg(g *graph.Graph) *SumAgg {
-	n := g.NumVertices()
-	nnz := 0
-	for v := 0; v < n; v++ {
-		nnz += g.Degree(graph.V(v))
-	}
-	c := &csr{n: n, rowPtr: make([]int32, n+1), col: make([]graph.V, 0, nnz)}
-	for v := 0; v < n; v++ {
-		c.col = append(c.col, g.Neighbors(graph.V(v))...)
-		c.rowPtr[v+1] = int32(len(c.col))
-	}
-	return &SumAgg{n: n, adj: c}
-}
-
-// ApplyInto computes row v = Σ_{u∈N(v)} h_u into a preallocated out (fully
-// overwritten).
-func (s *SumAgg) ApplyInto(h, out *tensor.Matrix) { s.adj.apply(h, out, nil) }
+import "graphsys/internal/tensor"
 
 // GINLayer is the Graph Isomorphism Network layer (Xu et al.), the
 // maximally-expressive 1-WL aggregator: h'_v = σ(W·((1+ε)h_v + Σ_{u∈N(v)}
@@ -39,7 +8,7 @@ func (s *SumAgg) ApplyInto(h, out *tensor.Matrix) { s.adj.apply(h, out, nil) }
 // multisets that mean/max aggregators collapse, which is why GIN is the
 // standard whole-graph classification backbone.
 type GINLayer struct {
-	agg *SumAgg
+	agg *Agg // NewSumAgg
 	denseAct
 
 	z  *tensor.Matrix // reused (1+ε)h + A·h buffer (cached by lin)
@@ -54,18 +23,18 @@ func (l *GINLayer) Forward(h *tensor.Matrix) *tensor.Matrix {
 	return l.forward(l.z)
 }
 
-// Backward propagates dH = dZ + AᵀdZ (A symmetric for undirected graphs).
+// Backward propagates dH = dZ + Aᵀ·dZ.
 func (l *GINLayer) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	dz := l.lin.Backward(l.gate(dy))
 	l.dh = tensor.Reuse(l.dh, dz.Rows, dz.Cols)
-	l.agg.ApplyInto(dz, l.dh)
+	l.agg.ApplyTInto(dz, l.dh)
 	l.dh.AddInPlace(dz)
 	return l.dh
 }
 
 func (l *GINLayer) infer(h *tensor.Matrix, tileRows int) *tensor.Matrix {
 	return l.inferTiles(l.agg.n, h.Cols, tileRows, func(in *tensor.Matrix, lo, hi int) {
-		l.agg.adj.applyRows(h, in, nil, lo, hi)
+		l.agg.applyRows(h, in, lo, hi)
 		in.AddInPlace(h.SliceRows(lo, hi))
 	})
 }

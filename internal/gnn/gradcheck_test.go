@@ -11,13 +11,18 @@ import (
 	"graphsys/internal/tensor"
 )
 
+// twoLayers is gradCheck's default model shape: 3 input features, a hidden
+// layer of 4 and 2 classes.
+var twoLayers = []int{3, 4, 2}
+
 // gradCheck compares the analytic gradient of the mean cross-entropy loss
-// w.r.t. every parameter entry (and the input) against central differences.
-func gradCheck(t *testing.T, g *graph.Graph, kind ModelKind) {
+// w.r.t. every parameter entry (and the input) against central differences,
+// for a kind model with layer widths dims.
+func gradCheck(t *testing.T, g *graph.Graph, kind ModelKind, dims []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	n := g.NumVertices()
-	const inDim, hidden, classes = 3, 4, 2
+	inDim, classes := dims[0], dims[len(dims)-1]
 	x := tensor.New(n, inDim)
 	for i := range x.Data {
 		x.Data[i] = rng.Float32()*2 - 1
@@ -26,7 +31,7 @@ func gradCheck(t *testing.T, g *graph.Graph, kind ModelKind) {
 	for i := range labels {
 		labels[i] = rng.Intn(classes)
 	}
-	model := NewModel(g, kind, []int{inDim, hidden, classes}, 3)
+	model := NewModel(g, kind, dims, 3)
 
 	loss := func() float64 {
 		l, _ := nn.SoftmaxCrossEntropy(model.Forward(x), labels)
@@ -95,14 +100,47 @@ func testGraph() *graph.Graph {
 	return b.Build() // vertex 6 isolated
 }
 
-func TestGradCheckGCN(t *testing.T)  { gradCheck(t, testGraph(), GCN) }
-func TestGradCheckSAGE(t *testing.T) { gradCheck(t, testGraph(), SAGE) }
-func TestGradCheckGAT(t *testing.T)  { gradCheck(t, testGraph(), GAT) }
+// directedTestGraph is a directed 7-vertex graph: a 4-cycle with chord
+// 0→2, a 3-cycle 3→4→5→3, the arc 2→5, and vertex 6 isolated.
+func directedTestGraph() *graph.Graph {
+	b := graph.NewBuilder(7, true)
+	for _, e := range [][2]graph.V{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {3, 4}, {4, 5}, {5, 3}, {2, 5}} {
+		b.AddEdge(e[0], e[1])
+	}
+	return b.Build()
+}
+
+// randomDirected draws arcs uniform random arcs over n vertices (the builder
+// drops self-loops and duplicates).
+func randomDirected(n, arcs int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(n, true)
+	for i := 0; i < arcs; i++ {
+		b.AddEdge(graph.V(rng.Intn(n)), graph.V(rng.Intn(n)))
+	}
+	return b.Build()
+}
+
+func TestGradCheckGCN(t *testing.T)  { gradCheck(t, testGraph(), GCN, twoLayers) }
+func TestGradCheckSAGE(t *testing.T) { gradCheck(t, testGraph(), SAGE, twoLayers) }
+func TestGradCheckGAT(t *testing.T)  { gradCheck(t, testGraph(), GAT, twoLayers) }
 
 func TestGradCheckOnRandomGraph(t *testing.T) {
 	g := gen.ErdosRenyi(12, 30, 5)
 	for _, kind := range []ModelKind{GCN, SAGE, GAT} {
-		gradCheck(t, g, kind)
+		gradCheck(t, g, kind, twoLayers)
+	}
+}
+
+// TestGradCheckDirected checks every kind on directed graphs, where A is not
+// symmetric, so a backward that applied A in place of Aᵀ gets the input and
+// parameter gradients wrong. The model is one layer: with no hidden ReLU,
+// no activation kink blurs the central differences.
+func TestGradCheckDirected(t *testing.T) {
+	for _, g := range []*graph.Graph{directedTestGraph(), randomDirected(10, 30, 4)} {
+		for _, kind := range []ModelKind{GCN, SAGE, GAT, GIN} {
+			gradCheck(t, g, kind, []int{3, 2})
+		}
 	}
 }
 
@@ -122,26 +160,39 @@ func TestNormAdjRowsSumBounded(t *testing.T) {
 	}
 }
 
+// TestMeanAggTransposeIsAdjoint checks the adjoint property
+// ⟨Apply(h), y⟩ = ⟨h, ApplyT(y)⟩ for every operator constructor, on an
+// undirected and on a directed graph.
 func TestMeanAggTransposeIsAdjoint(t *testing.T) {
-	// <Apply(h), y> must equal <h, ApplyT(y)> (adjoint property)
-	g := gen.ErdosRenyi(15, 40, 2)
-	agg := NewMeanAgg(g)
-	rng := rand.New(rand.NewSource(1))
-	h := tensor.New(15, 3)
-	y := tensor.New(15, 3)
-	for i := range h.Data {
-		h.Data[i] = rng.Float32()
-		y.Data[i] = rng.Float32()
-	}
-	ah := agg.Apply(h)
-	aty := agg.ApplyT(y)
-	var lhs, rhs float64
-	for i := range ah.Data {
-		lhs += float64(ah.Data[i]) * float64(y.Data[i])
-		rhs += float64(h.Data[i]) * float64(aty.Data[i])
-	}
-	if math.Abs(lhs-rhs) > 1e-4 {
-		t.Fatalf("adjoint violated: %f vs %f", lhs, rhs)
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{{"undirected", gen.ErdosRenyi(15, 40, 2)}, {"directed", randomDirected(15, 40, 2)}}
+	ops := []struct {
+		name string
+		new  func(*graph.Graph) *Agg
+	}{{"NewNormAdj", NewNormAdj}, {"NewMeanAgg", NewMeanAgg}, {"NewSumAgg", NewSumAgg}}
+	for _, gc := range graphs {
+		for _, op := range ops {
+			agg := op.new(gc.g)
+			rng := rand.New(rand.NewSource(1))
+			h := tensor.New(15, 3)
+			y := tensor.New(15, 3)
+			for i := range h.Data {
+				h.Data[i] = rng.Float32()
+				y.Data[i] = rng.Float32()
+			}
+			ah := agg.Apply(h)
+			aty := agg.ApplyT(y)
+			var lhs, rhs float64
+			for i := range ah.Data {
+				lhs += float64(ah.Data[i]) * float64(y.Data[i])
+				rhs += float64(h.Data[i]) * float64(aty.Data[i])
+			}
+			if math.Abs(lhs-rhs) > 1e-4 {
+				t.Errorf("%s on the %s graph: adjoint violated: %f vs %f", op.name, gc.name, lhs, rhs)
+			}
+		}
 	}
 }
 

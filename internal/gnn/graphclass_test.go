@@ -9,7 +9,7 @@ import (
 	"graphsys/internal/tensor"
 )
 
-func TestGradCheckGIN(t *testing.T) { gradCheck(t, testGraph(), GIN) }
+func TestGradCheckGIN(t *testing.T) { gradCheck(t, testGraph(), GIN, twoLayers) }
 
 func TestGINDistinguishesMultisets(t *testing.T) {
 	// GIN's sum aggregation separates a degree-2 vertex with neighbors

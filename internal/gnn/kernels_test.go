@@ -161,7 +161,7 @@ func mixedDegreeGraph() *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
-// naiveNormAdjApply is an independent per-entry reference for NormAdj.Apply:
+// naiveNormAdjApply is an independent per-entry reference for NewNormAdj:
 // row v adds w·h[u] over g.Neighbors(v) and then the self-loop, with w the
 // float32 of 1/sqrt((deg v + 1)(deg u + 1)) in float64, one rounded product
 // at a time into a zeroed row.
@@ -283,7 +283,7 @@ func TestKernelAllocs(t *testing.T) {
 		fn   func()
 	}{
 		{"MatMulInto 256³", 1, func() { tensor.MatMulInto(a, b, c) }},
-		{"NormAdj.ApplyInto RMAT(12,16)", 0, func() { adj.ApplyInto(h, agg) }},
+		{"NewNormAdj ApplyInto RMAT(12,16)", 0, func() { adj.ApplyInto(h, agg) }},
 		{"GCN epoch", 17, func() {
 			_, dLogits := nn.SoftmaxCrossEntropy(m.Forward(task.X), masked)
 			m.Backward(dLogits)

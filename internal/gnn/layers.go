@@ -3,7 +3,6 @@ package gnn
 import (
 	"math"
 
-	"graphsys/internal/graph"
 	"graphsys/internal/nn"
 	"graphsys/internal/tensor"
 )
@@ -93,14 +92,15 @@ func (d *denseAct) inferTiles(n, width, tileRows int, fill func(in *tensor.Matri
 	return out
 }
 
-// Propagation is a GCN layer's graph operator: a self-adjoint linear map over
-// vertex rows, so ApplyInto (out fully overwritten) serves both the forward
-// Â·H and the backward Â·dZ. NewModel and Rebind install a *NormAdj; a
-// trainer may install another operator, such as DistGNN's delayed
-// aggregation, in GCNLayer.Adj. Model.Infer runs NormAdj's row kernel, so it
-// needs a *NormAdj.
+// Propagation is a GCN layer's graph operator, a linear map over vertex
+// rows: ApplyInto computes the forward Â·H and ApplyTInto the backward
+// Âᵀ·dZ (out fully overwritten by both). NewModel and Rebind install
+// NewNormAdj's *Agg; a trainer may install another operator, such as
+// DistGNN's delayed aggregation, in GCNLayer.Adj. Model.Infer runs Agg's row
+// kernel, so it needs an *Agg.
 type Propagation interface {
 	ApplyInto(h, out *tensor.Matrix)
+	ApplyTInto(dy, out *tensor.Matrix)
 }
 
 // GCNLayer computes σ(Â·H·W + b) (Kipf & Welling).
@@ -109,7 +109,7 @@ type GCNLayer struct {
 	denseAct
 
 	agg   *tensor.Matrix // reused Â·H buffer (cached by lin); Backward's dZ
-	dAgg  *tensor.Matrix // reused backward Â·dZ buffer
+	dAgg  *tensor.Matrix // reused backward Âᵀ·dZ buffer
 	fixed *tensor.Matrix // the input whose Â·H agg holds (Model.FixInput)
 }
 
@@ -130,30 +130,30 @@ func (l *GCNLayer) aggregate(h *tensor.Matrix) {
 	l.Adj.ApplyInto(h, l.agg)
 }
 
-// Backward propagates through σ, W and Â (Â is symmetric). lin has read agg
-// by the time dZ = dY·Wᵀ is written, so dZ reuses agg (and the fixed Â·H is
-// gone); the returned Â·dZ has its own buffer.
+// Backward propagates through σ, W and Â. lin has read agg by the time
+// dZ = dY·Wᵀ is written, so dZ reuses agg (and the fixed Â·H is gone); the
+// returned Âᵀ·dZ has its own buffer.
 func (l *GCNLayer) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	dy = l.gate(dy)
 	l.lin.BackwardParams(dy)
 	tensor.MatMulT2Into(dy, l.lin.W.W, l.agg)
 	l.fixed = nil
 	l.dAgg = tensor.Reuse(l.dAgg, l.agg.Rows, l.agg.Cols)
-	l.Adj.ApplyInto(l.agg, l.dAgg)
+	l.Adj.ApplyTInto(l.agg, l.dAgg)
 	return l.dAgg
 }
 
 func (l *GCNLayer) infer(h *tensor.Matrix, tileRows int) *tensor.Matrix {
-	a := l.Adj.(*NormAdj)
+	a := l.Adj.(*Agg)
 	return l.inferTiles(a.n, h.Cols, tileRows, func(in *tensor.Matrix, lo, hi int) {
-		a.adj.applyRows(h, in, nil, lo, hi)
+		a.applyRows(h, in, lo, hi)
 	})
 }
 
 // SAGELayer is the GraphSAGE mean-aggregator layer from the paper's §3
 // equation: h'_v = σ(W·CONCAT(h_v, mean_{u∈N(v)} h_u) + b).
 type SAGELayer struct {
-	agg *MeanAgg
+	agg *Agg // NewMeanAgg
 	denseAct
 	inD int
 
@@ -173,7 +173,8 @@ func (l *SAGELayer) Forward(h *tensor.Matrix) *tensor.Matrix {
 	return l.forward(l.concat)
 }
 
-// Backward splits the concat gradient into self and neighbor parts.
+// Backward splits the concat gradient into self and neighbor parts; the
+// adjoint scales dN, the layer's own buffer, in place.
 func (l *SAGELayer) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	dConcat := l.lin.Backward(l.gate(dy))
 	l.dSelf = tensor.Reuse(l.dSelf, dConcat.Rows, l.inD)
@@ -189,7 +190,7 @@ func (l *SAGELayer) infer(h *tensor.Matrix, tileRows int) *tensor.Matrix {
 	var hn *tensor.Matrix
 	return l.inferTiles(l.agg.n, 2*h.Cols, tileRows, func(in *tensor.Matrix, lo, hi int) {
 		hn = tensor.Reuse(hn, hi-lo, h.Cols)
-		l.agg.adj.applyRows(h, hn, l.agg.inv, lo, hi)
+		l.agg.applyRows(h, hn, lo, hi)
 		tensor.ConcatColsInto(h.SliceRows(lo, hi), hn, in)
 	})
 }
@@ -197,14 +198,15 @@ func (l *SAGELayer) infer(h *tensor.Matrix, tileRows int) *tensor.Matrix {
 // GATLayer is a single-head graph attention layer (Veličković et al.):
 // e_uv = LeakyReLU(aᴸ·z_u + aᴿ·z_v) over u ∈ N(v)∪{v}, α = softmax_u,
 // out_v = σ(Σ_u α_uv z_u), where z = H·W. The neighborhoods (with self-loop
-// last) are hoisted into a flat CSR when the layer is bound to a graph, and
+// last) are the structure of an Agg built when the layer is bound to a
+// graph (no weights and no adjoint: the backward is its own scatter), and
 // the attention coefficient caches are flat nnz-length arrays, grown only
 // when a graph needs more, instead of per-vertex allocations. The forward
 // pass is parallel over destination vertices (each owns its out/alpha rows —
 // deterministic at any worker count); the backward pass scatters into
 // arbitrary neighbor rows and stays serial.
 type GATLayer struct {
-	adj      *gatAdj
+	adj      *Agg
 	W        *nn.Param
 	AL, AR   *nn.Param
 	last     bool
@@ -213,7 +215,7 @@ type GATLayer struct {
 	// caches and reused buffers
 	h      *tensor.Matrix
 	z      *tensor.Matrix
-	alpha  []float32 // flat, aligned with adj.nbrs: attention over N(v)∪{v}
+	alpha  []float32 // flat, aligned with adj.col: attention over N(v)∪{v}
 	pre    []float32 // flat pre-LeakyReLU scores
 	sL, sR []float32
 	out    *tensor.Matrix
@@ -221,37 +223,10 @@ type GATLayer struct {
 
 	dz     *tensor.Matrix
 	dx     *tensor.Matrix
+	dW     *tensor.Matrix // H·dZ before it is added to W's gradient
 	dsL    []float32
 	dsR    []float32
-	dalpha []float32 // scratch, len = longest row
-}
-
-// gatAdj is GAT's neighbourhood CSR over N(v)∪{v}, self-loop last, with the
-// longest row's length.
-type gatAdj struct {
-	rowPtr []int32
-	nbrs   []graph.V
-	maxRow int
-}
-
-func newGATAdj(g *graph.Graph) *gatAdj {
-	n := g.NumVertices()
-	nnz := 0
-	a := &gatAdj{rowPtr: make([]int32, n+1)}
-	for v := 0; v < n; v++ {
-		d := g.Degree(graph.V(v)) + 1
-		nnz += d
-		if d > a.maxRow {
-			a.maxRow = d
-		}
-	}
-	a.nbrs = make([]graph.V, 0, nnz)
-	for v := 0; v < n; v++ {
-		a.nbrs = append(a.nbrs, g.Neighbors(graph.V(v))...)
-		a.nbrs = append(a.nbrs, graph.V(v)) // self-loop last
-		a.rowPtr[v+1] = int32(len(a.nbrs))
-	}
-	return a
+	dalpha []float32 // scratch, grown to the longest row seen
 }
 
 // newGATLayer builds a single-head GAT layer, not yet bound to a graph.
@@ -298,7 +273,7 @@ func (l *GATLayer) scores(z *tensor.Matrix, sL, sR []float32) {
 // and its aggregation Σ_u α_uv z_u into or, accumulated in neighbor-list
 // order.
 func (l *GATLayer) attend(v int, z *tensor.Matrix, sL, sR, pre, alpha, or []float32) {
-	nbrs := l.adj.nbrs[l.adj.rowPtr[v]:l.adj.rowPtr[v+1]]
+	nbrs := l.adj.col[l.adj.rowPtr[v]:l.adj.rowPtr[v+1]]
 	var max float32 = -1e30
 	for i, u := range nbrs {
 		e := sL[u] + sR[v]
@@ -329,7 +304,7 @@ func (l *GATLayer) attend(v int, z *tensor.Matrix, sL, sR, pre, alpha, or []floa
 
 // Forward computes attention-weighted aggregation.
 func (l *GATLayer) Forward(h *tensor.Matrix) *tensor.Matrix {
-	n, nnz := len(l.adj.rowPtr)-1, len(l.adj.nbrs)
+	n, nnz := l.adj.n, len(l.adj.col)
 	l.h = h
 	l.z = tensor.Reuse(l.z, h.Rows, l.W.W.Cols)
 	tensor.MatMulInto(h, l.W.W, l.z)
@@ -364,17 +339,18 @@ func (l *GATLayer) attendRange(lo, hi int) {
 // and each block of destinations attends through its own row scratch.
 // tileRows does not apply.
 func (l *GATLayer) infer(h *tensor.Matrix, _ int) *tensor.Matrix {
-	n := len(l.adj.rowPtr) - 1
+	n := l.adj.n
 	z := tensor.New(h.Rows, l.W.W.Cols)
 	tensor.MatMulInto(h, l.W.W, z)
 	sL, sR := make([]float32, n), make([]float32, n)
 	l.scores(z, sL, sR)
 	out := tensor.New(n, z.Cols)
 	attendRange := func(lo, hi int) {
-		pre, alpha := make([]float32, l.adj.maxRow), make([]float32, l.adj.maxRow)
+		var pre, alpha []float32
 		for v := lo; v < hi; v++ {
 			k := int(l.adj.rowPtr[v+1] - l.adj.rowPtr[v])
-			l.attend(v, z, sL, sR, pre[:k], alpha[:k], out.Row(v))
+			pre, alpha = grow(pre, k), grow(alpha, k)
+			l.attend(v, z, sL, sR, pre, alpha, out.Row(v))
 		}
 	}
 	if b := rowBlocks(l.adj.rowPtr, 0, n, z.Cols); b != nil {
@@ -404,7 +380,7 @@ func (l *GATLayer) BackwardParams(dy *tensor.Matrix) {
 	if !l.last {
 		dy = l.act.Backward(dy)
 	}
-	n := len(l.adj.rowPtr) - 1
+	n := l.adj.n
 	d := l.z.Cols
 	al, ar := l.AL.W.Row(0), l.AR.W.Row(0)
 	l.dz = tensor.Reuse(l.dz, n, d)
@@ -412,15 +388,15 @@ func (l *GATLayer) BackwardParams(dy *tensor.Matrix) {
 	l.dsL, l.dsR = grow(l.dsL, n), grow(l.dsR, n)
 	clear(l.dsL)
 	clear(l.dsR)
-	l.dalpha = grow(l.dalpha, l.adj.maxRow)
 	for v := 0; v < n; v++ {
 		s, e := l.adj.rowPtr[v], l.adj.rowPtr[v+1]
-		nbrs := l.adj.nbrs[s:e]
+		nbrs := l.adj.col[s:e]
 		alpha := l.alpha[s:e]
 		pre := l.pre[s:e]
 		dyv := dy.Row(v)
 		// dalpha and dz from out_v = Σ α_uv z_u
-		dalpha := l.dalpha[:len(nbrs)]
+		l.dalpha = grow(l.dalpha, len(nbrs))
+		dalpha := l.dalpha
 		for i, u := range nbrs {
 			zr := l.z.Row(int(u))
 			var s float32
@@ -460,11 +436,10 @@ func (l *GATLayer) BackwardParams(dy *tensor.Matrix) {
 			dzr[j] += l.dsL[v]*al[j] + l.dsR[v]*ar[j]
 		}
 	}
-	// z = H·W; dW through pooled scratch keeps the old add order exactly.
-	gw := tensor.Get(l.W.W.Rows, l.W.W.Cols)
-	tensor.MatMulT1Into(l.h, l.dz, gw)
-	l.W.Grad.AddInPlace(gw)
-	tensor.Put(gw)
+	// z = H·W; dW through the layer's scratch keeps the old add order exactly.
+	l.dW = tensor.Reuse(l.dW, l.W.W.Rows, l.W.W.Cols)
+	tensor.MatMulT1Into(l.h, l.dz, l.dW)
+	l.W.Grad.AddInPlace(l.dW)
 }
 
 // Params returns the layer parameters.

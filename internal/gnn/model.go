@@ -98,7 +98,7 @@ func (m *Model) Rebind(g *graph.Graph) {
 			l.(*SAGELayer).agg = agg
 		}
 	case GAT:
-		adj := newGATAdj(g)
+		adj := newAgg(g, true, false)
 		for _, l := range m.Layers {
 			l.(*GATLayer).adj = adj
 		}

@@ -21,23 +21,23 @@ type SampledSubgraph struct {
 // NeighborSample draws the k-hop sampled neighborhood of seeds with the
 // given per-hop fanouts (Euler/AliGraph/DistDGL-style neighbor sampling):
 // at each hop every frontier vertex keeps at most fanout random neighbors.
+// It is NeighborSampleSource over g in memory, so the subgraph is unlabeled.
 func NeighborSample(g *graph.Graph, seeds []graph.V, fanouts []int, rng *rand.Rand) *SampledSubgraph {
-	order, _ := sampleOrder(storage.InMemory(g).Handle(0), seeds, fanouts, rng) // in-memory reads never fail
-	sub, newToOld := g.InducedSubgraph(order)
-	return newSampled(sub, newToOld, len(seeds))
+	sub, _ := NeighborSampleSource(storage.InMemory(g).Handle(0), seeds, fanouts, rng) // in-memory reads never fail
+	return sub
 }
 
-// NeighborSampleSource is NeighborSample over a storage.GraphSource handle:
-// the adjacency comes from the out-of-core block cache instead of the
-// in-memory CSR. Every pass over the source (one per hop, one for the induced
-// subgraph) reads in ascending vertex order, which is block order, so it
-// misses each block at most once whatever the cache budget. The draws still
-// run in frontier order over copies of the lists and depend only on their
-// contents, so for the same graph bytes the sampled subgraph — and therefore
-// the whole training trajectory — is byte-identical to the in-memory path.
-// (Block files carry adjacency only; the induced subgraph is unlabeled,
-// which the models never observe — batch labels come from the task.) A read
-// failure returns the source's error and no subgraph.
+// NeighborSampleSource is NeighborSample over a storage.GraphSource handle,
+// such as an out-of-core block cache. Every pass over the source (one per
+// hop, one for the induced subgraph) reads in ascending vertex order, which
+// is block order, so it misses each block at most once whatever the cache
+// budget. The draws still run in frontier order over copies of the lists
+// and depend only on their contents, so for the same graph bytes the
+// sampled subgraph — and therefore the whole training trajectory — is
+// byte-identical whichever source holds it. (Sources carry adjacency only;
+// the induced subgraph is unlabeled, which the models never observe — batch
+// labels come from the task.) A read failure returns the source's error and
+// no subgraph.
 func NeighborSampleSource(src storage.GraphSource, seeds []graph.V, fanouts []int, rng *rand.Rand) (*SampledSubgraph, error) {
 	order, err := sampleOrder(src, seeds, fanouts, rng)
 	if err != nil {

@@ -52,10 +52,19 @@ func sameSample(a, b *SampledSubgraph) string {
 	return ""
 }
 
+// inducedDiff reports how sub differs from g's subgraph induced by
+// sub.NewToOld: graph.InducedSubgraph is the independent oracle of
+// inducedFromSource.
+func inducedDiff(g *graph.Graph, sub *SampledSubgraph) string {
+	ig, newToOld := g.InducedSubgraph(sub.NewToOld)
+	return sameSample(sub, &SampledSubgraph{Graph: ig, NewToOld: newToOld, SeedLoc: sub.SeedLoc})
+}
+
 // TestNeighborSampleSourceBlockOrder: over a cache that holds one block,
 // sampling from disk gives the in-memory sample with the same number of rng
 // draws, and every pass over the source (one per hop, one for the induced
-// subgraph) misses each block at most once.
+// subgraph) misses each block at most once. The subgraph is the one that
+// graph.InducedSubgraph induces.
 func TestNeighborSampleSourceBlockOrder(t *testing.T) {
 	g := gen.BarabasiAlbert(1500, 6, 1)
 	prov := openBlocks(t, g, 1<<10, 1)
@@ -79,6 +88,9 @@ func TestNeighborSampleSourceBlockOrder(t *testing.T) {
 			if d := sameSample(disk, mem); d != "" {
 				t.Fatalf("fanouts %v set %d: disk and in-memory samples differ: %s", fanouts, set, d)
 			}
+			if d := inducedDiff(g, disk); d != "" {
+				t.Fatalf("fanouts %v set %d: sample and induced subgraph differ: %s", fanouts, set, d)
+			}
 			if a, b := diskRng.Int63(), memRng.Int63(); a != b {
 				t.Fatalf("fanouts %v set %d: rngs diverge after sampling (%d vs %d): draw counts differ", fanouts, set, a, b)
 			}
@@ -93,7 +105,8 @@ func TestNeighborSampleSourceBlockOrder(t *testing.T) {
 // TestNeighborSampleSourceCorruptBlock: with one payload byte of the last
 // block flipped, every sample either equals the in-memory one (it never read
 // that block) or fails with a wrapped storage.ErrCorrupt and no subgraph.
-// A sample seeded in the last block must fail.
+// A sample seeded in the last block must fail, and every other one is the
+// subgraph that graph.InducedSubgraph induces.
 func TestNeighborSampleSourceCorruptBlock(t *testing.T) {
 	g := gen.BarabasiAlbert(600, 4, 2)
 	path := filepath.Join(t.TempDir(), "g.gsb")
@@ -130,6 +143,9 @@ func TestNeighborSampleSourceCorruptBlock(t *testing.T) {
 		if d := sameSample(sub, NeighborSample(g, seeds, []int{5, 5}, rand.New(rand.NewSource(int64(set))))); d != "" {
 			t.Fatalf("set %d: sample that read no corrupt block differs from in-memory: %s", set, d)
 		}
+		if d := inducedDiff(g, sub); d != "" {
+			t.Fatalf("set %d: sample and induced subgraph differ: %s", set, d)
+		}
 		if set == 0 {
 			t.Fatalf("a sample seeded at vertex %d, in the corrupt last block, succeeded", last)
 		}
@@ -154,8 +170,9 @@ func flipLastPayloadByte(t testing.TB, path string) {
 
 // FuzzNeighborSampleSource: over any graph (directed or not), block size,
 // cache budget, seed list (duplicates allowed), fanouts and rng seed, the
-// disk sample is bitwise the in-memory sample, both rngs end in the same
-// state, and each pass misses each block at most once.
+// disk sample is bitwise the in-memory sample and the subgraph that
+// graph.InducedSubgraph induces, both rngs end in the same state, and each
+// pass misses each block at most once.
 func FuzzNeighborSampleSource(f *testing.F) {
 	f.Add(int64(1), uint8(60), uint8(3), false, uint16(256), uint8(1), int64(2), uint8(8), []byte{5, 5}, int64(3))
 	f.Add(int64(2), uint8(127), uint8(7), true, uint16(64), uint8(2), int64(4), uint8(3), []byte{10, 2, 4}, int64(5))
@@ -189,6 +206,9 @@ func FuzzNeighborSampleSource(f *testing.F) {
 		mem := NeighborSample(g, seeds, fanouts, memRng)
 		if d := sameSample(disk, mem); d != "" {
 			t.Fatalf("disk and in-memory samples differ: %s", d)
+		}
+		if d := inducedDiff(g, disk); d != "" {
+			t.Fatalf("sample and induced subgraph differ: %s", d)
 		}
 		if diskRng.Int63() != memRng.Int63() {
 			t.Fatal("rngs diverge after sampling: draw counts differ")

@@ -22,7 +22,7 @@ import (
 // a per-entry remote flag beside them. apply owns its output rows, so it
 // runs in parallel with results bitwise identical at any worker count.
 type delayedAdj struct {
-	norm   *gnn.NormAdj // Â itself: the fresh operator, built once per run
+	norm   *gnn.Agg // Â itself: the fresh operator, built once per run
 	n      int
 	rowPtr []int32
 	col    []graph.V
@@ -85,6 +85,10 @@ func (a *delayedAdj) ApplyInto(h, out *tensor.Matrix) {
 	}
 	a.apply(h, stale, out)
 }
+
+// ApplyTInto is ApplyInto: DistGNN's graphs are undirected, so Â is
+// symmetric and is its own adjoint.
+func (a *delayedAdj) ApplyTInto(dy, out *tensor.Matrix) { a.ApplyInto(dy, out) }
 
 // exchange meters one snapshot refresh of width-column rows: each owner
 // ships every row a reader partition needs once, in one batch per pair.
