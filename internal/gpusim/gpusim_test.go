@@ -195,3 +195,62 @@ func TestEmptyPatternOnDevice(t *testing.T) {
 		t.Fatal("empty pattern matched (dfs)")
 	}
 }
+
+// TestMetricsPinned pins every counter of the five strategies on tab1-gpu's
+// input (the 4-cycle on BA(400,8), 8 SMs, warp 32, assign[v] = v % 8) at
+// ample, scarce and root-starved memory: 300 and 40 slots hold fewer than
+// the 400 root prefixes. Steals is pinned separately below.
+func TestMetricsPinned(t *testing.T) {
+	g := gen.BarabasiAlbert(400, 8, 6)
+	plan := match.OptimizedPlan(cycle4)
+	assign := make([]int, g.NumVertices())
+	for v := range assign {
+		assign[v] = v % 8
+	}
+	run := func(engine string, dev *Device) (int64, Metrics) {
+		switch engine {
+		case "bfs":
+			return BFSMatch(g, plan, dev)
+		case "partitioned":
+			return PartitionedBFSMatch(g, plan, dev, assign, 8)
+		case "aimd":
+			return AIMDMatch(g, plan, dev)
+		case "dfs":
+			return DFSWarpMatch(g, plan, dev)
+		}
+		return HybridMatch(g, plan, dev)
+	}
+	for _, c := range []struct {
+		slots  int64
+		engine string
+		count  int64
+		want   Metrics // Steals left 0
+	}{
+		{1 << 30, "bfs", 51690, Metrics{WarpCycles: 9004, DivergenceLoss: 199631, MemTransactions: 3436, PeakMemory: 307617}},
+		{1 << 30, "partitioned", 51690, Metrics{WarpCycles: 9316, DivergenceLoss: 208817, MemTransactions: 3426, PeakMemory: 64959, HostSpillSlots: 78103}},
+		{1 << 30, "aimd", 51690, Metrics{WarpCycles: 9000, DivergenceLoss: 199232, MemTransactions: 3437, PeakMemory: 52001, ChunkAdjust: 52}},
+		{1 << 30, "dfs", 51690, Metrics{WarpCycles: 20473, DivergenceLoss: 566663, RandomAccesses: 88473, PeakMemory: 32}},
+		{1 << 30, "hybrid", 51690, Metrics{WarpCycles: 9004, DivergenceLoss: 199631, MemTransactions: 3436, PeakMemory: 307617}},
+		{4096, "bfs", 0, Metrics{WarpCycles: 203, DivergenceLoss: 3316, MemTransactions: 119, PeakMemory: 400, OOM: true}},
+		{4096, "partitioned", 0, Metrics{WarpCycles: 492, DivergenceLoss: 9579, MemTransactions: 210, PeakMemory: 930, HostSpillSlots: 5379, OOM: true}},
+		{4096, "aimd", 51690, Metrics{WarpCycles: 9592, DivergenceLoss: 195910, MemTransactions: 3512, PeakMemory: 4094, HostSpillSlots: 202751, ChunkAdjust: 243}},
+		{4096, "dfs", 51690, Metrics{WarpCycles: 20473, DivergenceLoss: 566663, RandomAccesses: 88473, PeakMemory: 32}},
+		{4096, "hybrid", 51690, Metrics{WarpCycles: 20676, DivergenceLoss: 569979, MemTransactions: 119, RandomAccesses: 88473, PeakMemory: 400}},
+		{300, "bfs", 0, Metrics{MemTransactions: 13, OOM: true}},
+		{300, "partitioned", 0, Metrics{WarpCycles: 84, DivergenceLoss: 2220, MemTransactions: 28, PeakMemory: 50, HostSpillSlots: 388, OOM: true}},
+		{300, "aimd", 51690, Metrics{WarpCycles: 9412, DivergenceLoss: 196531, MemTransactions: 3527, PeakMemory: 300, HostSpillSlots: 271604, ChunkAdjust: 401}},
+		{300, "dfs", 51690, Metrics{WarpCycles: 20473, DivergenceLoss: 566663, RandomAccesses: 88473, PeakMemory: 32}},
+		{300, "hybrid", 51690, Metrics{WarpCycles: 20676, DivergenceLoss: 569979, MemTransactions: 119, RandomAccesses: 88473}},
+		{40, "bfs", 0, Metrics{MemTransactions: 13, OOM: true}},
+		{40, "partitioned", 0, Metrics{WarpCycles: 84, DivergenceLoss: 2220, MemTransactions: 28, HostSpillSlots: 388, OOM: true}},
+		{40, "aimd", 51690, Metrics{WarpCycles: 9336, DivergenceLoss: 198502, MemTransactions: 3506, PeakMemory: 40, HostSpillSlots: 310121, ChunkAdjust: 302}},
+		{40, "dfs", 51690, Metrics{WarpCycles: 20473, DivergenceLoss: 566663, RandomAccesses: 88473, PeakMemory: 32}},
+		{40, "hybrid", 51690, Metrics{WarpCycles: 20676, DivergenceLoss: 569979, MemTransactions: 119, RandomAccesses: 88473}},
+	} {
+		count, m := run(c.engine, &Device{NumSMs: 8, WarpSize: 32, MemorySlots: c.slots})
+		m.Steals = 0
+		if count != c.count || m != c.want {
+			t.Errorf("%s at %d slots: count %d %+v, want %d %+v", c.engine, c.slots, count, m, c.count, c.want)
+		}
+	}
+}
