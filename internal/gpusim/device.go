@@ -6,16 +6,16 @@
 // coalesced-vs-random memory cost model (the reason early systems preferred
 // BFS expansion over backtracking, per Jenkins et al.'s "lessons learned").
 //
-// On top of the device model the package implements the four GPU subgraph
+// On top of the device model the package implements the five GPU subgraph
 // matching strategies the paper contrasts: BFS expansion (GSI, cuTS),
-// AIMD-chunked BFS with host-memory buffering (G²-AIMD), warp-per-subtree
-// DFS with work stealing (STMatch, T-DFS), and the BFS→DFS hybrid (EGSM).
+// partitioned BFS with host transfers at the partition boundary (PBE, VSGM,
+// SGSI), AIMD-chunked BFS with host-memory buffering (G²-AIMD),
+// warp-per-subtree DFS with work stealing (STMatch, T-DFS), and the BFS→DFS
+// hybrid (EGSM). All five are drivers over two kernels, expand (one BFS level,
+// warp by warp) and dfs (the warp-DFS over a list of seed prefixes), and
+// differ only in how they spend device memory between levels. The simulator
+// runs on the calling goroutine, so every counter is deterministic.
 package gpusim
-
-import (
-	"fmt"
-	"sync"
-)
 
 // Device describes a simulated GPU.
 type Device struct {
@@ -33,27 +33,18 @@ type Metrics struct {
 	PeakMemory      int64 // peak device-memory slots in use
 	HostSpillSlots  int64 // slots spilled to host memory (G²-AIMD buffering)
 	OOM             bool  // a pure-BFS run exceeded device memory
-	Steals          int64 // warp-level work steals (DFS engines)
+	Steals          int64 // warp-DFS takes after each warp's first (DFS engines)
 	ChunkAdjust     int64 // AIMD chunk-size adjustments
-}
-
-func (m Metrics) String() string {
-	return fmt.Sprintf("gpu{cycles=%d div=%d memtx=%d rand=%d peak=%d spill=%d oom=%v steals=%d}",
-		m.WarpCycles, m.DivergenceLoss, m.MemTransactions, m.RandomAccesses,
-		m.PeakMemory, m.HostSpillSlots, m.OOM, m.Steals)
 }
 
 // memTracker tracks device-memory usage against the capacity.
 type memTracker struct {
-	mu   sync.Mutex
 	used int64
 	peak int64
 	cap  int64
 }
 
 func (t *memTracker) alloc(n int64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.used+n > t.cap {
 		return false
 	}
@@ -64,11 +55,7 @@ func (t *memTracker) alloc(n int64) bool {
 	return true
 }
 
-func (t *memTracker) free(n int64) {
-	t.mu.Lock()
-	t.used -= n
-	t.mu.Unlock()
-}
+func (t *memTracker) free(n int64) { t.used -= n }
 
 // warpCost simulates one warp instruction over laneWork: the warp runs for
 // max(laneWork) cycles; lanes with less work idle (divergence). Returns

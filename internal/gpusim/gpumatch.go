@@ -1,12 +1,112 @@
 package gpusim
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"graphsys/internal/graph"
 	"graphsys/internal/match"
 )
+
+// rootLevel returns the length-1 prefixes, one per candidate for the first
+// order position, and charges m the coalesced vertex scan that finds them.
+// An empty pattern has no roots and charges nothing.
+func rootLevel(g *graph.Graph, plan *match.Plan, dev *Device, m *Metrics) [][]graph.V {
+	if len(plan.Order) == 0 {
+		return nil
+	}
+	m.MemTransactions += coalescedTransactions(int64(g.NumVertices()), dev.WarpSize)
+	roots := plan.CandidatesForPrefix(g, nil, nil)
+	level := make([][]graph.V, len(roots))
+	for i := range roots {
+		level[i] = roots[i : i+1 : i+1]
+	}
+	return level
+}
+
+// expand runs one BFS level warp by warp and returns the next level. A warp
+// takes WarpSize prefixes; its lanes scan their candidates in lock-step, so
+// the warp runs as long as its busiest lane while the others idle
+// (divergence), and the children are written out coalesced.
+func expand(g *graph.Graph, plan *match.Plan, dev *Device, level [][]graph.V, m *Metrics) [][]graph.V {
+	var next [][]graph.V
+	var cands []graph.V
+	lane := make([]int64, 0, dev.WarpSize)
+	for lo := 0; lo < len(level); lo += dev.WarpSize {
+		lane = lane[:0]
+		written := len(next)
+		for _, prefix := range level[lo:min(lo+dev.WarpSize, len(level))] {
+			cands = plan.CandidatesForPrefix(g, prefix, cands[:0])
+			lane = append(lane, int64(len(cands)))
+			for _, c := range cands {
+				next = append(next, append(append(make([]graph.V, 0, len(prefix)+1), prefix...), c))
+			}
+		}
+		cyc, div := warpCost(lane)
+		m.WarpCycles += cyc
+		m.DivergenceLoss += div
+		m.MemTransactions += coalescedTransactions(int64(len(next)-written), dev.WarpSize)
+	}
+	return next
+}
+
+// bfs materialises level in device memory and expands it level by level
+// while each new level fits. It returns the deepest level that fit and
+// whether that level is complete (one prefix per match). The expansion of a
+// level that did not fit stays charged to m, and m.PeakMemory becomes the
+// larger of itself and this run's peak. onLevel, when not nil, sees each new
+// level before it is allocated.
+func bfs(g *graph.Graph, plan *match.Plan, dev *Device, level [][]graph.V, m *Metrics, onLevel func([][]graph.V)) ([][]graph.V, bool) {
+	mem := memTracker{cap: dev.MemorySlots}
+	defer func() { m.PeakMemory = max(m.PeakMemory, mem.peak) }()
+	if !mem.alloc(int64(len(level))) {
+		return level, false
+	}
+	for depth := 1; depth < len(plan.Order); depth++ {
+		next := expand(g, plan, dev, level, m)
+		if onLevel != nil {
+			onLevel(next)
+		}
+		if !mem.alloc(int64(len(next)) * int64(depth+1)) {
+			return level, false
+		}
+		mem.free(int64(len(level)) * int64(depth))
+		level = next
+	}
+	return level, true
+}
+
+// dfs runs the warp-DFS engine over seeds and returns the number of matches
+// below them. Each of the NumSMs warps takes a seed and backtracks below it
+// on its own stack, its lanes scanning candidates WarpSize at a time (a
+// partial last group idles lanes) with uncoalesced adjacency probes; a warp
+// that finishes takes a seed left over, and every take after a warp's first
+// is a steal. Every other counter is a sum over seeds, so running the seeds
+// one after another gives what any interleaving of the warps gives.
+func dfs(g *graph.Graph, plan *match.Plan, dev *Device, seeds [][]graph.V, m *Metrics) int64 {
+	k := len(plan.Order)
+	m.Steals += int64(max(len(seeds)-dev.NumSMs, 0))
+	prefix := make([]graph.V, 0, k)
+	cands := make([][]graph.V, k) // one candidate buffer per depth
+	var count int64
+	var walk func(prefix []graph.V)
+	walk = func(prefix []graph.V) {
+		d := len(prefix)
+		if d == k {
+			count++
+			return
+		}
+		cands[d] = plan.CandidatesForPrefix(g, prefix, cands[d][:0])
+		groups := coalescedTransactions(int64(len(cands[d])), dev.WarpSize)
+		m.WarpCycles += groups
+		m.DivergenceLoss += groups*int64(dev.WarpSize) - int64(len(cands[d]))
+		m.RandomAccesses += int64(len(cands[d]))
+		for _, c := range cands[d] {
+			walk(append(prefix, c))
+		}
+	}
+	for _, seed := range seeds {
+		walk(append(prefix[:0], seed...))
+	}
+	return count
+}
 
 // BFSMatch counts pattern matches with pure level-synchronous BFS expansion
 // in device memory — the GSI/cuTS strategy. All partial matches of length i
@@ -16,56 +116,47 @@ import (
 // failure mode that motivated PBE/VSGM/SGSI partitioning and G²-AIMD).
 func BFSMatch(g *graph.Graph, plan *match.Plan, dev *Device) (int64, Metrics) {
 	var m Metrics
-	mem := &memTracker{cap: dev.MemorySlots}
-	k := len(plan.Order)
-	if k == 0 {
-		return 0, m
-	}
-	level := [][]graph.V{}
-	roots := plan.CandidatesForPrefix(g, nil, nil)
-	m.MemTransactions += coalescedTransactions(int64(g.NumVertices()), dev.WarpSize)
-	for _, r := range roots {
-		level = append(level, []graph.V{r})
-	}
-	if !mem.alloc(int64(len(level))) {
+	level, complete := bfs(g, plan, dev, rootLevel(g, plan, dev, &m), &m, nil)
+	if !complete {
 		m.OOM = true
-		m.PeakMemory = mem.peak
 		return 0, m
 	}
-	for depth := 1; depth < k; depth++ {
-		var next [][]graph.V
-		// warp-batch the expansion of this level
-		for lo := 0; lo < len(level); lo += dev.WarpSize {
-			hi := lo + dev.WarpSize
-			if hi > len(level) {
-				hi = len(level)
+	return int64(len(level)), m
+}
+
+// PartitionedBFSMatch is the PBE/VSGM/SGSI strategy for graphs (or
+// intermediate results) larger than device memory: the vertex set is split
+// into numParts partitions, one partition's root candidates are processed at
+// a time with BFS expansion, and any adjacency access that leaves the loaded
+// partition is charged as a host transfer (Metrics.HostSpillSlots). Device
+// memory is recycled between partitions, so the peak is roughly 1/numParts
+// of monolithic BFS. A level that does not fit aborts the run with
+// Metrics.OOM set, as in BFSMatch.
+func PartitionedBFSMatch(g *graph.Graph, plan *match.Plan, dev *Device, assign []int, numParts int) (int64, Metrics) {
+	var m Metrics
+	roots := rootLevel(g, plan, dev, &m)
+	var total int64
+	for p := 0; p < numParts; p++ {
+		var level [][]graph.V
+		for _, r := range roots {
+			if assign[r[0]] == p {
+				level = append(level, r)
 			}
-			lane := make([]int64, 0, hi-lo)
-			var produced int64
-			for _, prefix := range level[lo:hi] {
-				cands := plan.CandidatesForPrefix(g, prefix, nil)
-				lane = append(lane, int64(len(cands)))
-				produced += int64(len(cands))
-				for _, c := range cands {
-					child := append(append(make([]graph.V, 0, depth+1), prefix...), c)
-					next = append(next, child)
+		}
+		level, complete := bfs(g, plan, dev, level, &m, func(next [][]graph.V) {
+			for _, child := range next {
+				if assign[child[len(child)-1]] != p {
+					m.HostSpillSlots++ // boundary fetch from host
 				}
 			}
-			cyc, div := warpCost(lane)
-			m.WarpCycles += cyc
-			m.DivergenceLoss += div
-			m.MemTransactions += coalescedTransactions(produced, dev.WarpSize)
-		}
-		if !mem.alloc(int64(len(next)) * int64(depth+1)) {
+		})
+		if !complete {
 			m.OOM = true
-			m.PeakMemory = mem.peak
 			return 0, m
 		}
-		mem.free(int64(len(level)) * int64(depth))
-		level = next
+		total += int64(len(level))
 	}
-	m.PeakMemory = mem.peak
-	return int64(len(level)), m
+	return total, m
 }
 
 // AIMDMatch is the G²-AIMD strategy: BFS-style extension executed chunk by
@@ -75,12 +166,9 @@ func BFSMatch(g *graph.Graph, plan *match.Plan, dev *Device) (int64, Metrics) {
 // aborting. The result is BFS-like coalescing without the OOM failure mode.
 func AIMDMatch(g *graph.Graph, plan *match.Plan, dev *Device) (int64, Metrics) {
 	var m Metrics
-	mem := &memTracker{cap: dev.MemorySlots}
+	mem := memTracker{cap: dev.MemorySlots}
 	k := len(plan.Order)
-	if k == 0 {
-		return 0, m
-	}
-	chunk := int64(dev.WarpSize) // initial chunk size
+	chunk := dev.WarpSize // initial chunk size
 	const additive = 32
 	var count int64
 
@@ -91,61 +179,31 @@ func AIMDMatch(g *graph.Graph, plan *match.Plan, dev *Device) (int64, Metrics) {
 			return
 		}
 		for lo := 0; lo < len(prefixes); {
-			c := int(chunk)
-			hi := lo + c
-			if hi > len(prefixes) {
-				hi = len(prefixes)
-			}
-			batch := prefixes[lo:hi]
+			hi := min(lo+chunk, len(prefixes))
+			next := expand(g, plan, dev, prefixes[lo:hi], &m)
 			lo = hi
-			// expand the chunk with warp batching
-			var next [][]graph.V
-			for blo := 0; blo < len(batch); blo += dev.WarpSize {
-				bhi := blo + dev.WarpSize
-				if bhi > len(batch) {
-					bhi = len(batch)
-				}
-				lane := make([]int64, 0, bhi-blo)
-				var produced int64
-				for _, prefix := range batch[blo:bhi] {
-					cands := plan.CandidatesForPrefix(g, prefix, nil)
-					lane = append(lane, int64(len(cands)))
-					produced += int64(len(cands))
-					for _, cd := range cands {
-						next = append(next, append(append(make([]graph.V, 0, depth+1), prefix...), cd))
-					}
-				}
-				cyc, div := warpCost(lane)
-				m.WarpCycles += cyc
-				m.DivergenceLoss += div
-				m.MemTransactions += coalescedTransactions(produced, dev.WarpSize)
-			}
 			slots := int64(len(next)) * int64(depth+1)
-			if mem.alloc(slots) {
+			fits := mem.alloc(slots)
+			if fits {
 				// additive increase
 				chunk += additive
 				m.ChunkAdjust++
-				process(depth+1, next)
-				mem.free(slots)
 			} else {
 				// multiplicative decrease + host buffering: the children are
 				// staged through host memory and processed in smaller chunks
 				m.HostSpillSlots += slots
-				if chunk > int64(dev.WarpSize) {
+				if chunk > dev.WarpSize {
 					chunk /= 2
 					m.ChunkAdjust++
 				}
-				process(depth+1, next)
+			}
+			process(depth+1, next)
+			if fits {
+				mem.free(slots)
 			}
 		}
 	}
-	roots := plan.CandidatesForPrefix(g, nil, nil)
-	m.MemTransactions += coalescedTransactions(int64(g.NumVertices()), dev.WarpSize)
-	rootPrefixes := make([][]graph.V, 0, len(roots))
-	for _, r := range roots {
-		rootPrefixes = append(rootPrefixes, []graph.V{r})
-	}
-	process(1, rootPrefixes)
+	process(1, rootLevel(g, plan, dev, &m))
 	m.PeakMemory = mem.peak
 	return count, m
 }
@@ -154,197 +212,24 @@ func AIMDMatch(g *graph.Graph, plan *match.Plan, dev *Device) (int64, Metrics) {
 // matching over a chunk of independent search subtrees using its own stack
 // (device memory O(warps·k), never OOM), with idle warps stealing root tasks
 // from busy ones. Accesses are uncoalesced (backtracking jumps around the
-// graph), the trade-off Jenkins et al. identified.
+// graph), the trade-off Jenkins et al. identified. The warps find their roots
+// without the coalesced vertex scan the BFS engines are charged.
 func DFSWarpMatch(g *graph.Graph, plan *match.Plan, dev *Device) (int64, Metrics) {
-	var m Metrics
-	k := len(plan.Order)
-	if k == 0 {
-		return 0, m
-	}
-	roots := plan.CandidatesForPrefix(g, nil, nil)
-	var qmu sync.Mutex
-	queue := make([][]graph.V, 0, len(roots))
-	for _, r := range roots {
-		queue = append(queue, []graph.V{r})
-	}
-	take := func() ([]graph.V, bool) {
-		qmu.Lock()
-		defer qmu.Unlock()
-		if len(queue) == 0 {
-			return nil, false
-		}
-		t := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		return t, true
-	}
-	var count, cycles, divloss, random, steals atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < dev.NumSMs; w++ {
-		wg.Add(1)
-		//lint:allow nakedgo simulated-GPU warp pool, joined via WaitGroup; models SIMT lanes rather than cluster workers
-		go func(w int) {
-			defer wg.Done()
-			firstGrab := true
-			for {
-				task, ok := take()
-				if !ok {
-					return
-				}
-				if !firstGrab {
-					steals.Add(1) // subsequent grabs model stealing leftover roots
-				}
-				firstGrab = false
-				// DFS from this prefix with an explicit per-warp stack
-				stack := [][]graph.V{task}
-				for len(stack) > 0 {
-					prefix := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					if len(prefix) == k {
-						count.Add(1)
-						continue
-					}
-					cands := plan.CandidatesForPrefix(g, prefix, nil)
-					// warp lanes scan candidates 32 at a time; partial last
-					// group wastes lanes (intra-warp divergence)
-					groups := coalescedTransactions(int64(len(cands)), dev.WarpSize)
-					cycles.Add(groups)
-					if groups > 0 {
-						divloss.Add(groups*int64(dev.WarpSize) - int64(len(cands)))
-					}
-					random.Add(int64(len(cands))) // uncoalesced adjacency probes
-					for _, c := range cands {
-						stack = append(stack, append(append(make([]graph.V, 0, len(prefix)+1), prefix...), c))
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	m.WarpCycles = cycles.Load()
-	m.DivergenceLoss = divloss.Load()
-	m.RandomAccesses = random.Load()
-	m.Steals = steals.Load()
-	m.PeakMemory = int64(dev.NumSMs * k) // per-warp stacks only
-	return count.Load(), m
+	var scan, m Metrics
+	count := dfs(g, plan, dev, rootLevel(g, plan, dev, &scan), &m)
+	m.PeakMemory = int64(dev.NumSMs * len(plan.Order)) // per-warp stacks only
+	return count, m
 }
 
 // HybridMatch is the EGSM strategy: run the efficient BFS expansion while
-// device memory permits; when the next level would overflow, fall back to
-// DFS for the remaining query vertices, seeding the per-warp stacks with the
-// current level's partial matches.
+// device memory permits; when a level would overflow, fall back to DFS for
+// the remaining query vertices, seeding the per-warp stacks with the deepest
+// level that fit (the roots themselves when even they do not fit).
 func HybridMatch(g *graph.Graph, plan *match.Plan, dev *Device) (int64, Metrics) {
 	var m Metrics
-	mem := &memTracker{cap: dev.MemorySlots}
-	k := len(plan.Order)
-	if k == 0 {
-		return 0, m
+	level, complete := bfs(g, plan, dev, rootLevel(g, plan, dev, &m), &m, nil)
+	if complete {
+		return int64(len(level)), m
 	}
-	level := [][]graph.V{}
-	roots := plan.CandidatesForPrefix(g, nil, nil)
-	m.MemTransactions += coalescedTransactions(int64(g.NumVertices()), dev.WarpSize)
-	for _, r := range roots {
-		level = append(level, []graph.V{r})
-	}
-	mem.alloc(int64(len(level)))
-	depth := 1
-	for ; depth < k; depth++ {
-		var next [][]graph.V
-		for lo := 0; lo < len(level); lo += dev.WarpSize {
-			hi := lo + dev.WarpSize
-			if hi > len(level) {
-				hi = len(level)
-			}
-			lane := make([]int64, 0, hi-lo)
-			var produced int64
-			for _, prefix := range level[lo:hi] {
-				cands := plan.CandidatesForPrefix(g, prefix, nil)
-				lane = append(lane, int64(len(cands)))
-				produced += int64(len(cands))
-				for _, c := range cands {
-					next = append(next, append(append(make([]graph.V, 0, depth+1), prefix...), c))
-				}
-			}
-			cyc, div := warpCost(lane)
-			m.WarpCycles += cyc
-			m.DivergenceLoss += div
-			m.MemTransactions += coalescedTransactions(produced, dev.WarpSize)
-		}
-		if !mem.alloc(int64(len(next)) * int64(depth+1)) {
-			// memory exhausted: DFS takeover from the current level
-			cnt, dm := dfsFromPrefixes(g, plan, dev, level, k)
-			m.WarpCycles += dm.WarpCycles
-			m.DivergenceLoss += dm.DivergenceLoss
-			m.RandomAccesses += dm.RandomAccesses
-			m.Steals += dm.Steals
-			m.PeakMemory = mem.peak
-			return cnt, m
-		}
-		mem.free(int64(len(level)) * int64(depth))
-		level = next
-	}
-	m.PeakMemory = mem.peak
-	return int64(len(level)), m
-}
-
-// dfsFromPrefixes runs the DFS-warp engine seeded with arbitrary-depth
-// prefixes (EGSM's fallback phase).
-func dfsFromPrefixes(g *graph.Graph, plan *match.Plan, dev *Device, seeds [][]graph.V, k int) (int64, Metrics) {
-	var m Metrics
-	var qmu sync.Mutex
-	queue := append([][]graph.V(nil), seeds...)
-	take := func() ([]graph.V, bool) {
-		qmu.Lock()
-		defer qmu.Unlock()
-		if len(queue) == 0 {
-			return nil, false
-		}
-		t := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		return t, true
-	}
-	var count, cycles, divloss, random, steals atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < dev.NumSMs; w++ {
-		wg.Add(1)
-		//lint:allow nakedgo simulated-GPU warp pool, joined via WaitGroup; models SIMT lanes rather than cluster workers
-		go func() {
-			defer wg.Done()
-			first := true
-			for {
-				task, ok := take()
-				if !ok {
-					return
-				}
-				if !first {
-					steals.Add(1)
-				}
-				first = false
-				stack := [][]graph.V{task}
-				for len(stack) > 0 {
-					prefix := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					if len(prefix) == k {
-						count.Add(1)
-						continue
-					}
-					cands := plan.CandidatesForPrefix(g, prefix, nil)
-					groups := coalescedTransactions(int64(len(cands)), dev.WarpSize)
-					cycles.Add(groups)
-					if groups > 0 {
-						divloss.Add(groups*int64(dev.WarpSize) - int64(len(cands)))
-					}
-					random.Add(int64(len(cands)))
-					for _, c := range cands {
-						stack = append(stack, append(append(make([]graph.V, 0, len(prefix)+1), prefix...), c))
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	m.WarpCycles = cycles.Load()
-	m.DivergenceLoss = divloss.Load()
-	m.RandomAccesses = random.Load()
-	m.Steals = steals.Load()
-	return count.Load(), m
+	return dfs(g, plan, dev, level, &m), m
 }

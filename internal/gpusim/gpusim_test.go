@@ -199,7 +199,10 @@ func TestEmptyPatternOnDevice(t *testing.T) {
 // TestMetricsPinned pins every counter of the five strategies on tab1-gpu's
 // input (the 4-cycle on BA(400,8), 8 SMs, warp 32, assign[v] = v % 8) at
 // ample, scarce and root-starved memory: 300 and 40 slots hold fewer than
-// the 400 root prefixes. Steals is pinned separately below.
+// the 400 root prefixes, and a root level that does not fit is treated like
+// any other level that does not fit (OOM for the BFS engines, DFS from the
+// roots for the hybrid). Steals is pinned separately: one per take after
+// each warp's first, the same on every call.
 func TestMetricsPinned(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 8, 6)
 	plan := match.OptimizedPlan(cycle4)
@@ -240,17 +243,25 @@ func TestMetricsPinned(t *testing.T) {
 		{300, "partitioned", 0, Metrics{WarpCycles: 84, DivergenceLoss: 2220, MemTransactions: 28, PeakMemory: 50, HostSpillSlots: 388, OOM: true}},
 		{300, "aimd", 51690, Metrics{WarpCycles: 9412, DivergenceLoss: 196531, MemTransactions: 3527, PeakMemory: 300, HostSpillSlots: 271604, ChunkAdjust: 401}},
 		{300, "dfs", 51690, Metrics{WarpCycles: 20473, DivergenceLoss: 566663, RandomAccesses: 88473, PeakMemory: 32}},
-		{300, "hybrid", 51690, Metrics{WarpCycles: 20676, DivergenceLoss: 569979, MemTransactions: 119, RandomAccesses: 88473}},
+		{300, "hybrid", 51690, Metrics{WarpCycles: 20473, DivergenceLoss: 566663, MemTransactions: 13, RandomAccesses: 88473}},
 		{40, "bfs", 0, Metrics{MemTransactions: 13, OOM: true}},
-		{40, "partitioned", 0, Metrics{WarpCycles: 84, DivergenceLoss: 2220, MemTransactions: 28, HostSpillSlots: 388, OOM: true}},
+		{40, "partitioned", 0, Metrics{MemTransactions: 13, OOM: true}},
 		{40, "aimd", 51690, Metrics{WarpCycles: 9336, DivergenceLoss: 198502, MemTransactions: 3506, PeakMemory: 40, HostSpillSlots: 310121, ChunkAdjust: 302}},
 		{40, "dfs", 51690, Metrics{WarpCycles: 20473, DivergenceLoss: 566663, RandomAccesses: 88473, PeakMemory: 32}},
-		{40, "hybrid", 51690, Metrics{WarpCycles: 20676, DivergenceLoss: 569979, MemTransactions: 119, RandomAccesses: 88473}},
+		{40, "hybrid", 51690, Metrics{WarpCycles: 20473, DivergenceLoss: 566663, MemTransactions: 13, RandomAccesses: 88473}},
 	} {
 		count, m := run(c.engine, &Device{NumSMs: 8, WarpSize: 32, MemorySlots: c.slots})
 		m.Steals = 0
 		if count != c.count || m != c.want {
 			t.Errorf("%s at %d slots: count %d %+v, want %d %+v", c.engine, c.slots, count, m, c.count, c.want)
+		}
+	}
+	scarce := &Device{NumSMs: 8, WarpSize: 32, MemorySlots: 4096}
+	for i := 0; i < 20; i++ {
+		for _, engine := range []string{"dfs", "hybrid"} {
+			if _, m := run(engine, scarce); m.Steals != 400-8 {
+				t.Fatalf("%s call %d: steals %d, want 392", engine, i, m.Steals)
+			}
 		}
 	}
 }
