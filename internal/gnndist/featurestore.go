@@ -112,7 +112,7 @@ func (fs *FeatureStore) Fetch(w int, vids []graph.V) *tensor.Matrix {
 		}
 		copy(out.Row(i), fs.X.Row(int(v)))
 		if compress && remote {
-			quantizeRow(out.Row(i), fs.FeatureBits)
+			quantizeRow(out.Row(i), out.Row(i), fs.FeatureBits)
 		}
 	}
 	rb := fs.RowBytes()
@@ -123,34 +123,6 @@ func (fs *FeatureStore) Fetch(w int, vids []graph.V) *tensor.Matrix {
 		}
 	}
 	return out
-}
-
-// quantizeRow simulates symmetric per-row quantise→dequantise in place.
-func quantizeRow(row []float32, bits int) {
-	var max float64
-	for _, v := range row {
-		a := float64(v)
-		if a < 0 {
-			a = -a
-		}
-		if a > max {
-			max = a
-		}
-	}
-	if max == 0 {
-		return
-	}
-	levels := float64(int64(1)<<(bits-1)) - 1
-	scale := max / levels
-	for j, v := range row {
-		q := float64(v) / scale
-		if q >= 0 {
-			q = float64(int64(q + 0.5))
-		} else {
-			q = float64(int64(q - 0.5))
-		}
-		row[j] = float32(q * scale)
-	}
 }
 
 // RemoteFraction returns the fraction of fetches that crossed the network.

@@ -11,8 +11,9 @@ import (
 // a training checkpoint bundles everything a replay needs to be bit-identical
 // to the fault-free run — master weights, the weight copies workers hold,
 // Adam moments, each worker's RNG position, the quantizers' error-feedback
-// residuals, and the result counters at snapshot time. Restoring and replaying the lost rounds therefore
-// converges to the exact same final loss; the extra work shows up only in the
+// residuals, and the result and feature-fetch counters at snapshot time.
+// Restoring and replaying the lost rounds therefore converges to the exact
+// same final loss and fetch counts; the extra work shows up only in the
 // network/recovery meters.
 
 // countedSource wraps a rand.Source64 and counts draws. rand's generator
@@ -64,6 +65,7 @@ type syncCkpt struct {
 	adam   nn.AdamState
 	draws  []uint64                 // per worker RNG positions
 	resid  []map[int]*tensor.Matrix // per worker error-feedback residuals
+	fetch  [3]int64                 // the feature store's Hits, Misses and Local
 }
 
 // bytes is the metered checkpoint volume: weights, both Adam moments and the
@@ -80,6 +82,7 @@ func (d *dist) snapshot(round int, res DistResult, master weights, held []weight
 		adam:   opt.Snapshot(params),
 		draws:  make([]uint64, len(d.srcs)),
 		resid:  make([]map[int]*tensor.Matrix, len(d.quant)),
+		fetch:  [3]int64{d.fs.Hits, d.fs.Misses, d.fs.Local},
 	}
 	for i, h := range held {
 		c.held[i] = cloneWeights(h)
@@ -105,6 +108,7 @@ func (d *dist) restore(c *syncCkpt, master weights, held []weights, opt *nn.Adam
 		copyWeights(h, c.held[i])
 	}
 	opt.Restore(params, c.adam)
+	d.fs.Hits, d.fs.Misses, d.fs.Local = c.fetch[0], c.fetch[1], c.fetch[2]
 	for _, p := range params {
 		p.ZeroGrad()
 	}

@@ -23,11 +23,23 @@ var syncTrainers = []struct {
 	train func(*gnn.Task, TrainerConfig) (DistResult, error)
 }{{"sync", TrainSync}, {"sancus", TrainSancus}}
 
+// sameFetches fails unless a recovered run's feature-fetch counters equal
+// the fault-free run's: the checkpoint rolls them back with the rest of the
+// result, so the replayed rounds are not counted twice.
+func sameFetches(t *testing.T, name string, got, clean DistResult) {
+	t.Helper()
+	if got.Hits != clean.Hits || got.Misses != clean.Misses || got.Local != clean.Local || got.RemoteFrac != clean.RemoteFrac {
+		t.Fatalf("%s: fetch counters differ: hits %d vs %d, misses %d vs %d, local %d vs %d, remote frac %v vs %v",
+			name, got.Hits, clean.Hits, got.Misses, clean.Misses, got.Local, clean.Local, got.RemoteFrac, clean.RemoteFrac)
+	}
+}
+
 // TestSyncCrashRecoveryExactLoss is the tentpole acceptance check: a crash
 // mid-training must roll back to the last checkpoint and replay to the EXACT
 // fault-free result — same loss, same accuracy, same step count, same skipped
-// broadcasts — because the snapshot carries weights, the workers' held copy,
-// Adam moments and every worker's RNG position.
+// broadcasts, same feature fetches — because the snapshot carries weights,
+// the workers' held copy, Adam moments, every worker's RNG position and the
+// feature store's counters.
 func TestSyncCrashRecoveryExactLoss(t *testing.T) {
 	task := distTask()
 	for _, tr := range syncTrainers {
@@ -51,6 +63,7 @@ func TestSyncCrashRecoveryExactLoss(t *testing.T) {
 			t.Fatalf("%s: committed schedule differs: steps %d vs %d, time %v vs %v, skipped %d vs %d",
 				tr.name, got.Steps, clean.Steps, got.SimTime, clean.SimTime, got.Skipped, clean.Skipped)
 		}
+		sameFetches(t, tr.name, got, clean)
 		if tr.name == "sancus" && clean.Skipped == 0 {
 			t.Fatal("sancus: no broadcast skipped, so the held copy is never stale")
 		}
@@ -122,7 +135,7 @@ func TestSyncCrashRecoveryQuantizedExact(t *testing.T) {
 
 func TestBoundedStaleCrashRecoveryExact(t *testing.T) {
 	task := distTask()
-	base := TrainerConfig{Workers: 4, TimeBudget: 10, Seed: 24, Staleness: 3}
+	base := TrainerConfig{Workers: 4, TimeBudget: 10, Seed: 24, Staleness: 3, CacheSize: 32}
 	clean, _ := TrainBoundedStale(task, base)
 	faulty := base
 	faulty.CheckpointEvery = 8
@@ -135,6 +148,10 @@ func TestBoundedStaleCrashRecoveryExact(t *testing.T) {
 		t.Fatalf("bounded-stale recovery diverged: loss %v vs %v, steps %d vs %d",
 			got.Loss, clean.Loss, got.Steps, clean.Steps)
 	}
+	if clean.Hits == 0 {
+		t.Fatal("no cache hits, so the hit counter's rollback goes unchecked")
+	}
+	sameFetches(t, "bounded-stale", got, clean)
 	r := got.Trace.Recovery
 	if r == nil || r.Crashes != 1 || r.RecoveredRounds != 4 { // crash at event 20, ckpt at 16
 		t.Fatalf("recovery accounting wrong: %+v", r)

@@ -315,7 +315,7 @@ func TestFeatureCompressionReducesTraffic(t *testing.T) {
 func TestQuantizeRowInPlace(t *testing.T) {
 	row := []float32{1, -0.5, 0.25, 0}
 	orig := append([]float32(nil), row...)
-	quantizeRow(row, 8)
+	quantizeRow(row, row, 8)
 	for i := range row {
 		d := row[i] - orig[i]
 		if d < 0 {
@@ -329,11 +329,16 @@ func TestQuantizeRowInPlace(t *testing.T) {
 	if row[0] != 1 {
 		t.Fatalf("max element distorted: %f", row[0])
 	}
-	// all-zero row untouched
+	// an all-zero source leaves the destination untouched
 	z := []float32{0, 0}
-	quantizeRow(z, 4)
+	quantizeRow(z, z, 4)
 	if z[0] != 0 || z[1] != 0 {
 		t.Fatal("zero row changed")
+	}
+	dst := []float32{7, 7}
+	quantizeRow(dst, z, 4)
+	if dst[0] != 7 || dst[1] != 7 {
+		t.Fatal("zero source wrote the destination")
 	}
 }
 

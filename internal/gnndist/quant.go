@@ -50,24 +50,8 @@ func (q *Quantizer) Compress(m *tensor.Matrix) *tensor.Matrix {
 		in = tensor.Add(m, q.residual)
 	}
 	out := tensor.New(m.Rows, m.Cols)
-	levels := float64(int64(1)<<(q.Bits-1)) - 1 // symmetric int range
 	for i := 0; i < m.Rows; i++ {
-		row := in.Row(i)
-		var max float64
-		for _, v := range row {
-			if a := math.Abs(float64(v)); a > max {
-				max = a
-			}
-		}
-		or := out.Row(i)
-		if max == 0 {
-			continue
-		}
-		scale := max / levels
-		for j, v := range row {
-			qv := math.Round(float64(v) / scale)
-			or[j] = float32(qv * scale)
-		}
+		quantizeRow(out.Row(i), in.Row(i), q.Bits)
 	}
 	if q.Compensate {
 		// residual = input - transmitted
@@ -76,6 +60,26 @@ func (q *Quantizer) Compress(m *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	return out
+}
+
+// quantizeRow writes to dst the symmetric per-row quantise→dequantise of
+// src at the given bit width: one scale per row, max|src| over the
+// 2^(bits-1) − 1 positive levels, each value rounded to the nearest level.
+// An all-zero src leaves dst untouched. dst and src may be the same row.
+func quantizeRow(dst, src []float32, bits int) {
+	var max float64
+	for _, v := range src {
+		if a := math.Abs(float64(v)); a > max {
+			max = a
+		}
+	}
+	if max == 0 {
+		return
+	}
+	scale := max / (float64(int64(1)<<(bits-1)) - 1)
+	for j, v := range src {
+		dst[j] = float32(math.Round(float64(v)/scale) * scale)
+	}
 }
 
 // SnapshotResidual deep-copies the error-feedback residual (nil when
