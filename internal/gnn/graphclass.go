@@ -93,10 +93,10 @@ func TrainGraphClassifier(db *graph.TransactionDB, trainMask []bool, cfg GraphCl
 			}
 			gc.model.Rebind(g)
 			h := gc.model.Forward(oneHotFeatures(g, inDim))
-			logits := gc.readout.Forward(meanPool(h))
+			logits := gc.readout.Forward(pool(h, 1/float32(h.Rows)))
 			_, dLogits := nn.SoftmaxCrossEntropy(logits, []int{db.Class[i]})
 			dPooled := gc.readout.Backward(dLogits)
-			gc.model.Backward(meanPoolBackward(dPooled, h.Rows))
+			gc.model.Backward(poolBackward(dPooled, h.Rows, 1/float32(h.Rows)))
 			opt.Step(params)
 		}
 	}
@@ -111,7 +111,7 @@ func (gc *GraphClassifier) Predict(g *graph.Graph) int {
 	}
 	gc.model.Rebind(g)
 	h := gc.model.Forward(oneHotFeatures(g, gc.inDim))
-	logits := gc.readout.Forward(meanPool(h))
+	logits := gc.readout.Forward(pool(h, 1/float32(h.Rows)))
 	row := logits.Row(0)
 	arg := 0
 	for j, v := range row {
@@ -140,32 +140,31 @@ func (gc *GraphClassifier) Accuracy(db *graph.TransactionDB, mask []bool) float6
 	return float64(correct) / float64(total)
 }
 
-// meanPool averages all rows into a 1×d matrix.
-func meanPool(h *tensor.Matrix) *tensor.Matrix {
+// pool sums all rows of h into a 1×d matrix scaled by scale: 1/rows is the
+// graph classifier's mean readout, 1 the neural counter's sum readout.
+func pool(h *tensor.Matrix, scale float32) *tensor.Matrix {
 	out := tensor.New(1, h.Cols)
 	or := out.Row(0)
 	for i := 0; i < h.Rows; i++ {
-		r := h.Row(i)
-		for j := range or {
-			or[j] += r[j]
+		for j, v := range h.Row(i) {
+			or[j] += v
 		}
 	}
-	inv := 1 / float32(h.Rows)
 	for j := range or {
-		or[j] *= inv
+		or[j] *= scale
 	}
 	return out
 }
 
-// meanPoolBackward broadcasts the pooled gradient back to every row.
-func meanPoolBackward(dPooled *tensor.Matrix, rows int) *tensor.Matrix {
+// poolBackward is pool's adjoint: it broadcasts the pooled gradient, scaled
+// by scale, back to every one of rows rows.
+func poolBackward(dPooled *tensor.Matrix, rows int, scale float32) *tensor.Matrix {
 	out := tensor.New(rows, dPooled.Cols)
-	inv := 1 / float32(rows)
 	dr := dPooled.Row(0)
 	for i := 0; i < rows; i++ {
 		r := out.Row(i)
 		for j := range r {
-			r[j] = dr[j] * inv
+			r[j] = dr[j] * scale
 		}
 	}
 	return out

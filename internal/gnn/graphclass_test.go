@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -37,26 +38,37 @@ func TestGINDistinguishesMultisets(t *testing.T) {
 	}
 }
 
-func TestMeanPoolRoundTrip(t *testing.T) {
-	h := tensor.FromRows([][]float32{{2, 4}, {4, 8}})
-	p := meanPool(h)
-	if p.At(0, 0) != 3 || p.At(0, 1) != 6 {
-		t.Fatalf("pool = %v", p.Data)
-	}
-	// adjoint property: <pool(h), y> == <h, poolT(y)>
-	y := tensor.FromRows([][]float32{{1, 2}})
-	back := meanPoolBackward(y, 2)
-	var lhs, rhs float64
-	for j := 0; j < 2; j++ {
-		lhs += float64(p.At(0, j)) * float64(y.At(0, j))
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			rhs += float64(h.At(i, j)) * float64(back.At(i, j))
+// TestPoolAdjoint checks pool's values and its adjoint at both readout
+// scales: the mean (1/rows) and the sum (1), where the adjoint is exact.
+func TestPoolAdjoint(t *testing.T) {
+	for _, c := range []struct {
+		h, y  [][]float32
+		scale float32
+		want  []float32
+		tol   float64
+	}{
+		{[][]float32{{2, 4}, {4, 8}}, [][]float32{{1, 2}}, 1.0 / 2, []float32{3, 6}, 1e-6},
+		{[][]float32{{1, 2}, {3, 4}, {5, 6}}, [][]float32{{2, -1}}, 1, []float32{9, 12}, 0},
+	} {
+		h, y := tensor.FromRows(c.h), tensor.FromRows(c.y)
+		p := pool(h, c.scale)
+		if p.At(0, 0) != c.want[0] || p.At(0, 1) != c.want[1] {
+			t.Fatalf("scale %v: pool = %v, want %v", c.scale, p.Data, c.want)
 		}
-	}
-	if lhs-rhs > 1e-6 || rhs-lhs > 1e-6 {
-		t.Fatalf("pool adjoint violated: %f vs %f", lhs, rhs)
+		// adjoint property: <pool(h), y> == <h, poolT(y)>
+		back := poolBackward(y, h.Rows, c.scale)
+		var lhs, rhs float64
+		for j := 0; j < h.Cols; j++ {
+			lhs += float64(p.At(0, j)) * float64(y.At(0, j))
+		}
+		for i := 0; i < h.Rows; i++ {
+			for j := 0; j < h.Cols; j++ {
+				rhs += float64(h.At(i, j)) * float64(back.At(i, j))
+			}
+		}
+		if math.Abs(lhs-rhs) > c.tol {
+			t.Fatalf("scale %v: pool adjoint violated: %v vs %v", c.scale, lhs, rhs)
+		}
 	}
 }
 
@@ -147,27 +159,5 @@ func TestGraphRegressorLearnsTriangleDensity(t *testing.T) {
 	mseBase /= float64(nTest)
 	if mseModel >= mseBase*0.6 {
 		t.Fatalf("neural counter MSE %.4f not well below mean-baseline %.4f", mseModel, mseBase)
-	}
-}
-
-func TestSumPoolAdjoint(t *testing.T) {
-	h := tensor.FromRows([][]float32{{1, 2}, {3, 4}, {5, 6}})
-	p := sumPool(h)
-	if p.At(0, 0) != 9 || p.At(0, 1) != 12 {
-		t.Fatalf("sumpool = %v", p.Data)
-	}
-	y := tensor.FromRows([][]float32{{2, -1}})
-	back := sumPoolBackward(y, 3)
-	var lhs, rhs float64
-	for j := 0; j < 2; j++ {
-		lhs += float64(p.At(0, j)) * float64(y.At(0, j))
-	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 2; j++ {
-			rhs += float64(h.At(i, j)) * float64(back.At(i, j))
-		}
-	}
-	if lhs != rhs {
-		t.Fatalf("sumpool adjoint: %f vs %f", lhs, rhs)
 	}
 }

@@ -67,10 +67,10 @@ func TrainGraphRegressor(graphs []*graph.Graph, targets []float64, trainMask []b
 			}
 			r.model.Rebind(g)
 			h := r.model.Forward(regressFeatures(g))
-			pred := r.readout.Forward(sumPool(h))
+			pred := r.readout.Forward(pool(h, 1))
 			_, dPred := nn.MSE(pred, tensor.FromRows([][]float32{{float32(targets[i])}}))
 			dPooled := r.readout.Backward(dPred)
-			r.model.Backward(sumPoolBackward(dPooled, h.Rows))
+			r.model.Backward(poolBackward(dPooled, h.Rows, 1))
 			opt.Step(params)
 		}
 	}
@@ -97,26 +97,5 @@ func (r *GraphRegressor) Predict(g *graph.Graph) float64 {
 	}
 	r.model.Rebind(g)
 	h := r.model.Forward(regressFeatures(g))
-	return float64(r.readout.Forward(sumPool(h)).At(0, 0))
-}
-
-func sumPool(h *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(1, h.Cols)
-	or := out.Row(0)
-	for i := 0; i < h.Rows; i++ {
-		r := h.Row(i)
-		for j := range or {
-			or[j] += r[j]
-		}
-	}
-	return out
-}
-
-func sumPoolBackward(dPooled *tensor.Matrix, rows int) *tensor.Matrix {
-	out := tensor.New(rows, dPooled.Cols)
-	dr := dPooled.Row(0)
-	for i := 0; i < rows; i++ {
-		copy(out.Row(i), dr)
-	}
-	return out
+	return float64(r.readout.Forward(pool(h, 1)).At(0, 0))
 }
