@@ -83,8 +83,8 @@ func bfs(g *graph.Graph, plan *match.Plan, dev *Device, level [][]graph.V, m *Me
 func dfs(g *graph.Graph, plan *match.Plan, dev *Device, seeds [][]graph.V, m *Metrics) int64 {
 	k := len(plan.Order)
 	m.Steals += int64(max(len(seeds)-dev.NumSMs, 0))
-	prefix := make([]graph.V, 0, k)
-	cands := make([][]graph.V, k) // one candidate buffer per depth
+	stack := make([]graph.V, 0, k) // the one prefix buffer, backtracked in place
+	cands := make([][]graph.V, k)  // one candidate buffer per depth
 	var count int64
 	var walk func(prefix []graph.V)
 	walk = func(prefix []graph.V) {
@@ -103,7 +103,7 @@ func dfs(g *graph.Graph, plan *match.Plan, dev *Device, seeds [][]graph.V, m *Me
 		}
 	}
 	for _, seed := range seeds {
-		walk(append(prefix[:0], seed...))
+		walk(append(stack[:0], seed...))
 	}
 	return count
 }
