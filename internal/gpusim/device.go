@@ -55,7 +55,9 @@ func (t *memTracker) alloc(n int64) bool {
 	return true
 }
 
-func (t *memTracker) free(n int64) { t.used -= n }
+func (t *memTracker) free(n int64) {
+	t.used -= n
+}
 
 // warpCost simulates one warp instruction over laneWork: the warp runs for
 // max(laneWork) cycles; lanes with less work idle (divergence). Returns
