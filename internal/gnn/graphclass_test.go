@@ -38,38 +38,41 @@ func TestGINDistinguishesMultisets(t *testing.T) {
 	}
 }
 
-// TestPoolAdjoint checks pool's values and its adjoint at both readout
-// scales: the mean (1/rows) and the sum (1), where the adjoint is exact.
-func TestPoolAdjoint(t *testing.T) {
-	for _, c := range []struct {
-		h, y  [][]float32
-		scale float32
-		want  []float32
-		tol   float64
-	}{
-		{[][]float32{{2, 4}, {4, 8}}, [][]float32{{1, 2}}, 1.0 / 2, []float32{3, 6}, 1e-6},
-		{[][]float32{{1, 2}, {3, 4}, {5, 6}}, [][]float32{{2, -1}}, 1, []float32{9, 12}, 0},
-	} {
-		h, y := tensor.FromRows(c.h), tensor.FromRows(c.y)
-		p := pool(h, c.scale)
-		if p.At(0, 0) != c.want[0] || p.At(0, 1) != c.want[1] {
-			t.Fatalf("scale %v: pool = %v, want %v", c.scale, p.Data, c.want)
-		}
-		// adjoint property: <pool(h), y> == <h, poolT(y)>
-		back := poolBackward(y, h.Rows, c.scale)
-		var lhs, rhs float64
+// checkPool checks pool's value on h at the given scale and its adjoint
+// property <pool(h), y> == <h, poolBackward(y)> within tol.
+func checkPool(t *testing.T, h, y *tensor.Matrix, scale float32, want []float32, tol float64) {
+	t.Helper()
+	p := pool(h, scale)
+	if p.At(0, 0) != want[0] || p.At(0, 1) != want[1] {
+		t.Fatalf("scale %v: pool = %v, want %v", scale, p.Data, want)
+	}
+	back := poolBackward(y, h.Rows, scale)
+	var lhs, rhs float64
+	for j := 0; j < h.Cols; j++ {
+		lhs += float64(p.At(0, j)) * float64(y.At(0, j))
+	}
+	for i := 0; i < h.Rows; i++ {
 		for j := 0; j < h.Cols; j++ {
-			lhs += float64(p.At(0, j)) * float64(y.At(0, j))
-		}
-		for i := 0; i < h.Rows; i++ {
-			for j := 0; j < h.Cols; j++ {
-				rhs += float64(h.At(i, j)) * float64(back.At(i, j))
-			}
-		}
-		if math.Abs(lhs-rhs) > c.tol {
-			t.Fatalf("scale %v: pool adjoint violated: %v vs %v", c.scale, lhs, rhs)
+			rhs += float64(h.At(i, j)) * float64(back.At(i, j))
 		}
 	}
+	if math.Abs(lhs-rhs) > tol {
+		t.Fatalf("scale %v: pool adjoint violated: %v vs %v", scale, lhs, rhs)
+	}
+}
+
+// TestMeanPoolRoundTrip checks the mean readout (scale 1/rows).
+func TestMeanPoolRoundTrip(t *testing.T) {
+	h := tensor.FromRows([][]float32{{2, 4}, {4, 8}})
+	y := tensor.FromRows([][]float32{{1, 2}})
+	checkPool(t, h, y, 1.0/float32(h.Rows), []float32{3, 6}, 1e-6)
+}
+
+// TestSumPoolAdjoint checks the sum readout (scale 1), whose adjoint is exact.
+func TestSumPoolAdjoint(t *testing.T) {
+	h := tensor.FromRows([][]float32{{1, 2}, {3, 4}, {5, 6}})
+	y := tensor.FromRows([][]float32{{2, -1}})
+	checkPool(t, h, y, 1, []float32{9, 12}, 0)
 }
 
 func TestGraphClassifierLearnsMotif(t *testing.T) {
