@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -83,6 +84,24 @@ func init() {
 							got == "true", "%s", got)
 					}
 				}
+			})}
+	})
+
+	registerClaims("tab1-order", func(t *Table) []hypo.Hypothesis {
+		return []hypo.Hypothesis{tableClaim("tab1-order/greedy-prunes",
+			"greedy order scans no more candidates than the id order on every pattern and fewer on one; symmetry breaking scans no more than greedy and divides its match count", t,
+			func(c *checker) {
+				pruned := false
+				for r := 0; r+2 < len(c.t.Rows); r += 3 { // naive-id, greedy-order, +symmetry
+					pat := c.t.Rows[r][0]
+					naive, greedy, sym := c.num(r, 3), c.num(r+1, 3), c.num(r+2, 3)
+					c.expect(pat+" greedy candidates", greedy <= naive, "%.0f vs naive %.0f", greedy, naive)
+					c.expect(pat+" +symmetry candidates", sym <= greedy, "%.0f vs greedy %.0f", sym, greedy)
+					gm, sm := c.num(r+1, 2), c.num(r+2, 2)
+					c.expect(pat+" +symmetry matches", sm > 0 && math.Mod(gm, sm) == 0, "%.0f dividing greedy %.0f", sm, gm)
+					pruned = pruned || greedy < naive
+				}
+				c.expect("greedy prunes a pattern", pruned, "fewer candidates than naive on some pattern: %v", pruned)
 			})}
 	})
 

@@ -281,13 +281,18 @@ func NewMeanAgg(g *graph.Graph) *Agg {
 // NewSumAgg builds GIN's sum aggregator over open neighbourhoods.
 func NewSumAgg(g *graph.Graph) *Agg { return newAgg(g, false, false).withAdjoint(g) }
 
-// CSR exposes A's entries for internal/gnndist's delayed aggregation, the
-// one kernel outside this package that reads them: row v's entries are
-// col[rowPtr[v]:rowPtr[v+1]] with weights aligned, in g.Neighbors(v) order
-// with any self-loop last. The slices are shared with a; callers must not
-// write them.
-func (a *Agg) CSR() (rowPtr []int32, col []graph.V, wts []float32) {
-	return a.rowPtr, a.col, a.wts
+// CSR exposes A's entries, or with adjoint set Aᵀ's, for internal/gnndist's
+// delayed aggregation, the one kernel outside this package that reads them:
+// row v's entries are col[rowPtr[v]:rowPtr[v+1]] with weights aligned. A's
+// rows follow g.Neighbors(v) with any self-loop last; Aᵀ's are A's own
+// slices on an undirected graph and ordered by source row otherwise. The
+// slices are shared with a; callers must not write them.
+func (a *Agg) CSR(adjoint bool) (rowPtr []int32, col []graph.V, wts []float32) {
+	c := &a.csr
+	if adjoint {
+		c = a.t
+	}
+	return c.rowPtr, c.col, c.wts
 }
 
 // ApplyInto computes diag(s)·A·H into out (fully overwritten), allocating

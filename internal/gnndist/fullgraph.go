@@ -15,85 +15,85 @@ import (
 // apply combines FRESH rows over same-partition entries with a STALE
 // snapshot over cross-partition entries — DistGNN's delayed-update
 // communication avoidance, where remote partial aggregates are refreshed
-// only every few epochs. Â is symmetric, so apply is the backward too, over
-// gradient rows with a gradient snapshot as the stale side.
+// only every few epochs. ApplyInto runs Â over activation rows and
+// ApplyTInto Âᵀ over their gradient rows, each against its own snapshot.
 //
-// The entries are norm's CSR (neighbors in graph order, self-loop last) with
-// a per-entry remote flag beside them. apply owns its output rows, so it
+// Direction d's entries are norm's CSR of Â (d = 0) or Âᵀ (d = 1), with a
+// per-entry remote flag beside them; an undirected graph's Â is symmetric
+// and both directions share one array. apply owns its output rows, so it
 // runs in parallel with results bitwise identical at any worker count.
 type delayedAdj struct {
-	norm   *gnn.Agg // Â itself: the fresh operator, built once per run
-	n      int
-	rowPtr []int32
-	col    []graph.V
-	wts    []float32
-	remote []bool // aligned with col: true if the edge crosses partitions
+	norm   *gnn.Agg  // Â itself: the fresh operator, built once per run
+	remote [2][]bool // aligned with direction d's col: true if the entry crosses partitions
 
-	// sends[o*k+p] counts the rows owned by partition o that partition p ≠ o
-	// reads through a remote entry: what one snapshot refresh ships.
+	// sends[d][o*k+p] counts the rows of partition o that partition p ≠ o
+	// reads through direction d's remote entries: one refresh of d ships them.
 	k     int
-	sends []int64
+	sends [2][]int64
 
-	// ApplyInto's stale side: snap, first refreshed from the rows it is
-	// given when refresh is set, or those rows themselves when snap is nil.
+	// apply's stale side: snap, first refreshed from the rows it is given
+	// when refresh is set, or those rows themselves when snap is nil.
 	snap    *tensor.Matrix
 	refresh bool
 }
 
 func newDelayedAdj(g *graph.Graph, part *partition.Partition) *delayedAdj {
 	n, k := g.NumVertices(), part.K
-	a := &delayedAdj{norm: gnn.NewNormAdj(g), n: n, k: k, sends: make([]int64, k*k)}
-	a.rowPtr, a.col, a.wts = a.norm.CSR()
-	a.remote = make([]bool, len(a.col))
-	// Â is symmetric, so the partitions that read row v are those of v's
-	// remote entries; counted[p] == v+1 once p is counted for v.
+	a := &delayedAdj{norm: gnn.NewNormAdj(g), k: k}
+	// Row v of either direction lists the rows that read v through the
+	// other, so the scan that flags d's remote entries counts the other
+	// direction's sends; counted[p] == d*n+v+1 once p is counted for v.
 	counted := make([]int, k)
-	for v := 0; v < n; v++ {
-		owner := part.Assign[v]
-		for idx := a.rowPtr[v]; idx < a.rowPtr[v+1]; idx++ {
-			p := part.Assign[a.col[idx]]
-			a.remote[idx] = p != owner
-			if a.remote[idx] && counted[p] != v+1 {
-				counted[p] = v + 1
-				a.sends[owner*k+p]++
+	for d := range 2 {
+		if d == 1 && !g.Directed() {
+			a.remote[1], a.sends[0] = a.remote[0], a.sends[1]
+			break
+		}
+		rowPtr, col, _ := a.norm.CSR(d == 1)
+		a.remote[d], a.sends[1-d] = make([]bool, len(col)), make([]int64, k*k)
+		for v := 0; v < n; v++ {
+			owner := part.Assign[v]
+			for idx := rowPtr[v]; idx < rowPtr[v+1]; idx++ {
+				p := part.Assign[col[idx]]
+				a.remote[d][idx] = p != owner
+				if p != owner && counted[p] != d*n+v+1 {
+					counted[p] = d*n + v + 1
+					a.sends[1-d][owner*k+p]++
+				}
 			}
 		}
 	}
 	return a
 }
 
-// apply computes out = Â·H (fully overwritten) using fresh rows for local
-// edges and stale rows for remote edges.
-func (a *delayedAdj) apply(fresh, stale, out *tensor.Matrix) {
-	tensor.ParallelFor(a.n, int64(len(a.col))*int64(fresh.Cols), func(lo, hi int) {
+// apply computes out = Â·fresh (d = 0) or Âᵀ·fresh (d = 1), fully
+// overwritten, reading fresh rows over local entries and stale over remote.
+func (a *delayedAdj) apply(d int, fresh, out *tensor.Matrix) {
+	stale := fresh
+	if a.snap != nil {
+		if a.refresh {
+			copy(a.snap.Data, fresh.Data)
+		}
+		stale = a.snap
+	}
+	rowPtr, col, wts := a.norm.CSR(d == 1)
+	tensor.ParallelFor(fresh.Rows, int64(len(col))*int64(fresh.Cols), func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			s, e := a.rowPtr[v], a.rowPtr[v+1]
-			gnn.SpMMRow(out.Row(v), a.col[s:e], a.wts[s:e], fresh, stale, a.remote[s:e])
+			s, e := rowPtr[v], rowPtr[v+1]
+			gnn.SpMMRow(out.Row(v), col[s:e], wts[s:e], fresh, stale, a.remote[d][s:e])
 		}
 	})
 }
 
-// ApplyInto is the gnn.Propagation of DistGNN's second GCN layer: apply with
-// h as the fresh rows and the snapshot as the stale ones.
-func (a *delayedAdj) ApplyInto(h, out *tensor.Matrix) {
-	stale := h
-	if a.snap != nil {
-		if a.refresh {
-			copy(a.snap.Data, h.Data)
-		}
-		stale = a.snap
-	}
-	a.apply(h, stale, out)
-}
+// ApplyInto and ApplyTInto are the gnn.Propagation of DistGNN's second GCN
+// layer: Â·h and its adjoint Âᵀ·dy.
+func (a *delayedAdj) ApplyInto(h, out *tensor.Matrix)   { a.apply(0, h, out) }
+func (a *delayedAdj) ApplyTInto(dy, out *tensor.Matrix) { a.apply(1, dy, out) }
 
-// ApplyTInto is ApplyInto: DistGNN's graphs are undirected, so Â is
-// symmetric and is its own adjoint.
-func (a *delayedAdj) ApplyTInto(dy, out *tensor.Matrix) { a.ApplyInto(dy, out) }
-
-// exchange meters one snapshot refresh of width-column rows: each owner
-// ships every row a reader partition needs once, in one batch per pair.
-func (a *delayedAdj) exchange(net *cluster.Network, width int) {
-	for i, rows := range a.sends {
+// exchange meters one snapshot refresh of direction d's width-column input
+// rows: each owner ships every row a reader needs once, in one batch a pair.
+func (a *delayedAdj) exchange(net *cluster.Network, width, d int) {
+	for i, rows := range a.sends[d] {
 		if rows > 0 {
 			net.AccountBatch(i/a.k, i%a.k, rows, rows*int64(width)*4)
 		}
@@ -186,8 +186,8 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 			res.Refreshes++
 			// a refresh ships both snapshots: the activations and, after
 			// the forward, their gradients
-			adj.exchange(net, cfg.Hidden)
-			adj.exchange(net, cfg.Hidden)
+			adj.exchange(net, cfg.Hidden, 0)
+			adj.exchange(net, cfg.Hidden, 1)
 		}
 		adj.snap = snapH
 		nn.SoftmaxCrossEntropyInto(m.Forward(task.X), masked, dLogits)
@@ -197,7 +197,7 @@ func trainDistGNN(task *gnn.Task, cfg DistGNNConfig) (DistGNNResult, *tensor.Mat
 	}
 	// Evaluate the trained model: fresh layer-1 rows over every edge.
 	adj.snap = nil
-	adj.exchange(net, cfg.Hidden)
+	adj.exchange(net, cfg.Hidden, 0)
 	logits := m.Forward(task.X)
 	res.TestAcc = nn.Accuracy(logits, task.Labels, task.TestMask)
 	res.Loss = nn.SoftmaxCrossEntropyInto(logits, task.Labels, nil)

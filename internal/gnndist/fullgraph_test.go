@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"graphsys/internal/gnn"
@@ -84,20 +85,90 @@ func serialGCN(task *gnn.Task, cfg DistGNNConfig) (*tensor.Matrix, float64) {
 // TestDistGNNSyncEqualsSerial: at RefreshEvery 1 every snapshot is the
 // current rows, so delayed-update training over any partition is a serial
 // GCN's, and the evaluation's logits and loss equal the serial model's bit
-// for bit at every worker count and kernel parallelism.
+// for bit at every worker count and kernel parallelism — on an undirected
+// graph and on a directed one, whose backward runs Âᵀ ≠ Â.
 func TestDistGNNSyncEqualsSerial(t *testing.T) {
-	task := gnn.SyntheticCommunityTask(1000, 4, 8, 0.3, 5)
 	defer tensor.SetParallelism(0)
-	for _, par := range []int{1, 2} {
-		tensor.SetParallelism(par)
-		cfg := DistGNNConfig{Hidden: 16, Epochs: 7, LR: 0.02, RefreshEvery: 1, Seed: 9}
-		want, wantLoss := serialGCN(task, cfg)
-		for _, workers := range []int{1, 2, 4, 8} {
-			cfg.Workers = workers
-			res, got := trainDistGNN(task, cfg)
-			mustBitwiseEqual(t, fmt.Sprintf("parallelism %d workers %d logits", par, workers), got, want)
-			if math.Float64bits(res.Loss) != math.Float64bits(wantLoss) {
-				t.Errorf("parallelism %d workers %d: loss %v, want %v", par, workers, res.Loss, wantLoss)
+	for _, leg := range []struct {
+		name    string
+		task    *gnn.Task
+		epochs  int
+		workers []int
+	}{
+		{"undirected", gnn.SyntheticCommunityTask(1000, 4, 8, 0.3, 5), 7, []int{1, 2, 4, 8}},
+		{"directed", directedTask(gnn.SyntheticCommunityTask(300, 4, 8, 0.3, 5)), 5, []int{1, 2, 4}},
+	} {
+		for _, par := range []int{1, 2} {
+			tensor.SetParallelism(par)
+			cfg := DistGNNConfig{Hidden: 16, Epochs: leg.epochs, LR: 0.02, RefreshEvery: 1, Seed: 9}
+			want, wantLoss := serialGCN(leg.task, cfg)
+			for _, workers := range leg.workers {
+				cfg.Workers = workers
+				res, got := trainDistGNN(leg.task, cfg)
+				mustBitwiseEqual(t, fmt.Sprintf("%s parallelism %d workers %d logits", leg.name, par, workers), got, want)
+				if math.Float64bits(res.Loss) != math.Float64bits(wantLoss) {
+					t.Errorf("%s parallelism %d workers %d: loss %v, want %v", leg.name, par, workers, res.Loss, wantLoss)
+				}
+			}
+		}
+	}
+}
+
+// directedTask is task over a directed copy of its graph: of every three
+// undirected edges {u < v}, one keeps only u→v, one only v→u and one both.
+func directedTask(task *gnn.Task) *gnn.Task {
+	g := task.G
+	b := graph.NewBuilder(g.NumVertices(), true)
+	i := 0
+	for u := range graph.V(g.NumVertices()) {
+		for _, v := range g.Neighbors(u) {
+			if v < u {
+				continue
+			}
+			if i%3 != 1 {
+				b.AddEdge(u, v)
+			}
+			if i%3 != 0 {
+				b.AddEdge(v, u)
+			}
+			i++
+		}
+	}
+	d := *task
+	d.G = b.Build()
+	return &d
+}
+
+// TestDelayedAdjSendsDirected checks both directions' send counts on a
+// directed graph against a brute-force count of (row, reading partition)
+// pairs: partition p reads row v through Â when some u owned by p has an
+// arc u→v (Â's row u holds v), and through Âᵀ when v has an arc v→u.
+func TestDelayedAdjSendsDirected(t *testing.T) {
+	g := directedTask(gnn.SyntheticCommunityTask(300, 4, 8, 0.3, 5)).G
+	for _, k := range []int{2, 3} {
+		part := partition.Hash(g, k)
+		var want [2][]int64
+		for d := range want {
+			want[d] = make([]int64, k*k)
+			read := map[[2]int]bool{} // {row, reader}
+			for u := range graph.V(g.NumVertices()) {
+				for _, v := range g.Neighbors(u) {
+					row, reader := v, u // Â: u's output reads v
+					if d == 1 {
+						row, reader = u, v // Âᵀ: v's output reads u
+					}
+					owner, p := part.Assign[row], part.Assign[reader]
+					if owner != p && !read[[2]int{int(row), p}] {
+						read[[2]int{int(row), p}] = true
+						want[d][owner*k+p]++
+					}
+				}
+			}
+		}
+		adj := newDelayedAdj(g, part)
+		for d := range want {
+			if !slices.Equal(adj.sends[d], want[d]) {
+				t.Errorf("k=%d direction %d: sends %v, want %v", k, d, adj.sends[d], want[d])
 			}
 		}
 	}
@@ -190,8 +261,8 @@ func naiveDelayed(g *graph.Graph, part *partition.Partition, fresh, stale *tenso
 	return fwd
 }
 
-// TestDelayedAdjMatchesNaiveReference holds apply to the per-entry reference
-// bit for bit, over rows of every length class, at parallelism 1, 2 and 8
+// TestDelayedAdjMatchesNaiveReference holds ApplyInto, with a snapshot as
+// its stale side, to the per-entry reference bit for bit, over rows of every length class, at parallelism 1, 2 and 8
 // (1000 columns take the kernel past SerialWorkThreshold), into a buffer
 // with stale contents.
 func TestDelayedAdjMatchesNaiveReference(t *testing.T) {
@@ -211,7 +282,8 @@ func TestDelayedAdjMatchesNaiveReference(t *testing.T) {
 		for i := range out.Data {
 			out.Data[i] = float32(i)
 		}
-		adj.apply(fresh, stale, out)
+		adj.snap, adj.refresh = stale, false
+		adj.ApplyInto(fresh, out)
 		mustBitwiseEqual(t, fmt.Sprintf("apply p=%d", p), out, want)
 	}
 }

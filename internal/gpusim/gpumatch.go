@@ -13,7 +13,7 @@ func rootLevel(g *graph.Graph, plan *match.Plan, dev *Device, m *Metrics) [][]gr
 		return nil
 	}
 	m.MemTransactions += coalescedTransactions(int64(g.NumVertices()), dev.WarpSize)
-	roots := plan.CandidatesForPrefix(g, nil, nil)
+	roots, _ := plan.CandidatesForPrefix(g, nil, nil)
 	level := make([][]graph.V, len(roots))
 	for i := range roots {
 		level[i] = roots[i : i+1 : i+1]
@@ -33,7 +33,7 @@ func expand(g *graph.Graph, plan *match.Plan, dev *Device, level [][]graph.V, m 
 		lane = lane[:0]
 		written := len(next)
 		for _, prefix := range level[lo:min(lo+dev.WarpSize, len(level))] {
-			cands = plan.CandidatesForPrefix(g, prefix, cands[:0])
+			cands, _ = plan.CandidatesForPrefix(g, prefix, cands[:0])
 			lane = append(lane, int64(len(cands)))
 			for _, c := range cands {
 				next = append(next, append(append(make([]graph.V, 0, len(prefix)+1), prefix...), c))
@@ -93,7 +93,7 @@ func dfs(g *graph.Graph, plan *match.Plan, dev *Device, seeds [][]graph.V, m *Me
 			count++
 			return
 		}
-		cands[d] = plan.CandidatesForPrefix(g, prefix, cands[d][:0])
+		cands[d], _ = plan.CandidatesForPrefix(g, prefix, cands[d][:0])
 		groups := coalescedTransactions(int64(len(cands[d])), dev.WarpSize)
 		m.WarpCycles += groups
 		m.DivergenceLoss += groups*int64(dev.WarpSize) - int64(len(cands[d]))

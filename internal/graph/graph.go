@@ -150,6 +150,9 @@ func (g *Graph) MaxDegree() int {
 }
 
 // Intersect appends the intersection of two sorted vertex slices to dst.
+// dst may be a[:0], or any slice of a's backing array that ends where a
+// begins: each element is written at or before the index of a it was read
+// from, so an in-place intersection never overwrites an unread element.
 func Intersect(a, b, dst []V) []V {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

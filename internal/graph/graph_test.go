@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -199,6 +200,43 @@ func TestIntersectProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIntersectInPlace checks Intersect's aliasing contract: writing into
+// a[:0], or into the slice of a's backing array just before a, gives what a
+// fresh buffer gives.
+func TestIntersectInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sortedSet := func(n, max int) []V {
+		out := make([]V, 0, n)
+		for _, x := range rng.Perm(max)[:n] {
+			out = append(out, V(x))
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	cases := [][2][]V{
+		{nil, {1, 2}},
+		{{1, 2, 3}, {1, 2, 3}},
+		{{1, 3, 5}, {2, 4, 6}},
+		{{0, 4, 9}, {9}},
+	}
+	for i := 0; i < 200; i++ {
+		cases = append(cases, [2][]V{sortedSet(rng.Intn(40), 64), sortedSet(rng.Intn(40), 64)})
+	}
+	for _, c := range cases {
+		a, b := c[0], c[1]
+		want := Intersect(a, b, nil)
+		own := append([]V(nil), a...)
+		if got := Intersect(own, b, own[:0]); !slices.Equal(got, want) {
+			t.Fatalf("Intersect(%v, %v, a[:0]) = %v, want %v", a, b, got, want)
+		}
+		const base = 3
+		buf := append(make([]V, base), a...)
+		if got := Intersect(buf[base:], b, buf[:base]); !slices.Equal(got[base:], want) {
+			t.Fatalf("Intersect(%v, %v) into the preceding slice = %v, want %v", a, b, got[base:], want)
+		}
 	}
 }
 

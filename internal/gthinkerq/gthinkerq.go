@@ -73,7 +73,8 @@ func (e *Engine) Submit(req serve.Request[*graph.Graph]) (*serve.Ticket[int64], 
 	if req.Query.NumVertices() > 0 {
 		plan := match.OptimizedPlan(req.Query)
 		// one root task per feasible first-vertex binding
-		for _, r := range plan.CandidatesForPrefix(e.g, nil, nil) {
+		roots, _ := plan.CandidatesForPrefix(e.g, nil, nil)
+		for _, r := range roots {
 			spec.Roots = append(spec.Roots, qtask{plan: plan, prefix: []graph.V{r}})
 		}
 	}
@@ -102,7 +103,7 @@ func (e *Engine) exec(tc *serve.TaskContext[qtask], t qtask) int64 {
 	if len(t.prefix) == k {
 		return 1
 	}
-	cands := t.plan.CandidatesForPrefix(e.g, t.prefix, nil)
+	cands, _ := t.plan.CandidatesForPrefix(e.g, t.prefix, nil)
 	if len(t.prefix) < splitDepth {
 		// fine-grained: spawn one task per extension so other queries' tasks
 		// interleave on the shared pool
@@ -112,23 +113,27 @@ func (e *Engine) exec(tc *serve.TaskContext[qtask], t qtask) int64 {
 		}
 		return 0
 	}
-	// coarse: DFS inline without further task creation
+	// coarse: DFS inline, over one prefix and one candidate buffer per depth
 	var count int64
+	bufs := make([][]graph.V, k)
 	var dfs func(prefix []graph.V)
 	dfs = func(prefix []graph.V) {
-		if len(prefix) == k {
+		d := len(prefix)
+		if d == k {
 			count++
 			return
 		}
-		for _, c := range t.plan.CandidatesForPrefix(e.g, prefix, nil) {
+		bufs[d], _ = t.plan.CandidatesForPrefix(e.g, prefix, bufs[d][:0])
+		for _, c := range bufs[d] {
 			dfs(append(prefix, c))
 		}
 	}
+	prefix := append(make([]graph.V, 0, k), t.prefix...)
 	for _, c := range cands {
 		if tc.Aborted() {
 			break
 		}
-		dfs(append(append(make([]graph.V, 0, k), t.prefix...), c))
+		dfs(append(prefix, c))
 	}
 	return count
 }

@@ -123,7 +123,7 @@ var NakedGo = &Check{
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
 					p.Reportf("nakedgo", g.Pos(),
-						"go statement outside the cluster runtime/tensor pool; route concurrency through cluster.Run or tensor.RunParallel, or annotate //lint:allow nakedgo")
+						"go statement outside the cluster runtime/tensor pool; route concurrency through cluster.Run or tensor.ParallelDo, or annotate //lint:allow nakedgo")
 				}
 				return true
 			})

@@ -1,10 +1,10 @@
 package match
 
 import (
-	"sort"
 	"sync"
 
 	"graphsys/internal/graph"
+	"graphsys/internal/tensor"
 )
 
 // Stats meters the work a plan execution performs; TreeNodes is the
@@ -33,187 +33,85 @@ func Enumerate(g *graph.Graph, plan *Plan, workers int, fn func(mapping []graph.
 	if workers <= 0 {
 		workers = 4
 	}
-	k := plan.Pattern.NumVertices()
+	k := len(plan.Order)
 	if k == 0 {
 		return
 	}
 	if stats == nil {
 		stats = &Stats{}
 	}
-	n := g.NumVertices()
-	first := plan.Order[0]
-	var wg sync.WaitGroup
+	roots, scanned := plan.CandidatesForPrefix(g, nil, nil)
+	stats.Candidates += int64(scanned)
 	var mu sync.Mutex // serialises fn and stats merging
 	stop := false
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
+	emit := func(m []graph.V) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if stop {
+			return false
 		}
-		if lo >= hi {
-			continue
+		if !fn(m) {
+			stop = true
+			return false
 		}
-		wg.Add(1)
-		//lint:allow nakedgo bounded root-range pool, joined via WaitGroup; per-range match counts are summed after the join
-		go func(lo, hi int) {
-			defer wg.Done()
-			e := &executor{
-				g: g, plan: plan,
-				mapping: make([]graph.V, k),
-				usedPos: make([]graph.V, 0, k),
-			}
-			for v := lo; v < hi; v++ {
+		return true
+	}
+	per := (len(roots) + workers - 1) / workers
+	var fns []func()
+	for lo := 0; lo < len(roots); lo += per {
+		part := roots[lo:min(lo+per, len(roots))]
+		fns = append(fns, func() {
+			e := &executor{g: g, plan: plan, cands: make([][]graph.V, k), mapping: make([]graph.V, k)}
+			prefix := make([]graph.V, 1, k)
+			for _, r := range part {
 				mu.Lock()
 				st := stop
 				mu.Unlock()
 				if st {
-					return
+					break
 				}
-				dv := graph.V(v)
-				e.stats.Candidates++
-				if !e.feasible(first, dv, 0) {
-					continue
-				}
-				e.mapping[first] = dv
-				e.usedPos = append(e.usedPos, dv)
-				e.extend(1, func(m []graph.V) bool {
-					mu.Lock()
-					defer mu.Unlock()
-					if stop {
-						return false
-					}
-					if !fn(m) {
-						stop = true
-						return false
-					}
-					return true
-				})
-				e.usedPos = e.usedPos[:0]
+				prefix[0] = r
+				e.extend(prefix, emit)
 			}
 			mu.Lock()
 			stats.TreeNodes += e.stats.TreeNodes
 			stats.Candidates += e.stats.Candidates
 			stats.Matches += e.stats.Matches
 			mu.Unlock()
-		}(lo, hi)
+		})
 	}
-	wg.Wait()
+	tensor.ParallelDo(fns)
 }
 
+// executor backtracks below one worker's roots over a single prefix buffer
+// (data vertex per order position) and one candidate buffer per depth.
 type executor struct {
 	g       *graph.Graph
 	plan    *Plan
-	mapping []graph.V // pattern vertex -> data vertex
-	usedPos []graph.V // data vertices used so far (small linear-scan set)
+	cands   [][]graph.V // candidate buffer per order position
+	mapping []graph.V   // pattern vertex -> data vertex, filled per match
 	stats   Stats
 }
 
-// feasible checks label, degree, distinctness and symmetry restrictions for
-// binding pattern vertex pv (at order position posIdx) to data vertex dv.
-func (e *executor) feasible(pv, dv graph.V, posIdx int) bool {
-	p := e.plan.Pattern
-	if p.HasLabels() && p.Label(pv) != e.g.Label(dv) {
-		return false
-	}
-	if e.g.Degree(dv) < p.Degree(pv) {
-		return false
-	}
-	for _, u := range e.usedPos {
-		if u == dv {
-			return false
-		}
-	}
-	for _, earlier := range e.plan.Restrict[posIdx] {
-		if e.mapping[e.plan.Order[earlier]] >= dv {
-			return false
-		}
-	}
-	if p.HasEdgeLabels() {
-		// edge labels of pattern edges into the already-mapped prefix must
-		// match the corresponding data edges
-		for _, w := range p.Neighbors(pv) {
-			for j := 0; j < posIdx; j++ {
-				if e.plan.Order[j] == w {
-					if p.EdgeLabel(pv, w) != e.g.EdgeLabel(dv, e.mapping[w]) {
-						return false
-					}
-				}
-			}
-		}
-	}
-	if e.plan.Induced {
-		// pattern non-edges into the prefix must be non-edges in the data
-		for j := 0; j < posIdx; j++ {
-			w := e.plan.Order[j]
-			if !p.HasEdge(pv, w) && e.g.HasEdge(dv, e.mapping[w]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// extend binds order position i and recurses. emit returns false to stop.
-func (e *executor) extend(i int, emit func([]graph.V) bool) bool {
+// extend counts the search-tree node prefix and recurses below it. emit
+// returns false to stop.
+func (e *executor) extend(prefix []graph.V, emit func([]graph.V) bool) bool {
 	e.stats.TreeNodes++
-	plan := e.plan
-	if i == len(plan.Order) {
+	i := len(prefix)
+	if i == len(e.plan.Order) {
 		e.stats.Matches++
+		for j, pv := range e.plan.Order {
+			e.mapping[pv] = prefix[j]
+		}
 		return emit(e.mapping)
 	}
-	pv := plan.Order[i]
-	// candidates: intersect data-adjacency of already-mapped pattern
-	// neighbors of pv; if the prefix is disconnected at pv, fall back to a
-	// full vertex scan (this is what makes naive orders catastrophically
-	// slow — the effect the ordering benchmark shows).
-	var anchors []graph.V
-	for _, w := range plan.Pattern.Neighbors(pv) {
-		for j := 0; j < i; j++ {
-			if plan.Order[j] == w {
-				anchors = append(anchors, e.mapping[w])
-			}
-		}
-	}
-	if len(anchors) == 0 {
-		for v := 0; v < e.g.NumVertices(); v++ {
-			dv := graph.V(v)
-			e.stats.Candidates++
-			if !e.feasible(pv, dv, i) {
-				continue
-			}
-			if !e.bindAndRecurse(pv, dv, i, emit) {
-				return false
-			}
-		}
-		return true
-	}
-	// order anchors by adjacency size, intersect smallest-first
-	sort.Slice(anchors, func(a, b int) bool {
-		return e.g.Degree(anchors[a]) < e.g.Degree(anchors[b])
-	})
-	cands := e.g.Neighbors(anchors[0])
-	for _, a := range anchors[1:] {
-		// fresh buffer per step: cands is iterated below across recursive
-		// calls, so it must not alias a reused scratch buffer
-		cands = graph.Intersect(cands, e.g.Neighbors(a), make([]graph.V, 0, len(cands)))
-	}
+	cands, scanned := e.plan.CandidatesForPrefix(e.g, prefix, e.cands[i][:0])
+	e.cands[i] = cands
+	e.stats.Candidates += int64(scanned)
 	for _, dv := range cands {
-		e.stats.Candidates++
-		if !e.feasible(pv, dv, i) {
-			continue
-		}
-		if !e.bindAndRecurse(pv, dv, i, emit) {
+		if !e.extend(append(prefix, dv), emit) {
 			return false
 		}
 	}
 	return true
-}
-
-func (e *executor) bindAndRecurse(pv, dv graph.V, i int, emit func([]graph.V) bool) bool {
-	e.mapping[pv] = dv
-	e.usedPos = append(e.usedPos, dv)
-	ok := e.extend(i+1, emit)
-	e.usedPos = e.usedPos[:len(e.usedPos)-1]
-	return ok
 }
