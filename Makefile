@@ -37,8 +37,8 @@ test:
 # runtime and the engines that drive it, including the fault-injection /
 # crash-recovery paths, the parallel tensor/aggregation kernels, the
 # serving tier's worker pools and batchers, the offline task engines
-# that run on the serving tier's Pool, and the packages that start
-# goroutines of their own: the matching and mining engines), plus internal/refmodel, whose FuzzAnalyticsVsSpec seeds run pregel
+# that run on the serving tier's Pool, and the matching and mining engines,
+# which fan out on the tensor pool), plus internal/refmodel, whose FuzzAnalyticsVsSpec seeds run pregel
 # and blogel over one shared CachedProvider at 2 and 4 workers. Under -race
 # internal/tensor builds its Go kernel bodies in place of the SSE2 assembly,
 # so the detector sees every kernel store.

@@ -5,38 +5,6 @@ import (
 	"testing"
 )
 
-func TestRunAllWorkers(t *testing.T) {
-	c := New(8)
-	var count atomic.Int64
-	seen := make([]bool, 8)
-	c.Run(func(w int) {
-		seen[w] = true
-		count.Add(1)
-	})
-	if count.Load() != 8 {
-		t.Fatalf("ran %d workers", count.Load())
-	}
-	for w, s := range seen {
-		if !s {
-			t.Fatalf("worker %d never ran", w)
-		}
-	}
-}
-
-func TestRunPropagatesPanic(t *testing.T) {
-	c := New(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic propagation")
-		}
-	}()
-	c.Run(func(w int) {
-		if w == 2 {
-			panic("boom")
-		}
-	})
-}
-
 func TestNetworkAccounting(t *testing.T) {
 	net := NewNetwork(3)
 	net.Account(0, 1, 100)
@@ -87,8 +55,9 @@ func TestMailboxesBSPSemantics(t *testing.T) {
 func TestMailboxesConcurrentSenders(t *testing.T) {
 	net := NewNetwork(4)
 	mb := NewMailboxes[int](net, func(int) int64 { return 4 })
-	c := New(4)
-	c.Run(func(w int) {
+	g := New(4).NewGang()
+	defer g.Close()
+	g.Run(func(w int) {
 		for i := 0; i < 100; i++ {
 			mb.Send(w, (w+1)%4, i)
 		}

@@ -60,7 +60,7 @@ type RecoveryStats struct {
 }
 
 // FaultInjector executes a FaultPlan: the network consults it on every
-// transfer for message drops, Cluster.Run consults it for straggler
+// transfer for message drops, Gang.Run consults it for straggler
 // slowdown, and engines consult CrashDue at their round boundaries. It also
 // accumulates RecoveryStats, fed both by the runtime (drops, retries) and by
 // the engines (checkpoints, rollback work).

@@ -125,7 +125,9 @@ func TestDropRetriesBoundedByMaxRetries(t *testing.T) {
 func TestStragglerSlowsBusyMetering(t *testing.T) {
 	c := New(4)
 	c.InstallFaults(FaultPlan{StragglerWorker: 2, StragglerFactor: 8})
-	c.Run(func(w int) { time.Sleep(2 * time.Millisecond) })
+	g := c.NewGang()
+	defer g.Close()
+	g.Run(func(w int) { time.Sleep(2 * time.Millisecond) })
 	busy := c.WorkerBusy()
 	if busy[2] <= busy[0]*2 {
 		t.Fatalf("8x straggler not visible in busy time: %v", busy)

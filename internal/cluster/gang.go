@@ -8,19 +8,19 @@ import (
 )
 
 // Gang is a persistent worker group: one long-lived goroutine per worker,
-// started once and reused for every phase of a run. Cluster.Run spawns N
-// goroutines per call — fine for a handful of calls, but a superstep engine
-// runs two phases (compute, demux) per round, and at thousands of rounds the
-// per-call goroutine creation, closure allocation and scheduler churn become
-// the dominant steady-state allocation source on the engine hot path. A Gang
-// replaces all of that with a generation-counted condition-variable handoff:
-// Run stores the phase function, bumps the generation, and wakes the workers;
+// started once and reused for every phase of a run. It is the cluster's only
+// way to run per-worker phases. A superstep engine runs two phases (compute,
+// demux) per round, and at thousands of rounds spawning goroutines per phase
+// would make goroutine creation, closure allocation and scheduler churn the
+// dominant steady-state allocation source on the engine hot path. A Gang
+// instead hands phases over by a generation-counted condition variable: Run
+// stores the phase function, bumps the generation, and wakes the workers;
 // dispatching a round allocates nothing.
 //
-// Semantics match Cluster.Run exactly: fn runs concurrently on every worker,
-// Run blocks until all complete, each worker's wall time is credited to the
-// cluster's busy meter (straggler-scaled under a FaultPlan), and worker
-// panics are aggregated into one re-panic naming every failed worker.
+// fn runs concurrently on every worker, Run blocks until all complete, each
+// worker's wall time is credited to the cluster's busy meter
+// (straggler-scaled under a FaultPlan), and worker panics are aggregated into
+// one re-panic naming every failed worker.
 //
 // Callers that reuse one closure across rounds (storing loop state in
 // variables the closure captures) get a fully allocation-free dispatch; the
@@ -104,13 +104,13 @@ func (g *Gang) worker(w int, gen uint64) {
 }
 
 // Run executes fn concurrently on every persistent worker and blocks until
-// all complete. Busy-time crediting and panic aggregation are identical to
-// Cluster.Run; the dispatch itself performs no allocation.
+// all complete, crediting busy time and aggregating panics as described on
+// Gang; the dispatch itself performs no allocation.
 func (g *Gang) Run(fn func(worker int)) {
 	g.mu.Lock()
 	if g.stopped {
 		g.mu.Unlock()
-		//lint:allow panicpolicy running a closed gang is a programmer error at wiring time, same contract as Cluster.Run on a torn-down cluster
+		//lint:allow panicpolicy running a closed gang is a programmer error at wiring time, like New on a zero-worker cluster
 		panic("cluster: Gang.Run after Close")
 	}
 	g.fn = fn
@@ -124,8 +124,8 @@ func (g *Gang) Run(fn func(worker int)) {
 
 	g.c.mu.Lock()
 	for w, sec := range g.elapsed {
-		// a planned straggler is credited factor× its wall time, exactly as
-		// in Cluster.Run
+		// a planned straggler is credited factor× its wall time, so the
+		// slowdown shows up in busy-time skew exactly like a real slow node
 		g.c.busy[w] += sec * g.c.faults.SlowFactor(w)
 	}
 	g.c.mu.Unlock()

@@ -56,8 +56,8 @@ func TestGangPublishesWrites(t *testing.T) {
 }
 
 // TestGangAggregatesPanics: multiple worker panics surface as one aggregated
-// panic naming every failed worker — the Cluster.Run contract — and the gang
-// stays usable for the next round.
+// panic naming every failed worker, and the gang stays usable for the next
+// round.
 func TestGangAggregatesPanics(t *testing.T) {
 	c := New(4)
 	g := c.NewGang()
@@ -91,7 +91,7 @@ func TestGangAggregatesPanics(t *testing.T) {
 }
 
 // TestGangCreditsBusyTime: gang phases credit the cluster's per-worker busy
-// meters, like Cluster.Run.
+// meters.
 func TestGangCreditsBusyTime(t *testing.T) {
 	c := New(2)
 	g := c.NewGang()
@@ -146,22 +146,15 @@ func TestGangConcurrentPhasesRace(t *testing.T) {
 }
 
 // BenchmarkGangDispatch measures the per-round dispatch cost of a reused
-// phase closure against spawning goroutines through Cluster.Run.
+// phase closure.
 func BenchmarkGangDispatch(b *testing.B) {
-	c := New(8)
-	g := c.NewGang()
+	g := New(8).NewGang()
 	defer g.Close()
 	phase := func(w int) {}
 	b.Run("gang", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			g.Run(phase)
-		}
-	})
-	b.Run("spawn", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Run(phase)
 		}
 	})
 }

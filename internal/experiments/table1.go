@@ -53,17 +53,18 @@ func Table1Features() *Table {
 // the graph densifies — the paper's core argument for the
 // think-like-a-task model. All columns are metered: BFS peak is the largest
 // embedding frontier ever materialised, the task-engine columns are its
-// deterministic tick/task accounting.
+// deterministic tick/task accounting. The BFS clique count must equal
+// match.Count's on a 4-clique plan, an independent depth-first executor.
 func Table1BFSvsDFS() *Table {
 	t := &Table{ID: "tab1-model", Title: "4-clique counting: BFS materialisation vs DFS backtracking",
 		Header: []string{"graph", "cliques", "BFS peak embeddings", "task-engine ticks", "tasks", "max task ticks"}}
 	for _, n := range []int{200, 400, 800} {
 		g := gen.BarabasiAlbert(n, 8, int64(n))
 		bfsCount, bfsStats := mining.CountCliquesBFS(g, 4, mining.Config{Workers: 4})
-		dfsCount := mining.CountCliquesDFS(g, 4)
+		dfsCount, _ := match.Count(g, match.OptimizedPlan(gen.Clique(4)), 4)
 		if bfsCount != dfsCount {
 			//lint:allow panicpolicy cross-validation assertion between two independent implementations; graphbench recovers it into a non-zero exit
-			panic("bfs/dfs disagree")
+			panic(fmt.Sprintf("tab1-model: BFS extension counts %d 4-cliques, match.Count %d", bfsCount, dfsCount))
 		}
 		// full task-engine maximal-clique mining as the richer DFS workload
 		_, stats := tthinker.MaximalCliques(g, false, tthinker.Config{Workers: 4, Budget: 64})

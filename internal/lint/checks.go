@@ -109,12 +109,13 @@ var GlobalRand = &Check{
 	},
 }
 
-// NakedGo keeps goroutine creation inside the cluster runtime and the tensor
-// worker pool. Ad-hoc goroutines elsewhere bypass the barrier/panic
-// aggregation, busy metering and fault injection the runtime provides.
+// NakedGo keeps goroutine creation inside the cluster runtime, the tensor
+// worker pool and the serving tier (Config.GoAllowed). Ad-hoc goroutines
+// elsewhere bypass the barrier/panic aggregation, busy metering and fault
+// injection the runtime provides.
 var NakedGo = &Check{
 	Name: "nakedgo",
-	Doc:  "no go statements outside internal/cluster and the internal/tensor worker pool; the runtime owns concurrency",
+	Doc:  "no go statements outside internal/cluster, the internal/tensor worker pool and internal/serve; the runtime owns concurrency",
 	Run: func(p *Pass) {
 		if !p.PkgInScope(p.Cfg.GoScope) || p.PkgInScope(p.Cfg.GoAllowed) {
 			return
@@ -123,7 +124,7 @@ var NakedGo = &Check{
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
 					p.Reportf("nakedgo", g.Pos(),
-						"go statement outside the cluster runtime/tensor pool; route concurrency through cluster.Run or tensor.ParallelDo, or annotate //lint:allow nakedgo")
+						"go statement outside the cluster runtime/tensor pool; route concurrency through cluster.Gang or tensor.ParallelDo, or annotate //lint:allow nakedgo")
 				}
 				return true
 			})

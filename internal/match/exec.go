@@ -56,31 +56,25 @@ func Enumerate(g *graph.Graph, plan *Plan, workers int, fn func(mapping []graph.
 		}
 		return true
 	}
-	per := (len(roots) + workers - 1) / workers
-	var fns []func()
-	for lo := 0; lo < len(roots); lo += per {
-		part := roots[lo:min(lo+per, len(roots))]
-		fns = append(fns, func() {
-			e := &executor{g: g, plan: plan, cands: make([][]graph.V, k), mapping: make([]graph.V, k)}
-			prefix := make([]graph.V, 1, k)
-			for _, r := range part {
-				mu.Lock()
-				st := stop
-				mu.Unlock()
-				if st {
-					break
-				}
-				prefix[0] = r
-				e.extend(prefix, emit)
-			}
+	tensor.ParallelChunks(len(roots), workers, func(_, lo, hi int) {
+		e := &executor{g: g, plan: plan, cands: make([][]graph.V, k), mapping: make([]graph.V, k)}
+		prefix := make([]graph.V, 1, k)
+		for _, r := range roots[lo:hi] {
 			mu.Lock()
-			stats.TreeNodes += e.stats.TreeNodes
-			stats.Candidates += e.stats.Candidates
-			stats.Matches += e.stats.Matches
+			st := stop
 			mu.Unlock()
-		})
-	}
-	tensor.ParallelDo(fns)
+			if st {
+				break
+			}
+			prefix[0] = r
+			e.extend(prefix, emit)
+		}
+		mu.Lock()
+		stats.TreeNodes += e.stats.TreeNodes
+		stats.Candidates += e.stats.Candidates
+		stats.Matches += e.stats.Matches
+		mu.Unlock()
+	})
 }
 
 // executor backtracks below one worker's roots over a single prefix buffer

@@ -9,9 +9,10 @@
 package mining
 
 import (
-	"sync"
+	"slices"
 
 	"graphsys/internal/graph"
+	"graphsys/internal/tensor"
 )
 
 // Embedding is a materialised subgraph instance: the vertex set (in
@@ -41,7 +42,9 @@ type Stats struct {
 // Explore enumerates all connected induced subgraphs of exactly size k,
 // calling process (if non-nil) for each complete embedding, concurrently.
 // filter (if non-nil) prunes embeddings at every intermediate size; a pruned
-// embedding is not extended (Arabesque's shouldExpand).
+// embedding is not extended (Arabesque's shouldExpand). Levels are split
+// into cfg.Workers contiguous chunks on the tensor pool, so Stats and the
+// embeddings processed do not depend on the worker count.
 func Explore(g *graph.Graph, k int, filter func(sub []graph.V) bool, process func(sub []graph.V), cfg Config) Stats {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -62,16 +65,13 @@ func Explore(g *graph.Graph, k int, filter func(sub []graph.V) bool, process fun
 		}
 		level = append(level, Embedding{Sub: []graph.V{v}, Ext: ext})
 	}
-	record := func(lv []Embedding) {
-		stats.LevelSizes = append(stats.LevelSizes, int64(len(lv)))
-		if int64(len(lv)) > stats.Peak {
-			stats.Peak = int64(len(lv))
+	for size := 1; ; size++ {
+		stats.LevelSizes = append(stats.LevelSizes, int64(len(level)))
+		stats.Peak = max(stats.Peak, int64(len(level)))
+		stats.Total += int64(len(level))
+		if stats.Aborted || len(level) == 0 {
+			return stats
 		}
-		stats.Total += int64(len(lv))
-	}
-	record(level)
-
-	for size := 1; size < k; size++ {
 		if filter != nil {
 			kept := level[:0]
 			for _, e := range level {
@@ -81,64 +81,33 @@ func Explore(g *graph.Graph, k int, filter func(sub []graph.V) bool, process fun
 			}
 			level = kept
 		}
-		next := expandLevel(g, level, cfg.Workers)
-		if cfg.MaxEmbeddings > 0 && int64(len(next)) > cfg.MaxEmbeddings {
-			stats.Aborted = true
-			record(next)
-			return stats
+		if size == k {
+			break
 		}
-		level = next
-		record(level)
-		if len(level) == 0 {
-			return stats
-		}
-	}
-	if filter != nil {
-		kept := level[:0]
-		for _, e := range level {
-			if filter(e.Sub) {
-				kept = append(kept, e)
-			}
-		}
-		level = kept
+		level = expandLevel(g, level, cfg.Workers)
+		stats.Aborted = cfg.MaxEmbeddings > 0 && int64(len(level)) > cfg.MaxEmbeddings
 	}
 	if process != nil {
-		parallelEach(level, cfg.Workers, func(e Embedding) { process(e.Sub) })
+		tensor.ParallelChunks(len(level), cfg.Workers, func(_, lo, hi int) {
+			for _, e := range level[lo:hi] {
+				process(e.Sub)
+			}
+		})
 	}
 	return stats
 }
 
-// expandLevel applies one ESU extension step to every embedding in parallel.
+// expandLevel applies one ESU extension step to every embedding, one
+// contiguous chunk per worker, and concatenates the children in chunk order.
 func expandLevel(g *graph.Graph, level []Embedding, workers int) []Embedding {
 	outs := make([][]Embedding, workers)
-	var wg sync.WaitGroup
-	chunk := (len(level) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(level) {
-			hi = len(level)
+	tensor.ParallelChunks(len(level), workers, func(c, lo, hi int) {
+		mark := make([]bool, g.NumVertices())
+		for _, e := range level[lo:hi] {
+			outs[c] = extendESU(g, e, mark, outs[c])
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		//lint:allow nakedgo bounded BFS-expansion pool, joined via WaitGroup below; candidate partitions are disjoint
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var out []Embedding
-			for _, e := range level[lo:hi] {
-				out = extendESU(g, e, out)
-			}
-			outs[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var next []Embedding
-	for _, o := range outs {
-		next = append(next, o...)
-	}
-	return next
+	})
+	return slices.Concat(outs...)
 }
 
 // extendESU produces the children of e under the ESU rule: take each w from
@@ -146,52 +115,35 @@ func expandLevel(g *graph.Graph, level []Embedding, workers int) []Embedding {
 // extension vertices plus the *exclusive* neighbors of w (neighbors of w that
 // are greater than the root and not adjacent to, or part of, the current
 // subgraph). This yields each connected induced subgraph exactly once.
-func extendESU(g *graph.Graph, e Embedding, out []Embedding) []Embedding {
+// mark is the caller's all-false scratch array over the vertices; extendESU
+// marks e's closed neighbourhood in it and clears the same entries before it
+// returns.
+func extendESU(g *graph.Graph, e Embedding, mark []bool, out []Embedding) []Embedding {
 	root := e.Sub[0]
-	// membership sets for exclusivity test
-	inSub := make(map[graph.V]bool, len(e.Sub))
-	nSub := make(map[graph.V]bool)
-	for _, v := range e.Sub {
-		inSub[v] = true
-		for _, u := range g.Neighbors(v) {
-			nSub[u] = true
-		}
-	}
+	markClosedNeighborhood(g, e.Sub, mark, true)
 	for i, w := range e.Ext {
 		child := Embedding{
 			Sub: append(append(make([]graph.V, 0, len(e.Sub)+1), e.Sub...), w),
 		}
 		child.Ext = append(child.Ext, e.Ext[i+1:]...)
 		for _, u := range g.Neighbors(w) {
-			if u > root && !inSub[u] && !nSub[u] {
+			if u > root && !mark[u] {
 				child.Ext = append(child.Ext, u)
 			}
 		}
 		out = append(out, child)
 	}
+	markClosedNeighborhood(g, e.Sub, mark, false)
 	return out
 }
 
-func parallelEach(level []Embedding, workers int, fn func(Embedding)) {
-	var wg sync.WaitGroup
-	chunk := (len(level) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(level) {
-			hi = len(level)
+// markClosedNeighborhood sets mark[u] = on for every u in sub or adjacent to
+// a vertex of sub.
+func markClosedNeighborhood(g *graph.Graph, sub []graph.V, mark []bool, on bool) {
+	for _, v := range sub {
+		mark[v] = on
+		for _, u := range g.Neighbors(v) {
+			mark[u] = on
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		//lint:allow nakedgo bounded DFS-count pool, joined via WaitGroup below; per-range counters are merged after the join
-		go func(lo, hi int) {
-			defer wg.Done()
-			for _, e := range level[lo:hi] {
-				fn(e)
-			}
-		}(lo, hi)
 	}
-	wg.Wait()
 }

@@ -1,13 +1,17 @@
 package mining
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
+	"graphsys/internal/match"
 )
 
 // naiveConnectedInduced counts connected induced subgraphs of size k by
@@ -173,12 +177,14 @@ func TestCanonicalCodeRespectsLabels(t *testing.T) {
 	}
 }
 
+// TestCliquesBFSvsDFS checks the BFS-extension count against match's
+// depth-first plan executor, an independent implementation.
 func TestCliquesBFSvsDFS(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g := gen.ErdosRenyi(40, 300, seed)
 		for k := 3; k <= 5; k++ {
 			bfs, _ := CountCliquesBFS(g, k, Config{})
-			dfs := CountCliquesDFS(g, k)
+			dfs, _ := match.Count(g, match.OptimizedPlan(gen.Clique(k)), 4)
 			if bfs != dfs {
 				t.Fatalf("seed %d k=%d: BFS=%d DFS=%d", seed, k, bfs, dfs)
 			}
@@ -200,6 +206,57 @@ func TestBFSPeakGrows(t *testing.T) {
 	}
 	if len(s4.LevelSizes) != 4 {
 		t.Fatalf("level sizes: %v", s4.LevelSizes)
+	}
+}
+
+// TestExploreSameAtAnyWorkerCount: the chunked level split must not change
+// Stats (Aborted included) or the multiset of processed embeddings, at worker
+// counts that divide a level evenly, unevenly, and beyond its size.
+func TestExploreSameAtAnyWorkerCount(t *testing.T) {
+	g := gen.ErdosRenyi(14, 30, 5)
+	isClique := func(sub []graph.V) bool {
+		last := sub[len(sub)-1]
+		for _, v := range sub[:len(sub)-1] {
+			if !g.HasEdge(v, last) {
+				return false
+			}
+		}
+		return true
+	}
+	run := func(filter func([]graph.V) bool, cfg Config) (Stats, []string) {
+		var mu sync.Mutex
+		var subs []string
+		stats := Explore(g, 4, filter, func(sub []graph.V) {
+			mu.Lock()
+			subs = append(subs, fmt.Sprint(sub))
+			mu.Unlock()
+		}, cfg)
+		sort.Strings(subs)
+		return stats, subs
+	}
+	full, _ := run(nil, Config{Workers: 1})
+	for _, tc := range []struct {
+		name   string
+		filter func([]graph.V) bool
+		max    int64
+	}{
+		{"all", nil, 0},
+		{"cliques", isClique, 0},
+		{"budget", nil, full.Peak / 2},
+	} {
+		want, wantSubs := run(tc.filter, Config{Workers: 1, MaxEmbeddings: tc.max})
+		if (tc.max > 0) != want.Aborted || (tc.max == 0) != (len(wantSubs) > 0) {
+			t.Fatalf("%s: aborted=%v with %d embeddings processed", tc.name, want.Aborted, len(wantSubs))
+		}
+		for _, w := range []int{2, 3, 4, 7, int(full.Peak) + 5} {
+			got, gotSubs := run(tc.filter, Config{Workers: w, MaxEmbeddings: tc.max})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: stats %+v, want %+v", tc.name, w, got, want)
+			}
+			if !reflect.DeepEqual(gotSubs, wantSubs) {
+				t.Fatalf("%s workers=%d: %d embeddings processed differ from the 1-worker run's %d", tc.name, w, len(gotSubs), len(wantSubs))
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package mining
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"graphsys/internal/graph"
@@ -116,7 +115,8 @@ func MotifCounts(g *graph.Graph, k int, cfg Config) (map[string]int64, Stats) {
 // CountCliquesBFS counts k-cliques with the BFS-extension engine, pruning
 // embeddings that are not cliques at every level (clique-ness is hereditary,
 // so the filter is exact). Its Stats expose the materialisation cost to
-// compare against DFS clique search (the tab1-model experiment).
+// compare against DFS clique search (the tab1-model experiment, which checks
+// the count against match.Count on a clique pattern).
 func CountCliquesBFS(g *graph.Graph, k int, cfg Config) (int64, Stats) {
 	var mu sync.Mutex
 	var count int64
@@ -135,46 +135,4 @@ func CountCliquesBFS(g *graph.Graph, k int, cfg Config) (int64, Stats) {
 		mu.Unlock()
 	}, cfg)
 	return count, stats
-}
-
-// CountCliquesDFS counts k-cliques by depth-first backtracking without
-// materialising embeddings (the G-thinker-style counterpart; its memory use
-// is O(k·Δ) instead of O(#embeddings)).
-func CountCliquesDFS(g *graph.Graph, k int) int64 {
-	order, _ := graph.DegeneracyOrder(g)
-	pos := make([]int, g.NumVertices())
-	for i, v := range order {
-		pos[v] = i
-	}
-	var count int64
-	var extend func(cands []graph.V, size int)
-	extend = func(cands []graph.V, size int) {
-		if size == k {
-			count++
-			return
-		}
-		for i, v := range cands {
-			if size+len(cands)-i < k {
-				return // not enough candidates left
-			}
-			var next []graph.V
-			for _, w := range cands[i+1:] {
-				if g.HasEdge(v, w) {
-					next = append(next, w)
-				}
-			}
-			extend(next, size+1)
-		}
-	}
-	for _, v := range order {
-		var cands []graph.V
-		for _, w := range g.Neighbors(v) {
-			if pos[w] > pos[v] {
-				cands = append(cands, w)
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool { return pos[cands[i]] < pos[cands[j]] })
-		extend(cands, 1)
-	}
-	return count
 }

@@ -95,6 +95,27 @@ func ParallelDo(fns []func()) {
 	wg.Wait()
 }
 
+// ParallelChunks splits [0, n) into contiguous chunks of ceil(n/parts)
+// indices (at most parts of them, the last possibly shorter) and runs
+// fn(c, lo, hi) on each through ParallelDo, where c numbers the chunks from 0
+// in range order. It is the root split of the task engines (match, mining):
+// the caller's worker count fixes the chunks, so per-chunk outputs
+// concatenated in c order do not depend on how many pool workers were free.
+// fn must treat its [lo, hi) block and its chunk index as exclusively owned.
+func ParallelChunks(n, parts int, fn func(c, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	parts = max(parts, 1)
+	chunk := (n + parts - 1) / parts
+	fns := make([]func(), 0, parts)
+	for lo := 0; lo < n; lo += chunk {
+		c, lo, hi := lo/chunk, lo, min(lo+chunk, n)
+		fns = append(fns, func() { fn(c, lo, hi) })
+	}
+	ParallelDo(fns)
+}
+
 // ParallelFor splits [0, n) into at most Parallelism() contiguous chunks and
 // runs fn on each concurrently. work is the total fused-multiply-add count;
 // below SerialWorkThreshold (or at parallelism 1) fn runs once, inline, over

@@ -165,6 +165,35 @@ func TestParallelFor(t *testing.T) {
 	ParallelFor(0, 1<<20, func(lo, hi int) { t.Fatal("called for empty range") })
 }
 
+// TestParallelChunks: chunk c is [c·⌈n/parts⌉, min((c+1)·⌈n/parts⌉, n)), so
+// the split depends on n and parts only, never on the pool.
+func TestParallelChunks(t *testing.T) {
+	for _, tc := range []struct{ n, parts, chunks int }{
+		{10, 1, 1}, {10, 3, 3}, {10, 4, 4}, {5, 4, 3}, {7, 7, 7}, {3, 100, 3}, {9, 0, 1}, {0, 4, 0},
+	} {
+		size := 0
+		if tc.n > 0 {
+			size = (tc.n + max(tc.parts, 1) - 1) / max(tc.parts, 1)
+		}
+		lo, hi := make([]int, tc.chunks), make([]int, tc.chunks)
+		calls := make([]int32, tc.chunks)
+		ParallelChunks(tc.n, tc.parts, func(c, l, h int) {
+			if c >= tc.chunks {
+				t.Errorf("n=%d parts=%d: chunk index %d, want < %d", tc.n, tc.parts, c, tc.chunks)
+				return
+			}
+			calls[c]++
+			lo[c], hi[c] = l, h
+		})
+		for c := range calls {
+			if calls[c] != 1 || lo[c] != c*size || hi[c] != min((c+1)*size, tc.n) {
+				t.Fatalf("n=%d parts=%d: chunk %d ran %d times over [%d,%d), want once over [%d,%d)",
+					tc.n, tc.parts, c, calls[c], lo[c], hi[c], c*size, min((c+1)*size, tc.n))
+			}
+		}
+	}
+}
+
 func TestParallelDoNested(t *testing.T) {
 	// Nested ParallelDo must not deadlock (inline fallback when workers busy).
 	done := make(chan struct{})
