@@ -67,7 +67,7 @@ bench-seeds:
 # unit tests). Every fuzzer runs; the target fails if any found a failing
 # input, which go test saves under the package's testdata/fuzz. Kept out of
 # verify and tier-1 because it takes a minute; CI runs it as a job.
-FUZZ_TARGETS = FuzzCodec:./internal/storage/ FuzzPregelVsReference:./internal/pregel/ FuzzServeSim:./internal/serve/ FuzzQuegelVsBFS:./internal/quegel/ FuzzNeighborSampleSource:./internal/gnn/ FuzzOutboxVsModel:./internal/cluster/ FuzzCachedSourceVsModel:./internal/storage/ FuzzAnalyticsVsSpec:./internal/refmodel/ FuzzAxpyVsLoop:./internal/tensor/ FuzzInferVsForward:./internal/gnn/
+FUZZ_TARGETS = FuzzCodec:./internal/storage/ FuzzPregelVsReference:./internal/pregel/ FuzzServeSim:./internal/serve/ FuzzQuegelVsBFS:./internal/quegel/ FuzzNeighborSampleSource:./internal/gnn/ FuzzOutboxVsModel:./internal/cluster/ FuzzCachedSourceVsModel:./internal/storage/ FuzzAnalyticsVsSpec:./internal/refmodel/ FuzzAxpyVsLoop:./internal/tensor/ FuzzInferVsForward:./internal/gnn/ FuzzBuildVsSpec:./internal/refmodel/
 fuzz:
 	@failed=""; \
 	for t in $(FUZZ_TARGETS); do \

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -12,10 +13,9 @@ type Builder struct {
 	n        int
 	directed bool
 	us, vs   []V
-	els      []int32
+	els      []int32 // nil until the first non-zero edge label
 	vlabels  []int32
 	labeled  bool
-	elabeled bool
 }
 
 // NewBuilder returns a Builder for a graph with n vertices.
@@ -40,11 +40,13 @@ func (b *Builder) AddLabeledEdge(u, v V, label int32) {
 	if u == v {
 		return
 	}
+	if label != 0 && b.els == nil {
+		b.els = make([]int32, len(b.us), cap(b.us))
+	}
 	b.us = append(b.us, u)
 	b.vs = append(b.vs, v)
-	b.els = append(b.els, label)
-	if label != 0 {
-		b.elabeled = true
+	if b.els != nil {
+		b.els = append(b.els, label)
 	}
 }
 
@@ -60,9 +62,65 @@ func (b *Builder) SetLabel(v V, label int32) {
 	b.labeled = true
 }
 
-// Build produces the immutable Graph. The Builder may not be reused after
-// Build.
+// Build produces the immutable Graph: every row sorted ascending, parallel
+// arcs merged. Without edge labels it is a counting sort by source, then a
+// sort of each row. The Builder may not be reused after Build.
 func (b *Builder) Build() *Graph {
+	g := &Graph{directed: b.directed}
+	if b.els != nil {
+		g.offsets, g.adj, g.elabels = b.buildLabeled()
+	} else {
+		g.offsets, g.adj = b.buildUnlabeled()
+	}
+	if b.labeled {
+		g.vlabels = make([]int32, b.n)
+		copy(g.vlabels, b.vlabels)
+	}
+	return g
+}
+
+func (b *Builder) buildUnlabeled() ([]int64, []V) {
+	offsets := make([]int64, b.n+1)
+	for i, u := range b.us {
+		offsets[u+1]++
+		if !b.directed {
+			offsets[b.vs[i]+1]++
+		}
+	}
+	for v := 1; v <= b.n; v++ {
+		offsets[v] += offsets[v-1]
+	}
+	// scatter: offsets[u] walks from row u's start to the next row's
+	adj := make([]V, offsets[b.n])
+	for i, u := range b.us {
+		v := b.vs[i]
+		adj[offsets[u]] = v
+		offsets[u]++
+		if !b.directed {
+			adj[offsets[v]] = u
+			offsets[v]++
+		}
+	}
+	var start, w int64
+	for v := 0; v < b.n; v++ {
+		row := adj[start:offsets[v]]
+		start, offsets[v] = offsets[v], w
+		slices.Sort(row)
+		w += int64(copy(adj[w:], slices.Compact(row)))
+	}
+	offsets[b.n] = w
+	if w < int64(len(adj)) { // an exact-size copy frees the dropped arcs
+		adj = append(make([]V, 0, w), adj[:w]...)
+	}
+	return offsets, adj
+}
+
+// buildLabeled is Build with edge labels: a comparison sort of every arc.
+// Of parallel arcs it keeps the label of whichever one sort.Slice leaves
+// first, which is not stable, so an undirected edge added twice with two
+// labels may keep a different label in each direction. ROADMAP item 42
+// folds this path into the counting sort with a first-inserted rule.
+func (b *Builder) buildLabeled() ([]int64, []V, []int32) {
 	type arc struct {
 		u, v V
 		l    int32
@@ -80,40 +138,17 @@ func (b *Builder) Build() *Graph {
 		}
 		return arcs[i].v < arcs[j].v
 	})
-	// Deduplicate.
-	w := 0
-	for i := range arcs {
-		if i > 0 && arcs[i].u == arcs[w-1].u && arcs[i].v == arcs[w-1].v {
-			continue
-		}
-		arcs[w] = arcs[i]
-		w++
-	}
-	arcs = arcs[:w]
-
-	g := &Graph{
-		offsets:  make([]int64, b.n+1),
-		adj:      make([]V, len(arcs)),
-		directed: b.directed,
-	}
-	if b.elabeled {
-		g.elabels = make([]int32, len(arcs))
-	}
+	arcs = slices.CompactFunc(arcs, func(x, y arc) bool { return x.u == y.u && x.v == y.v })
+	offsets := make([]int64, b.n+1)
+	adj, els := make([]V, len(arcs)), make([]int32, len(arcs))
 	for i, a := range arcs {
-		g.offsets[a.u+1]++
-		g.adj[i] = a.v
-		if b.elabeled {
-			g.elabels[i] = a.l
-		}
+		offsets[a.u+1]++
+		adj[i], els[i] = a.v, a.l
 	}
 	for v := 1; v <= b.n; v++ {
-		g.offsets[v] += g.offsets[v-1]
+		offsets[v] += offsets[v-1]
 	}
-	if b.labeled {
-		g.vlabels = make([]int32, b.n)
-		copy(g.vlabels, b.vlabels)
-	}
-	return g
+	return offsets, adj, els
 }
 
 // FromEdges builds an undirected graph with n vertices from an edge list.

@@ -1,12 +1,47 @@
-// Package refmodel holds executable specifications of the analytics
-// engines: single-threaded, plain implementations of what the engines
-// compute, sharing no code with them. Engine tests check their results
-// against these functions, so no production path is its own oracle. The
-// package imports only internal/graph, so any engine package's own tests
+// Package refmodel holds executable specifications of graph construction
+// and of the analytics engines: single-threaded, plain implementations of
+// what they compute, sharing no code with them. Engine tests check their
+// results against these functions, so no production path is its own oracle.
+// The package imports only internal/graph, so any engine package's own tests
 // can import it without a cycle.
 package refmodel
 
-import "graphsys/internal/graph"
+import (
+	"sort"
+
+	"graphsys/internal/graph"
+)
+
+// CSR is the specification of graph.Builder.Build's adjacency: the set of
+// arcs u→v over the edges, plus v→u for each when undirected, without
+// self-loops, ordered by source and then by target, in CSR form.
+func CSR(n int, edges [][2]graph.V, directed bool) (offsets []int64, adj []graph.V) {
+	set := make(map[[2]graph.V]bool)
+	for _, e := range edges {
+		if e[0] != e[1] {
+			set[e] = true
+			if !directed {
+				set[[2]graph.V{e[1], e[0]}] = true
+			}
+		}
+	}
+	arcs := make([][2]graph.V, 0, len(set))
+	for a := range set {
+		arcs = append(arcs, a)
+	}
+	sort.Slice(arcs, func(i, j int) bool {
+		return arcs[i][0] < arcs[j][0] || arcs[i][0] == arcs[j][0] && arcs[i][1] < arcs[j][1]
+	})
+	offsets = make([]int64, n+1)
+	for _, a := range arcs {
+		offsets[a[0]+1]++
+		adj = append(adj, a[1])
+	}
+	for v := 1; v <= n; v++ {
+		offsets[v] += offsets[v-1]
+	}
+	return offsets, adj
+}
 
 // CC labels every vertex with the smallest vertex id of its connected
 // component, by union-find over every arc (arcs are taken as undirected).

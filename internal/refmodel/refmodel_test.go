@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"graphsys/internal/blogel"
@@ -247,4 +248,70 @@ func minIDLabels(labels []int32) []int32 {
 		out[v] = first[l]
 	}
 	return out
+}
+
+// FuzzBuildVsSpec checks graph.Builder.Build against refmodel.CSR: the
+// offsets and every row equal the spec's. The draw covers n in [0, 64],
+// directed or not, edge lists with duplicates, self-loops and both
+// directions of an edge, a hub row that repeats a few targets up to 1,199
+// times, and edge labels in {0, 1, 2}. Labeled graphs take Build's labeled
+// path; it is held to the same adjacency, and its labels are not compared,
+// but a graph with a non-zero label must keep its labels.
+func FuzzBuildVsSpec(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint16(40), uint16(0), false, false)    // n = 0: no edges can be drawn
+	f.Add(uint64(2), uint8(64), uint16(12), uint16(0), false, false)   // mostly isolated vertices
+	f.Add(uint64(3), uint8(64), uint16(12), uint16(0), true, true)     // the same, directed and labeled
+	f.Add(uint64(4), uint8(40), uint16(0), uint16(1000), false, false) // a hub row with 1,000 duplicates
+	f.Add(uint64(5), uint8(40), uint16(0), uint16(1000), true, true)   // the same, directed and labeled
+	f.Add(uint64(6), uint8(5), uint16(300), uint16(7), false, true)    // a dense tiny graph
+	f.Fuzz(func(t *testing.T, seed uint64, nSel uint8, mSel, hubSel uint16, directed, labeled bool) {
+		rng := rand.New(rand.NewPCG(seed, 73))
+		n := int(nSel) % 65
+		var edges [][2]graph.V
+		if n > 0 {
+			for range int(mSel) % 512 {
+				u, v := graph.V(rng.IntN(n)), graph.V(rng.IntN(n))
+				switch rng.IntN(8) {
+				case 0:
+					v = u // a self-loop
+				case 1:
+					edges = append(edges, [2]graph.V{v, u}) // both directions
+				}
+				edges = append(edges, [2]graph.V{u, v})
+			}
+			hub := graph.V(rng.IntN(n))
+			for range int(hubSel) % 1200 {
+				edges = append(edges, [2]graph.V{hub, graph.V(rng.IntN(min(n, 4)))})
+			}
+		}
+		b := graph.NewBuilder(n, directed)
+		anyLabel := false
+		for _, e := range edges {
+			var l int32
+			if labeled {
+				l = int32(rng.IntN(3))
+			}
+			anyLabel = anyLabel || l != 0 && e[0] != e[1]
+			b.AddLabeledEdge(e[0], e[1], l)
+		}
+		g := b.Build()
+		offsets, adj := refmodel.CSR(n, edges, directed)
+		name := fmt.Sprintf("n=%d edges=%d directed=%v labeled=%v", n, len(edges), directed, anyLabel)
+		if g.NumVertices() != n || g.Directed() != directed || g.HasEdgeLabels() != anyLabel {
+			t.Fatalf("%s: got n=%d directed=%v labeled=%v", name, g.NumVertices(), g.Directed(), g.HasEdgeLabels())
+		}
+		var off int64 // g's offset of row v: the degrees before it
+		for v := range graph.V(n) {
+			if off != offsets[v] {
+				t.Fatalf("%s: offset[%d] = %d, spec %d", name, v, off, offsets[v])
+			}
+			off += int64(g.Degree(v))
+			if row, want := g.Neighbors(v), adj[offsets[v]:offsets[v+1]]; !slices.Equal(row, want) {
+				t.Fatalf("%s: row %d = %v, spec %v", name, v, row, want)
+			}
+		}
+		if g.NumArcs() != offsets[n] {
+			t.Fatalf("%s: %d arcs, spec %d", name, g.NumArcs(), offsets[n])
+		}
+	})
 }
