@@ -126,78 +126,74 @@ func (c DFSCode) RightmostPath() []int {
 }
 
 // IsMin reports whether c is its pattern's minimum DFS code (gSpan's
-// canonicality test). It rebuilds the minimum code of c.Graph() step by step
-// with projection tracking and compares each tuple.
+// canonicality test). It rebuilds the minimum code of c.Graph() one tuple
+// per step, keeping only the projections of the least tuple, and compares
+// each tuple with c's.
 func (c DFSCode) IsMin() bool {
 	if len(c) == 0 {
 		return true
 	}
-	g := c.Graph()
-	// step 0: the minimal first tuple over all edges, both orientations
-	var first *EdgeCode
-	var projs []*pmEmbedding
-	for u := graph.V(0); int(u) < g.NumVertices(); u++ {
-		for i, v := range g.Neighbors(u) {
-			t := EdgeCode{0, 1, g.Label(u), g.EdgeLabelAt(u, i), g.Label(v)}
-			if first == nil || t.Less(*first) {
-				first = &t
-				projs = projs[:0]
+	graphs := []*graph.Graph{c.Graph()}
+	var least *EdgeCode
+	var projs []*embedding
+	// The least root tuple has FromL ≤ ToL, so eachRoot's filter keeps its
+	// whole group, in the order of an unfiltered scan.
+	eachRoot(graphs, func(t EdgeCode, _ int, u, v graph.V) {
+		if least == nil || t.Less(*least) {
+			least, projs = &t, projs[:0]
+		}
+		if t == *least {
+			projs = append(projs, rootEmbedding(0, u, v))
+		}
+	})
+	for step := 0; least != nil && *least == c[step]; step++ {
+		if step+1 == len(c) {
+			return true
+		}
+		var next []*embedding
+		least = nil
+		eachExtension(graphs, c[:step+1], projs, func(t EdgeCode, e *embedding, newV graph.V) {
+			if least == nil || t.Less(*least) {
+				least, next = &t, next[:0]
 			}
-			if t == *first {
-				projs = append(projs, &pmEmbedding{
-					vertices: []graph.V{u, v},
-					edges:    map[int64]bool{ekey(u, v): true},
-				})
+			if t == *least {
+				next = append(next, e.extend(t, newV))
 			}
-		}
-	}
-	if first == nil {
-		return false
-	}
-	if first.Less(c[0]) {
-		return false
-	}
-	if c[0].Less(*first) {
-		return false // c's first tuple is below the true minimum: malformed
-	}
-	minCode := DFSCode{*first}
-	for step := 1; step < len(c); step++ {
-		tuple, next := minExtension(g, minCode, projs)
-		if tuple == nil {
-			return false
-		}
-		if tuple.Less(c[step]) {
-			return false
-		}
-		if c[step].Less(*tuple) {
-			return false
-		}
-		minCode = append(minCode, *tuple)
+		})
 		projs = next
 	}
-	return true
+	return false
 }
 
-// pmEmbedding maps dfs indices to pattern-graph vertices during min-code
-// construction.
-type pmEmbedding struct {
+// embedding is a projection of a DFS code into graph gid: the graph vertex
+// at each discovery index, and the edges the code has used.
+type embedding struct {
+	gid      int
 	vertices []graph.V
 	edges    map[int64]bool
 }
 
-func (p *pmEmbedding) clone() *pmEmbedding {
-	e := &pmEmbedding{
-		vertices: append([]graph.V(nil), p.vertices...),
-		edges:    make(map[int64]bool, len(p.edges)+1),
-	}
-	for k := range p.edges {
-		e.edges[k] = true
-	}
-	return e
+func rootEmbedding(gid int, u, v graph.V) *embedding {
+	return &embedding{gid: gid, vertices: []graph.V{u, v}, edges: map[int64]bool{ekey(u, v): true}}
 }
 
-func (p *pmEmbedding) contains(v graph.V) bool {
-	for _, x := range p.vertices {
+// extend returns a copy of e grown by tuple t, where newV is the vertex a
+// forward tuple adds.
+func (e *embedding) extend(t EdgeCode, newV graph.V) *embedding {
+	c := &embedding{gid: e.gid, vertices: append(make([]graph.V, 0, len(e.vertices)+1), e.vertices...),
+		edges: make(map[int64]bool, len(e.edges)+1)}
+	for k := range e.edges {
+		c.edges[k] = true
+	}
+	if t.Forward() {
+		c.vertices = append(c.vertices, newV)
+	}
+	c.edges[ekey(c.vertices[t.From], c.vertices[t.To])] = true
+	return c
+}
+
+func (e *embedding) contains(v graph.V) bool {
+	for _, x := range e.vertices {
 		if x == v {
 			return true
 		}
@@ -212,49 +208,45 @@ func ekey(u, v graph.V) int64 {
 	return int64(u)<<32 | int64(v)
 }
 
-// minExtension finds the minimal rightmost-path extension tuple over all
-// projections and returns it along with the extended projections.
-func minExtension(g *graph.Graph, code DFSCode, projs []*pmEmbedding) (*EdgeCode, []*pmEmbedding) {
-	rmpath := code.RightmostPath()
-	maxIdx := code.NumVertices() - 1
-	var best *EdgeCode
-	var next []*pmEmbedding
-	consider := func(t EdgeCode, e *pmEmbedding, newV graph.V, newEdge int64) {
-		if best == nil || t.Less(*best) {
-			best = &t
-			next = next[:0]
-		}
-		if t == *best {
-			c := e.clone()
-			if t.Forward() {
-				c.vertices = append(c.vertices, newV)
+// eachRoot visits every arc u→v of every graph whose root tuple
+// (0, 1, l(u), l(u,v), l(v)) has FromL ≤ ToL, graph by graph in CSR order.
+func eachRoot(graphs []*graph.Graph, visit func(t EdgeCode, gid int, u, v graph.V)) {
+	for gid, g := range graphs {
+		for u := graph.V(0); int(u) < g.NumVertices(); u++ {
+			for i, v := range g.Neighbors(u) {
+				t := EdgeCode{0, 1, g.Label(u), g.EdgeLabelAt(u, i), g.Label(v)}
+				if t.FromL <= t.ToL { // else the reversed arc yields the smaller code
+					visit(t, gid, u, v)
+				}
 			}
-			c.edges[newEdge] = true
-			next = append(next, c)
 		}
 	}
+}
+
+// eachExtension visits every rightmost-path extension of code in each of
+// its projections, in gSpan's order: backward tuples from the rightmost
+// vertex to the rightmost path, then forward tuples from each rightmost-path
+// vertex to a vertex the projection does not use. newV is the vertex a
+// forward tuple adds.
+func eachExtension(graphs []*graph.Graph, code DFSCode, projs []*embedding, visit func(t EdgeCode, e *embedding, newV graph.V)) {
+	rmpath := code.RightmostPath()
+	maxIdx := code.NumVertices() - 1
 	for _, e := range projs {
+		g := graphs[e.gid]
 		rmv := e.vertices[rmpath[0]]
-		// backward extensions: rightmost vertex → rmpath vertices
 		for _, j := range rmpath[1:] {
 			tv := e.vertices[j]
-			if !g.HasEdge(rmv, tv) || e.edges[ekey(rmv, tv)] {
-				continue
+			if g.HasEdge(rmv, tv) && !e.edges[ekey(rmv, tv)] {
+				visit(EdgeCode{rmpath[0], j, g.Label(rmv), g.EdgeLabel(rmv, tv), g.Label(tv)}, e, -1)
 			}
-			t := EdgeCode{rmpath[0], j, g.Label(rmv), g.EdgeLabel(rmv, tv), g.Label(tv)}
-			consider(t, e, -1, ekey(rmv, tv))
 		}
-		// forward extensions: from every rmpath vertex (incl. rightmost)
 		for _, i := range rmpath {
 			fv := e.vertices[i]
 			for k, u := range g.Neighbors(fv) {
-				if e.contains(u) {
-					continue
+				if !e.contains(u) {
+					visit(EdgeCode{i, maxIdx + 1, g.Label(fv), g.EdgeLabelAt(fv, k), g.Label(u)}, e, u)
 				}
-				t := EdgeCode{i, maxIdx + 1, g.Label(fv), g.EdgeLabelAt(fv, k), g.Label(u)}
-				consider(t, e, u, ekey(fv, u))
 			}
 		}
 	}
-	return best, next
 }

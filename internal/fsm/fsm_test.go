@@ -1,11 +1,13 @@
 package fsm
 
 import (
+	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
-	"graphsys/internal/mining"
 )
 
 // uniform returns a graph with all vertex labels = 1 and edge labels = 0.
@@ -147,9 +149,48 @@ func TestMineTransactionsSupportCounting(t *testing.T) {
 	}
 }
 
+// canonical is the least encoding of pg over every permutation of its
+// vertices: the vertex labels in permuted order, then the sorted list of
+// edges with their labels. Two patterns get the same string iff they are
+// isomorphic with vertex and edge labels kept.
+func canonical(pg *graph.Graph) string {
+	n := pg.NumVertices()
+	perm := make([]int, n) // perm[v] is v's position
+	for i := range perm {
+		perm[i] = i
+	}
+	best := ""
+	var rec func(i int)
+	rec = func(i int) {
+		if i < n {
+			for j := i; j < n; j++ {
+				perm[i], perm[j] = perm[j], perm[i]
+				rec(i + 1)
+				perm[i], perm[j] = perm[j], perm[i]
+			}
+			return
+		}
+		labels := make([]int32, n)
+		for v := range labels {
+			labels[perm[v]] = pg.Label(graph.V(v))
+		}
+		var edges []string
+		pg.EdgesOnce(func(u, v graph.V) {
+			a, b := perm[u], perm[v]
+			edges = append(edges, fmt.Sprintf("%d-%d:%d", min(a, b), max(a, b), pg.EdgeLabel(u, v)))
+		})
+		slices.Sort(edges)
+		if code := fmt.Sprint(labels, edges); best == "" || code < best {
+			best = code
+		}
+	}
+	rec(0)
+	return best
+}
+
 // bruteFrequent enumerates every connected edge-subset pattern of every
-// transaction, canonicalises with mining.CanonicalCode (vertex labels +
-// topology; edge labels must be uniform), and counts transaction support.
+// transaction, canonicalises it with canonical, and counts transaction
+// support.
 func bruteFrequent(db *graph.TransactionDB, minSup, maxEdges int) map[string]int {
 	perTxn := make([]map[string]bool, db.Len())
 	for gid, g := range db.Graphs {
@@ -180,7 +221,7 @@ func bruteFrequent(db *graph.TransactionDB, minSup, maxEdges int) map[string]int
 				b.SetLabel(nw, g.Label(old))
 			}
 			for _, e := range sel {
-				b.AddEdge(ids[e[0]], ids[e[1]])
+				b.AddLabeledEdge(ids[e[0]], ids[e[1]], g.EdgeLabel(e[0], e[1]))
 			}
 			pg := b.Build()
 			// connected?
@@ -188,11 +229,7 @@ func bruteFrequent(db *graph.TransactionDB, minSup, maxEdges int) map[string]int
 			if comps != 1 {
 				continue
 			}
-			vs := make([]graph.V, pg.NumVertices())
-			for i := range vs {
-				vs[i] = graph.V(i)
-			}
-			perTxn[gid][mining.CanonicalCode(pg, vs)] = true
+			perTxn[gid][canonical(pg)] = true
 		}
 	}
 	counts := map[string]int{}
@@ -209,9 +246,9 @@ func bruteFrequent(db *graph.TransactionDB, minSup, maxEdges int) map[string]int
 	return counts
 }
 
-func TestMineTransactionsMatchesBruteForce(t *testing.T) {
-	db := gen.MoleculeDB(8, 4, 2, 0.8, 17)
-	// strip edge labels for the brute-force comparison
+// withoutEdgeLabels rebuilds db with its vertex labels and every edge
+// label 0.
+func withoutEdgeLabels(db *graph.TransactionDB) *graph.TransactionDB {
 	clean := &graph.TransactionDB{}
 	for i, g := range db.Graphs {
 		b := graph.NewBuilder(g.NumVertices(), false)
@@ -221,29 +258,38 @@ func TestMineTransactionsMatchesBruteForce(t *testing.T) {
 		g.EdgesOnce(func(u, v graph.V) { b.AddEdge(u, v) })
 		clean.Add(b.Build(), db.Class[i])
 	}
+	return clean
+}
+
+// TestMineTransactionsMatchesBruteForce checks gSpan's patterns and supports
+// against every connected edge subset of every transaction.
+func TestMineTransactionsMatchesBruteForce(t *testing.T) {
 	const maxEdges = 3
-	for _, minSup := range []int{3, 5} {
-		want := bruteFrequent(clean, minSup, maxEdges)
-		pats := MineTransactions(clean, MineConfig{MinSupport: minSup, MaxEdges: maxEdges})
-		got := map[string]int{}
-		for _, p := range pats {
-			pg := p.Graph()
-			vs := make([]graph.V, pg.NumVertices())
-			for i := range vs {
-				vs[i] = graph.V(i)
+	for _, c := range []struct {
+		name    string
+		db      *graph.TransactionDB
+		minSups []int
+	}{
+		{"unlabeled edges", withoutEdgeLabels(gen.MoleculeDB(8, 4, 2, 0.8, 17)), []int{3, 5}},
+	} {
+		for _, minSup := range c.minSups {
+			want := bruteFrequent(c.db, minSup, maxEdges)
+			got := map[string]int{}
+			for _, p := range MineTransactions(c.db, MineConfig{MinSupport: minSup, MaxEdges: maxEdges}) {
+				code := canonical(p.Graph())
+				if prev, dup := got[code]; dup {
+					t.Fatalf("%s, minSup=%d: duplicate pattern mined: %v (support %d and %d)", c.name, minSup, p.Code, prev, p.Support)
+				}
+				got[code] = p.Support
 			}
-			code := mining.CanonicalCode(pg, vs)
-			if prev, dup := got[code]; dup {
-				t.Fatalf("duplicate pattern mined: %v (support %d and %d)", p.Code, prev, p.Support)
+			if len(got) != len(want) {
+				t.Errorf("%s, minSup=%d: mined %d patterns, brute force %d", c.name, minSup, len(got), len(want))
+				continue
 			}
-			got[code] = p.Support
-		}
-		if len(got) != len(want) {
-			t.Fatalf("minSup=%d: mined %d patterns, brute force %d", minSup, len(got), len(want))
-		}
-		for code, sup := range want {
-			if got[code] != sup {
-				t.Fatalf("minSup=%d: support mismatch: got %d want %d", minSup, got[code], sup)
+			for code, sup := range want {
+				if got[code] != sup {
+					t.Errorf("%s, minSup=%d: pattern %s: support %d, brute force %d", c.name, minSup, code, got[code], sup)
+				}
 			}
 		}
 	}
@@ -329,6 +375,61 @@ func TestMaxEdgesLimit(t *testing.T) {
 	for _, p := range pats {
 		if len(p.Code) > 2 {
 			t.Fatalf("pattern with %d edges escaped MaxEdges=2", len(p.Code))
+		}
+	}
+}
+
+// patternDigest is the FNV-64a of every pattern's DFS code and support, in
+// the order mined (sorted by code).
+func patternDigest(pats []Pattern) uint64 {
+	h := fnv.New64a()
+	for _, p := range pats {
+		fmt.Fprintf(h, "%v:%d;", p.Code, p.Support)
+	}
+	return h.Sum64()
+}
+
+// disjointUnion places every transaction of db side by side in one graph.
+func disjointUnion(db *graph.TransactionDB) *graph.Graph {
+	n := 0
+	for _, g := range db.Graphs {
+		n += g.NumVertices()
+	}
+	b := graph.NewBuilder(n, false)
+	base := graph.V(0)
+	for _, g := range db.Graphs {
+		for v := graph.V(0); int(v) < g.NumVertices(); v++ {
+			b.SetLabel(base+v, g.Label(v))
+		}
+		g.EdgesOnce(func(u, v graph.V) { b.AddEdge(base+u, base+v) })
+		base += graph.V(g.NumVertices())
+	}
+	return b.Build()
+}
+
+// TestMinedPatternsPinned pins both miners' output bit for bit, at one and
+// at four workers. The input has no edge labels, so it does not depend on
+// how graph.Builder resolves the labels of parallel arcs. The values were
+// recorded before the root and extension enumerators were shared between
+// the miners and IsMin, which had to leave every pattern and support as it
+// was.
+func TestMinedPatternsPinned(t *testing.T) {
+	db := withoutEdgeLabels(gen.MoleculeDB(40, 8, 3, 0.9, 11))
+	g := disjointUnion(db)
+	for _, workers := range []int{1, 4} {
+		tx := MineTransactions(db, MineConfig{MinSupport: 4, MaxEdges: 4, Workers: workers})
+		sg := MineSingleGraph(g, MineConfig{MinSupport: 12, MaxEdges: 3, Workers: workers})
+		for _, c := range []struct {
+			name string
+			pats []Pattern
+			want uint64
+		}{
+			{"MineTransactions", tx, 0xbea6465ca10272a2},
+			{"MineSingleGraph", sg, 0x8a0ecb6487829cc1},
+		} {
+			if got := patternDigest(c.pats); got != c.want {
+				t.Errorf("%s, workers=%d: %d patterns, digest %#x, want %#x", c.name, workers, len(c.pats), got, c.want)
+			}
 		}
 	}
 }

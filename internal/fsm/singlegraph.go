@@ -48,21 +48,11 @@ func MineSingleGraph(g *graph.Graph, cfg MineConfig) []Pattern {
 	if cfg.MinSupport <= 0 {
 		cfg.MinSupport = 1
 	}
-	db := &graph.TransactionDB{Graphs: []*graph.Graph{g}}
+	graphs := []*graph.Graph{g}
 	roots := map[EdgeCode][]*embedding{}
-	for u := graph.V(0); int(u) < g.NumVertices(); u++ {
-		for i, v := range g.Neighbors(u) {
-			t := EdgeCode{0, 1, g.Label(u), g.EdgeLabelAt(u, i), g.Label(v)}
-			if t.FromL > t.ToL {
-				continue
-			}
-			roots[t] = append(roots[t], &embedding{
-				gid:      0,
-				vertices: []graph.V{u, v},
-				edges:    map[int64]bool{ekey(u, v): true},
-			})
-		}
-	}
+	eachRoot(graphs, func(t EdgeCode, _ int, u, v graph.V) {
+		roots[t] = append(roots[t], rootEmbedding(0, u, v))
+	})
 	type task struct {
 		code  DFSCode
 		projs []*embedding
@@ -86,7 +76,7 @@ func MineSingleGraph(g *graph.Graph, cfg MineConfig) []Pattern {
 				return
 			}
 			var local []task
-			for tuple, projs := range gatherExtensions(db, t.code, t.projs) {
+			for tuple, projs := range gatherExtensions(graphs, t.code, t.projs) {
 				child := append(append(DFSCode(nil), t.code...), tuple)
 				if MNI(child.NumVertices(), projs) < cfg.MinSupport {
 					continue
