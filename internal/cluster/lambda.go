@@ -1,6 +1,10 @@
 package cluster
 
-import "sync"
+import (
+	"sync/atomic"
+
+	"graphsys/internal/tensor"
+)
 
 // CostModel prices compute the way Dorylus does: always-on "GPU" servers are
 // billed per active second at a high rate; serverless lambda threads are
@@ -45,9 +49,8 @@ func (m CostModel) LambdaCost(invocations int64, computeSeconds float64, cpuServ
 type LambdaPool struct {
 	concurrency int
 
-	mu          sync.Mutex
-	invocations int64
-	unitsBilled int64 // abstract compute units executed
+	invocations atomic.Int64
+	unitsBilled atomic.Int64 // abstract compute units executed
 }
 
 // NewLambdaPool creates a pool with the given invocation concurrency.
@@ -58,39 +61,26 @@ func NewLambdaPool(concurrency int) *LambdaPool {
 	return &LambdaPool{concurrency: concurrency}
 }
 
-// Map runs fn(i) for i in [0, n) with bounded concurrency, each call counted
-// as one lambda invocation billing cost(i) compute units.
+// Map runs fn(i) for i in [0, n) in at most the pool's concurrency of
+// contiguous chunks on the tensor pool, each call counted as one lambda
+// invocation billing cost(i) compute units. cost is read after every fn has
+// returned, so it may price what fn measured.
 func (p *LambdaPool) Map(n int, cost func(i int) int64, fn func(i int)) {
-	sem := make(chan struct{}, p.concurrency)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
+	tensor.ParallelChunks(n, p.concurrency, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			fn(i)
-			p.mu.Lock()
-			p.invocations++
-			if cost != nil {
-				p.unitsBilled += cost(i)
-			}
-			p.mu.Unlock()
-		}(i)
+		}
+	})
+	for i := 0; i < n; i++ {
+		p.invocations.Add(1)
+		if cost != nil {
+			p.unitsBilled.Add(cost(i))
+		}
 	}
-	wg.Wait()
 }
 
 // Invocations returns the total number of lambda invocations so far.
-func (p *LambdaPool) Invocations() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.invocations
-}
+func (p *LambdaPool) Invocations() int64 { return p.invocations.Load() }
 
 // UnitsBilled returns the total billed compute units so far.
-func (p *LambdaPool) UnitsBilled() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.unitsBilled
-}
+func (p *LambdaPool) UnitsBilled() int64 { return p.unitsBilled.Load() }

@@ -262,7 +262,8 @@ func withoutEdgeLabels(db *graph.TransactionDB) *graph.TransactionDB {
 }
 
 // TestMineTransactionsMatchesBruteForce checks gSpan's patterns and supports
-// against every connected edge subset of every transaction.
+// against every connected edge subset of every transaction, on a database
+// without edge labels and on two with them.
 func TestMineTransactionsMatchesBruteForce(t *testing.T) {
 	const maxEdges = 3
 	for _, c := range []struct {
@@ -271,6 +272,8 @@ func TestMineTransactionsMatchesBruteForce(t *testing.T) {
 		minSups []int
 	}{
 		{"unlabeled edges", withoutEdgeLabels(gen.MoleculeDB(8, 4, 2, 0.8, 17)), []int{3, 5}},
+		{"labeled edges, seed 3", gen.MoleculeDB(8, 4, 2, 0.8, 3), []int{2, 3}},
+		{"labeled edges, seed 5", gen.MoleculeDB(8, 4, 2, 0.8, 5), []int{2, 3}},
 	} {
 		for _, minSup := range c.minSups {
 			want := bruteFrequent(c.db, minSup, maxEdges)

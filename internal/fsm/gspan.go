@@ -35,16 +35,12 @@ func MineTransactions(db *graph.TransactionDB, cfg MineConfig) []Pattern {
 	if cfg.MinSupport <= 0 {
 		cfg.MinSupport = 1
 	}
-	roots := map[EdgeCode][]*embedding{}
-	eachRoot(db.Graphs, func(t EdgeCode, gid int, u, v graph.V) {
-		roots[t] = append(roots[t], rootEmbedding(gid, u, v))
-	})
 	type rootTask struct {
 		code  DFSCode
 		projs []*embedding
 	}
 	var tasks []rootTask
-	for t, projs := range roots {
+	for t, projs := range gatherRoots(db.Graphs) {
 		if supportOf(projs) >= cfg.MinSupport {
 			tasks = append(tasks, rootTask{DFSCode{t}, projs})
 		}
@@ -58,6 +54,16 @@ func MineTransactions(db *graph.TransactionDB, cfg MineConfig) []Pattern {
 	}, func(a, b []Pattern) []Pattern { return append(a, b...) }, tthinker.Config{Workers: cfg.Workers})
 	sort.Slice(out, func(i, j int) bool { return out[i].Code.String() < out[j].Code.String() })
 	return out
+}
+
+// gatherRoots collects the projections of every root tuple of graphs,
+// grouped by tuple.
+func gatherRoots(graphs []*graph.Graph) map[EdgeCode][]*embedding {
+	roots := map[EdgeCode][]*embedding{}
+	eachRoot(graphs, func(t EdgeCode, gid int, u, v graph.V) {
+		roots[t] = append(roots[t], rootEmbedding(gid, u, v))
+	})
+	return roots
 }
 
 // gatherExtensions collects every rightmost-path extension of code over its

@@ -49,17 +49,13 @@ func MineSingleGraph(g *graph.Graph, cfg MineConfig) []Pattern {
 		cfg.MinSupport = 1
 	}
 	graphs := []*graph.Graph{g}
-	roots := map[EdgeCode][]*embedding{}
-	eachRoot(graphs, func(t EdgeCode, _ int, u, v graph.V) {
-		roots[t] = append(roots[t], rootEmbedding(0, u, v))
-	})
 	type task struct {
 		code  DFSCode
 		projs []*embedding
 	}
 	var frontier []task
 	var out []Pattern
-	for t, projs := range roots {
+	for t, projs := range gatherRoots(graphs) {
 		if MNI(2, projs) >= cfg.MinSupport {
 			frontier = append(frontier, task{DFSCode{t}, projs})
 		}

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Builder accumulates edges and produces an immutable CSR Graph. It
@@ -63,14 +62,24 @@ func (b *Builder) SetLabel(v V, label int32) {
 }
 
 // Build produces the immutable Graph: every row sorted ascending, parallel
-// arcs merged. Without edge labels it is a counting sort by source, then a
-// sort of each row. The Builder may not be reused after Build.
+// arcs merged. It is a counting sort by source, then a sort of each row. Of
+// parallel arcs the first inserted keeps its label, in both directions of
+// an undirected edge. The Builder may not be reused after Build.
 func (b *Builder) Build() *Graph {
 	g := &Graph{directed: b.directed}
+	g.offsets, g.adj = b.csr()
 	if b.els != nil {
-		g.offsets, g.adj, g.elabels = b.buildLabeled()
-	} else {
-		g.offsets, g.adj = b.buildUnlabeled()
+		g.elabels = make([]int32, len(g.adj))
+		label := func(u, v V, l int32) {
+			i, _ := slices.BinarySearch(g.Neighbors(u), v)
+			g.elabels[g.offsets[u]+int64(i)] = l
+		}
+		for i := len(b.us) - 1; i >= 0; i-- { // backwards: the first inserted is written last
+			label(b.us[i], b.vs[i], b.els[i])
+			if !b.directed {
+				label(b.vs[i], b.us[i], b.els[i])
+			}
+		}
 	}
 	if b.labeled {
 		g.vlabels = make([]int32, b.n)
@@ -79,7 +88,7 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-func (b *Builder) buildUnlabeled() ([]int64, []V) {
+func (b *Builder) csr() ([]int64, []V) {
 	offsets := make([]int64, b.n+1)
 	for i, u := range b.us {
 		offsets[u+1]++
@@ -113,42 +122,6 @@ func (b *Builder) buildUnlabeled() ([]int64, []V) {
 		adj = append(make([]V, 0, w), adj[:w]...)
 	}
 	return offsets, adj
-}
-
-// buildLabeled is Build with edge labels: a comparison sort of every arc.
-// Of parallel arcs it keeps the label of whichever one sort.Slice leaves
-// first, which is not stable, so an undirected edge added twice with two
-// labels may keep a different label in each direction. ROADMAP item 42
-// folds this path into the counting sort with a first-inserted rule.
-func (b *Builder) buildLabeled() ([]int64, []V, []int32) {
-	type arc struct {
-		u, v V
-		l    int32
-	}
-	arcs := make([]arc, 0, len(b.us)*2)
-	for i := range b.us {
-		arcs = append(arcs, arc{b.us[i], b.vs[i], b.els[i]})
-		if !b.directed {
-			arcs = append(arcs, arc{b.vs[i], b.us[i], b.els[i]})
-		}
-	}
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].u != arcs[j].u {
-			return arcs[i].u < arcs[j].u
-		}
-		return arcs[i].v < arcs[j].v
-	})
-	arcs = slices.CompactFunc(arcs, func(x, y arc) bool { return x.u == y.u && x.v == y.v })
-	offsets := make([]int64, b.n+1)
-	adj, els := make([]V, len(arcs)), make([]int32, len(arcs))
-	for i, a := range arcs {
-		offsets[a.u+1]++
-		adj[i], els[i] = a.v, a.l
-	}
-	for v := 1; v <= b.n; v++ {
-		offsets[v] += offsets[v-1]
-	}
-	return offsets, adj, els
 }
 
 // FromEdges builds an undirected graph with n vertices from an edge list.

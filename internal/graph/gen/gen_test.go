@@ -151,6 +151,29 @@ func TestMoleculeDB(t *testing.T) {
 	}
 }
 
+// TestMoleculeDBEdgeLabelsSymmetric checks that every undirected edge of
+// the molecule databases the experiments mine reads one label in both
+// directions, though MoleculeDB adds some edges twice with two labels.
+func TestMoleculeDBEdgeLabelsSymmetric(t *testing.T) {
+	for _, c := range []struct {
+		n, per, labels int
+		motif          float64
+		seed           int64
+	}{{100, 9, 4, 0.95, 123}, {60, 8, 3, 0.95, 11}, {120, 10, 4, 0.9, 9}} {
+		asym := 0
+		for _, g := range MoleculeDB(c.n, c.per, c.labels, c.motif, c.seed).Graphs {
+			g.EdgesOnce(func(u, v graph.V) {
+				if g.EdgeLabel(u, v) != g.EdgeLabel(v, u) {
+					asym++
+				}
+			})
+		}
+		if asym != 0 {
+			t.Errorf("MoleculeDB%v: %d edges with a different label in each direction", c, asym)
+		}
+	}
+}
+
 func TestGeneratorsConnectivityShape(t *testing.T) {
 	// BA graphs are connected by construction
 	g := BarabasiAlbert(300, 2, 1)

@@ -199,11 +199,7 @@ func (g *Graph) InducedSubgraph(vs []V) (*Graph, []V) {
 			if !g.directed && old > w {
 				continue // add each undirected edge once
 			}
-			if g.elabels != nil {
-				b.AddLabeledEdge(V(i), nw, g.EdgeLabelAt(old, k))
-			} else {
-				b.AddEdge(V(i), nw)
-			}
+			b.AddLabeledEdge(V(i), nw, g.EdgeLabelAt(old, k))
 		}
 	}
 	return b.Build(), newToOld

@@ -12,21 +12,29 @@ import (
 	"graphsys/internal/graph"
 )
 
-// CSR is the specification of graph.Builder.Build's adjacency: the set of
-// arcs u→v over the edges, plus v→u for each when undirected, without
-// self-loops, ordered by source and then by target, in CSR form.
-func CSR(n int, edges [][2]graph.V, directed bool) (offsets []int64, adj []graph.V) {
-	set := make(map[[2]graph.V]bool)
-	for _, e := range edges {
-		if e[0] != e[1] {
-			set[e] = true
-			if !directed {
-				set[[2]graph.V{e[1], e[0]}] = true
-			}
+// CSR is the specification of graph.Builder.Build's adjacency and edge
+// labels: the set of arcs u→v over the edges, plus v→u for each when
+// undirected, without self-loops, ordered by source and then by target, in
+// CSR form. labels holds each edge's label; an arc's label is that of the
+// first edge that gives the arc.
+func CSR(n int, edges [][2]graph.V, labels []int32, directed bool) (offsets []int64, adj []graph.V, elabels []int32) {
+	label := make(map[[2]graph.V]int32)
+	add := func(a [2]graph.V, l int32) {
+		if _, seen := label[a]; !seen {
+			label[a] = l
 		}
 	}
-	arcs := make([][2]graph.V, 0, len(set))
-	for a := range set {
+	for i, e := range edges {
+		if e[0] == e[1] {
+			continue
+		}
+		add(e, labels[i])
+		if !directed {
+			add([2]graph.V{e[1], e[0]}, labels[i])
+		}
+	}
+	arcs := make([][2]graph.V, 0, len(label))
+	for a := range label {
 		arcs = append(arcs, a)
 	}
 	sort.Slice(arcs, func(i, j int) bool {
@@ -36,11 +44,12 @@ func CSR(n int, edges [][2]graph.V, directed bool) (offsets []int64, adj []graph
 	for _, a := range arcs {
 		offsets[a[0]+1]++
 		adj = append(adj, a[1])
+		elabels = append(elabels, label[a])
 	}
 	for v := 1; v <= n; v++ {
 		offsets[v] += offsets[v-1]
 	}
-	return offsets, adj
+	return offsets, adj, elabels
 }
 
 // CC labels every vertex with the smallest vertex id of its connected

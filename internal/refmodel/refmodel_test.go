@@ -251,12 +251,12 @@ func minIDLabels(labels []int32) []int32 {
 }
 
 // FuzzBuildVsSpec checks graph.Builder.Build against refmodel.CSR: the
-// offsets and every row equal the spec's. The draw covers n in [0, 64],
-// directed or not, edge lists with duplicates, self-loops and both
-// directions of an edge, a hub row that repeats a few targets up to 1,199
-// times, and edge labels in {0, 1, 2}. Labeled graphs take Build's labeled
-// path; it is held to the same adjacency, and its labels are not compared,
-// but a graph with a non-zero label must keep its labels.
+// offsets, every row and every arc's edge label equal the spec's. The draw
+// covers n in [0, 64], directed or not, edge lists with duplicates,
+// self-loops and both directions of an edge, a hub row that repeats a few
+// targets up to 1,199 times, and edge labels in {0, 1, 2}. A graph keeps a
+// label column iff some kept edge has a non-zero label, and an undirected
+// edge reads the same label in both directions.
 func FuzzBuildVsSpec(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint16(40), uint16(0), false, false)    // n = 0: no edges can be drawn
 	f.Add(uint64(2), uint8(64), uint16(12), uint16(0), false, false)   // mostly isolated vertices
@@ -285,17 +285,17 @@ func FuzzBuildVsSpec(f *testing.F) {
 			}
 		}
 		b := graph.NewBuilder(n, directed)
+		labels := make([]int32, len(edges))
 		anyLabel := false
-		for _, e := range edges {
-			var l int32
+		for i, e := range edges {
 			if labeled {
-				l = int32(rng.IntN(3))
+				labels[i] = int32(rng.IntN(3))
 			}
-			anyLabel = anyLabel || l != 0 && e[0] != e[1]
-			b.AddLabeledEdge(e[0], e[1], l)
+			anyLabel = anyLabel || labels[i] != 0 && e[0] != e[1]
+			b.AddLabeledEdge(e[0], e[1], labels[i])
 		}
 		g := b.Build()
-		offsets, adj := refmodel.CSR(n, edges, directed)
+		offsets, adj, elabels := refmodel.CSR(n, edges, labels, directed)
 		name := fmt.Sprintf("n=%d edges=%d directed=%v labeled=%v", n, len(edges), directed, anyLabel)
 		if g.NumVertices() != n || g.Directed() != directed || g.HasEdgeLabels() != anyLabel {
 			t.Fatalf("%s: got n=%d directed=%v labeled=%v", name, g.NumVertices(), g.Directed(), g.HasEdgeLabels())
@@ -308,6 +308,14 @@ func FuzzBuildVsSpec(f *testing.F) {
 			off += int64(g.Degree(v))
 			if row, want := g.Neighbors(v), adj[offsets[v]:offsets[v+1]]; !slices.Equal(row, want) {
 				t.Fatalf("%s: row %d = %v, spec %v", name, v, row, want)
+			}
+			for k, u := range g.Neighbors(v) {
+				if l, want := g.EdgeLabelAt(v, k), elabels[offsets[v]+int64(k)]; l != want {
+					t.Fatalf("%s: label of %d→%d = %d, spec %d", name, v, u, l, want)
+				}
+				if !directed && g.EdgeLabel(u, v) != g.EdgeLabelAt(v, k) {
+					t.Fatalf("%s: edge {%d,%d} labelled %d one way and %d the other", name, v, u, g.EdgeLabelAt(v, k), g.EdgeLabel(u, v))
+				}
 			}
 		}
 		if g.NumArcs() != offsets[n] {
